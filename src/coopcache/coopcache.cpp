@@ -66,44 +66,70 @@ CoopCacheSim::CoopCacheSim(CoopCacheConfig config)
 }
 
 bool CoopCacheSim::directory_consistent() const {
-  // Every directory entry must be backed by the cache it names...
-  for (const auto& [block, clients] : directory_) {
-    if (clients.empty()) return false;  // empty sets should be erased
-    for (const std::uint32_t c : clients) {
-      if (!client_caches_[c].contains(block)) return false;
+  // Every directory entry must be a list of distinct clients, each backed
+  // by the cache it names...
+  bool backed = true;
+  std::size_t directory_total = 0;
+  directory_.for_each([&](std::uint64_t block, std::uint32_t head) {
+    if (head == kNoHolder) backed = false;  // empty lists should be erased
+    for (std::uint32_t h = head; h != kNoHolder; h = holder_pool_[h].next) {
+      const std::uint32_t c = holder_pool_[h].client;
+      if (!client_caches_[c].contains(block)) backed = false;
+      for (std::uint32_t d = holder_pool_[h].next; d != kNoHolder;
+           d = holder_pool_[d].next) {
+        if (holder_pool_[d].client == c) backed = false;
+      }
+      ++directory_total;
     }
-  }
+  });
   // ...and every cached block must appear in the directory.
   std::size_t cached_total = 0;
   for (const auto& cache : client_caches_) cached_total += cache.size();
-  std::size_t directory_total = 0;
-  for (const auto& [block, clients] : directory_) {
-    directory_total += clients.size();
-  }
-  return cached_total == directory_total;
+  return backed && cached_total == directory_total;
 }
 
 std::size_t CoopCacheSim::holders(std::uint64_t block) const {
-  const auto it = directory_.find(block);
-  return it == directory_.end() ? 0 : it->second.size();
+  const std::uint32_t* head = directory_.find(block);
+  std::size_t n = 0;
+  if (head == nullptr) return n;
+  for (std::uint32_t h = *head; h != kNoHolder; h = holder_pool_[h].next) ++n;
+  return n;
 }
 
 void CoopCacheSim::directory_add(std::uint64_t block, std::uint32_t client) {
-  directory_[block].insert(client);
+  std::uint32_t& head = directory_.find_or_insert(block, kNoHolder);
+  std::uint32_t h = free_holder_;
+  if (h != kNoHolder) {
+    free_holder_ = holder_pool_[h].next;
+    holder_pool_[h] = Holder{client, head};
+  } else {
+    h = static_cast<std::uint32_t>(holder_pool_.size());
+    holder_pool_.push_back(Holder{client, head});
+  }
+  head = h;
 }
 
 void CoopCacheSim::directory_remove(std::uint64_t block,
                                     std::uint32_t client) {
-  const auto it = directory_.find(block);
-  if (it == directory_.end()) return;
-  it->second.erase(client);
-  if (it->second.empty()) directory_.erase(it);
+  std::uint32_t* head = directory_.find(block);
+  if (head == nullptr) return;
+  for (std::uint32_t* link = head; *link != kNoHolder;
+       link = &holder_pool_[*link].next) {
+    const std::uint32_t h = *link;
+    if (holder_pool_[h].client == client) {
+      *link = holder_pool_[h].next;
+      holder_pool_[h].next = free_holder_;
+      free_holder_ = h;
+      break;
+    }
+  }
+  if (*head == kNoHolder) directory_.erase(block);
 }
 
 std::int64_t CoopCacheSim::find_holder(std::uint64_t block,
                                        std::uint32_t except) const {
-  const auto it = directory_.find(block);
-  if (it == directory_.end()) return -1;
+  const std::uint32_t* head = directory_.find(block);
+  if (head == nullptr) return -1;
   // Deterministic choice: the smallest id other than the requester — but
   // with rack awareness a same-rack holder always beats a cross-rack one
   // (the manager knows the topology; forwarding from the next rack over
@@ -111,7 +137,8 @@ std::int64_t CoopCacheSim::find_holder(std::uint64_t block,
   const std::uint32_t rs = config_.rack_size;
   std::int64_t best = -1;
   bool best_local = false;
-  for (const std::uint32_t c : it->second) {
+  for (std::uint32_t h = *head; h != kNoHolder; h = holder_pool_[h].next) {
+    const std::uint32_t c = holder_pool_[h].client;
     if (c == except) continue;
     const bool local = rs > 0 && c / rs == except / rs;
     if (best < 0 || (local && !best_local) ||
@@ -134,11 +161,8 @@ void CoopCacheSim::access(std::uint32_t client, std::uint64_t block,
 }
 
 void CoopCacheSim::insert_local(std::uint32_t client, std::uint64_t block) {
+  if (client_caches_[client].touch(block)) return;
   std::uint64_t victim = 0;
-  if (client_caches_[client].contains(block)) {
-    client_caches_[client].touch(block);
-    return;
-  }
   const bool evicted = client_caches_[client].insert(block, &victim);
   directory_add(block, client);
   if (evicted) handle_eviction(client, victim);
@@ -158,8 +182,9 @@ void CoopCacheSim::handle_eviction(std::uint32_t client,
       break;
     }
     case Policy::kNChance: {
+      if (config_.clients < 2) break;  // no peer to forward to
       if (holders(victim) > 0) break;  // duplicate: drop quietly
-      std::uint32_t& count = recirculations_[victim];
+      std::uint32_t& count = recirculations_.find_or_insert(victim, 0);
       if (count >= config_.nchance_limit) {
         recirculations_.erase(victim);
         break;  // circled enough; let it die
@@ -167,7 +192,6 @@ void CoopCacheSim::handle_eviction(std::uint32_t client,
       ++count;
       obs_forwards_->inc();
       // Forward the singlet to a random other client.
-      if (config_.clients < 2) break;
       std::uint32_t peer = rng_.next_below(config_.clients);
       if (peer == client) peer = (peer + 1) % config_.clients;
       std::uint64_t peer_victim = 0;

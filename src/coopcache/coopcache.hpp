@@ -19,10 +19,9 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "coopcache/flat_map.hpp"
 #include "coopcache/lru.hpp"
 #include "obs/metrics.hpp"
 #include "sim/random.hpp"
@@ -139,11 +138,22 @@ class CoopCacheSim {
   /// Centrally coordinated global cache: one LRU over most of the
   /// aggregate client memory (kCentrallyCoordinated only).
   LruCache coordinated_;
-  /// Directory: block -> clients holding it in their local caches.
-  std::unordered_map<std::uint64_t, std::unordered_set<std::uint32_t>>
-      directory_;
+  /// One client holding a block: a link in that block's holder list.
+  struct Holder {
+    std::uint32_t client;
+    std::uint32_t next;  // kNoHolder ends the list
+  };
+  static constexpr std::uint32_t kNoHolder = ~std::uint32_t{0};
+
+  /// Directory: block -> first of the clients holding it in their local
+  /// caches.  Holder order is arbitrary; nothing may depend on it.
+  FlatMap<std::uint32_t> directory_;
+  /// Every block's holder list, linked through one pool.  Freed links are
+  /// reused through free_holder_, so a block costs no allocation.
+  std::vector<Holder> holder_pool_;
+  std::uint32_t free_holder_ = kNoHolder;
   /// N-chance: times each at-large singlet has been forwarded.
-  std::unordered_map<std::uint64_t, std::uint32_t> recirculations_;
+  FlatMap<std::uint32_t> recirculations_;
   CoopCacheResults results_;
   obs::Counter* obs_reads_;
   obs::Counter* obs_local_hits_;

@@ -1,7 +1,8 @@
 // Proves the engine's hot path is allocation-free: once an engine is warm
 // (pool chunks and queue buffers grown), scheduling, cancelling, rescheduling,
 // and dispatching events whose captures fit InlinedCallback's small buffer
-// must perform zero heap allocations.
+// must perform zero heap allocations.  Likewise for the LRU block cache: it
+// allocates nothing before its first insert, and nothing once full.
 //
 // Every global operator new in this binary is replaced with a counting
 // wrapper, so any std::function-style boxing on the hot path fails the test.
@@ -13,6 +14,7 @@
 #include <new>
 #include <vector>
 
+#include "coopcache/lru.hpp"
 #include "sim/callback.hpp"
 #include "sim/engine.hpp"
 
@@ -108,6 +110,33 @@ TEST(EngineAlloc, InlineCallbackReportsSboFit) {
   };
   EXPECT_TRUE(InlinedCallback::fits_inline<Small>());
   EXPECT_FALSE(InlinedCallback::fits_inline<Big>());
+}
+
+// A building constructs a thousand disabled client caches and a server
+// cache per run; none of them may allocate until a block goes in.
+TEST(LruAlloc, NothingAllocatedBeforeFirstInsert) {
+  const std::uint64_t baseline = g_new_calls;
+  coopcache::LruCache disabled(0);
+  coopcache::LruCache empty(2'048);
+  disabled.insert(1);
+  EXPECT_FALSE(disabled.contains(1));
+  EXPECT_FALSE(empty.touch(1));
+  EXPECT_FALSE(empty.erase(1));
+  EXPECT_EQ(g_new_calls, baseline);
+}
+
+TEST(LruAlloc, FullCacheChurnIsAllocationFree) {
+  coopcache::LruCache cache(512);
+  for (std::uint64_t k = 0; k < 2'048; ++k) cache.insert(k);
+  const std::uint64_t baseline = g_new_calls;
+  std::uint64_t victim = 0;
+  for (std::uint64_t k = 0; k < 20'000; ++k) {
+    const std::uint64_t key = (k * 7'919) % 4'096;
+    if (k % 3 == 0) cache.erase(key);
+    else if (!cache.touch(key)) cache.insert(key, &victim);
+  }
+  EXPECT_EQ(g_new_calls, baseline) << "full LRU allocated on the heap";
+  EXPECT_LE(cache.size(), 512u);
 }
 
 }  // namespace

@@ -69,18 +69,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EngineDeterminism,
                          ::testing::Values(1, 7, 42, 1234, 99999));
 
 // ---------------------------------------------------------------------
-// LRU vs a naive reference model under random operation streams.
-class LruModelCheck
-    : public ::testing::TestWithParam<std::tuple<std::size_t, int>> {};
-
-TEST_P(LruModelCheck, MatchesReferenceModel) {
-  const auto [capacity, seed] = GetParam();
+// LRU vs a naive reference model under random operation streams over keys
+// [0, key_space).
+void check_lru_against_model(std::size_t capacity, std::uint32_t key_space,
+                             int seed, int ops) {
   coopcache::LruCache cache(capacity);
   std::vector<std::uint64_t> model;  // front = MRU
   sim::Pcg32 rng(static_cast<std::uint64_t>(seed));
 
-  for (int op = 0; op < 4000; ++op) {
-    const std::uint64_t key = rng.next_below(24);
+  for (int op = 0; op < ops; ++op) {
+    const std::uint64_t key = rng.next_below(key_space);
     const auto mit = std::find(model.begin(), model.end(), key);
     switch (rng.next_below(3)) {
       case 0: {  // insert
@@ -125,10 +123,27 @@ TEST_P(LruModelCheck, MatchesReferenceModel) {
   }
 }
 
+class LruModelCheck
+    : public ::testing::TestWithParam<std::tuple<std::size_t, int>> {};
+
+TEST_P(LruModelCheck, MatchesReferenceModel) {
+  const auto [capacity, seed] = GetParam();
+  check_lru_against_model(capacity, 24, seed, 4000);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     CapacityAndSeed, LruModelCheck,
     ::testing::Combine(::testing::Values<std::size_t>(1, 3, 8, 16),
                        ::testing::Values(1, 2, 3)));
+
+// Large enough that the key index grows several times and erased and
+// evicted nodes are reused.
+TEST(LruModelCheckLarge, MatchesReferenceModel) {
+  for (const int seed : {1, 2}) {
+    SCOPED_TRACE(seed);
+    check_lru_against_model(1000, 4096, seed, 12'000);
+  }
+}
 
 // ---------------------------------------------------------------------
 // Active Messages: exactly-once, in-order handling per pair, across loss
@@ -173,11 +188,17 @@ INSTANTIATE_TEST_SUITE_P(LossRates, AmLossSweep,
 // ---------------------------------------------------------------------
 // Software RAID: arbitrary (offset, size) extents complete, on both
 // levels, healthy and degraded.
+//
+// gtest names each case by the raw bytes of its RaidCase. `pad` fills the
+// bytes after `degraded` with zeros; left as compiler padding they held
+// stack garbage, and the test names changed from one run to the next.
 struct RaidCase {
   int members;
   raid::Level level;
   bool degraded;
+  std::uint8_t pad[3] = {};
 };
+static_assert(sizeof(RaidCase) == 12, "RaidCase must have no padding");
 
 class RaidExtents : public ::testing::TestWithParam<RaidCase> {};
 
@@ -296,7 +317,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, XfsCoherence,
 
 // ---------------------------------------------------------------------
 // Cooperative caching: the directory mirrors the caches exactly, for every
-// policy, throughout a trace replay.
+// policy, flat and in racks, throughout a trace replay.
 class CoopDirectory
     : public ::testing::TestWithParam<coopcache::Policy> {};
 
@@ -307,20 +328,24 @@ TEST_P(CoopDirectory, StaysConsistentThroughReplay) {
   wp.shared_blocks = 1'024;
   wp.private_blocks = 512;
   const auto accesses = trace::generate_fs_trace(wp);
-  coopcache::CoopCacheConfig cfg;
-  cfg.clients = wp.clients;
-  cfg.client_cache_blocks = 64;
-  cfg.server_cache_blocks = 256;
-  cfg.policy = GetParam();
-  coopcache::CoopCacheSim sim(cfg);
-  std::size_t i = 0;
-  for (const auto& a : accesses) {
-    sim.access(a.client, a.block, a.is_write);
-    if (++i % 500 == 0) {
-      ASSERT_TRUE(sim.directory_consistent()) << "at access " << i;
+  for (const std::uint32_t rack_size : {0u, 3u}) {
+    SCOPED_TRACE("rack_size " + std::to_string(rack_size));
+    coopcache::CoopCacheConfig cfg;
+    cfg.clients = wp.clients;
+    cfg.client_cache_blocks = 64;
+    cfg.server_cache_blocks = 256;
+    cfg.policy = GetParam();
+    cfg.rack_size = rack_size;
+    coopcache::CoopCacheSim sim(cfg);
+    std::size_t i = 0;
+    for (const auto& a : accesses) {
+      sim.access(a.client, a.block, a.is_write);
+      if (++i % 500 == 0) {
+        ASSERT_TRUE(sim.directory_consistent()) << "at access " << i;
+      }
     }
+    EXPECT_TRUE(sim.directory_consistent());
   }
-  EXPECT_TRUE(sim.directory_consistent());
 }
 
 INSTANTIATE_TEST_SUITE_P(
