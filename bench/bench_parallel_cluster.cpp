@@ -11,8 +11,9 @@
 // stdout is 100% simulated results (integer op counts, latency sums in
 // ticks, an order-sensitive digest) and is byte-identical for every
 // --threads value — the CI intra-run-determinism job diffs --threads 1
-// against --threads 4 verbatim.  Wall-clock, lane counts, and epoch
-// counters are nondeterministic measurement and go only to --json.
+// against --threads 4 verbatim.  Wall-clock, lane counts, epoch counters
+// and the engine's per-lane busy/wait profile are nondeterministic
+// measurement and go only to --json.
 //
 //   --nodes N     cluster size (default 256)
 //   --threads N   partition lanes (default 1 = the serial engine)
@@ -22,6 +23,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -190,15 +192,30 @@ int main(int argc, char** argv) {
   json.value("run", "wall_ms", wall_ms);
   json.value("run", "ops", static_cast<double>(ops));
   json.value("run", "digest_lo32", static_cast<double>(d & 0xffffffffull));
-  if (c.parallel_engine() != nullptr) {
-    json.value("run", "epochs",
-               static_cast<double>(c.parallel_engine()->epochs()));
+  if (const sim::ParallelEngine* pe = c.parallel_engine()) {
+    json.value("run", "epochs", static_cast<double>(pe->epochs()));
     json.value("run", "cross_lane_messages",
-               static_cast<double>(c.parallel_engine()->messages_posted()));
+               static_cast<double>(pe->messages_posted()));
+    // Per lane, busy + wait + serial_ns is the wall time of the run.
+    const sim::ParallelProfile p = pe->profile();
+    json.value("profile", "epoch_ns", static_cast<double>(p.epoch_ns));
+    json.value("profile", "serial_ns", static_cast<double>(p.serial_ns));
+    for (unsigned lane = 0; lane < p.lane_busy_ns.size(); ++lane) {
+      const std::string l = "lane" + std::to_string(lane);
+      json.value("profile", l + "_busy_ns",
+                 static_cast<double>(p.lane_busy_ns[lane]));
+      json.value("profile", l + "_wait_ns",
+                 static_cast<double>(p.lane_wait_ns(lane)));
+      json.value("profile", l + "_parks",
+                 static_cast<double>(p.lane_parks[lane]));
+    }
+    for (unsigned k = 0; k < p.width_log2.size(); ++k) {
+      if (p.width_log2[k] == 0) continue;
+      json.value("epoch_width", "ge_" + std::to_string(1ull << k) + "ns",
+                 static_cast<double>(p.width_log2[k]));
+    }
   }
   json.note("stdout (ops, latency sum, digest) is byte-identical across "
             "--threads; wall_ms is measurement");
-  json.note("speedup on a multi-core machine ~ min(threads, cores): lanes "
-            "run concurrently inside each lookahead epoch");
   return 0;
 }

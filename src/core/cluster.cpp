@@ -79,7 +79,6 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
       pc.threads = threads;
       pc.nodes = config_.workstations;
       pc.lookahead = lookahead;
-      pc.relaxed_sync = config_.relaxed_sync;
       if (config_.fabric == Fabric::kBuildingNow) {
         // Align lane boundaries to edge switches: a rack never spans two
         // lanes, so the whole rack-local event stream (the lookahead is

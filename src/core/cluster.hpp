@@ -109,11 +109,6 @@ struct ClusterConfig {
   /// serial engine, byte-identical to every release so far.
   unsigned threads = 1;
   Partitioning partitioning = Partitioning::kAllGlobal;
-  /// Epoch-width multiplier for partitioned runs (>= 1.0).  1.0 is strict
-  /// conservative execution — results independent of the thread count.
-  /// Larger values trade that guarantee for fewer barriers (DARSIM-style);
-  /// see DESIGN.md §12 before touching it.
-  double relaxed_sync = 1.0;
 
   /// This run's isolation context, when the cluster is one task of a
   /// parallel sweep (exp::run_sweep sets it up).  When non-null, the

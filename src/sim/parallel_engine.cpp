@@ -1,13 +1,65 @@
 #include "sim/parallel_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <chrono>
 #include <limits>
 
 namespace now::sim {
 
 namespace {
 constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
+
+// The barrier's spin budget before a waiter parks in atomic::wait.  A few
+// pauses cover the other side finishing on another core within a
+// microsecond or so.  Yields follow: they hand the core to a lane that
+// shares it (an oversubscribed or pinned run), which a long pause spin
+// would starve for whole scheduler slices, and they keep an idle lane off
+// the futex, whose wake-up costs far more than a short epoch under a
+// hypervisor.  4096 yields last on the order of a millisecond.
+constexpr unsigned kSpinPauses = 16;
+constexpr unsigned kSpinYields = 4096;
+
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// Returns the value of `a` once it differs from `old` (acquire), spinning
+// for the bounded budget above before parking.  A park is counted in
+// `parks` on waking, so the count is published with whatever the waker
+// synchronises next (a worker's done-decrement, for instance).
+std::uint32_t await_change(const std::atomic<std::uint32_t>& a,
+                           std::uint32_t old, std::uint64_t& parks) {
+  for (unsigned i = 0; i < kSpinPauses + kSpinYields; ++i) {
+    const std::uint32_t v = a.load(std::memory_order_acquire);
+    if (v != old) return v;
+    if (i < kSpinPauses) {
+      cpu_relax();
+    } else {
+      std::this_thread::yield();
+    }
+  }
+  for (;;) {
+    a.wait(old, std::memory_order_acquire);
+    const std::uint32_t v = a.load(std::memory_order_acquire);
+    if (v != old) {
+      ++parks;
+      return v;
+    }
+  }
+}
+
+std::uint64_t now_ns() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 }  // namespace
 
 ParallelEngine::ParallelEngine(Engine& global, ParallelConfig cfg)
@@ -15,7 +67,6 @@ ParallelEngine::ParallelEngine(Engine& global, ParallelConfig cfg)
   assert(cfg_.threads >= 1);
   assert(cfg_.nodes >= 1);
   assert(cfg_.lookahead > 0 && "partitioned execution needs lookahead > 0");
-  assert(cfg_.relaxed_sync >= 1.0);
   if (cfg_.align == 0) cfg_.align = 1;
   // Lanes are dealt whole alignment groups (racks); more lanes than groups
   // would leave the extras permanently idle.
@@ -25,15 +76,12 @@ ParallelEngine::ParallelEngine(Engine& global, ParallelConfig cfg)
     cfg_.threads = static_cast<unsigned>(groups_);
   }
   if (cfg_.threads > cfg_.nodes) cfg_.threads = cfg_.nodes;
-  window_ = std::max<Duration>(
-      1, static_cast<Duration>(static_cast<double>(cfg_.lookahead) *
-                               cfg_.relaxed_sync));
   parts_.reserve(cfg_.threads);
   for (unsigned i = 0; i < cfg_.threads; ++i) {
     parts_.push_back(std::make_unique<Engine>());
   }
   mail_.resize(static_cast<std::size_t>(cfg_.threads) * cfg_.threads);
-  lane_dispatched_.assign(cfg_.threads, 0);
+  lane_.resize(cfg_.threads);
   workers_.reserve(cfg_.threads - 1);
   for (unsigned i = 1; i < cfg_.threads; ++i) {
     workers_.emplace_back([this, i] { worker_main(i); });
@@ -41,12 +89,9 @@ ParallelEngine::ParallelEngine(Engine& global, ParallelConfig cfg)
 }
 
 ParallelEngine::~ParallelEngine() {
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    shutdown_ = true;
-    ++generation_;
-  }
-  work_cv_.notify_all();
+  shutdown_ = true;
+  generation_.fetch_add(1, std::memory_order_release);
+  generation_.notify_all();
   for (std::thread& t : workers_) t.join();
 }
 
@@ -101,51 +146,42 @@ void ParallelEngine::advance_parts_to(SimTime t) {
 
 void ParallelEngine::run_epoch(SimTime bound) {
   ++epochs_;
-  if (parts_.size() == 1) {
-    lane_dispatched_[0] += parts_[0]->run_while_before(bound);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lk(m_);
+  const std::uint64_t t0 = now_ns();
+  const auto workers = static_cast<std::uint32_t>(parts_.size() - 1);
+  if (workers != 0) {
     epoch_bound_ = bound;
-    running_ = static_cast<unsigned>(parts_.size());
-    ++generation_;
+    running_.store(workers, std::memory_order_relaxed);
+    generation_.fetch_add(1, std::memory_order_release);
+    generation_.notify_all();
   }
-  work_cv_.notify_all();
-  lane_dispatched_[0] += parts_[0]->run_while_before(bound);
-  std::unique_lock<std::mutex> lk(m_);
-  if (--running_ != 0) {
-    done_cv_.wait(lk, [this] { return running_ == 0; });
-  } else {
-    done_cv_.notify_all();
-  }
+  lane_[0].dispatched += parts_[0]->run_while_before(bound);
+  lane_[0].busy_ns += now_ns() - t0;
+  std::uint32_t left = running_.load(std::memory_order_acquire);
+  while (left != 0) left = await_change(running_, left, lane_[0].parks);
+  epoch_ns_ += now_ns() - t0;
 }
 
 void ParallelEngine::worker_main(unsigned lane) {
   if (cfg_.worker_init) cfg_.worker_init();
-  std::uint64_t seen = 0;
+  std::uint32_t seen = 0;
   for (;;) {
-    SimTime bound;
-    {
-      std::unique_lock<std::mutex> lk(m_);
-      work_cv_.wait(lk, [&] { return generation_ != seen; });
-      seen = generation_;
-      if (shutdown_) return;
-      bound = epoch_bound_;
-    }
-    const std::uint64_t n = parts_[lane]->run_while_before(bound);
-    {
-      std::lock_guard<std::mutex> lk(m_);
-      lane_dispatched_[lane] += n;
-      if (--running_ == 0) done_cv_.notify_all();
+    seen = await_change(generation_, seen, lane_[lane].parks);
+    if (shutdown_) return;
+    const std::uint64_t t0 = now_ns();
+    lane_[lane].dispatched += parts_[lane]->run_while_before(epoch_bound_);
+    lane_[lane].busy_ns += now_ns() - t0;
+    if (running_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      running_.notify_one();
     }
   }
 }
 
 std::uint64_t ParallelEngine::drive(SimTime deadline, bool bounded) {
   std::uint64_t dispatched = 0;
-  for (auto& n : lane_dispatched_) n = 0;
+  for (LaneStats& l : lane_) l.dispatched = 0;
   std::uint64_t global_n = 0;
+  const std::uint64_t t0 = now_ns();
+  const std::uint64_t in_epochs = epoch_ns_;
   for (;;) {
     drain_mailboxes();
 
@@ -175,20 +211,33 @@ std::uint64_t ParallelEngine::drive(SimTime deadline, bool bounded) {
     // Parallel epoch [m, end): every lane dispatches its own events; no
     // cross-lane interaction can land inside the window (lookahead), so the
     // lanes share nothing until the next barrier.
-    SimTime end = m + window_;
+    SimTime end = m + cfg_.lookahead;
     if (end > g) end = g;
     if (bounded && deadline != kNever && end > deadline + 1) {
       end = deadline + 1;  // events at exactly `deadline` still run
     }
+    ++width_log2_[std::bit_width(static_cast<std::uint64_t>(end - m)) - 1];
     run_epoch(end);
   }
-  drain_mailboxes();  // relaxed mode can leave tail messages behind the bound
   if (bounded) {
     advance_parts_to(deadline);
     global_.advance_to(deadline);
   }
-  for (const std::uint64_t n : lane_dispatched_) dispatched += n;
+  serial_ns_ += (now_ns() - t0) - (epoch_ns_ - in_epochs);
+  for (const LaneStats& l : lane_) dispatched += l.dispatched;
   return dispatched + global_n;
+}
+
+ParallelProfile ParallelEngine::profile() const {
+  ParallelProfile p;
+  p.epoch_ns = epoch_ns_;
+  p.serial_ns = serial_ns_;
+  for (const LaneStats& l : lane_) {
+    p.lane_busy_ns.push_back(l.busy_ns);
+    p.lane_parks.push_back(l.parks);
+  }
+  p.width_log2 = width_log2_;
+  return p;
 }
 
 std::uint64_t ParallelEngine::run() { return drive(kNever, /*bounded=*/false); }

@@ -25,18 +25,19 @@
 //    injection can crash a node in any partition exactly as it would
 //    serially.
 //
-// relaxed_sync > 1 widens epochs to W * relaxed_sync (DARSIM's speed knob):
-// fewer barriers, but a cross-lane message can now arrive "late" — after
-// the destination clock passed its timestamp — and is clamped to the
-// present, skewing delivery times.  Accuracy and thread-count determinism
-// caveats are documented in DESIGN.md §12; strict mode (1.0) has neither.
+// The barrier itself is two atomics: the driver publishes an epoch by a
+// release increment of a generation counter, and each worker reports done
+// by decrementing a running count.  Both sides spin for a bounded time
+// (pause, then yield) before parking in std::atomic::wait, so a short
+// epoch costs a cache-line round trip instead of a futex wake-up, and
+// lanes sharing one core still hand it over promptly.
 #pragma once
 
-#include <condition_variable>
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -64,14 +65,37 @@ struct ParallelConfig {
   /// Conservative lookahead window W.  Must be > 0 and no larger than the
   /// minimum cross-node interaction latency (the fabric's one-way latency).
   Duration lookahead = 0;
-  /// Epoch width multiplier >= 1.0.  1.0 = strict conservative execution.
-  double relaxed_sync = 1.0;
   /// Run once on each worker thread before it executes events.  The sim
   /// layer knows nothing about observability; the Cluster passes a hook
   /// installing the run's thread-local metrics/tracer/log bindings here, so
   /// instrumentation inside partition events resolves to the same instances
   /// as on the driving thread.
   std::function<void()> worker_init;
+};
+
+/// Where a partitioned run's wall time went, from three steady_clock reads
+/// per epoch on the driving thread and two on each worker.  For every lane,
+/// busy + wait + serial_ns equals the wall time spent inside run/run_until.
+struct ParallelProfile {
+  /// Wall ns inside parallel epochs: publish to the last lane's finish.
+  std::uint64_t epoch_ns = 0;
+  /// Wall ns on the driving thread between epochs: mailbox drains, peeks
+  /// at every lane's next event, and global-lane steps.
+  std::uint64_t serial_ns = 0;
+  /// Per lane, wall ns spent dispatching its own events inside epochs.
+  std::vector<std::uint64_t> lane_busy_ns;
+  /// Per lane, how often its thread outwaited the barrier's bounded spin,
+  /// parked in atomic::wait and was woken (lane 0: the driver waiting for
+  /// workers; workers: waiting for the next epoch).
+  std::vector<std::uint64_t> lane_parks;
+  /// Epochs by simulated width: bucket k counts widths in [2^k, 2^(k+1)).
+  std::array<std::uint64_t, 64> width_log2{};
+
+  /// Per lane, wall ns inside epochs not spent dispatching: waking up and
+  /// waiting for the slowest lane.
+  std::uint64_t lane_wait_ns(unsigned lane) const {
+    return epoch_ns - lane_busy_ns[lane];
+  }
 };
 
 class ParallelEngine final : public ExecDomain {
@@ -114,6 +138,8 @@ class ParallelEngine final : public ExecDomain {
   std::uint64_t epochs() const { return epochs_; }
   /// Cross-lane messages merged so far.
   std::uint64_t messages_posted() const { return posted_; }
+  /// Wall-time split of every run/run_until so far.  Call between runs.
+  ParallelProfile profile() const;
 
  private:
   struct Msg {
@@ -133,6 +159,15 @@ class ParallelEngine final : public ExecDomain {
     std::uint32_t next_seq = 0;
   };
 
+  // Per-lane counters, each written only by the thread running its lane
+  // and read by the driver after the barrier.  Cache-line sized so lanes
+  // never share a line.
+  struct alignas(64) LaneStats {
+    std::uint64_t dispatched = 0;
+    std::uint64_t busy_ns = 0;
+    std::uint64_t parks = 0;
+  };
+
   std::uint64_t drive(SimTime deadline, bool bounded);
   void drain_mailboxes();
   void run_epoch(SimTime bound);
@@ -142,25 +177,26 @@ class ParallelEngine final : public ExecDomain {
   Engine& global_;
   ParallelConfig cfg_;
   std::uint64_t groups_ = 1;  // ceil(nodes / align), the lane-block count
-  Duration window_ = 1;
   std::vector<std::unique_ptr<Engine>> parts_;
   std::vector<Mailbox> mail_;  // indexed [src_lane * P + dst_lane]
   std::vector<Msg> merge_buf_;
+  std::vector<LaneStats> lane_;
 
-  // Barrier-synchronised worker pool: lane 0 runs on the driving thread,
-  // lanes 1..P-1 on parked workers woken per epoch by generation number.
-  std::vector<std::thread> workers_;
-  std::mutex m_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::uint64_t generation_ = 0;
+  // Lane 0 runs on the driving thread, lanes 1..P-1 on workers.  The
+  // driver writes epoch_bound_ and shutdown_ before the release increment
+  // of generation_; a worker reads them after seeing the increment.
+  alignas(64) std::atomic<std::uint32_t> generation_{0};
   SimTime epoch_bound_ = 0;
-  unsigned running_ = 0;
   bool shutdown_ = false;
-  std::vector<std::uint64_t> lane_dispatched_;
+  alignas(64) std::atomic<std::uint32_t> running_{0};  // workers in epoch
 
   std::uint64_t epochs_ = 0;
   std::uint64_t posted_ = 0;
+  std::uint64_t epoch_ns_ = 0;
+  std::uint64_t serial_ns_ = 0;
+  std::array<std::uint64_t, 64> width_log2_{};
+
+  std::vector<std::thread> workers_;  // last: started once the rest exists
 };
 
 }  // namespace now::sim

@@ -1,15 +1,19 @@
 // now::sim::ParallelEngine — partitioned intra-run execution.
 //
-// The contract under test (DESIGN.md §12): at relaxed_sync = 1.0 a
-// partitioned run is *result-identical* to the serial engine at any
-// thread count.  Covered here: the new Engine epoch primitives, the
-// deterministic cross-lane merge order (golden), digest equality for
-// threads {1, 2, 8} on a partition-clean RPC workload, a fault landing
-// in a non-zero partition, an all-to-all stress shaped for TSan, and
-// the sweep-nesting thread-budget clamp.
+// The contract under test (DESIGN.md §12): a partitioned run is
+// *result-identical* to the serial engine at any thread count.  Covered
+// here: the new Engine epoch primitives, the deterministic cross-lane
+// merge order (golden), digest equality for threads {1, 2, 8} and for
+// more lanes than cores on a partition-clean RPC workload, a fault
+// landing in a non-zero partition, barrier workers parking and re-waking
+// between runs, engine teardown with idle or parked workers, an
+// all-to-all stress shaped for TSan, and the sweep-nesting thread-budget
+// clamp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <any>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -107,22 +111,26 @@ struct EchoResult {
   std::vector<std::uint64_t> lat;       // per node, integer ticks
   std::uint64_t rpc_timeouts = 0;
   std::uint64_t crashes = 0;
+  unsigned lanes = 0;
 };
+
+// Advances a cluster to the given simulated time.
+using Runner = std::function<void(Cluster&, sim::SimTime)>;
 
 // Every node RPC-echoes 256 B to a partner half the cluster away until
 // the horizon.  All driver state is per-node and lane-confined, so the
 // workload is partition-clean; with `plan`, the cluster machinery
-// injects faults from the exclusive global lane.
+// injects faults from the exclusive global lane.  `runner` replaces the
+// single run_until to the end of the run.
 EchoResult run_echo(std::uint32_t nodes, unsigned threads,
                     sim::SimTime horizon, fault::FaultPlan plan = {},
-                    double relaxed_sync = 1.0) {
+                    const Runner& runner = {}) {
   constexpr proto::MethodId kEcho = 9;
   ClusterConfig cfg;
   cfg.workstations = nodes;
   cfg.with_glunix = false;
   cfg.threads = threads;
   cfg.partitioning = Partitioning::kNodeLocal;
-  cfg.relaxed_sync = relaxed_sync;
   cfg.fault_plan = std::move(plan);
   Cluster c(cfg);
 
@@ -162,10 +170,16 @@ EchoResult run_echo(std::uint32_t nodes, unsigned threads,
           if (*issue) (*issue)(i);
         });
   }
-  c.run_until(horizon + 3 * sim::kMillisecond);
+  const sim::SimTime end = horizon + 3 * sim::kMillisecond;
+  if (runner) {
+    runner(c, end);
+  } else {
+    c.run_until(end);
+  }
   *issue = nullptr;
   r.rpc_timeouts = c.rpc().timeouts();
   r.crashes = c.faults().stats().node_crashes;
+  r.lanes = c.effective_threads();
   return r;
 }
 
@@ -202,13 +216,129 @@ TEST(ParallelCluster, FaultInNonZeroPartitionMatchesSerial) {
   EXPECT_EQ(par.crashes, 1u);
 }
 
-TEST(ParallelCluster, RelaxedSyncRunsToCompletion) {
-  // relaxed_sync > 1 widens epochs: no determinism-vs-serial claim (that
-  // is the documented trade), but it must drive the workload to the
-  // horizon with every node making progress.
-  const EchoResult r =
-      run_echo(16, 4, 10 * sim::kMillisecond, {}, /*relaxed_sync=*/8.0);
-  for (const std::uint64_t o : r.ops) EXPECT_GT(o, 0u);
+TEST(ParallelCluster, MoreLanesThanCoresMatchesSerial) {
+  // Twice as many lanes as cores (8 on a 4-core machine): lanes time-share
+  // cores, so a barrier waiter must give up its core to the lane it waits
+  // for instead of spinning through its time slice.
+  const unsigned lanes =
+      std::max(8u, 2 * std::thread::hardware_concurrency());
+  const sim::SimTime horizon = 10 * sim::kMillisecond;
+  const EchoResult serial = run_echo(2 * lanes, 1, horizon);
+  const EchoResult par = run_echo(2 * lanes, lanes, horizon);
+  EXPECT_EQ(par.lanes, lanes);
+  EXPECT_EQ(par.ops, serial.ops);
+  EXPECT_EQ(par.lat, serial.lat);
+  EXPECT_EQ(par.rpc_timeouts, serial.rpc_timeouts);
+}
+
+// --- Barrier park / wake ----------------------------------------------
+
+// Several times the barrier's bounded spin (a few thousand yields), so
+// every waiting thread parks.
+constexpr auto kParkNap = std::chrono::milliseconds(10);
+
+TEST(ParallelCluster, WorkersParkAndRewakeBetweenSlices) {
+  // Many 1 us run_until slices with a host sleep between them: after each
+  // sleep the workers are parked in atomic::wait, and the next epoch must
+  // wake every one of them.  Results equal the serial run.
+  const sim::SimTime horizon = 2 * sim::kMillisecond;
+  const EchoResult serial = run_echo(16, 1, horizon);
+  std::vector<std::uint64_t> parks;
+  const Runner sliced = [&parks](Cluster& c, sim::SimTime end) {
+    sim::SimTime t = 0;
+    for (int i = 0; i < 50; ++i) {
+      t += sim::kMicrosecond;
+      c.run_until(t);
+      std::this_thread::sleep_for(kParkNap);
+    }
+    c.run_until(end);
+    parks = c.parallel_engine()->profile().lane_parks;
+  };
+  const EchoResult par = run_echo(16, 4, horizon, {}, sliced);
+  EXPECT_EQ(par.lanes, 4u);
+  EXPECT_EQ(par.ops, serial.ops);
+  EXPECT_EQ(par.lat, serial.lat);
+  EXPECT_EQ(par.rpc_timeouts, serial.rpc_timeouts);
+  ASSERT_EQ(parks.size(), 4u);
+  for (unsigned lane = 1; lane < 4; ++lane) EXPECT_GT(parks[lane], 0u);
+}
+
+TEST(ParallelEngine, DriverParksWhileASlowLaneFinishes) {
+  // Lane 1's only event outlasts the driver's spin budget, so the driver
+  // (lane 0, idle) parks and must be woken by the finishing worker.
+  sim::Engine global;
+  sim::ParallelConfig pc;
+  pc.threads = 2;
+  pc.nodes = 2;
+  pc.lookahead = 10;
+  sim::ParallelEngine pe(global, pc);
+  bool ran = false;
+  pe.engine_for(1).schedule_at(0, [&ran] {
+    std::this_thread::sleep_for(kParkNap);
+    ran = true;
+  });
+  EXPECT_EQ(pe.run(), 1u);
+  EXPECT_TRUE(ran);
+  const sim::ParallelProfile p = pe.profile();
+  EXPECT_EQ(p.lane_parks[0], 1u);
+  EXPECT_GE(p.lane_wait_ns(0),
+            static_cast<std::uint64_t>(
+                std::chrono::nanoseconds(kParkNap).count()));
+}
+
+TEST(ParallelEngine, DestroysWithIdleOrParkedWorkers) {
+  sim::ParallelConfig pc;
+  pc.threads = 4;
+  pc.nodes = 8;
+  pc.lookahead = 10;
+  {
+    // Never run: workers may not even have reached their first wait.
+    sim::Engine global;
+    sim::ParallelEngine pe(global, pc);
+    EXPECT_EQ(pe.lanes(), 4u);
+  }
+  sim::Engine global;
+  auto pe = std::make_unique<sim::ParallelEngine>(global, pc);
+  int fired = 0;
+  for (std::uint32_t n = 0; n < 8; ++n) {
+    pe->engine_for(n).schedule_at(5 * n, [&fired] { ++fired; });
+  }
+  EXPECT_EQ(pe->run(), 8u);
+  EXPECT_EQ(fired, 8);
+  EXPECT_GT(pe->epochs(), 0u);
+  std::this_thread::sleep_for(kParkNap);
+  pe.reset();  // joins workers parked in atomic::wait
+}
+
+TEST(ParallelEngine, ProfileAccountsForEveryEpoch) {
+  sim::Engine global;
+  sim::ParallelConfig pc;
+  pc.threads = 2;
+  pc.nodes = 4;
+  pc.lookahead = 10;
+  sim::ParallelEngine pe(global, pc);
+  // Epochs [0, 10) and [28, 38) are the full lookahead wide; the global
+  // event at 25 cuts the one starting at 20 to [20, 25).
+  pe.engine_for(0).schedule_at(0, [] {});
+  pe.engine_for(3).schedule_at(3, [] {});
+  pe.engine_for(0).schedule_at(20, [] {});
+  pe.engine_for(1).schedule_at(28, [] {});
+  global.schedule_at(25, [] {});
+  EXPECT_EQ(pe.run(), 5u);
+  EXPECT_EQ(pe.epochs(), 3u);
+  const sim::ParallelProfile p = pe.profile();
+  ASSERT_EQ(p.lane_busy_ns.size(), 2u);
+  EXPECT_EQ(p.width_log2[3], 2u);  // width 10: [8, 16)
+  EXPECT_EQ(p.width_log2[2], 1u);  // width 5:  [4, 8)
+  std::uint64_t counted = 0;
+  for (const std::uint64_t n : p.width_log2) counted += n;
+  EXPECT_EQ(counted, pe.epochs());
+  for (unsigned lane = 0; lane < 2; ++lane) {
+    EXPECT_GT(p.lane_busy_ns[lane], 0u);  // both lanes dispatched events
+    EXPECT_LE(p.lane_busy_ns[lane], p.epoch_ns);
+    EXPECT_EQ(p.lane_busy_ns[lane] + p.lane_wait_ns(lane), p.epoch_ns);
+  }
+  EXPECT_GT(p.epoch_ns, 0u);
 }
 
 // --- All-to-all stress (the TSan target) ------------------------------
