@@ -91,34 +91,46 @@ fault::FaultPlan outage_plan(sim::Duration period) {
 
 // Clients 1..16 issue ops back-to-back (50 ms think time, 25 % writes)
 // until the horizon; the run then drains in-flight ops.  Every op ends —
-// with success, or with a timeout/retry-exhaustion failure — so
-// issued - ok is exactly the failure count.
-DesignResult run_central(sim::Duration period, exp::RunContext& ctx,
-                         unsigned threads, const Shape& shape) {
+// with success, or with a timeout/retry-exhaustion failure — and its
+// completion says which, so issued - ok is exactly the failure count.
+DesignResult run_design(bool use_xfs, sim::Duration period,
+                        exp::RunContext& ctx, unsigned threads,
+                        const Shape& shape) {
   ClusterConfig cfg;
   cfg.workstations = shape.workstations;
   cfg.fabric = shape.fabric;
   cfg.building = shape.building;
   cfg.with_glunix = false;
+  cfg.with_xfs = use_xfs;
+  // The xFS settings are ignored without xFS.
+  cfg.xfs.client_cache_blocks = 64;
+  cfg.stripe_group_size = shape.stripe_group_size;
   cfg.fault_plan = outage_plan(period);
   // --threads is accepted but the workload is not partition-clean: the
   // CentralServerFs driver lives outside the cluster and touches many
-  // nodes' requests per event, so node-local execution would race.
-  // kAllGlobal keeps every event on the serial path — output is
-  // byte-identical at any --threads value by construction.
+  // nodes' requests per event, and xFS manager/RAID traffic spans nodes,
+  // so node-local execution would race.  kAllGlobal keeps every event on
+  // the serial path — output is byte-identical at any --threads value by
+  // construction.
   cfg.threads = threads;
   cfg.partitioning = Partitioning::kAllGlobal;
   cfg.run = &ctx;
   Cluster c(cfg);
-  xfs::CentralFsParams p;
-  p.client_cache_blocks = 64;
-  std::vector<os::Node*> clients;
-  for (const std::uint32_t i : shape.clients) clients.push_back(&c.node(i));
-  xfs::CentralServerFs fs(c.rpc(), c.node(0), clients, p);
-  fs.start();
-  // Crashes of node 0 now drop the server's in-memory cache, so each
-  // restart is cold: post-outage reads pay the disk until it re-warms.
-  c.faults().attach_central(&fs);
+  std::unique_ptr<xfs::CentralServerFs> central;
+  if (!use_xfs) {
+    xfs::CentralFsParams p;
+    p.client_cache_blocks = 64;
+    std::vector<os::Node*> clients;
+    for (const std::uint32_t i : shape.clients) clients.push_back(&c.node(i));
+    central = std::make_unique<xfs::CentralServerFs>(c.rpc(), c.node(0),
+                                                     clients, p);
+    central->start();
+    // Crashes of node 0 drop the server's in-memory cache, so each
+    // restart is cold: post-outage reads pay the disk until it re-warms.
+    c.faults().attach_central(central.get());
+  }
+  xfs::FileService& fs =
+      central ? static_cast<xfs::FileService&>(*central) : c.fs();
 
   auto rng = std::make_shared<sim::Pcg32>(ctx.seed);
   auto issued = std::make_shared<std::uint64_t>(0);
@@ -156,65 +168,12 @@ DesignResult run_central(sim::Duration period, exp::RunContext& ctx,
   r.availability = *issued ? static_cast<double>(*ok) / *issued : 1.0;
   r.mean_ms = *done ? *total_ms / *done : 0;
   r.crashes = c.faults().stats().node_crashes;
-  r.cold_restarts = fs.stats().cold_restarts;
-  return r;
-}
-
-DesignResult run_xfs(sim::Duration period, exp::RunContext& ctx,
-                     unsigned threads, const Shape& shape) {
-  ClusterConfig cfg;
-  cfg.workstations = shape.workstations;
-  cfg.fabric = shape.fabric;
-  cfg.building = shape.building;
-  cfg.with_glunix = false;
-  cfg.with_xfs = true;
-  cfg.xfs.client_cache_blocks = 64;
-  cfg.stripe_group_size = shape.stripe_group_size;
-  cfg.fault_plan = outage_plan(period);
-  // xFS manager/RAID traffic spans nodes; see run_central's note.
-  cfg.threads = threads;
-  cfg.partitioning = Partitioning::kAllGlobal;
-  cfg.run = &ctx;
-  Cluster c(cfg);
-
-  auto rng = std::make_shared<sim::Pcg32>(ctx.seed);
-  auto issued = std::make_shared<std::uint64_t>(0);
-  auto done = std::make_shared<std::uint64_t>(0);
-  auto total_ms = std::make_shared<double>(0);
-  auto issue = std::make_shared<std::function<void(std::uint32_t)>>();
-  *issue = [&c, rng, issued, done, total_ms, issue](std::uint32_t client) {
-    if (c.engine().now() >= kHorizon) return;
-    ++*issued;
-    const xfs::BlockId b = rng->next_below(kBlockPool);
-    const sim::SimTime t0 = c.engine().now();
-    auto cont = [&c, client, t0, done, total_ms, issue] {
-      ++*done;
-      *total_ms += sim::to_ms(c.engine().now() - t0);
-      c.engine().schedule_in(kThink, [issue, client] {
-        if (*issue) (*issue)(client);
-      });
-    };
-    if (rng->bernoulli(0.25)) {
-      c.fs().write(client, b, cont);
-    } else {
-      c.fs().read(client, b, cont);
-    }
-  };
-  for (const std::uint32_t cl : shape.clients) (*issue)(cl);
-  c.run_until(kHorizon + 10 * sim::kSecond);
-  *issue = nullptr;
-
-  DesignResult r;
-  r.issued = *issued;
-  // xFS ops call done() even when the retry budget runs out; the failures
-  // are in stats().failed_ops (plus anything still in flight at the end).
-  const std::uint64_t failed = c.fs().stats().failed_ops;
-  r.ok = *done > failed ? *done - failed : 0;
-  r.availability = *issued ? static_cast<double>(r.ok) / *issued : 1.0;
-  r.mean_ms = *done ? *total_ms / *done : 0;
-  r.crashes = c.faults().stats().node_crashes;
-  r.takeovers = c.faults().stats().manager_takeovers;
-  r.rebuilds = c.faults().stats().rebuilds_completed;
+  if (central) {
+    r.cold_restarts = central->stats().cold_restarts;
+  } else {
+    r.takeovers = c.faults().stats().manager_takeovers;
+    r.rebuilds = c.faults().stats().rebuilds_completed;
+  }
   return r;
 }
 
@@ -248,9 +207,9 @@ int main(int argc, char** argv) {
   const Shape flat = Shape::flat17();
   const auto points = sweep.run(names, [&](now::exp::RunContext& ctx) {
     Point p;
-    p.central =
-        run_central(periods[ctx.task_index], ctx, sweep.threads(), flat);
-    p.xfs = run_xfs(periods[ctx.task_index], ctx, sweep.threads(), flat);
+    const now::sim::Duration period = periods[ctx.task_index];
+    p.central = run_design(false, period, ctx, sweep.threads(), flat);
+    p.xfs = run_design(true, period, ctx, sweep.threads(), flat);
     return p;
   });
 
@@ -322,8 +281,8 @@ int main(int argc, char** argv) {
   const auto bpoints = sweep.run(bnames, [&](now::exp::RunContext& ctx) {
     Point p;
     const Shape& s = *placements[ctx.task_index - first_section].second;
-    p.central = run_central(bperiod, ctx, sweep.threads(), s);
-    p.xfs = run_xfs(bperiod, ctx, sweep.threads(), s);
+    p.central = run_design(false, bperiod, ctx, sweep.threads(), s);
+    p.xfs = run_design(true, bperiod, ctx, sweep.threads(), s);
     return p;
   });
 

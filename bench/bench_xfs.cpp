@@ -44,7 +44,7 @@ int main() {
     // Most traffic goes to a node's own range; some crosses nodes.
     const auto owner = rng.bernoulli(0.55) ? node : rng.next_below(16);
     const xfs::BlockId block = owner * 1'000 + rng.next_below(160);
-    auto cont = [ops_done, issue, remaining] {
+    auto cont = [ops_done, issue, remaining](bool) {
       ++*ops_done;
       if (*issue) (*issue)(remaining - 1);
     };

@@ -31,30 +31,58 @@ struct RunResult {
   double mean_ms = 0;
 };
 
-// Each client issues `per_client` ops with 20 ms think time; reads draw
-// from a shared pool with Zipf-ish reuse, 25 % writes.
-RunResult run_central(std::uint32_t nclients, int per_client,
-                      exp::RunContext& ctx, unsigned threads) {
+// One design's cluster and file service: xFS is the cluster's own; the
+// central server runs on node 0 and serves nodes 1..nclients.
+struct Design {
+  std::unique_ptr<Cluster> cluster;
+  std::unique_ptr<xfs::CentralServerFs> central;
+  xfs::FileService& fs() {
+    if (central) return *central;
+    return cluster->fs();
+  }
+};
+
+Design build(std::uint32_t nclients, bool use_xfs, exp::RunContext& ctx,
+             unsigned threads) {
   ClusterConfig cfg;
   cfg.workstations = nclients + 1;  // +1 server
   cfg.with_glunix = false;
+  cfg.with_xfs = use_xfs;
+  // The xFS settings are ignored without xFS.
+  cfg.xfs.client_cache_blocks = 64;
+  cfg.xfs.segment_blocks = std::min<std::uint32_t>(nclients, 16);
   // --threads is accepted but the workload is not partition-clean: the
-  // CentralServerFs driver lives outside the cluster and every request
-  // crosses client/server node state.  kAllGlobal keeps every event on
-  // the serial path — output is byte-identical at any --threads value by
-  // construction (same pattern as bench_availability).
+  // CentralServerFs driver lives outside the cluster, every request
+  // crosses client/server node state, and xFS manager/RAID traffic spans
+  // nodes.  kAllGlobal keeps every event on the serial path — output is
+  // byte-identical at any --threads value by construction (same pattern
+  // as bench_availability).
   cfg.threads = threads;
   cfg.partitioning = Partitioning::kAllGlobal;
   cfg.run = &ctx;
-  Cluster c(cfg);
-  xfs::CentralFsParams p;
-  p.client_cache_blocks = 64;
-  std::vector<os::Node*> clients;
-  for (std::uint32_t i = 1; i <= nclients; ++i) {
-    clients.push_back(&c.node(i));
+  Design d;
+  d.cluster = std::make_unique<Cluster>(cfg);
+  if (!use_xfs) {
+    xfs::CentralFsParams p;
+    p.client_cache_blocks = 64;
+    std::vector<os::Node*> clients;
+    for (std::uint32_t i = 1; i <= nclients; ++i) {
+      clients.push_back(&d.cluster->node(i));
+    }
+    d.central = std::make_unique<xfs::CentralServerFs>(
+        d.cluster->rpc(), d.cluster->node(0), clients, p);
+    d.central->start();
   }
-  xfs::CentralServerFs fs(c.rpc(), c.node(0), clients, p);
-  fs.start();
+  return d;
+}
+
+// Each client issues `per_client` ops with 20 ms think time; reads draw
+// from a shared pool with Zipf-ish reuse, 25 % writes.
+RunResult run_design(std::uint32_t nclients, int per_client, bool use_xfs,
+                     exp::RunContext& ctx, unsigned threads) {
+  Design d = build(nclients, use_xfs, ctx, threads);
+  Cluster& c = *d.cluster;
+  xfs::FileService& fs = d.fs();
 
   auto rng = std::make_shared<sim::Pcg32>(ctx.seed);
   auto total_ms = std::make_shared<double>(0);
@@ -90,53 +118,6 @@ RunResult run_central(std::uint32_t nclients, int per_client,
   return r;
 }
 
-RunResult run_xfs(std::uint32_t nclients, int per_client,
-                  exp::RunContext& ctx, unsigned threads) {
-  ClusterConfig cfg;
-  cfg.workstations = nclients + 1;
-  cfg.with_glunix = false;
-  cfg.with_xfs = true;
-  cfg.xfs.client_cache_blocks = 64;
-  cfg.xfs.segment_blocks = std::min<std::uint32_t>(nclients, 16);
-  // xFS manager/RAID traffic spans nodes; see run_central's note.
-  cfg.threads = threads;
-  cfg.partitioning = Partitioning::kAllGlobal;
-  cfg.run = &ctx;
-  Cluster c(cfg);
-
-  auto rng = std::make_shared<sim::Pcg32>(ctx.seed);
-  auto total_ms = std::make_shared<double>(0);
-  auto done_ops = std::make_shared<int>(0);
-  auto issue = std::make_shared<
-      std::function<void(std::uint32_t, int)>>();
-  *issue = [&c, rng, total_ms, done_ops, issue](std::uint32_t client,
-                                                int remaining) {
-    if (remaining == 0) return;
-    const xfs::BlockId b = rng->next_below(2'000);
-    const sim::SimTime t0 = c.engine().now();
-    auto cont = [&c, client, remaining, t0, total_ms, done_ops, issue] {
-      *total_ms += sim::to_ms(c.engine().now() - t0);
-      ++*done_ops;
-      c.engine().schedule_in(20 * sim::kMillisecond,
-                             [issue, client, remaining] {
-                               if (*issue) (*issue)(client, remaining - 1);
-                             });
-    };
-    if (rng->bernoulli(0.25)) {
-      c.fs().write(client, b, cont);
-    } else {
-      c.fs().read(client, b, cont);
-    }
-  };
-  for (std::uint32_t cl = 1; cl <= nclients; ++cl) (*issue)(cl, per_client);
-  c.run();
-  *issue = nullptr;
-  RunResult r;
-  r.ops_per_sec = *done_ops / sim::to_sec(c.engine().now());
-  r.mean_ms = *total_ms / *done_ops;
-  return r;
-}
-
 struct Point {
   RunResult central;
   RunResult xfs;
@@ -159,62 +140,26 @@ ReplayResult run_replay(const std::string& path, bool use_xfs,
                         const replay::TraceSummary& ts, exp::RunContext& ctx,
                         unsigned threads) {
   const std::uint32_t nclients = std::max<std::uint32_t>(ts.clients, 1);
-  ClusterConfig cfg;
-  cfg.workstations = nclients + 1;
-  cfg.with_glunix = false;
-  cfg.with_xfs = use_xfs;
-  if (use_xfs) {
-    cfg.xfs.client_cache_blocks = 64;
-    cfg.xfs.segment_blocks = std::min<std::uint32_t>(nclients, 16);
-  }
-  // Not partition-clean (see run_central's note): kAllGlobal keeps output
-  // byte-identical at any --threads value.
-  cfg.threads = threads;
-  cfg.partitioning = Partitioning::kAllGlobal;
-  cfg.run = &ctx;
-  Cluster c(cfg);
-
-  xfs::CentralFsParams p;
-  p.client_cache_blocks = 64;
-  std::vector<os::Node*> clients;
-  for (std::uint32_t i = 1; i <= nclients; ++i) {
-    clients.push_back(&c.node(i));
-  }
-  std::unique_ptr<xfs::CentralServerFs> fs;
-  if (!use_xfs) {
-    fs = std::make_unique<xfs::CentralServerFs>(c.rpc(), c.node(0), clients,
-                                                p);
-    fs->start();
-  }
+  Design d = build(nclients, use_xfs, ctx, threads);
+  Cluster& c = *d.cluster;
+  xfs::FileService& fs = d.fs();
 
   auto total_ms = std::make_shared<double>(0);
   auto cur = replay::open_trace(path);
-  replay::IssueFn issue = [&c, &fs, use_xfs, nclients, total_ms](
+  replay::IssueFn issue = [&c, &fs, nclients, total_ms](
                               const trace::FsAccess& a,
                               std::function<void()> done) {
     const std::uint32_t client = 1 + a.client % nclients;
     const xfs::BlockId b = a.block % 2'000;
     const sim::SimTime t0 = c.engine().now();
-    if (use_xfs) {
-      auto cont = [&c, t0, total_ms, done = std::move(done)] {
-        *total_ms += sim::to_ms(c.engine().now() - t0);
-        done();
-      };
-      if (a.is_write) {
-        c.fs().write(client, b, cont);
-      } else {
-        c.fs().read(client, b, cont);
-      }
+    auto cont = [&c, t0, total_ms, done = std::move(done)](bool) {
+      *total_ms += sim::to_ms(c.engine().now() - t0);
+      done();
+    };
+    if (a.is_write) {
+      fs.write(client, b, cont);
     } else {
-      auto cont = [&c, t0, total_ms, done = std::move(done)](bool) {
-        *total_ms += sim::to_ms(c.engine().now() - t0);
-        done();
-      };
-      if (a.is_write) {
-        fs->write(client, b, cont);
-      } else {
-        fs->read(client, b, cont);
-      }
+      fs.read(client, b, cont);
     }
   };
 
@@ -257,8 +202,8 @@ int main(int argc, char** argv) {
   const auto points = sweep.run(names, [&](now::exp::RunContext& ctx) {
     const std::uint32_t n = client_counts[ctx.task_index];
     Point p;
-    p.central = run_central(n, 120, ctx, sweep.threads());
-    p.xfs = run_xfs(n, 120, ctx, sweep.threads());
+    p.central = run_design(n, 120, /*use_xfs=*/false, ctx, sweep.threads());
+    p.xfs = run_design(n, 120, /*use_xfs=*/true, ctx, sweep.threads());
     return p;
   });
   for (std::size_t i = 0; i < points.size(); ++i) {

@@ -94,7 +94,7 @@ int main() {
     auto node = fs_rng->next_below(kNodes);
     if (!c.node(node).alive()) node = (node + 1) % kNodes;
     const xfs::BlockId b = fs_rng->next_below(20'000);
-    auto cont = [&c, fs_ops, issue, remaining] {
+    auto cont = [&c, fs_ops, issue, remaining](bool) {
       ++*fs_ops;
       c.engine().schedule_in(30 * sim::kMillisecond,
                              [issue, remaining] {

@@ -84,7 +84,7 @@ int main() {
     auto node = rng->next_below(kNodes);
     if (!c.node(node).alive()) node = (node + 1) % kNodes;
     const xfs::BlockId b = rng->next_below(4'000);
-    auto cont = [&c, fs_ops, issue] {
+    auto cont = [&c, fs_ops, issue](bool) {
       ++*fs_ops;
       c.engine().schedule_in(25 * sim::kMillisecond, [issue] {
         if (*issue) (*issue)();

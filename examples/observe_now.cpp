@@ -96,7 +96,7 @@ int main() {
     auto node = fs_rng->next_below(kNodes);
     if (!c.node(node).alive()) node = (node + 1) % kNodes;
     const xfs::BlockId b = fs_rng->next_below(4'000);
-    auto cont = [&c, fs_ops, issue, remaining] {
+    auto cont = [&c, fs_ops, issue, remaining](bool) {
       ++*fs_ops;
       c.engine().schedule_in(15 * sim::kMillisecond, [issue, remaining] {
         if (*issue) (*issue)(remaining - 1);

@@ -32,12 +32,12 @@ int main() {
   // 2. Meanwhile workstation 2 writes a file; workstation 5 reads it back
   //    through the cooperative cache (no server anywhere).
   for (xfs::BlockId b = 0; b < 8; ++b) {
-    cluster.fs().write(2, b, [] {});
+    cluster.fs().write(2, b, [](bool) {});
   }
   cluster.run_for(1 * sim::kSecond);
   int got = 0;
   for (xfs::BlockId b = 0; b < 8; ++b) {
-    cluster.fs().read(5, b, [&] { ++got; });
+    cluster.fs().read(5, b, [&](bool) { ++got; });
   }
   cluster.run_for(1 * sim::kSecond);
   std::printf("[%7.1fs] workstation 5 read %d blocks written by "

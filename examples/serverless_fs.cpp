@@ -41,7 +41,7 @@ int main() {
     auto node = rng.next_below(12);
     if (!cl.node(node).alive()) node = (node + 1) % 12;
     const xfs::BlockId block = rng.next_below(2'000);
-    auto cont = [&cl, ops_done, issue, remaining] {
+    auto cont = [&cl, ops_done, issue, remaining](bool) {
       ++*ops_done;
       cl.engine().schedule_in(2 * sim::kMillisecond, [issue, remaining] {
         if (*issue) (*issue)(remaining - 1);

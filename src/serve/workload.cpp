@@ -9,11 +9,16 @@ ServeWorkload::ServeWorkload(sim::Engine& engine, Backends backends,
     : engine_(engine),
       domain_(domain),
       b_(backends),
+      files_(b_.xfs != nullptr
+                 ? static_cast<xfs::FileService*>(b_.xfs)
+                 : b_.central),
       cfg_(std::move(cfg)),
       pop_(cfg_.population, cfg_.seed),
       mix_(cfg_.classes, cfg_.seed),
       obs_track_(obs::tracer().track("serve")) {
   assert(!cfg_.client_nodes.empty());
+  assert((b_.xfs == nullptr || b_.central == nullptr) &&
+         "at most one file backend");
   assert((domain_ == nullptr ||
           (b_.xfs == nullptr && b_.coop == nullptr &&
            b_.glunix == nullptr)) &&
@@ -27,7 +32,7 @@ ServeWorkload::ServeWorkload(sim::Engine& engine, Backends backends,
   lane_counts_.assign(lanes, LaneCounters{});
   mix_.ensure_clients(pop_.clients());
   if (cfg_.replay.enabled()) {
-    assert((b_.central != nullptr || b_.xfs != nullptr) &&
+    assert(files_ != nullptr &&
            "replayed arrivals issue file ops and need a file backend");
     bool have_read = false, have_write = false;
     for (std::size_t i = 0; i < mix_.size(); ++i) {
@@ -47,7 +52,6 @@ ServeWorkload::ServeWorkload(sim::Engine& engine, Backends backends,
     (void)have_write;
   }
   sessions_gauge_ = &obs::metrics().gauge("serve.sessions_active");
-  if (b_.xfs != nullptr) xfs_failed_seen_ = b_.xfs->stats().failed_ops;
 }
 
 void ServeWorkload::start() {
@@ -147,14 +151,6 @@ void ServeWorkload::arm_presence(std::uint32_t client,
       });
 }
 
-bool ServeWorkload::xfs_op_failed() {
-  if (b_.xfs == nullptr) return false;
-  const std::uint64_t f = b_.xfs->stats().failed_ops;
-  const bool failed = f > xfs_failed_seen_;
-  xfs_failed_seen_ = f;
-  return failed;
-}
-
 void ServeWorkload::issue(std::uint32_t client, bool closed) {
   LaneCounters& lc = lane_counts_[lane_of(client)];
   ++lc.arrivals;
@@ -166,36 +162,13 @@ void ServeWorkload::issue(std::uint32_t client, bool closed) {
   const std::size_t cls = mix_.pick_class(client);
   const RequestClass& rc = mix_.at(cls);
   const sim::SimTime t0 = engine_of(client).now();
-  const net::NodeId node = node_of(client);
 
   switch (rc.op) {
     case RequestOp::kFileRead:
-    case RequestOp::kFileWrite: {
-      const xfs::BlockId block = mix_.pick_block(cls, client);
-      const bool is_write = rc.op == RequestOp::kFileWrite;
-      if (b_.central != nullptr) {
-        auto done = [this, client, cls, t0, closed](bool ok) {
-          finish(client, cls, t0, ok, closed);
-        };
-        if (is_write) {
-          b_.central->write(node, block, done);
-        } else {
-          b_.central->read(node, block, done);
-        }
-      } else {
-        assert(b_.xfs != nullptr &&
-               "file request class needs an xfs or central backend");
-        auto done = [this, client, cls, t0, closed] {
-          finish(client, cls, t0, !xfs_op_failed(), closed);
-        };
-        if (is_write) {
-          b_.xfs->write(node, block, done);
-        } else {
-          b_.xfs->read(node, block, done);
-        }
-      }
+    case RequestOp::kFileWrite:
+      issue_file(client, cls, mix_.pick_block(cls, client),
+                 rc.op == RequestOp::kFileWrite, t0, closed);
       break;
-    }
     case RequestOp::kCacheRead: {
       assert(b_.coop != nullptr &&
              "cache request class needs a coopcache backend");
@@ -241,28 +214,22 @@ void ServeWorkload::issue_replayed(std::uint32_t client, std::uint64_t block,
   ++lc.arrivals;
   ++lc.replayed_arrivals;
   const std::size_t cls = is_write ? replay_write_cls_ : replay_read_cls_;
-  const RequestClass& rc = mix_.at(cls);
-  const sim::SimTime t0 = engine_of(client).now();
-  const net::NodeId node = node_of(client);
-  const xfs::BlockId b = block % rc.working_set;
-  if (b_.central != nullptr) {
-    auto done = [this, client, cls, t0](bool ok) {
-      finish(client, cls, t0, ok, /*closed=*/false);
-    };
-    if (is_write) {
-      b_.central->write(node, b, done);
-    } else {
-      b_.central->read(node, b, done);
-    }
+  issue_file(client, cls, block % mix_.at(cls).working_set, is_write,
+             engine_of(client).now(), /*closed=*/false);
+}
+
+void ServeWorkload::issue_file(std::uint32_t client, std::size_t cls,
+                               xfs::BlockId block, bool is_write,
+                               sim::SimTime t0, bool closed) {
+  assert(files_ != nullptr &&
+         "file request class needs an xfs or central backend");
+  auto done = [this, client, cls, t0, closed](bool ok) {
+    finish(client, cls, t0, ok, closed);
+  };
+  if (is_write) {
+    files_->write(node_of(client), block, done);
   } else {
-    auto done = [this, client, cls, t0] {
-      finish(client, cls, t0, !xfs_op_failed(), /*closed=*/false);
-    };
-    if (is_write) {
-      b_.xfs->write(node, b, done);
-    } else {
-      b_.xfs->read(node, b, done);
-    }
+    files_->read(node_of(client), block, done);
   }
 }
 

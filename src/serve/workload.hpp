@@ -6,8 +6,9 @@
 // does), and an SloTracker (how the answer is judged), and drives them
 // against real backends:
 //
-//   file classes    -> xfs::Xfs (serverless) or xfs::CentralServerFs (the
-//                      incumbent), whichever the Backends struct carries;
+//   file classes    -> an xfs::FileService: xfs::Xfs (serverless) or
+//                      xfs::CentralServerFs (the incumbent), whichever the
+//                      Backends struct carries;
 //   cache classes   -> coopcache::CoopCacheSim, charged at the study's
 //                      per-level costs (local / peer memory / server
 //                      memory / server disk);
@@ -37,14 +38,6 @@
 // park until the next login; the live headcount is published as the
 // serve.sessions_active obs gauge (gauge updates ride each client's lane,
 // and Gauge::add is atomic and commutative).
-//
-// Failure attribution: CentralServerFs reports success per op.  xFS calls
-// its completion even when the retry budget is exhausted and counts the
-// failure in stats().failed_ops; because that increment happens in the
-// same event as the completion callback, the workload attributes it to
-// the finishing request by watching the counter — valid while the
-// workload is the only xFS client issuing reads/writes (benches and
-// examples here always are).
 #pragma once
 
 #include <cstdint>
@@ -66,9 +59,12 @@
 
 namespace now::serve {
 
-/// The subsystems requests are served by.  File classes need exactly one
-/// of xfs/central; cache classes need coop; compute classes need glunix.
-/// Null pointers for classes the mix never draws are fine.
+/// The subsystems requests are served by.  File classes need one of
+/// xfs/central (never both): the workload reaches either only through
+/// xfs::FileService, whose per-op status is what SloTracker records.
+/// The two fields stay apart so the constructor can tell the lane-clean
+/// central backend from xFS.  Cache classes need coop; compute classes
+/// need glunix.  Null pointers for classes the mix never draws are fine.
 struct Backends {
   xfs::Xfs* xfs = nullptr;
   xfs::CentralServerFs* central = nullptr;
@@ -167,13 +163,12 @@ class ServeWorkload {
   void issue(std::uint32_t client, bool closed);
   void issue_replayed(std::uint32_t client, std::uint64_t block,
                       bool is_write);
+  void issue_file(std::uint32_t client, std::size_t cls, xfs::BlockId block,
+                  bool is_write, sim::SimTime t0, bool closed);
   void finish(std::uint32_t client, std::size_t cls, sim::SimTime t0,
               bool ok, bool closed);
   void schedule_closed(std::uint32_t client);
   void issue_closed_in_session(std::uint32_t client);
-  /// True iff xFS counted a new failed op since the last call (see the
-  /// attribution note in the header comment).
-  bool xfs_op_failed();
   net::NodeId node_of(std::uint32_t client) const {
     return cfg_.client_nodes[client % cfg_.client_nodes.size()];
   }
@@ -188,6 +183,8 @@ class ServeWorkload {
   sim::Engine& engine_;
   sim::ExecDomain* domain_ = nullptr;
   Backends b_;
+  /// b_.xfs or b_.central, resolved once; null without a file backend.
+  xfs::FileService* files_ = nullptr;
   ServeConfig cfg_;
   ClientPopulation pop_;
   RequestMix mix_;
@@ -200,7 +197,6 @@ class ServeWorkload {
   std::size_t replay_read_cls_ = 0;
   std::size_t replay_write_cls_ = 0;
   std::vector<SessionTimeline> presence_;       // gauge chains (churn only)
-  std::uint64_t xfs_failed_seen_ = 0;
   obs::Gauge* sessions_gauge_ = nullptr;
   obs::TrackId obs_track_;
   bool started_ = false;

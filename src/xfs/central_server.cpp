@@ -88,8 +88,7 @@ void CentralServerFs::install_server() {
       });
 }
 
-void CentralServerFs::read(net::NodeId client, BlockId b,
-                           std::function<void(bool)> done) {
+void CentralServerFs::read(net::NodeId client, BlockId b, OpDone done) {
   count(&CentralFsStats::reads);
   obs_reads_->inc();
   ClientState& cs = cstate(client);
@@ -121,8 +120,7 @@ void CentralServerFs::read(net::NodeId client, BlockId b,
       });
 }
 
-void CentralServerFs::write(net::NodeId client, BlockId b,
-                            std::function<void(bool)> done) {
+void CentralServerFs::write(net::NodeId client, BlockId b, OpDone done) {
   count(&CentralFsStats::writes);
   obs_writes_->inc();
   cstate(client).cache.insert(b);

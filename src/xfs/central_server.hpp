@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <unordered_set>
 
 #include "coopcache/lru.hpp"
@@ -28,6 +27,7 @@
 #include "obs/trace.hpp"
 #include "proto/rpc.hpp"
 #include "sim/spinlock.hpp"
+#include "xfs/file_service.hpp"
 #include "xfs/log.hpp"
 
 namespace now::xfs {
@@ -57,10 +57,8 @@ struct CentralFsStats {
 
 /// A classic client/server network file system over the same RPC substrate
 /// xFS uses, so the comparison isolates the architecture.
-class CentralServerFs {
+class CentralServerFs final : public FileService {
  public:
-  using Done = std::function<void()>;
-
   /// `server` owns cache and disk; `clients` are everyone else.
   CentralServerFs(proto::RpcLayer& rpc, os::Node& server,
                   std::vector<os::Node*> clients, CentralFsParams params);
@@ -72,10 +70,10 @@ class CentralServerFs {
   /// Reads block `b` on behalf of `client`: local cache, else server
   /// memory, else the server's disk.  `done(ok)` reports failure when the
   /// server is unreachable — the availability story in one bool.
-  void read(net::NodeId client, BlockId b, std::function<void(bool)> done);
+  void read(net::NodeId client, BlockId b, OpDone done) override;
 
   /// Write-through to the server.
-  void write(net::NodeId client, BlockId b, std::function<void(bool)> done);
+  void write(net::NodeId client, BlockId b, OpDone done) override;
 
   /// Installs blocks [0, n) in the server's memory cache, as if the
   /// working set had been read before the measurement window opened.

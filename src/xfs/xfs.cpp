@@ -377,27 +377,27 @@ void Xfs::manager_write(net::NodeId self, BlockId b, net::NodeId requester,
   }
 }
 
-void Xfs::read(net::NodeId client, BlockId b, Done done) {
+void Xfs::read(net::NodeId client, BlockId b, OpDone done) {
   ++stats_.reads;
   obs_reads_->inc();
   const sim::SimTime t0 = engine().now();
   do_read(client, b,
-          [this, client, t0, done = std::move(done)]() mutable {
+          [this, client, t0, done = std::move(done)](bool ok) mutable {
             stats_.read_latency_us.add(sim::to_us(engine().now() - t0));
             obs_read_us_->observe(sim::to_us(engine().now() - t0));
             obs::tracer().complete(client, obs_track_, "xfs.read", t0,
                                    engine().now());
-            done();
+            done(ok);
           },
           0);
 }
 
-void Xfs::finish_read(net::NodeId c, BlockId b, Done done) {
+void Xfs::finish_read(net::NodeId c, BlockId b, OpDone done) {
   insert_cached(c, b, /*dirty=*/false);
-  done();
+  done(true);
 }
 
-void Xfs::retry_op(net::NodeId c, BlockId b, bool is_write, Done done,
+void Xfs::retry_op(net::NodeId c, BlockId b, bool is_write, OpDone done,
                    std::uint32_t attempts) {
   ++stats_.op_retries;
   obs_retries_->inc();
@@ -412,23 +412,23 @@ void Xfs::retry_op(net::NodeId c, BlockId b, bool is_write, Done done,
                        });
 }
 
-void Xfs::do_read(net::NodeId c, BlockId b, Done done,
+void Xfs::do_read(net::NodeId c, BlockId b, OpDone done,
                   std::uint32_t attempts) {
   ClientState& cs = cstate(c);
   if (cs.cache.contains(b) || cs.staged_set.contains(b)) {
     ++stats_.local_hits;
     cs.cache.touch(b);
     engine().schedule_in(node(c)->copy_cost(params_.block_bytes),
-                         std::move(done));
+                         [done = std::move(done)] { done(true); });
     return;
   }
   if (attempts > params_.max_op_retries) {
-    // Out of patience (manager unreachable): surface as completion; a real
-    // FS would return EIO here.  Counted so availability is measurable.
+    // Out of patience (manager unreachable): the op fails, as EIO would
+    // in a real FS.  Counted so availability is measurable.
     ++stats_.failed_ops;
     obs_failed_ops_->inc();
     obs::tracer().instant(c, obs_track_, "op_failed");
-    done();
+    done(false);
     return;
   }
   rpc_.call(
@@ -480,36 +480,36 @@ void Xfs::do_read(net::NodeId c, BlockId b, Done done,
       });
 }
 
-void Xfs::write(net::NodeId client, BlockId b, Done done) {
+void Xfs::write(net::NodeId client, BlockId b, OpDone done) {
   ++stats_.writes;
   obs_writes_->inc();
   const sim::SimTime t0 = engine().now();
   do_write(client, b,
-           [this, client, t0, done = std::move(done)]() mutable {
+           [this, client, t0, done = std::move(done)](bool ok) mutable {
              stats_.write_latency_us.add(sim::to_us(engine().now() - t0));
              obs_write_us_->observe(sim::to_us(engine().now() - t0));
              obs::tracer().complete(client, obs_track_, "xfs.write", t0,
                                     engine().now());
-             done();
+             done(ok);
            },
            0);
 }
 
-void Xfs::do_write(net::NodeId c, BlockId b, Done done,
+void Xfs::do_write(net::NodeId c, BlockId b, OpDone done,
                    std::uint32_t attempts) {
   ClientState& cs = cstate(c);
   if (cs.cache.contains(b) && cs.dirty.contains(b)) {
     ++stats_.local_hits;
     cs.cache.touch(b);
     engine().schedule_in(node(c)->copy_cost(params_.block_bytes),
-                         std::move(done));
+                         [done = std::move(done)] { done(true); });
     return;
   }
   if (attempts > params_.max_op_retries) {
     ++stats_.failed_ops;
     obs_failed_ops_->inc();
     obs::tracer().instant(c, obs_track_, "op_failed");
-    done();
+    done(false);
     return;
   }
   rpc_.call(
@@ -524,7 +524,7 @@ void Xfs::do_write(net::NodeId c, BlockId b, Done done,
         // A staged older version is superseded by this new ownership.
         if (state.staged_set.erase(b) > 0) std::erase(state.staged, b);
         insert_cached(c, b, /*dirty=*/true);
-        done();
+        done(true);
       },
       params_.op_timeout,
       [this, c, b, done, attempts]() mutable {

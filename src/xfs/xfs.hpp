@@ -36,6 +36,7 @@
 #include "obs/trace.hpp"
 #include "proto/rpc.hpp"
 #include "sim/stats.hpp"
+#include "xfs/file_service.hpp"
 #include "xfs/log.hpp"
 
 namespace now::xfs {
@@ -76,7 +77,7 @@ struct XfsStats {
   sim::Summary write_latency_us;
 };
 
-class Xfs {
+class Xfs final : public FileService {
  public:
   using Done = std::function<void()>;
 
@@ -89,12 +90,13 @@ class Xfs {
   /// Registers every node's manager + client RPC services.
   void start();
 
-  /// Reads block `b` on behalf of `client`.
-  void read(net::NodeId client, BlockId b, Done done);
+  /// Reads block `b` on behalf of `client`.  `done(false)` means the
+  /// retry budget ran out (the manager stayed unreachable).
+  void read(net::NodeId client, BlockId b, OpDone done) override;
 
   /// Writes block `b` on behalf of `client` (write-back: returns once the
   /// client holds ownership; data reaches the log on eviction or sync).
-  void write(net::NodeId client, BlockId b, Done done);
+  void write(net::NodeId client, BlockId b, OpDone done) override;
 
   /// Flushes `client`'s write-behind buffer to the log.
   void sync(net::NodeId client, Done done);
@@ -161,11 +163,12 @@ class Xfs {
   void insert_cached(net::NodeId c, BlockId b, bool dirty);
   void handle_evicted(net::NodeId c, BlockId victim);
   void flush_segment(net::NodeId c, Done done);
-  void finish_read(net::NodeId c, BlockId b, Done done);
-  void retry_op(net::NodeId c, BlockId b, bool is_write, Done done,
+  void finish_read(net::NodeId c, BlockId b, OpDone done);
+  void retry_op(net::NodeId c, BlockId b, bool is_write, OpDone done,
                 std::uint32_t attempts);
-  void do_read(net::NodeId c, BlockId b, Done done, std::uint32_t attempts);
-  void do_write(net::NodeId c, BlockId b, Done done,
+  void do_read(net::NodeId c, BlockId b, OpDone done,
+               std::uint32_t attempts);
+  void do_write(net::NodeId c, BlockId b, OpDone done,
                 std::uint32_t attempts);
   bool client_has_block(net::NodeId c, BlockId b) const;
 

@@ -45,12 +45,12 @@ TEST(Cluster, XfsServesTheWholeCluster) {
   // Every node writes a few blocks; every node reads a neighbour's block.
   for (std::uint32_t n = 0; n < 6; ++n) {
     for (std::uint64_t b = 0; b < 4; ++b) {
-      c.fs().write(n, 100 * n + b, [&] { ++done; });
+      c.fs().write(n, 100 * n + b, [&](bool) { ++done; });
     }
   }
   c.run();
   for (std::uint32_t n = 0; n < 6; ++n) {
-    c.fs().read((n + 1) % 6, 100 * n, [&] { ++done; });
+    c.fs().read((n + 1) % 6, 100 * n, [&](bool) { ++done; });
   }
   c.run();
   EXPECT_EQ(done, 6 * 4 + 6);

@@ -39,9 +39,9 @@ std::string run_xfs_point(exp::RunContext& ctx) {
     const std::uint32_t node = rng.next_below(5);
     const xfs::BlockId block = rng.next_below(200);
     if (rng.bernoulli(0.5)) {
-      c.fs().write(node, block, [&] { ++done; });
+      c.fs().write(node, block, [&](bool) { ++done; });
     } else {
-      c.fs().read(node, block, [&] { ++done; });
+      c.fs().read(node, block, [&](bool) { ++done; });
     }
     c.run();
   }

@@ -76,14 +76,19 @@ TEST(Fault, XfsManagerTakeoverUnderCrashMidWrite) {
   // spans the whole outage: first attempt times out against the dead
   // manager, retries ride out the takeover, the grant lands afterwards.
   int done = 0;
+  int ok = 0;
   c.engine().schedule_at(1 * sim::kSecond,
                          [&] { c.faults().crash_node(3); });
   c.engine().schedule_at(1 * sim::kSecond + 1 * sim::kMillisecond, [&] {
-    c.fs().write(1, 3, [&] { ++done; });
+    c.fs().write(1, 3, [&](bool s) {
+      ++done;
+      ok += s;
+    });
   });
   c.run_until(30 * sim::kSecond);
 
   EXPECT_EQ(done, 1);
+  EXPECT_EQ(ok, done);  // every completion reported success
   EXPECT_EQ(c.fs().stats().manager_takeovers, 1u);
   EXPECT_GE(c.fs().stats().op_retries, 1u);
   EXPECT_EQ(c.fs().stats().failed_ops, 0u);  // retried, not failed
@@ -132,7 +137,7 @@ TEST(Fault, LinkFlapDropsPacketsAndUpperLayersRecover) {
   // Issued while node 2's cable is pulled: every RPC attempt vanishes on
   // the wire until 3 s, then the xFS retry ladder pushes it through.
   c.engine().schedule_at(1 * sim::kSecond + 100 * sim::kMillisecond, [&] {
-    c.fs().write(2, 1, [&] { ++done; });
+    c.fs().write(2, 1, [&](bool) { ++done; });
   });
   c.run_until(30 * sim::kSecond);
 
@@ -169,7 +174,7 @@ TEST(Fault, StochasticPlanIsDeterministicAcrossRuns) {
     int completed = 0;
     for (int i = 0; i < 20; ++i) {
       c.engine().schedule_at(i * 2 * sim::kSecond, [&c, &completed, i] {
-        c.fs().write(1, static_cast<xfs::BlockId>(i), [&completed] {
+        c.fs().write(1, static_cast<xfs::BlockId>(i), [&completed](bool) {
           ++completed;
         });
       });

@@ -44,7 +44,7 @@ TEST(Integration, ADayWithEverythingOn) {
     auto node = rng->next_below(10);
     if (!c.node(node).alive()) node = (node + 1) % 10;
     const xfs::BlockId b = rng->next_below(500);
-    auto cont = [&c, fs_ops, issue, remaining] {
+    auto cont = [&c, fs_ops, issue, remaining](bool) {
       ++*fs_ops;
       c.engine().schedule_in(40 * sim::kMillisecond,
                              [issue, remaining] {
@@ -130,7 +130,7 @@ TEST(Integration, ParallelAppAndFileServiceShareTheFabric) {
   int fs_done = 0;
   for (std::uint32_t n = 0; n < 6; ++n) {
     for (xfs::BlockId b = 0; b < 10; ++b) {
-      c.fs().write(n, n * 100 + b, [&] { ++fs_done; });
+      c.fs().write(n, n * 100 + b, [&](bool) { ++fs_done; });
     }
   }
   c.run_until(5 * sim::kMinute);

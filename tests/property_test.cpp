@@ -291,10 +291,10 @@ TEST_P(XfsCoherence, SingleWriterInvariantSurvivesChaos) {
     switch (rng.next_below(4)) {
       case 0:
       case 1:
-        fs.read(c, b, [&] { ++done; });
+        fs.read(c, b, [&](bool) { ++done; });
         break;
       case 2:
-        fs.write(c, b, [&] { ++done; });
+        fs.write(c, b, [&](bool) { ++done; });
         break;
       case 3:
         fs.sync(c, [&] { ++done; });
@@ -519,9 +519,9 @@ ClusterFingerprint run_cluster_workload(std::uint64_t seed) {
     const auto node = rng.next_below(8);
     const xfs::BlockId b = rng.next_below(100);
     if (rng.bernoulli(0.3)) {
-      c.fs().write(node, b, [] {});
+      c.fs().write(node, b, [](bool) {});
     } else {
-      c.fs().read(node, b, [] {});
+      c.fs().read(node, b, [](bool) {});
     }
   }
   // Some console noise.
@@ -578,9 +578,9 @@ TEST(CrossValidation, XfsActsAsACooperativeCache) {
   Cluster c(cfg);
   for (const auto& a : accesses) {
     if (a.is_write) {
-      c.fs().write(a.client, a.block, [] {});
+      c.fs().write(a.client, a.block, [](bool) {});
     } else {
-      c.fs().read(a.client, a.block, [] {});
+      c.fs().read(a.client, a.block, [](bool) {});
     }
     c.run();
   }

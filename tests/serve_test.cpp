@@ -561,6 +561,68 @@ TEST(ServeWorkload, OpenArrivalsAgainstXfsCompleteAndMeetSlo) {
   EXPECT_GT(r.attainment, 0.95) << "an idle xFS must meet a 25 ms SLO";
 }
 
+// A failed xFS op issued by someone else must not be charged to the
+// workload: only the workload's own completions say whether its requests
+// failed.
+TEST(ServeWorkload, ForeignXfsFailureIsNotChargedToTheWorkload) {
+  exp::RunContext ctx(23, 0);
+  exp::ScopedRunContext scope(ctx);
+  ClusterConfig cfg;
+  cfg.workstations = 5;
+  cfg.with_glunix = false;
+  cfg.with_xfs = true;
+  cfg.xfs.max_op_retries = 1;           // fail fast once out of patience
+  cfg.fault_policy.auto_takeover = false;  // the dead manager stays dead
+  cfg.run = &ctx;
+  Cluster c(cfg);
+
+  // One open client on node 1 reading block 0, whose manager (node 0)
+  // stays up: every workload request can succeed.
+  serve::ServeConfig sc;
+  sc.population.clients = 1;
+  sc.population.open_fraction = 1.0;
+  sc.population.offered_per_sec = 20.0;
+  sc.population.horizon = 4 * sim::kSecond;
+  serve::RequestClass rd;
+  rd.name = "read";
+  rd.op = serve::RequestOp::kFileRead;
+  rd.slo = 25 * sim::kMillisecond;
+  rd.working_set = 1;
+  sc.classes = {rd};
+  sc.client_nodes = {1};
+  sc.seed = ctx.seed;
+  serve::Backends b;
+  b.xfs = &c.fs();
+  serve::ServeWorkload w(c.engine(), b, sc);
+  w.start();
+
+  // Outside the workload: node 0 reads block 4, whose manager (node 4) is
+  // dead and never replaced, so the read exhausts its retry budget.
+  ASSERT_EQ(c.fs().manager_of(4), 4u);
+  ASSERT_EQ(c.fs().manager_of(0), 0u);
+  c.faults().crash_node(4);
+  int foreign_done = 0;
+  bool foreign_ok = true;
+  c.fs().read(0, 4, [&](bool s) {
+    ++foreign_done;
+    foreign_ok = s;
+  });
+  c.run_until(2 * sim::kSecond);
+  ASSERT_EQ(foreign_done, 1);
+  EXPECT_FALSE(foreign_ok);
+  EXPECT_EQ(c.fs().stats().failed_ops, 1u);
+
+  // Workload requests keep completing after the foreign failure.
+  const std::uint64_t completed_before = w.totals().completed;
+  c.run_until(6 * sim::kSecond);
+  const serve::ServeTotals t = w.totals();
+  EXPECT_GT(t.completed, completed_before);
+  EXPECT_EQ(t.completed, t.arrivals);
+  const serve::SloClassReport r = w.slo().report(0, sc.population.horizon);
+  EXPECT_EQ(r.failed, 0u) << "the foreign failure was charged to a request";
+  EXPECT_EQ(r.ok, r.completed);
+}
+
 TEST(ServeWorkload, HybridPopulationRunsClosedLoops) {
   sim::Engine eng;
   coopcache::CoopCacheConfig cc;

@@ -202,8 +202,12 @@ TEST(CentralServerTest, ReadsEscalateLocalServerDisk) {
     fs.write(3, b, [](bool) {});
     rig.engine.run();
   }
-  fs.read(2, 100, [](bool) {});  // client 2 evicted it? cache 4: maybe
+  // Client 2 cached only block 100, so this read hits locally and never
+  // reaches the server.
+  fs.read(2, 100, [](bool) {});
   rig.engine.run();
+  // Client 3 never cached block 100, and its ten writes pushed the block
+  // out of the 8-block server cache: this miss goes to the server disk.
   fs.read(3, 100, [](bool) {});
   rig.engine.run();
   EXPECT_GE(fs.stats().server_disk_reads, 1u);
@@ -229,11 +233,11 @@ TEST(CentralServerTest, ServerDeathTakesTheBuildingDown) {
 TEST(XfsTest, FirstReadZeroFillsThenHitsLocally) {
   Rig rig(4, small_params());
   int done = 0;
-  rig.fs->read(0, 100, [&] { ++done; });
+  rig.fs->read(0, 100, [&](bool) { ++done; });
   rig.engine.run();
   EXPECT_EQ(done, 1);
   EXPECT_EQ(rig.fs->stats().zero_fills, 1u);
-  rig.fs->read(0, 100, [&] { ++done; });
+  rig.fs->read(0, 100, [&](bool) { ++done; });
   rig.engine.run();
   EXPECT_EQ(done, 2);
   EXPECT_EQ(rig.fs->stats().local_hits, 1u);
@@ -241,11 +245,11 @@ TEST(XfsTest, FirstReadZeroFillsThenHitsLocally) {
 
 TEST(XfsTest, CooperativeReadComesFromPeerMemory) {
   Rig rig(4, small_params());
-  rig.fs->write(1, 100, [] {});
+  rig.fs->write(1, 100, [](bool) {});
   rig.engine.run();
   const auto disk_reads_before = rig.log->stats().blocks_read;
   bool done = false;
-  rig.fs->read(2, 100, [&] { done = true; });
+  rig.fs->read(2, 100, [&](bool) { done = true; });
   rig.engine.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(rig.fs->stats().peer_fetches, 1u);
@@ -254,14 +258,14 @@ TEST(XfsTest, CooperativeReadComesFromPeerMemory) {
 
 TEST(XfsTest, WriteInvalidatesOtherReaders) {
   Rig rig(4, small_params());
-  rig.fs->write(1, 100, [] {});
+  rig.fs->write(1, 100, [](bool) {});
   rig.engine.run();
-  rig.fs->read(2, 100, [] {});
+  rig.fs->read(2, 100, [](bool) {});
   rig.engine.run();
   EXPECT_TRUE(rig.fs->is_cached(2, 100));
   // Node 3 takes write ownership: node 1 (old owner) and node 2 (reader)
   // must lose their copies.
-  rig.fs->write(3, 100, [] {});
+  rig.fs->write(3, 100, [](bool) {});
   rig.engine.run();
   EXPECT_FALSE(rig.fs->is_cached(1, 100));
   EXPECT_FALSE(rig.fs->is_cached(2, 100));
@@ -272,11 +276,11 @@ TEST(XfsTest, WriteInvalidatesOtherReaders) {
 
 TEST(XfsTest, RepeatedWritesByOwnerAreLocal) {
   Rig rig(4, small_params());
-  rig.fs->write(1, 100, [] {});
+  rig.fs->write(1, 100, [](bool) {});
   rig.engine.run();
   const auto calls_before = rig.rpc->calls_sent();
   int done = 0;
-  rig.fs->write(1, 100, [&] { ++done; });
+  rig.fs->write(1, 100, [&](bool) { ++done; });
   rig.engine.run();
   EXPECT_EQ(done, 1);
   EXPECT_EQ(rig.rpc->calls_sent(), calls_before);  // pure cache write
@@ -287,7 +291,7 @@ TEST(XfsTest, EvictionStagesDirtyBlocksAndFlushesSegments) {
   // Dirty 13 distinct blocks on node 0: evictions stage, staging flushes.
   int done = 0;
   for (BlockId b = 0; b < 13; ++b) {
-    rig.fs->write(0, 1000 + b, [&] { ++done; });
+    rig.fs->write(0, 1000 + b, [&](bool) { ++done; });
     rig.engine.run();
   }
   EXPECT_EQ(done, 13);
@@ -299,7 +303,7 @@ TEST(XfsTest, EvictionStagesDirtyBlocksAndFlushesSegments) {
 TEST(XfsTest, SyncDrainsAllDirtyState) {
   Rig rig(4, small_params());
   for (BlockId b = 0; b < 13; ++b) {
-    rig.fs->write(0, 1000 + b, [] {});
+    rig.fs->write(0, 1000 + b, [](bool) {});
     rig.engine.run();
   }
   bool synced = false;
@@ -311,7 +315,7 @@ TEST(XfsTest, SyncDrainsAllDirtyState) {
   rig.fs->client_crashed(0);
   const auto log_reads_before = rig.fs->stats().log_reads;
   bool read_done = false;
-  rig.fs->read(1, 1000, [&] { read_done = true; });
+  rig.fs->read(1, 1000, [&](bool) { read_done = true; });
   rig.engine.run();
   EXPECT_TRUE(read_done);
   EXPECT_EQ(rig.fs->stats().log_reads, log_reads_before + 1);
@@ -319,7 +323,7 @@ TEST(XfsTest, SyncDrainsAllDirtyState) {
 
 TEST(XfsTest, ReadAfterFlushComesFromLog) {
   Rig rig(4, small_params());
-  rig.fs->write(0, 7, [] {});
+  rig.fs->write(0, 7, [](bool) {});
   rig.engine.run();
   rig.fs->sync(0, [] {});
   rig.engine.run();
@@ -329,7 +333,7 @@ TEST(XfsTest, ReadAfterFlushComesFromLog) {
   rig.fs->client_crashed(0);
   rig.storage->member_failed(0);  // membership layer notices the loss
   bool done = false;
-  rig.fs->read(2, 7, [&] { done = true; });
+  rig.fs->read(2, 7, [&](bool) { done = true; });
   rig.engine.run();
   EXPECT_TRUE(done);
   EXPECT_GE(rig.fs->stats().log_reads, 1u);
@@ -337,7 +341,7 @@ TEST(XfsTest, ReadAfterFlushComesFromLog) {
 
 TEST(XfsTest, UnflushedDirtyDataDiesWithItsOwner) {
   Rig rig(4, small_params());
-  rig.fs->write(1, 55, [] {});
+  rig.fs->write(1, 55, [](bool) {});
   rig.engine.run();
   rig.nodes[1]->crash();
   rig.fs->client_crashed(1);
@@ -345,7 +349,7 @@ TEST(XfsTest, UnflushedDirtyDataDiesWithItsOwner) {
   EXPECT_GE(rig.fs->stats().lost_dirty_blocks, 1u);
   // The block was never logged: a new read zero-fills instead of hanging.
   bool done = false;
-  rig.fs->read(2, 55, [&] { done = true; });
+  rig.fs->read(2, 55, [&](bool) { done = true; });
   rig.engine.run();
   EXPECT_TRUE(done);
 }
@@ -355,7 +359,7 @@ TEST(XfsTest, ManagerTakeoverRebuildsDirectoryAndServiceContinues) {
   // Find a block managed by node 1 and populate some state.
   BlockId b = 0;
   while (rig.fs->manager_of(b) != 1) ++b;
-  rig.fs->write(2, b, [] {});
+  rig.fs->write(2, b, [](bool) {});
   rig.engine.run();
 
   rig.nodes[1]->crash();
@@ -372,7 +376,7 @@ TEST(XfsTest, ManagerTakeoverRebuildsDirectoryAndServiceContinues) {
   // owner (node 2)'s memory, not zero-filled.
   const auto zero_before = rig.fs->stats().zero_fills;
   bool done = false;
-  rig.fs->read(0, b, [&] { done = true; });
+  rig.fs->read(0, b, [&](bool) { done = true; });
   rig.engine.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(rig.fs->stats().zero_fills, zero_before);
@@ -383,7 +387,7 @@ TEST(XfsTest, OpsDuringTakeoverRetryAndComplete) {
   Rig rig(4, small_params());
   BlockId b = 0;
   while (rig.fs->manager_of(b) != 1) ++b;
-  rig.fs->write(2, b, [] {});
+  rig.fs->write(2, b, [](bool) {});
   rig.engine.run();
   rig.fs->sync(2, [] {});
   rig.engine.run();
@@ -394,7 +398,7 @@ TEST(XfsTest, OpsDuringTakeoverRetryAndComplete) {
   rig.fs->client_crashed(1);
   rig.storage->member_failed(1);  // degraded reads serve its stripe units
   bool done = false;
-  rig.fs->read(0, b, [&] { done = true; });
+  rig.fs->read(0, b, [&](bool) { done = true; });
   rig.engine.schedule_in(300 * sim::kMillisecond, [&] {
     rig.fs->manager_takeover(1, 0, [] {});
   });
@@ -403,12 +407,64 @@ TEST(XfsTest, OpsDuringTakeoverRetryAndComplete) {
   EXPECT_GT(rig.fs->stats().op_retries, 0u);
 }
 
+TEST(XfsTest, EveryServedOpReportsSuccess) {
+  Rig rig(4, small_params());
+  int ok = 0;
+  int done = 0;
+  auto count = [&](bool s) {
+    ++done;
+    ok += s;
+  };
+  rig.fs->read(0, 100, count);  // zero fill
+  rig.engine.run();
+  rig.fs->read(0, 100, count);  // local hit
+  rig.fs->write(1, 200, count);  // ownership grant
+  rig.engine.run();
+  rig.fs->write(1, 200, count);  // owner's local hit
+  rig.fs->read(2, 200, count);   // peer fetch from node 1
+  rig.engine.run();
+  EXPECT_EQ(done, 5);
+  EXPECT_EQ(ok, 5);
+  EXPECT_EQ(rig.fs->stats().zero_fills, 1u);
+  EXPECT_EQ(rig.fs->stats().local_hits, 2u);
+  EXPECT_EQ(rig.fs->stats().peer_fetches, 1u);
+  EXPECT_EQ(rig.fs->stats().failed_ops, 0u);
+}
+
+TEST(XfsTest, ManagerDeathFailsOpsOnceTheRetryBudgetRunsOut) {
+  XfsParams xp = small_params();
+  xp.max_op_retries = 2;
+  Rig rig(4, xp);
+  BlockId b = 0;
+  while (rig.fs->manager_of(b) != 1) ++b;
+  // No takeover follows: ops on blocks node 1 manages can never finish.
+  rig.nodes[1]->crash();
+  rig.fs->client_crashed(1);
+  rig.storage->member_failed(1);
+  int failures = 0;
+  int ok = 0;
+  auto count = [&](bool s) {
+    failures += !s;
+    ok += s;
+  };
+  rig.fs->read(2, b, count);
+  rig.fs->write(3, b, count);
+  rig.fs->read(2, b + 1, count);  // another manager: unaffected
+  rig.engine.run();
+  EXPECT_EQ(failures, 2);
+  EXPECT_EQ(ok, 1);
+  EXPECT_EQ(rig.fs->stats().failed_ops, 2u);
+  // Each failed op spent the whole budget before giving up: the budget
+  // is checked when a retry fires, so the last retry is the one refused.
+  EXPECT_EQ(rig.fs->stats().op_retries, 2u * (xp.max_op_retries + 1));
+}
+
 TEST(XfsTest, WritesAsSegmentsAreFullStripeOnTheRaid) {
   XfsParams xp = small_params();
   xp.segment_blocks = 3;  // matches 4-member RAID-5 (3 data + 1 parity)
   Rig rig(4, xp);
   for (BlockId b = 0; b < 11; ++b) {
-    rig.fs->write(0, b, [] {});
+    rig.fs->write(0, b, [](bool) {});
     rig.engine.run();
   }
   rig.fs->sync(0, [] {});
