@@ -52,12 +52,16 @@ CoopCacheSim::CoopCacheSim(CoopCacheConfig config)
     : config_(config), rng_(config.seed, /*stream=*/0x636f6f70),
       server_cache_(config.server_cache_blocks),
       coordinated_(coordinated_capacity(config)),
-      obs_reads_(&obs::metrics().counter("coopcache.reads")),
-      obs_local_hits_(&obs::metrics().counter("coopcache.local_hits")),
-      obs_remote_hits_(&obs::metrics().counter("coopcache.remote_hits")),
-      obs_server_hits_(&obs::metrics().counter("coopcache.server_mem_hits")),
-      obs_disk_reads_(&obs::metrics().counter("coopcache.disk_reads")),
-      obs_forwards_(&obs::metrics().counter("coopcache.singlet_forwards")) {
+      stats_obs_("coopcache", [this](obs::Sink& s) {
+        s.counter("reads", results_.reads);
+        s.counter("writes", results_.writes);
+        s.counter("local_hits", results_.local_hits);
+        s.counter("remote_client_hits", results_.remote_client_hits);
+        s.counter("rack_local_peer_hits", results_.rack_local_peer_hits);
+        s.counter("server_mem_hits", results_.server_mem_hits);
+        s.counter("disk_reads", results_.disk_reads);
+        s.counter("singlet_forwards", results_.singlet_forwards);
+      }) {
   assert(config_.clients > 0);
   client_caches_.reserve(config_.clients);
   for (std::uint32_t i = 0; i < config_.clients; ++i) {
@@ -190,7 +194,7 @@ void CoopCacheSim::handle_eviction(std::uint32_t client,
         break;  // circled enough; let it die
       }
       ++count;
-      obs_forwards_->inc();
+      ++results_.singlet_forwards;
       // Forward the singlet to a random other client.
       std::uint32_t peer = rng_.next_below(config_.clients);
       if (peer == client) peer = (peer + 1) % config_.clients;
@@ -206,11 +210,9 @@ void CoopCacheSim::handle_eviction(std::uint32_t client,
 
 void CoopCacheSim::read(std::uint32_t client, std::uint64_t block) {
   ++results_.reads;
-  obs_reads_->inc();
 
   if (client_caches_[client].touch(block)) {
     ++results_.local_hits;
-    obs_local_hits_->inc();
     recirculations_.erase(block);
     return;
   }
@@ -226,7 +228,6 @@ void CoopCacheSim::read(std::uint32_t client, std::uint64_t block) {
               client / config_.rack_size) {
         ++results_.rack_local_peer_hits;
       }
-      obs_remote_hits_->inc();
       client_caches_[static_cast<std::uint32_t>(holder)].touch(block);
       recirculations_.erase(block);
       insert_local(client, block);
@@ -236,7 +237,6 @@ void CoopCacheSim::read(std::uint32_t client, std::uint64_t block) {
   if (config_.policy == Policy::kCentrallyCoordinated &&
       coordinated_.contains(block)) {
     ++results_.remote_client_hits;  // served from coordinated client DRAM
-    obs_remote_hits_->inc();
     coordinated_.erase(block);      // promoted into the reader's local cache
     insert_local(client, block);
     return;
@@ -244,13 +244,11 @@ void CoopCacheSim::read(std::uint32_t client, std::uint64_t block) {
 
   if (server_cache_.touch(block)) {
     ++results_.server_mem_hits;
-    obs_server_hits_->inc();
     insert_local(client, block);
     return;
   }
 
   ++results_.disk_reads;
-  obs_disk_reads_->inc();
   server_cache_.insert(block);
   insert_local(client, block);
 }

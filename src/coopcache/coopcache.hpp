@@ -84,6 +84,8 @@ struct CoopCacheResults {
   std::uint64_t rack_local_peer_hits = 0;
   std::uint64_t server_mem_hits = 0;
   std::uint64_t disk_reads = 0;
+  /// N-chance: evicted singlets handed to a random peer instead of dropped.
+  std::uint64_t singlet_forwards = 0;
 
   double miss_rate() const {  // fraction of reads served from disk
     return reads ? static_cast<double>(disk_reads) /
@@ -155,12 +157,7 @@ class CoopCacheSim {
   /// N-chance: times each at-large singlet has been forwarded.
   FlatMap<std::uint32_t> recirculations_;
   CoopCacheResults results_;
-  obs::Counter* obs_reads_;
-  obs::Counter* obs_local_hits_;
-  obs::Counter* obs_remote_hits_;
-  obs::Counter* obs_server_hits_;
-  obs::Counter* obs_disk_reads_;
-  obs::Counter* obs_forwards_;
+  obs::Collector stats_obs_;
 };
 
 }  // namespace now::coopcache

@@ -41,21 +41,24 @@ FaultInjector::FaultInjector(FaultTargets targets, std::uint64_t seed,
     : t_(std::move(targets)),
       seed_(seed),
       policy_(policy),
-      obs_crashes_(&obs::metrics().counter("fault.node_crashes")),
-      obs_restarts_(&obs::metrics().counter("fault.node_restarts")),
-      obs_link_downs_(&obs::metrics().counter("fault.link_downs")),
-      obs_link_ups_(&obs::metrics().counter("fault.link_ups")),
-      obs_disk_fails_(&obs::metrics().counter("fault.disk_fails")),
-      obs_disk_replacements_(
-          &obs::metrics().counter("fault.disk_replacements")),
-      obs_owner_returns_(&obs::metrics().counter("fault.owner_returns")),
-      obs_takeovers_(&obs::metrics().counter("fault.takeovers")),
-      obs_rebuilds_(&obs::metrics().counter("fault.rebuilds")),
-      obs_nodes_down_(&obs::metrics().gauge("fault.nodes_down")),
-      obs_downtime_ms_(&obs::metrics().summary("fault.downtime_ms")),
-      obs_rebuild_ms_(&obs::metrics().summary("fault.rebuild_ms")),
-      obs_takeover_ms_(&obs::metrics().summary("fault.takeover_ms")),
-      obs_track_(obs::tracer().track("fault")) {
+      obs_track_(obs::tracer().track("fault")),
+      stats_obs_("fault", [this](obs::Sink& s) {
+        s.counter("node_crashes", stats_.node_crashes);
+        s.counter("node_restarts", stats_.node_restarts);
+        s.counter("link_downs", stats_.link_downs);
+        s.counter("link_ups", stats_.link_ups);
+        s.counter("disk_fails", stats_.disk_fails);
+        s.counter("disk_replacements", stats_.disk_replacements);
+        s.counter("owner_returns", stats_.owner_returns);
+        s.counter("manager_takeovers", stats_.manager_takeovers);
+        s.counter("rebuilds_started", stats_.rebuilds_started);
+        s.counter("rebuilds_completed", stats_.rebuilds_completed);
+        s.counter("donor_revocations", stats_.donor_revocations);
+        s.summary("downtime_ms", stats_.downtime_ms);
+        s.summary("rebuild_ms", stats_.rebuild_ms);
+        s.summary("takeover_ms", stats_.takeover_ms);
+        s.gauge("nodes_down", static_cast<double>(nodes_down()));
+      }) {
   assert(t_.engine != nullptr && !t_.nodes.empty());
 }
 
@@ -170,8 +173,6 @@ void FaultInjector::crash_node(net::NodeId n) {
   nd->crash();
   down_since_[n] = t_.engine->now();
   ++stats_.node_crashes;
-  obs_crashes_->inc();
-  obs_nodes_down_->set(static_cast<double>(down_since_.size()));
   obs::tracer().instant(n, obs_track_, "crash");
 
   if (t_.storage != nullptr && t_.storage->is_member(n) &&
@@ -204,8 +205,7 @@ void FaultInjector::auto_takeover_after(net::NodeId failed) {
         t_.xfs->manager_takeover(
             failed, succ, [this, succ, crashed_at] {
               ++stats_.manager_takeovers;
-              obs_takeovers_->inc();
-              obs_takeover_ms_->observe(
+              stats_.takeover_ms.add(
                   sim::to_ms(t_.engine->now() - crashed_at));
               obs::tracer().complete(succ, obs_track_, "takeover",
                                      crashed_at, t_.engine->now());
@@ -219,14 +219,12 @@ void FaultInjector::restart_node(net::NodeId n) {
   nd->reboot();
   auto it = down_since_.find(n);
   if (it != down_since_.end()) {
-    obs_downtime_ms_->observe(sim::to_ms(t_.engine->now() - it->second));
+    stats_.downtime_ms.add(sim::to_ms(t_.engine->now() - it->second));
     obs::tracer().complete(n, obs_track_, "node_down", it->second,
                            t_.engine->now());
     down_since_.erase(it);
   }
   ++stats_.node_restarts;
-  obs_restarts_->inc();
-  obs_nodes_down_->set(static_cast<double>(down_since_.size()));
 
   if (policy_.auto_rebuild && t_.storage != nullptr &&
       t_.storage->member_down(n) && t_.storage->redundant()) {
@@ -241,13 +239,12 @@ void FaultInjector::start_rebuild(net::NodeId member) {
   os::Node* rep = node(member);
   if (rep == nullptr || !rep->alive()) return;
   ++stats_.rebuilds_started;
-  obs_rebuilds_->inc();
   const sim::SimTime began = t_.engine->now();
   t_.storage->reconstruct_member(
       member, *rep,
       [this, member, began] {
         ++stats_.rebuilds_completed;
-        obs_rebuild_ms_->observe(sim::to_ms(t_.engine->now() - began));
+        stats_.rebuild_ms.add(sim::to_ms(t_.engine->now() - began));
         obs::tracer().complete(member, obs_track_, "rebuild", began,
                                t_.engine->now());
         // The member may have crashed again while its stripe units were
@@ -261,7 +258,6 @@ void FaultInjector::fail_link(net::NodeId n) {
   if (t_.network == nullptr || !t_.network->link_up(n)) return;
   t_.network->set_link_up(n, false);
   ++stats_.link_downs;
-  obs_link_downs_->inc();
   obs::tracer().instant(n, obs_track_, "link_down");
 }
 
@@ -269,7 +265,6 @@ void FaultInjector::restore_link(net::NodeId n) {
   if (t_.network == nullptr || t_.network->link_up(n)) return;
   t_.network->set_link_up(n, true);
   ++stats_.link_ups;
-  obs_link_ups_->inc();
   obs::tracer().instant(n, obs_track_, "link_up");
 }
 
@@ -280,7 +275,6 @@ void FaultInjector::fail_disk(net::NodeId n) {
   }
   t_.storage->member_failed(n);
   ++stats_.disk_fails;
-  obs_disk_fails_->inc();
   obs::tracer().instant(n, obs_track_, "disk_fail");
 }
 
@@ -292,7 +286,6 @@ void FaultInjector::replace_disk(net::NodeId n) {
   os::Node* nd = node(n);
   if (nd == nullptr || !nd->alive()) return;
   ++stats_.disk_replacements;
-  obs_disk_replacements_->inc();
   obs::tracer().instant(n, obs_track_, "disk_replace");
   start_rebuild(n);
 }
@@ -302,7 +295,6 @@ void FaultInjector::owner_returned(net::NodeId n) {
   if (nd == nullptr || !nd->alive()) return;  // nobody types on a dead box
   nd->user_activity();
   ++stats_.owner_returns;
-  obs_owner_returns_->inc();
   obs::tracer().instant(n, obs_track_, "owner_return");
   // GLUnix's 2-second console poll sees the activity and displaces any
   // guest on its own; network RAM must give the DRAM back too.

@@ -37,6 +37,7 @@
 #include "raid/raid.hpp"
 #include "sim/engine.hpp"
 #include "sim/random.hpp"
+#include "sim/stats.hpp"
 #include "xfs/xfs.hpp"
 
 namespace now::xfs {
@@ -168,6 +169,12 @@ struct FaultStats {
   std::uint64_t rebuilds_started = 0;
   std::uint64_t rebuilds_completed = 0;
   std::uint64_t donor_revocations = 0;
+  /// Crash-to-restart time of each node that came back, milliseconds.
+  sim::Summary downtime_ms;
+  /// Start-to-finish time of each completed member rebuild, milliseconds.
+  sim::Summary rebuild_ms;
+  /// Crash-to-takeover time of each auto-takeover, milliseconds.
+  sim::Summary takeover_ms;
 };
 
 /// The subsystems one injector drives.  `engine` and `nodes` are required;
@@ -253,20 +260,8 @@ class FaultInjector {
   /// Crash instants of currently-down nodes, for downtime spans.
   std::unordered_map<net::NodeId, sim::SimTime> down_since_;
 
-  obs::Counter* obs_crashes_;
-  obs::Counter* obs_restarts_;
-  obs::Counter* obs_link_downs_;
-  obs::Counter* obs_link_ups_;
-  obs::Counter* obs_disk_fails_;
-  obs::Counter* obs_disk_replacements_;
-  obs::Counter* obs_owner_returns_;
-  obs::Counter* obs_takeovers_;
-  obs::Counter* obs_rebuilds_;
-  obs::Gauge* obs_nodes_down_;
-  obs::Summary* obs_downtime_ms_;
-  obs::Summary* obs_rebuild_ms_;
-  obs::Summary* obs_takeover_ms_;
   obs::TrackId obs_track_;
+  obs::Collector stats_obs_;
 };
 
 }  // namespace now::fault

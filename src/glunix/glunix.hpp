@@ -197,16 +197,8 @@ class Glunix {
   NodeDownFn on_up_;
   GuestStats stats_;
   bool started_ = false;
-  obs::Counter* obs_launched_;
-  obs::Counter* obs_completed_;
-  obs::Counter* obs_migrations_;
-  obs::Counter* obs_crash_restarts_;
-  obs::Counter* obs_gangs_launched_;
-  obs::Counter* obs_gangs_completed_;
-  obs::Counter* obs_gang_pauses_;
-  obs::Counter* obs_owner_evictions_;
-  obs::Gauge* obs_idle_nodes_;
   obs::TrackId obs_track_;
+  obs::Collector stats_obs_;
 
   net::NodeId master_node() const { return nodes_[master_]->id(); }
   sim::Engine& engine() { return rpc_.engine(); }

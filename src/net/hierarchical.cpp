@@ -11,8 +11,11 @@ HierarchicalNetwork::HierarchicalNetwork(sim::Engine& engine,
     : Network(engine),
       params_(params),
       topo_(params.topo),
-      obs_rack_local_(&obs::metrics().counter("net.hier.rack_local")),
-      obs_cross_rack_(&obs::metrics().counter("net.hier.cross_rack")) {
+      hier_obs_("net", [this](obs::Sink& s) {
+        sim::SpinGuard g(stats_lock_);
+        s.counter("rack_local_packets", hstats_.rack_local_packets);
+        s.counter("cross_rack_packets", hstats_.cross_rack_packets);
+      }) {
   if (topo_.configured_racks() > 0) ensure_racks(topo_.configured_racks());
 }
 
@@ -73,8 +76,6 @@ void HierarchicalNetwork::send(Packet pkt) {
       ++hstats_.cross_rack_packets;
     }
   }
-  obs_sent_->inc();
-  (local ? obs_rack_local_ : obs_cross_rack_)->inc();
 
   const sim::Duration ser = params_.fabric.serialization(pkt.size_bytes);
 

@@ -90,8 +90,7 @@ class HierarchicalNetwork final : public Network {
   // Per trunk pair: "net.rack<R>.spine<S>.queue_us" (uplink backlog — the
   // oversubscription signal).
   std::vector<obs::Gauge*> trunk_up_q_;
-  obs::Counter* obs_rack_local_;
-  obs::Counter* obs_cross_rack_;
+  obs::Collector hier_obs_;
 };
 
 }  // namespace now::net

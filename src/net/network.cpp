@@ -16,6 +16,19 @@ sim::Duration FabricParams::serialization(std::uint32_t bytes) const {
   return sim::from_sec(seconds);
 }
 
+Network::Network(sim::Engine& engine)
+    : engine_(engine),
+      obs_track_(obs::tracer().track("net")),
+      stats_obs_("net", [this](obs::Sink& s) {
+        sim::SpinGuard g(stats_lock_);
+        s.counter("packets_sent", stats_.packets_sent);
+        s.counter("packets_delivered", stats_.packets_delivered);
+        s.counter("packets_dropped", stats_.packets_dropped);
+        s.counter("link_drops", stats_.link_drops);
+        s.counter("bytes_sent", stats_.bytes_sent);
+        s.summary("wire_time_us", stats_.wire_time_us);
+      }) {}
+
 void Network::attach(NodeId node, DeliveryHandler handler,
                      std::uint32_t rx_buffer_bytes) {
   if (node >= ports_.size()) ports_.resize(node + 1);
@@ -72,7 +85,6 @@ void Network::deliver_now(Packet&& pkt) {
       sim::SpinGuard g(stats_lock_);
       ++stats_.link_drops;
     }
-    obs_link_drops_->inc();
     obs::tracer().instant_at(pkt.dst, obs_track_, "link_drop", at);
     return;
   }
@@ -82,7 +94,6 @@ void Network::deliver_now(Packet&& pkt) {
       sim::SpinGuard g(stats_lock_);
       ++stats_.packets_dropped;
     }
-    obs_dropped_->inc();
     obs::tracer().instant_at(pkt.dst, obs_track_, "rx_drop", at);
     return;
   }
@@ -92,8 +103,6 @@ void Network::deliver_now(Packet&& pkt) {
     ++stats_.packets_delivered;
     stats_.wire_time_us.add(sim::to_us(at - pkt.sent_at));
   }
-  obs_delivered_->inc();
-  obs_wire_us_->observe(sim::to_us(at - pkt.sent_at));
   obs::tracer().complete(pkt.dst, obs_track_, "pkt", pkt.sent_at, at);
   p->handler(std::move(pkt));
 }

@@ -39,14 +39,7 @@ struct NetworkStats {
 /// Base class for all fabric models.
 class Network {
  public:
-  explicit Network(sim::Engine& engine)
-      : engine_(engine),
-        obs_sent_(&obs::metrics().counter("net.packets_sent")),
-        obs_delivered_(&obs::metrics().counter("net.packets_delivered")),
-        obs_dropped_(&obs::metrics().counter("net.packets_dropped")),
-        obs_link_drops_(&obs::metrics().counter("net.link_drops")),
-        obs_wire_us_(&obs::metrics().summary("net.wire_time_us")),
-        obs_track_(obs::tracer().track("net")) {}
+  explicit Network(sim::Engine& engine);
   virtual ~Network() = default;
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -141,17 +134,11 @@ class Network {
   // Guards stats_: sends mutate it from source lanes, deliveries from
   // destination lanes.  Uncontended in serial runs.
   sim::SpinLock stats_lock_;
-  // Cached obs handles (resolved once here; hot-path updates are one
-  // dereference plus the global enable branch).
-  obs::Counter* obs_sent_;
-  obs::Counter* obs_delivered_;
-  obs::Counter* obs_dropped_;
-  obs::Counter* obs_link_drops_;
-  obs::Summary* obs_wire_us_;
   obs::TrackId obs_track_;
 
  private:
   std::vector<Port> ports_;
+  obs::Collector stats_obs_;
 };
 
 }  // namespace now::net

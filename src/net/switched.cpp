@@ -33,7 +33,6 @@ void SwitchedNetwork::send(Packet pkt) {
     ++stats_.packets_sent;
     stats_.bytes_sent += pkt.size_bytes;
   }
-  obs_sent_->inc();
 
   const sim::Duration ser = params_.serialization(pkt.size_bytes);
 

@@ -117,13 +117,8 @@ class NetworkRamPager final : public os::Pager {
   std::size_t readahead_window_;
   std::unordered_set<std::uint64_t> prefetch_inflight_;
   NetRamStats stats_;
-  obs::Counter* obs_remote_reads_;
-  obs::Counter* obs_remote_writes_;
-  obs::Counter* obs_disk_fallbacks_;
-  obs::Counter* obs_prefetch_hits_;
-  obs::Counter* obs_rehomed_;
-  obs::Counter* obs_lost_;
   obs::TrackId obs_track_;
+  obs::Collector stats_obs_;
 };
 
 }  // namespace now::netram

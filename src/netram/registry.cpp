@@ -3,9 +3,13 @@
 #include <algorithm>
 #include <cassert>
 
-#include "obs/metrics.hpp"
-
 namespace now::netram {
+
+IdleMemoryRegistry::IdleMemoryRegistry()
+    : stats_obs_("netram", [this](obs::Sink& s) {
+        s.counter("donor_revocations", stats_.donor_revocations);
+        s.counter("donor_crashes", stats_.donor_crashes);
+      }) {}
 
 void IdleMemoryRegistry::add_donor(os::Node& node) {
   if (donors_.contains(node.id())) return;
@@ -27,14 +31,14 @@ void IdleMemoryRegistry::remove(net::NodeId id) {
 void IdleMemoryRegistry::revoke_donor(net::NodeId id) {
   if (!donors_.contains(id)) return;
   remove(id);
-  obs::metrics().counter("netram.donor_revocations").inc();
+  ++stats_.donor_revocations;
   for (const auto& obs : observers_) obs(id, /*graceful=*/true);
 }
 
 void IdleMemoryRegistry::donor_crashed(net::NodeId id) {
   if (!donors_.contains(id)) return;
   remove(id);
-  obs::metrics().counter("netram.donor_crashes").inc();
+  ++stats_.donor_crashes;
   for (const auto& obs : observers_) obs(id, /*graceful=*/false);
 }
 

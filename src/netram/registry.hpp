@@ -14,9 +14,16 @@
 #include <vector>
 
 #include "net/types.hpp"
+#include "obs/metrics.hpp"
 #include "os/node.hpp"
 
 namespace now::netram {
+
+/// Donors that left the pool, by how they left.
+struct RegistryStats {
+  std::uint64_t donor_revocations = 0;
+  std::uint64_t donor_crashes = 0;
+};
 
 class IdleMemoryRegistry {
  public:
@@ -24,6 +31,8 @@ class IdleMemoryRegistry {
   /// a revocation (data can still be fetched while it drains) and false for
   /// a crash (contents lost).
   using DonorGone = std::function<void(net::NodeId, bool graceful)>;
+
+  IdleMemoryRegistry();
 
   /// Marks `node` as donating its free DRAM.
   void add_donor(os::Node& node);
@@ -49,12 +58,15 @@ class IdleMemoryRegistry {
   /// Total bytes currently donable across all donors.
   std::uint64_t pool_bytes() const;
   std::size_t donor_count() const { return donors_.size(); }
+  const RegistryStats& stats() const { return stats_; }
 
  private:
   std::unordered_map<net::NodeId, os::Node*> donors_;
   std::vector<net::NodeId> order_;  // round-robin order
   std::size_t cursor_ = 0;
   std::vector<DonorGone> observers_;
+  RegistryStats stats_;
+  obs::Collector stats_obs_;
 
   void remove(net::NodeId id);
 };

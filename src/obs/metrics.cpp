@@ -1,10 +1,11 @@
 #include "obs/metrics.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <fstream>
 #include <ostream>
-#include <sstream>
+#include <type_traits>
 
 namespace now::obs {
 
@@ -49,56 +50,114 @@ Gauge& MetricsRegistry::gauge(std::string_view path) {
   return get<Gauge>(path);
 }
 
-Summary& MetricsRegistry::summary(std::string_view path) {
-  return get<Summary>(path);
-}
+namespace {
 
-Histogram& MetricsRegistry::histogram(std::string_view path, double lo,
-                                      double growth) {
-  auto it = instruments_.find(path);
-  if (it == instruments_.end()) {
-    it = instruments_.emplace(std::string(path), Instrument(Histogram(lo, growth)))
-             .first;
+/// Adds `v` to what `path` already holds: counters and gauges sum,
+/// distributions merge.
+void put_reading(Readings& out, std::string_view path, Reading v) {
+  const auto it = out.find(path);
+  if (it == out.end()) {
+    out.emplace(std::string(path), std::move(v));
+    return;
   }
-  Histogram* existing = std::get_if<Histogram>(&it->second);
-  assert(existing != nullptr && "instrument re-registered with another kind");
-  if (existing != nullptr) return *existing;
-  return histogram(std::string(path) + ".kind_conflict", lo, growth);
+  Reading& into = it->second;
+  assert(into.index() == v.index() && "one path reported as two kinds");
+  if (into.index() != v.index()) return;
+  std::visit(
+      [&into](const auto& x) {
+        using T = std::decay_t<decltype(x)>;
+        if constexpr (std::is_arithmetic_v<T>) {
+          std::get<T>(into) += x;
+        } else {
+          std::get<T>(into).merge(x);
+        }
+      },
+      v);
 }
 
-const Counter* MetricsRegistry::find_counter(std::string_view path) const {
-  const auto it = instruments_.find(path);
-  return it == instruments_.end() ? nullptr : std::get_if<Counter>(&it->second);
+Reading native_reading(const std::variant<Counter, Gauge>& inst) {
+  if (const auto* c = std::get_if<Counter>(&inst)) return c->value();
+  return std::get<Gauge>(inst).value();
 }
 
-const Gauge* MetricsRegistry::find_gauge(std::string_view path) const {
-  const auto it = instruments_.find(path);
-  return it == instruments_.end() ? nullptr : std::get_if<Gauge>(&it->second);
+}  // namespace
+
+template <typename T>
+void Sink::put(std::string_view field, const T& v) {
+  if (!only_.empty()) {
+    // The registry picked this collector because only_ starts with
+    // "<prefix>."; compare the rest without building the path.
+    if (only_.substr(prefix_.size() + 1) != field) return;
+    put_reading(out_, only_, Reading(v));
+    return;
+  }
+  std::string path;
+  path.reserve(prefix_.size() + 1 + field.size());
+  path.append(prefix_).append(1, '.').append(field);
+  put_reading(out_, path, Reading(v));
 }
 
-const Summary* MetricsRegistry::find_summary(std::string_view path) const {
-  const auto it = instruments_.find(path);
-  return it == instruments_.end() ? nullptr : std::get_if<Summary>(&it->second);
+void Sink::counter(std::string_view field, std::uint64_t v) { put(field, v); }
+void Sink::gauge(std::string_view field, double v) { put(field, v); }
+void Sink::summary(std::string_view field, const sim::Summary& s) {
+  put(field, s);
+}
+void Sink::histogram(std::string_view field, const sim::Histogram& h) {
+  put(field, h);
 }
 
-const Histogram* MetricsRegistry::find_histogram(std::string_view path) const {
-  const auto it = instruments_.find(path);
-  return it == instruments_.end() ? nullptr
-                                  : std::get_if<Histogram>(&it->second);
+Collector::Collector(std::string prefix, std::function<void(Sink&)> fn)
+    : registry_(&metrics()), prefix_(std::move(prefix)), fn_(std::move(fn)) {
+  registry_->collectors_.push_back(this);
+}
+
+Collector::~Collector() {
+  if (registry_ == nullptr) return;
+  auto& live = registry_->collectors_;
+  live.erase(std::find(live.begin(), live.end(), this));
+}
+
+MetricsRegistry::~MetricsRegistry() {
+  // A registry that dies first leaves its collectors nothing to undo.
+  for (Collector* c : collectors_) c->registry_ = nullptr;
+}
+
+Readings MetricsRegistry::collect(std::string_view only) const {
+  Readings out;
+  if (only.empty()) {
+    for (const auto& [path, inst] : instruments_) {
+      out.emplace(path, native_reading(inst));
+    }
+  } else if (const auto it = instruments_.find(only);
+             it != instruments_.end()) {
+    out.emplace(it->first, native_reading(it->second));
+  }
+  for (Collector* c : collectors_) {
+    const std::string_view prefix = c->prefix_;
+    if (!only.empty() &&
+        !(only.size() > prefix.size() && only.starts_with(prefix) &&
+          only[prefix.size()] == '.')) {
+      continue;
+    }
+    Sink sink(out, prefix, only);
+    c->fn_(sink);
+  }
+  return out;
 }
 
 bool MetricsRegistry::read(std::string_view path, double* out) const {
-  const auto it = instruments_.find(path);
-  if (it == instruments_.end()) return false;
-  struct Reader {
-    double operator()(const Counter& c) const {
-      return static_cast<double>(c.value());
+  const Readings r = collect(path);
+  const auto it = r.find(path);
+  if (it == r.end()) return false;
+  struct Scalar {
+    double operator()(std::uint64_t c) const {
+      return static_cast<double>(c);
     }
-    double operator()(const Gauge& g) const { return g.value(); }
-    double operator()(const Summary& s) const { return s.value().mean(); }
-    double operator()(const Histogram& h) const { return h.value().mean(); }
+    double operator()(double g) const { return g; }
+    double operator()(const sim::Summary& s) const { return s.mean(); }
+    double operator()(const sim::Histogram& h) const { return h.mean(); }
   };
-  *out = std::visit(Reader{}, it->second);
+  *out = std::visit(Scalar{}, it->second);
   return true;
 }
 
@@ -128,24 +187,22 @@ void append_summary_json(std::string& out, const sim::Summary& s) {
 
 struct JsonValue {
   std::string& out;
-  void operator()(const Counter& c) const { out += std::to_string(c.value()); }
-  void operator()(const Gauge& g) const { append_number(out, g.value()); }
-  void operator()(const Summary& s) const {
-    append_summary_json(out, s.value());
-  }
-  void operator()(const Histogram& h) const {
+  void operator()(std::uint64_t c) const { out += std::to_string(c); }
+  void operator()(double g) const { append_number(out, g); }
+  void operator()(const sim::Summary& s) const { append_summary_json(out, s); }
+  void operator()(const sim::Histogram& h) const {
     out += "{\"count\": ";
-    out += std::to_string(h.value().count());
+    out += std::to_string(h.count());
     out += ", \"mean\": ";
-    append_number(out, h.value().mean());
+    append_number(out, h.mean());
     out += ", \"p50\": ";
-    append_number(out, h.value().percentile(0.50));
+    append_number(out, h.percentile(0.50));
     out += ", \"p95\": ";
-    append_number(out, h.value().percentile(0.95));
+    append_number(out, h.percentile(0.95));
     out += ", \"p99\": ";
-    append_number(out, h.value().percentile(0.99));
+    append_number(out, h.percentile(0.99));
     out += ", \"max\": ";
-    append_number(out, h.value().max());
+    append_number(out, h.max());
     out += "}";
   }
 };
@@ -155,13 +212,13 @@ struct JsonValue {
 std::string MetricsRegistry::dump_json() const {
   std::string out = "{\n";
   bool first = true;
-  for (const auto& [path, inst] : instruments_) {
+  for (const auto& [path, value] : collect({})) {
     if (!first) out += ",\n";
     first = false;
     out += "  \"";
-    out += path;  // paths are registered from code literals; no escaping
+    out += path;  // paths are built from code literals; no escaping
     out += "\": ";
-    std::visit(JsonValue{out}, inst);
+    std::visit(JsonValue{out}, value);
   }
   out += "\n}\n";
   return out;
@@ -174,28 +231,6 @@ bool MetricsRegistry::dump_json_to(const std::string& path) const {
   if (!f) return false;
   f << dump_json();
   return static_cast<bool>(f);
-}
-
-void MetricsRegistry::dump_text(std::ostream& os) const {
-  struct Text {
-    std::ostream& os;
-    void operator()(const Counter& c) const { os << c.value(); }
-    void operator()(const Gauge& g) const { os << g.value(); }
-    void operator()(const Summary& s) const {
-      os << "count=" << s.value().count() << " mean=" << s.value().mean()
-         << " min=" << s.value().min() << " max=" << s.value().max();
-    }
-    void operator()(const Histogram& h) const {
-      os << "count=" << h.value().count() << " mean=" << h.value().mean()
-         << " p50=" << h.value().percentile(0.5)
-         << " p99=" << h.value().percentile(0.99);
-    }
-  };
-  for (const auto& [path, inst] : instruments_) {
-    os << "  " << path << " = ";
-    std::visit(Text{os}, inst);
-    os << "\n";
-  }
 }
 
 }  // namespace now::obs

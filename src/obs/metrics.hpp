@@ -1,55 +1,58 @@
 // now::obs — cluster-wide observability: the metrics registry.
 //
-// Every subsystem registers instruments under dotted paths
-// ("net.drops", "xfs.manager.takeovers", "am.msg_latency_us") and caches the
-// returned handle, so the hot path is one pointer dereference plus a branch
-// on the global enable flag — no string lookups after construction.  The
-// registry itself is process-wide (obs::metrics()): modules deep inside the
-// stack instrument themselves without threading a registry pointer through
-// every constructor, and the Cluster facade simply re-exports it.
+// A component's counts live once, in its own `*Stats` struct (or the
+// members it already keeps), which stats() returns with observability on
+// or off.  The component owns a Collector: an RAII registration, in the
+// constructing thread's registry, of a function that reports its fields
+// as "<component>.<stats field>" ("xfs.reads", "am.stalled_sends").  The
+// registry runs the collectors only when values are read — dump_json(),
+// read() (so every Sampler tick), find() — and a destroyed component
+// drops out of the next dump.  Live instances under one prefix (every
+// Disk reports as "os.disk") are summed, or their distributions merged
+// in registration order.  Native Counter/Gauge instruments cover state
+// with no struct behind it: the per-link queue gauges of the switched
+// fabrics.
 //
-// Determinism contract: instruments are only ever updated from simulated
-// events, dumps iterate in sorted path order, and no wall-clock value is
-// recorded anywhere — two runs with the same seed produce byte-identical
-// dumps.  Disabling observability (set_enabled(false), or compiling with
-// -DNOW_OBS_DISABLED) reduces every update to a dead branch.
+// Determinism contract: values only change in simulated events, dumps
+// iterate in sorted path order, and no wall-clock value is recorded —
+// two runs with the same seed produce byte-identical dumps.  The kill
+// switch (set_enabled(false), or -DNOW_OBS_DISABLED) drops native updates
+// and trace emission; collected counts do not depend on it.
 //
-// Threading model: the registry's *structure* (instrument registration,
-// dumps) is engine-confined — one simulation, one thread — and the
-// process-wide default returned by obs::metrics() can be rebound per
-// thread (set_thread_metrics), which is how now::exp gives each of N
-// concurrent simulations its own registry.  Instrument *updates* through
-// cached handles are additionally thread-safe, because one partitioned
-// simulation (sim::ParallelEngine) updates a single registry from several
-// lanes at once: Counter/Gauge are relaxed atomics (their final values are
-// exact sums/last-stores either way) and Summary/Histogram serialize
-// observe() behind a spinlock.  Registration stays single-threaded:
-// partitioned components resolve every path before the run starts.
+// Threading model: registration and reads are engine-confined — one
+// simulation, one thread — and obs::metrics() can be rebound per thread
+// (set_thread_metrics), which is how now::exp gives each concurrent
+// simulation its own registry.  A partitioned run (sim::ParallelEngine)
+// is read between epochs or from exclusive global events; a collector
+// whose struct several lanes write takes the lock those writers take.
+// Native updates are relaxed atomics, safe from any lane.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <variant>
+#include <vector>
 
-#include "sim/spinlock.hpp"
 #include "sim/stats.hpp"
 
 namespace now::obs {
 
 namespace detail {
-/// Single process-wide kill switch shared by every instrument update and
-/// trace emission.  Atomic (relaxed) so concurrent simulations may read it
-/// while a test toggles it; the toggle itself is not synchronized with
-/// in-flight updates.
+/// Single process-wide kill switch shared by every native instrument
+/// update and trace emission.  Atomic (relaxed) so concurrent simulations
+/// may read it while a test toggles it; the toggle itself is not
+/// synchronized with in-flight updates.
 inline std::atomic<bool> g_enabled{true};
 }  // namespace detail
 
-/// True when instrumentation should record.  Compiled to `false` (and the
-/// guarded updates to nothing) under -DNOW_OBS_DISABLED.
+/// True when native instruments and tracing should record.  Compiled to
+/// `false` (and the guarded updates to nothing) under -DNOW_OBS_DISABLED.
 inline bool enabled() {
 #ifdef NOW_OBS_DISABLED
   return false;
@@ -79,7 +82,7 @@ class Counter {
   std::atomic<std::uint64_t> v_{0};
 };
 
-/// Instantaneous level ("run-queue length", "log utilization").
+/// Instantaneous level ("per-link queue delay"); last store wins.
 class Gauge {
  public:
   Gauge() = default;
@@ -88,102 +91,119 @@ class Gauge {
   void set(double v) {
     if (enabled()) v_.store(v, std::memory_order_relaxed);
   }
-  void add(double d) {
-    if (!enabled()) return;
-    double cur = v_.load(std::memory_order_relaxed);
-    while (!v_.compare_exchange_weak(cur, cur + d,
-                                     std::memory_order_relaxed)) {
-    }
-  }
   double value() const { return v_.load(std::memory_order_relaxed); }
 
  private:
   std::atomic<double> v_{0.0};
 };
 
-/// Streaming distribution without percentile queries (min/mean/max/stddev).
-/// observe() serializes behind a spinlock; count/min/max stay exact under
-/// partitioned execution, while sum-derived moments (mean/stddev) depend on
-/// floating-point accumulation order — see DESIGN.md §12.
-class Summary {
+/// One path's value as a reader sees it: a counter total, a gauge level,
+/// or a distribution.
+using Reading =
+    std::variant<std::uint64_t, double, sim::Summary, sim::Histogram>;
+using Readings = std::map<std::string, Reading, std::less<>>;
+
+/// What a collector reports into.  Each call names one field of the
+/// component's stats; the registry files it under "<prefix>.<field>" and
+/// sums or merges it with every other live instance's value there.
+class Sink {
  public:
-  Summary() = default;
-  Summary(const Summary& o) : s_(o.s_) {}
-  Summary(Summary&& o) noexcept : s_(o.s_) {}
-  void observe(double x) {
-    if (!enabled()) return;
-    sim::SpinGuard g(lock_);
-    s_.add(x);
-  }
-  const sim::Summary& value() const { return s_; }
+  void counter(std::string_view field, std::uint64_t v);
+  void gauge(std::string_view field, double v);
+  void summary(std::string_view field, const sim::Summary& s);
+  void histogram(std::string_view field, const sim::Histogram& h);
 
  private:
-  sim::Summary s_;
-  mutable sim::SpinLock lock_;
+  friend class MetricsRegistry;
+  Sink(Readings& out, std::string_view prefix, std::string_view only)
+      : out_(out), prefix_(prefix), only_(only) {}
+
+  template <typename T>
+  void put(std::string_view field, const T& v);
+
+  Readings& out_;
+  std::string_view prefix_;
+  /// Non-empty: the one path being read; every other field is skipped.
+  std::string_view only_;
 };
 
-/// Log-binned distribution with percentile queries.  Same locking
-/// discipline as Summary; bin counts are exact under partitioning.
-class Histogram {
+class MetricsRegistry;
+
+/// A component's registration with the constructing thread's registry.
+/// `fn` runs whenever values are read, reporting the component's fields
+/// under `prefix`; destroying the Collector unregisters it.  Neither
+/// copyable nor movable, so the component that captures itself in `fn`
+/// cannot be moved out from under it.  Declare it last among the
+/// component's members, so it goes before the state it reads.
+class Collector {
  public:
-  explicit Histogram(double lo = 1.0, double growth = 1.05) : h_(lo, growth) {}
-  Histogram(const Histogram& o) : h_(o.h_) {}
-  Histogram(Histogram&& o) noexcept : h_(o.h_) {}
-  void observe(double x) {
-    if (!enabled()) return;
-    sim::SpinGuard g(lock_);
-    h_.add(x);
-  }
-  const sim::Histogram& value() const { return h_; }
+  Collector(std::string prefix, std::function<void(Sink&)> fn);
+  ~Collector();
+  Collector(const Collector&) = delete;
+  Collector& operator=(const Collector&) = delete;
 
  private:
-  sim::Histogram h_;
-  mutable sim::SpinLock lock_;
+  friend class MetricsRegistry;
+  MetricsRegistry* registry_;
+  std::string prefix_;
+  std::function<void(Sink&)> fn_;
 };
 
-/// Hierarchical instrument registry keyed by dotted paths.
+/// Registry keyed by dotted paths: native instruments plus the live
+/// components' collectors.
 ///
-/// counter()/gauge()/summary()/histogram() create on first use and return a
-/// stable reference (node-based storage: handles never move); asking for an
-/// existing path with a different kind aborts in debug builds and returns a
-/// freshly suffixed instrument in release ones.
+/// counter()/gauge() create a native instrument on first use and return a
+/// stable reference (node-based storage: handles never move); asking for
+/// an existing path with the other kind aborts in debug builds and returns
+/// a freshly suffixed instrument in release ones.
 class MetricsRegistry {
  public:
+  MetricsRegistry() = default;
+  ~MetricsRegistry();
+  MetricsRegistry(const MetricsRegistry&) = delete;
+  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
+
   Counter& counter(std::string_view path);
   Gauge& gauge(std::string_view path);
-  Summary& summary(std::string_view path);
-  Histogram& histogram(std::string_view path, double lo = 1.0,
-                       double growth = 1.05);
 
-  const Counter* find_counter(std::string_view path) const;
-  const Gauge* find_gauge(std::string_view path) const;
-  const Summary* find_summary(std::string_view path) const;
-  const Histogram* find_histogram(std::string_view path) const;
+  /// Current value at `path`, native or collected, if it is of kind `T`:
+  /// std::uint64_t for a counter, double for a gauge, sim::Summary or
+  /// sim::Histogram for a distribution.  nullopt otherwise.
+  template <typename T>
+  std::optional<T> find(std::string_view path) const {
+    Readings r = collect(path);
+    const auto it = r.find(path);
+    if (it == r.end()) return std::nullopt;
+    T* v = std::get_if<T>(&it->second);
+    return v != nullptr ? std::optional<T>(std::move(*v)) : std::nullopt;
+  }
 
-  /// Scalar reading of any instrument: counter value, gauge value, or the
-  /// mean of a summary/histogram.  False if `path` is not registered.
+  /// Scalar reading of any path: counter value, gauge value, or the mean
+  /// of a distribution.  False if nothing is registered at `path`.
   bool read(std::string_view path, double* out) const;
 
-  /// All registered paths, sorted (the registry's native order).
+  /// Native instruments registered (collected paths not included).
   std::size_t size() const { return instruments_.size(); }
 
-  /// Deterministic dumps: sorted key order, no wall-clock anything.
+  /// Deterministic dumps of every path: sorted key order, no wall-clock
+  /// anything.
   void dump_json(std::ostream& os) const;
-  void dump_text(std::ostream& os) const;
   std::string dump_json() const;
   bool dump_json_to(const std::string& path) const;
 
-  /// Drops every instrument.  Outstanding handles dangle; only call between
-  /// experiments, before the next round of constructors re-register.
-  void reset() { instruments_.clear(); }
-
  private:
-  using Instrument = std::variant<Counter, Gauge, Summary, Histogram>;
+  friend class Collector;
+  using Instrument = std::variant<Counter, Gauge>;
 
   template <typename T>
   T& get(std::string_view path);
 
+  /// Every path's value, or just `only`'s when it is non-empty.
+  Readings collect(std::string_view only) const;
+
   std::map<std::string, Instrument, std::less<>> instruments_;
+  /// Live collectors in registration order (the merge order).
+  std::vector<Collector*> collectors_;
 };
 
 /// The calling thread's active registry: its override if one is installed,

@@ -1,10 +1,10 @@
 // now::obs — periodic time-series sampler.
 //
 // A Sampler is a simulated actor: every `period` of *simulated* time it
-// snapshots a chosen set of registry instruments (via MetricsRegistry::read,
-// so gauges read their level and counters their running total) and appends
-// one row to an in-memory table.  After the run the table dumps as CSV
-// ("time_ms,net.link0.queue_depth,...") or JSON — the raw material for the
+// snapshots a chosen set of registry paths (via MetricsRegistry::read, so
+// counters read their running total and gauges their current level) and
+// appends one row to an in-memory table.  After the run the table dumps as
+// CSV ("time_ms,net.packets_sent,...") or JSON — the raw material for the
 // utilization-over-time plots in the paper's Figure 3 discussion.
 //
 // Like every obs component the sampler only consumes simulated time; its
@@ -31,8 +31,8 @@ class Sampler {
   Sampler(const Sampler&) = delete;
   Sampler& operator=(const Sampler&) = delete;
 
-  /// Adds `path` as a column.  Unregistered paths sample as 0 until the
-  /// instrument appears.  Call before start().
+  /// Adds `path` as a column.  Unregistered paths sample as 0 until
+  /// something reports there.  Call before start().
   void watch(std::string path);
 
   /// Begins ticking every `period`, first sample one period from now.

@@ -12,9 +12,11 @@ const std::string kUnknownName = "?";
 Cpu::Cpu(sim::Engine& engine, CpuParams params)
     : engine_(engine), params_(params),
       rng_(params.seed, /*stream=*/0x637075),
-      obs_dispatches_(&obs::metrics().counter("os.cpu.dispatches")),
-      obs_preempts_(&obs::metrics().counter("os.cpu.preemptions")),
-      obs_runq_(&obs::metrics().summary("os.cpu.run_queue_len")) {
+      stats_obs_("os.cpu", [this](obs::Sink& s) {
+        s.counter("dispatches", stats_.dispatches);
+        s.counter("preemptions", stats_.preemptions);
+        s.summary("run_queue_len", stats_.run_queue_len);
+      }) {
   assert(params_.quantum > 0 && params_.mflops > 0);
   assert(params_.quantum_jitter >= 0.0 && params_.quantum_jitter < 1.0);
 }
@@ -95,11 +97,9 @@ void Cpu::maybe_dispatch() {
     current_ = pid;
     p.state = PState::kRunning;
     quantum_deadline_ = engine_.now() + jittered_quantum();
-    obs_dispatches_->inc();
-    if (obs::enabled()) {
-      obs_runq_->observe(static_cast<double>(run_queue_batch_.size() +
-                                             run_queue_inter_.size()));
-    }
+    ++stats_.dispatches;
+    stats_.run_queue_len.add(static_cast<double>(run_queue_batch_.size() +
+                                                 run_queue_inter_.size()));
     for (const auto& obs : dispatch_observers_) obs(pid);
     if (current_ != pid) continue;  // an observer killed/blocked it
     if (p.pending_work == 0) {
@@ -272,7 +272,7 @@ void Cpu::trim_slice_to_quantum() {
 
 void Cpu::preempt_current() {
   assert(current_ != kNoProcess && slice_event_ != 0);
-  obs_preempts_->inc();
+  ++stats_.preemptions;
   engine_.cancel(slice_event_);
   slice_event_ = 0;
   Process& p = proc(current_);

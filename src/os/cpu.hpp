@@ -20,6 +20,7 @@
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 #include "sim/random.hpp"
+#include "sim/stats.hpp"
 #include "sim/time.hpp"
 
 namespace now::os {
@@ -46,6 +47,13 @@ struct CpuParams {
   /// distinct `seed`.  Zero (the default) keeps scheduling exact.
   double quantum_jitter = 0.0;
   std::uint64_t seed = 0;
+};
+
+struct CpuStats {
+  std::uint64_t dispatches = 0;
+  std::uint64_t preemptions = 0;
+  /// Processes waiting behind each dispatched one.
+  sim::Summary run_queue_len;
 };
 
 /// One simulated processor running many processes.
@@ -114,6 +122,7 @@ class Cpu {
   /// Busy time / elapsed time since construction.
   double utilization() const;
   sim::Duration busy_time() const { return busy_; }
+  const CpuStats& stats() const { return stats_; }
 
   const CpuParams& params() const { return params_; }
 
@@ -172,10 +181,8 @@ class Cpu {
   bool in_continuation_ = false;
   sim::Duration busy_ = 0;
   std::vector<std::function<void(ProcessId)>> dispatch_observers_;
-  // Cached obs handles (see src/obs/metrics.hpp).
-  obs::Counter* obs_dispatches_;
-  obs::Counter* obs_preempts_;
-  obs::Summary* obs_runq_;
+  CpuStats stats_;
+  obs::Collector stats_obs_;
 };
 
 }  // namespace now::os

@@ -87,21 +87,16 @@ void Disk::start_next() {
   head_pos_ = req.offset + req.bytes;
   if (req.is_write) {
     ++writes_;
-    obs_writes_->inc();
   } else {
     ++reads_;
-    obs_reads_->inc();
   }
   service_us_.add(sim::to_us(svc));
-  obs_service_us_->observe(sim::to_us(svc));
-  obs_queue_->set(static_cast<double>(queue_depth()));
 
   engine_.schedule_in(svc, [this, r = std::move(req)]() mutable {
     response_us_.add(sim::to_us(engine_.now() - r.enqueued));
     obs::tracer().complete(obs::kClusterNode, obs_track_,
                            r.is_write ? "disk.write" : "disk.read", r.enqueued,
                            engine_.now());
-    obs_queue_->set(static_cast<double>(queue_depth()));
     if (r.done) r.done();
     start_next();
   });

@@ -45,11 +45,14 @@ class Disk {
 
   Disk(sim::Engine& engine, DiskParams params)
       : engine_(engine), params_(params),
-        obs_reads_(&obs::metrics().counter("os.disk.reads")),
-        obs_writes_(&obs::metrics().counter("os.disk.writes")),
-        obs_service_us_(&obs::metrics().summary("os.disk.service_us")),
-        obs_queue_(&obs::metrics().gauge("os.disk.queue_depth")),
-        obs_track_(obs::tracer().track("os")) {}
+        obs_track_(obs::tracer().track("os")),
+        stats_obs_("os.disk", [this](obs::Sink& s) {
+          s.counter("reads", reads_);
+          s.counter("writes", writes_);
+          s.summary("service_us", service_us_);
+          s.summary("response_us", response_us_);
+          s.gauge("queue_depth", static_cast<double>(queue_depth()));
+        }) {}
   Disk(const Disk&) = delete;
   Disk& operator=(const Disk&) = delete;
 
@@ -101,11 +104,8 @@ class Disk {
   std::uint64_t writes_ = 0;
   sim::Summary service_us_;
   sim::Summary response_us_;
-  obs::Counter* obs_reads_;
-  obs::Counter* obs_writes_;
-  obs::Summary* obs_service_us_;
-  obs::Gauge* obs_queue_;
   obs::TrackId obs_track_;
+  obs::Collector stats_obs_;
 };
 
 }  // namespace now::os

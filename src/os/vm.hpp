@@ -103,10 +103,8 @@ class AddressSpace {
       inflight_;
   std::uint32_t frames_reserved_ = 0;  // frames held by in-flight fetches
   VmStats stats_;
-  obs::Counter* obs_faults_;
-  obs::Counter* obs_evictions_;
-  obs::Counter* obs_writebacks_;
   obs::TrackId obs_track_;
+  obs::Collector stats_obs_;
 };
 
 }  // namespace now::os

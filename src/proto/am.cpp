@@ -7,14 +7,18 @@ namespace now::proto {
 
 AmLayer::AmLayer(NicMux& mux, AmParams params, std::uint64_t seed)
     : mux_(mux), params_(params), rng_(seed, /*stream=*/0x616d6c),
-      obs_sent_(&obs::metrics().counter("am.sent")),
-      obs_retransmits_(&obs::metrics().counter("am.retransmits")),
-      obs_handled_(&obs::metrics().counter("am.handled")),
-      obs_stalls_(&obs::metrics().counter("am.credit_stalls")),
-      obs_epoch_bumps_(&obs::metrics().counter("am.epoch_bumps")),
-      obs_pair_failures_(&obs::metrics().counter("am.pair_failures")),
-      obs_latency_us_(&obs::metrics().summary("am.msg_latency_us")),
-      obs_track_(obs::tracer().track("proto")) {
+      obs_track_(obs::tracer().track("proto")),
+      stats_obs_("am", [this](obs::Sink& s) {
+        sim::SpinGuard g(stats_lock_);
+        s.counter("sent", stats_.sent);
+        s.counter("retransmits", stats_.retransmits);
+        s.counter("handled", stats_.handled);
+        s.counter("acks", stats_.acks);
+        s.counter("injected_losses", stats_.injected_losses);
+        s.counter("stalled_sends", stats_.stalled_sends);
+        s.counter("pair_failures", stats_.pair_failures);
+        s.summary("msg_latency_us", stats_.msg_latency_us);
+      }) {
   assert(params_.window > 0 && params_.mtu_bytes > 0);
   tag_ = mux_.register_layer(
       [this](net::Packet&& pkt) { on_packet(std::move(pkt)); });
@@ -87,7 +91,6 @@ void AmLayer::send_from_process(os::ProcessId pid, EndpointId src,
     sim::SpinGuard g(stats_lock_);
     ++stats_.stalled_sends;
   }
-  obs_stalls_->inc();
   obs::tracer().instant(ep(src).node->id(), obs_track_, "credit_stall");
   // Spin-poll until the window opens.  The process stays runnable — and
   // therefore keeps draining its own endpoint — which is both what real
@@ -150,7 +153,6 @@ void AmLayer::pump_window(EndpointId src, EndpointId dst, PairTx& tx) {
       sim::SpinGuard g(stats_lock_);
       ++stats_.sent;
     }
-    obs_sent_->inc();
     if (f.on_injected) {
       auto cb = std::move(f.on_injected);
       f.on_injected = nullptr;
@@ -208,8 +210,6 @@ void AmLayer::on_timeout(EndpointId src, EndpointId dst) {
       sim::SpinGuard g(stats_lock_);
       ++stats_.pair_failures;
     }
-    obs_pair_failures_->inc();
-    obs_epoch_bumps_->inc();
     obs::tracer().instant(ep(src).node->id(), obs_track_, "epoch_bump");
     tx.failed = true;
     tx.unacked.clear();
@@ -232,7 +232,6 @@ void AmLayer::on_timeout(EndpointId src, EndpointId dst) {
       sim::SpinGuard g(stats_lock_);
       ++stats_.retransmits;
     }
-    obs_retransmits_->inc();
   }
   arm_timer(src, dst, tx);
 }
@@ -340,8 +339,6 @@ void AmLayer::handle_now(Endpoint& e, EndpointId dst_ep, WireData&& d) {
             ++stats_.handled;
             stats_.msg_latency_us.add(sim::to_us(at - injected_at));
           }
-          obs_handled_->inc();
-          obs_latency_us_->observe(sim::to_us(at - injected_at));
           // Full message lifetime, injection to handler start.
           obs::tracer().complete(node->id(), obs_track_, "am.msg", injected_at,
                                  at);

@@ -248,15 +248,8 @@ class AmLayer {
   // on destination lanes.  Uncontended serially.
   sim::SpinLock stats_lock_;
   FailureHandler on_failure_;
-  // Cached obs handles; see src/obs/metrics.hpp for the pattern.
-  obs::Counter* obs_sent_;
-  obs::Counter* obs_retransmits_;
-  obs::Counter* obs_handled_;
-  obs::Counter* obs_stalls_;
-  obs::Counter* obs_epoch_bumps_;
-  obs::Counter* obs_pair_failures_;
-  obs::Summary* obs_latency_us_;
   obs::TrackId obs_track_;
+  obs::Collector stats_obs_;
 };
 
 }  // namespace now::proto

@@ -5,20 +5,22 @@
 namespace now::serve {
 
 SloTracker::SloTracker(std::string prefix)
-    : prefix_(std::move(prefix)), shards_(1) {}
+    : prefix_(std::move(prefix)),
+      shards_(1),
+      stats_obs_(prefix_, [this](obs::Sink& s) {
+        for (std::size_t c = 0; c < classes_.size(); ++c) {
+          const ClassShard m = merged(c);
+          const std::string& name = classes_[c].name;
+          s.histogram(name + ".latency_us", m.latency_us);
+          s.counter(name + ".completed", m.latency_us.count());
+          s.counter(name + ".failed", m.failed);
+          s.counter(name + ".slo_miss", m.latency_us.count() - m.slo_met);
+        }
+      }) {}
 
 std::size_t SloTracker::add_class(const std::string& name,
                                   sim::Duration slo) {
-  ClassMeta meta;
-  meta.name = name;
-  meta.slo = slo;
-  const std::string base = prefix_ + "." + name;
-  obs::MetricsRegistry& m = obs::metrics();
-  meta.obs_latency = &m.histogram(base + ".latency_us", 1.0, 1.02);
-  meta.obs_completed = &m.counter(base + ".completed");
-  meta.obs_failed = &m.counter(base + ".failed");
-  meta.obs_slo_miss = &m.counter(base + ".slo_miss");
-  classes_.push_back(std::move(meta));
+  classes_.push_back(ClassMeta{name, slo});
   for (LaneShard& lane : shards_) lane.classes.emplace_back();
   return classes_.size() - 1;
 }
@@ -34,26 +36,18 @@ void SloTracker::record(std::size_t cls, sim::Duration latency, bool ok,
                         unsigned lane) {
   LaneShard& shard = shards_.at(lane);
   ClassShard& cs = shard.classes.at(cls);
-  const ClassMeta& meta = classes_[cls];
   const double us = sim::to_us(latency);
   cs.latency_us.add(us);
   cs.sum_ns += static_cast<std::uint64_t>(latency);
   shard.all_us.add(us);
   shard.all_sum_ns += static_cast<std::uint64_t>(latency);
   ++shard.completed;
-  meta.obs_latency->observe(us);
-  meta.obs_completed->inc();
   if (ok) {
     ++cs.ok;
   } else {
     ++cs.failed;
-    meta.obs_failed->inc();
   }
-  if (ok && latency <= meta.slo) {
-    ++cs.slo_met;
-  } else {
-    meta.obs_slo_miss->inc();
-  }
+  if (ok && latency <= classes_[cls].slo) ++cs.slo_met;
 }
 
 std::uint64_t SloTracker::completed() const {

@@ -19,11 +19,11 @@
 // layout; nothing order-dependent (like Welford mean merging) sits on the
 // report path.
 //
-// Each class is mirrored into now::obs under serve.<class>.* — the
+// Each class is reported to now::obs under <prefix>.<class>.* — the
 // latency histogram plus completed/failed/slo_miss counters — so serving
 // runs show up in metrics dumps and the periodic sampler like every
-// other subsystem.  The obs instruments are themselves thread-safe
-// (relaxed atomics / spinlock) and shared by all lanes.
+// other subsystem.  The registry reads the merged shards when asked
+// (between epochs or after the run); recording never touches it.
 #pragma once
 
 #include <cstdint>
@@ -56,8 +56,8 @@ struct SloClassReport {
 
 class SloTracker {
  public:
-  /// Instruments register under "<prefix>.<class>.*" in the calling
-  /// thread's obs registry (the run's private one inside a sweep).
+  /// Classes report under "<prefix>.<class>.*" in the calling thread's
+  /// obs registry (the run's private one inside a sweep).
   explicit SloTracker(std::string prefix = "serve");
 
   /// Adds a request class; returns its index.  Call before record().
@@ -91,10 +91,6 @@ class SloTracker {
   struct ClassMeta {
     std::string name;
     sim::Duration slo = 0;
-    obs::Histogram* obs_latency = nullptr;
-    obs::Counter* obs_completed = nullptr;
-    obs::Counter* obs_failed = nullptr;
-    obs::Counter* obs_slo_miss = nullptr;
   };
   struct ClassShard {
     // 1 us floor, 2 % bins: tight enough for honest p999 readings.
@@ -121,6 +117,7 @@ class SloTracker {
   std::string prefix_;
   std::vector<ClassMeta> classes_;
   std::vector<LaneShard> shards_;  // one per lane; [0] exists from birth
+  obs::Collector stats_obs_;
 };
 
 }  // namespace now::serve

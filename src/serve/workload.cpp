@@ -15,7 +15,10 @@ ServeWorkload::ServeWorkload(sim::Engine& engine, Backends backends,
       cfg_(std::move(cfg)),
       pop_(cfg_.population, cfg_.seed),
       mix_(cfg_.classes, cfg_.seed),
-      obs_track_(obs::tracer().track("serve")) {
+      obs_track_(obs::tracer().track("serve")),
+      stats_obs_("serve", [this](obs::Sink& s) {
+        s.gauge("sessions_active", static_cast<double>(sessions_active()));
+      }) {
   assert(!cfg_.client_nodes.empty());
   assert((b_.xfs == nullptr || b_.central == nullptr) &&
          "at most one file backend");
@@ -51,7 +54,6 @@ ServeWorkload::ServeWorkload(sim::Engine& engine, Backends backends,
     (void)have_read;
     (void)have_write;
   }
-  sessions_gauge_ = &obs::metrics().gauge("serve.sessions_active");
 }
 
 void ServeWorkload::start() {
@@ -88,11 +90,8 @@ void ServeWorkload::start() {
     }
     for (std::uint32_t r = 0; r < cfg_.replay.clients; ++r) arm_replay(r);
   }
-  if (!pop_.params().sessions.enabled()) {
-    // No churn: the whole population is logged in for the whole run.
-    sessions_gauge_->set(static_cast<double>(pop_.clients()));
-    return;
-  }
+  // No churn: the whole population is logged in for the whole run.
+  if (!pop_.params().sessions.enabled()) return;
   presence_.reserve(pop_.clients());
   for (std::uint32_t c = 0; c < pop_.clients(); ++c) {
     presence_.push_back(pop_.sessions(c));
@@ -135,16 +134,14 @@ void ServeWorkload::arm_replay(std::uint32_t replay_client) {
 
 void ServeWorkload::arm_presence(std::uint32_t client,
                                  std::optional<Session> window) {
-  // Login/logout bookkeeping rides the client's own lane; Gauge::add is
-  // atomic and commutative, and the lane tally is shard-local, so the
-  // live headcount needs no lock and no cross-lane message.
+  // Login/logout bookkeeping rides the client's own lane; the lane tally
+  // is shard-local, so the live headcount needs no lock and no cross-lane
+  // message.
   if (!window) return;
   engine_of(client).schedule_at(
       window->login, [this, client, logout = window->logout] {
-        sessions_gauge_->add(1.0);
         ++lane_counts_[lane_of(client)].sessions;
         engine_of(client).schedule_at(logout, [this, client] {
-          sessions_gauge_->add(-1.0);
           --lane_counts_[lane_of(client)].sessions;
           arm_presence(client, presence_[client].next());
         });

@@ -35,9 +35,8 @@
 // Session churn: when PopulationParams::sessions is enabled, clients log
 // in and out over the run.  Open arrivals are filtered inside
 // ArrivalStream; closed loops check their own SessionTimeline cursor and
-// park until the next login; the live headcount is published as the
-// serve.sessions_active obs gauge (gauge updates ride each client's lane,
-// and Gauge::add is atomic and commutative).
+// park until the next login; per-lane login tallies sum to the live
+// headcount, which now::obs reads as the serve.sessions_active gauge.
 #pragma once
 
 #include <cstdint>
@@ -134,7 +133,7 @@ class ServeWorkload {
   ServeTotals totals() const;
   /// Requests issued but not yet completed (in flight when the run ended).
   std::uint64_t in_flight() const;
-  /// Clients currently inside a login session (== the sessions_active
+  /// Clients currently inside a login session (the sessions_active
   /// gauge; constant clients() when churn is disabled).
   std::uint64_t sessions_active() const;
 
@@ -196,10 +195,10 @@ class ServeWorkload {
   std::vector<std::unique_ptr<replay::TraceCursor>> replay_cursors_;
   std::size_t replay_read_cls_ = 0;
   std::size_t replay_write_cls_ = 0;
-  std::vector<SessionTimeline> presence_;       // gauge chains (churn only)
-  obs::Gauge* sessions_gauge_ = nullptr;
+  std::vector<SessionTimeline> presence_;       // login chains (churn only)
   obs::TrackId obs_track_;
   bool started_ = false;
+  obs::Collector stats_obs_;
 };
 
 }  // namespace now::serve

@@ -20,11 +20,17 @@ CentralServerFs::CentralServerFs(proto::RpcLayer& rpc, os::Node& server,
                                  CentralFsParams params)
     : rpc_(rpc), server_(server), params_(params),
       server_cache_(params.server_cache_blocks),
-      obs_reads_(&obs::metrics().counter("cfs.reads")),
-      obs_writes_(&obs::metrics().counter("cfs.writes")),
-      obs_failed_ops_(&obs::metrics().counter("cfs.failed_ops")),
-      obs_cold_restarts_(&obs::metrics().counter("central.cold_restarts")),
-      obs_track_(obs::tracer().track("cfs")) {
+      obs_track_(obs::tracer().track("cfs")),
+      stats_obs_("central", [this](obs::Sink& s) {
+        const CentralFsStats st = stats();
+        s.counter("reads", st.reads);
+        s.counter("writes", st.writes);
+        s.counter("local_hits", st.local_hits);
+        s.counter("server_mem_hits", st.server_mem_hits);
+        s.counter("server_disk_reads", st.server_disk_reads);
+        s.counter("failed_ops", st.failed_ops);
+        s.counter("cold_restarts", st.cold_restarts);
+      }) {
   for (os::Node* c : clients) {
     clients_.emplace(c->id(), ClientState(params_.client_cache_blocks, c));
   }
@@ -50,7 +56,6 @@ void CentralServerFs::server_crashed() {
 
 void CentralServerFs::server_restarted() {
   count(&CentralFsStats::cold_restarts);
-  obs_cold_restarts_->inc();
   obs::tracer().instant(server_.id(), obs_track_, "cold_restart");
 }
 
@@ -90,7 +95,6 @@ void CentralServerFs::install_server() {
 
 void CentralServerFs::read(net::NodeId client, BlockId b, OpDone done) {
   count(&CentralFsStats::reads);
-  obs_reads_->inc();
   ClientState& cs = cstate(client);
   if (cs.cache.touch(b)) {
     count(&CentralFsStats::local_hits);
@@ -114,7 +118,6 @@ void CentralServerFs::read(net::NodeId client, BlockId b, OpDone done) {
       [this, client, done]() mutable {
         // The building just lost its file system.
         count(&CentralFsStats::failed_ops);
-        obs_failed_ops_->inc();
         obs::tracer().instant(client, obs_track_, "op_failed");
         done(false);
       });
@@ -122,7 +125,6 @@ void CentralServerFs::read(net::NodeId client, BlockId b, OpDone done) {
 
 void CentralServerFs::write(net::NodeId client, BlockId b, OpDone done) {
   count(&CentralFsStats::writes);
-  obs_writes_->inc();
   cstate(client).cache.insert(b);
   rpc_.call(
       client, server_.id(), kCfsWrite, params_.block_bytes + 48,
@@ -130,7 +132,6 @@ void CentralServerFs::write(net::NodeId client, BlockId b, OpDone done) {
       [done](std::any) mutable { done(true); }, kOpTimeout,
       [this, client, done]() mutable {
         count(&CentralFsStats::failed_ops);
-        obs_failed_ops_->inc();
         obs::tracer().instant(client, obs_track_, "op_failed");
         done(false);
       });

@@ -130,11 +130,8 @@ class CentralServerFs final : public FileService {
   /// Written from every client's lane; net::Network's stats pattern.
   mutable sim::SpinLock stats_lock_;
   CentralFsStats stats_;
-  obs::Counter* obs_reads_;
-  obs::Counter* obs_writes_;
-  obs::Counter* obs_failed_ops_;
-  obs::Counter* obs_cold_restarts_;
   obs::TrackId obs_track_;
+  obs::Collector stats_obs_;
 };
 
 }  // namespace now::xfs

@@ -9,17 +9,20 @@ LogStore::LogStore(raid::Storage& storage,
                    std::uint32_t segment_blocks, std::uint32_t block_bytes)
     : storage_(storage), segment_blocks_(segment_blocks),
       block_bytes_(block_bytes),
-      obs_segments_written_(
-          &obs::metrics().counter("xfs.log.segments_written")),
-      obs_segments_cleaned_(
-          &obs::metrics().counter("xfs.log.segments_cleaned")),
-      obs_blocks_read_(&obs::metrics().counter("xfs.log.blocks_read")),
-      obs_util_(&obs::metrics().gauge("xfs.log.utilization")) {
+      stats_obs_("xfs.log", [this](obs::Sink& s) {
+        s.counter("segments_written", stats_.segments_written);
+        s.counter("blocks_appended", stats_.blocks_appended);
+        s.counter("blocks_read", stats_.blocks_read);
+        s.counter("segments_cleaned", stats_.segments_cleaned);
+        s.counter("live_blocks_copied", stats_.live_blocks_copied);
+        s.counter("segments_archived", stats_.segments_archived);
+        s.counter("tape_reads", stats_.tape_reads);
+        s.gauge("utilization", utilization());
+      }) {
   assert(segment_blocks_ > 0 && block_bytes_ > 0);
 }
 
-void LogStore::update_util_gauge() {
-  if (!obs::enabled()) return;
+double LogStore::utilization() const {
   std::uint64_t live = 0;
   std::uint64_t allocated = 0;
   for (const Segment& seg : segments_) {
@@ -27,9 +30,9 @@ void LogStore::update_util_gauge() {
     live += seg.live_count;
     allocated += segment_blocks_;
   }
-  obs_util_->set(allocated == 0 ? 0.0
-                                : static_cast<double>(live) /
-                                      static_cast<double>(allocated));
+  return allocated == 0 ? 0.0
+                        : static_cast<double>(live) /
+                              static_cast<double>(allocated);
 }
 
 SegmentId LogStore::allocate_segment() {
@@ -77,8 +80,6 @@ void LogStore::append_segment(net::NodeId writer,
   }
   ++stats_.segments_written;
   stats_.blocks_appended += blocks.size();
-  obs_segments_written_->inc();
-  update_util_gauge();
   storage_.write(writer, segment_offset(s),
                  static_cast<std::uint32_t>(blocks.size()) * block_bytes_,
                  std::move(done));
@@ -88,7 +89,6 @@ void LogStore::read_block(net::NodeId reader, BlockId b, Done done) {
   const auto it = imap_.find(b);
   assert(it != imap_.end() && "read_block() on block not in the log");
   ++stats_.blocks_read;
-  obs_blocks_read_->inc();
   const Segment& seg = segments_[it->second.segment];
   if (seg.on_tape) {
     assert(tape_ != nullptr);
@@ -165,7 +165,6 @@ void LogStore::clean(net::NodeId driver, double threshold,
   }
   stats_.live_blocks_copied += live_blocks.size();
   stats_.segments_cleaned += victims.size();
-  obs_segments_cleaned_->inc(victims.size());
 
   // Read each victim segment (its live data), then append the survivors to
   // fresh segments.  Reads are charged per victim segment.
@@ -208,7 +207,6 @@ void LogStore::clean(net::NodeId driver, double threshold,
                     if (--*reads_left == 0) after_reads();
                   });
   }
-  update_util_gauge();
 }
 
 }  // namespace now::xfs

@@ -58,6 +58,8 @@ class LogStore {
 
   /// Live fraction of a segment (0 for free segments).
   double utilization(SegmentId s) const;
+  /// Live fraction of the RAID-resident log: live / allocated blocks.
+  double utilization() const;
 
   /// One cleaning pass driven by `driver`: every segment with live
   /// fraction in (0, threshold] has its live blocks copied into fresh
@@ -102,8 +104,6 @@ class LogStore {
 
   SegmentId allocate_segment();
   void kill_old_copy(BlockId b);
-  /// Refreshes the "xfs.log.utilization" gauge (live / allocated blocks).
-  void update_util_gauge();
   std::uint64_t segment_offset(SegmentId s) const {
     return static_cast<std::uint64_t>(s) * segment_blocks_ * block_bytes_;
   }
@@ -115,10 +115,7 @@ class LogStore {
   std::unordered_map<BlockId, Location> imap_;
   TapeArchive* tape_ = nullptr;
   LogStats stats_;
-  obs::Counter* obs_segments_written_;
-  obs::Counter* obs_segments_cleaned_;
-  obs::Counter* obs_blocks_read_;
-  obs::Gauge* obs_util_;
+  obs::Collector stats_obs_;
 };
 
 }  // namespace now::xfs

@@ -50,18 +50,25 @@ struct ReportEntry {
 Xfs::Xfs(proto::RpcLayer& rpc, LogStore& log, std::vector<os::Node*> nodes,
          XfsParams params)
     : rpc_(rpc), log_(log), nodes_(std::move(nodes)), params_(params),
-      obs_reads_(&obs::metrics().counter("xfs.reads")),
-      obs_writes_(&obs::metrics().counter("xfs.writes")),
-      obs_peer_fetches_(&obs::metrics().counter("xfs.peer_fetches")),
-      obs_invalidations_(&obs::metrics().counter("xfs.invalidations")),
-      obs_transfers_(&obs::metrics().counter("xfs.ownership_transfers")),
-      obs_retries_(&obs::metrics().counter("xfs.op_retries")),
-      obs_failed_ops_(&obs::metrics().counter("xfs.failed_ops")),
-      obs_flushes_(&obs::metrics().counter("xfs.segments_flushed")),
-      obs_takeovers_(&obs::metrics().counter("xfs.manager.takeovers")),
-      obs_read_us_(&obs::metrics().summary("xfs.read_latency_us")),
-      obs_write_us_(&obs::metrics().summary("xfs.write_latency_us")),
-      obs_track_(obs::tracer().track("xfs")) {
+      obs_track_(obs::tracer().track("xfs")),
+      stats_obs_("xfs", [this](obs::Sink& s) {
+        s.counter("reads", stats_.reads);
+        s.counter("writes", stats_.writes);
+        s.counter("local_hits", stats_.local_hits);
+        s.counter("peer_fetches", stats_.peer_fetches);
+        s.counter("log_reads", stats_.log_reads);
+        s.counter("zero_fills", stats_.zero_fills);
+        s.counter("invalidations", stats_.invalidations);
+        s.counter("ownership_transfers", stats_.ownership_transfers);
+        s.counter("segments_flushed", stats_.segments_flushed);
+        s.counter("evict_notices", stats_.evict_notices);
+        s.counter("op_retries", stats_.op_retries);
+        s.counter("failed_ops", stats_.failed_ops);
+        s.counter("lost_dirty_blocks", stats_.lost_dirty_blocks);
+        s.counter("manager_takeovers", stats_.manager_takeovers);
+        s.summary("read_latency_us", stats_.read_latency_us);
+        s.summary("write_latency_us", stats_.write_latency_us);
+      }) {
   assert(nodes_.size() >= 2);
   for (os::Node* n : nodes_) {
     ring_.push_back(n->id());
@@ -360,14 +367,12 @@ void Xfs::manager_write(net::NodeId self, BlockId b, net::NodeId requester,
   };
   for (const net::NodeId peer : to_invalidate) {
     ++stats_.invalidations;
-    obs_invalidations_->inc();
     rpc_.call(self, peer, kInvalidate, 32, b,
               [finish](std::any) mutable { finish(); },
               params_.op_timeout, [finish]() mutable { finish(); });
   }
   if (prev_owner != net::kInvalidNode) {
     ++stats_.ownership_transfers;
-    obs_transfers_->inc();
     rpc_.call(self, prev_owner, kRevoke, 32, b,
               [finish, had_data](std::any) mutable {
                 *had_data = true;
@@ -379,12 +384,10 @@ void Xfs::manager_write(net::NodeId self, BlockId b, net::NodeId requester,
 
 void Xfs::read(net::NodeId client, BlockId b, OpDone done) {
   ++stats_.reads;
-  obs_reads_->inc();
   const sim::SimTime t0 = engine().now();
   do_read(client, b,
           [this, client, t0, done = std::move(done)](bool ok) mutable {
             stats_.read_latency_us.add(sim::to_us(engine().now() - t0));
-            obs_read_us_->observe(sim::to_us(engine().now() - t0));
             obs::tracer().complete(client, obs_track_, "xfs.read", t0,
                                    engine().now());
             done(ok);
@@ -400,7 +403,6 @@ void Xfs::finish_read(net::NodeId c, BlockId b, OpDone done) {
 void Xfs::retry_op(net::NodeId c, BlockId b, bool is_write, OpDone done,
                    std::uint32_t attempts) {
   ++stats_.op_retries;
-  obs_retries_->inc();
   engine().schedule_in(params_.retry_backoff,
                        [this, c, b, is_write, done = std::move(done),
                         attempts]() mutable {
@@ -426,7 +428,6 @@ void Xfs::do_read(net::NodeId c, BlockId b, OpDone done,
     // Out of patience (manager unreachable): the op fails, as EIO would
     // in a real FS.  Counted so availability is measurable.
     ++stats_.failed_ops;
-    obs_failed_ops_->inc();
     obs::tracer().instant(c, obs_track_, "op_failed");
     done(false);
     return;
@@ -460,7 +461,6 @@ void Xfs::do_read(net::NodeId c, BlockId b, OpDone done,
                 [this, c, b, done, attempts](std::any fr) mutable {
                   if (std::any_cast<FetchReply>(fr).found) {
                     ++stats_.peer_fetches;
-                    obs_peer_fetches_->inc();
                     finish_read(c, b, std::move(done));
                   } else {
                     // Peer dropped it in the meantime: ask again.
@@ -482,12 +482,10 @@ void Xfs::do_read(net::NodeId c, BlockId b, OpDone done,
 
 void Xfs::write(net::NodeId client, BlockId b, OpDone done) {
   ++stats_.writes;
-  obs_writes_->inc();
   const sim::SimTime t0 = engine().now();
   do_write(client, b,
            [this, client, t0, done = std::move(done)](bool ok) mutable {
              stats_.write_latency_us.add(sim::to_us(engine().now() - t0));
-             obs_write_us_->observe(sim::to_us(engine().now() - t0));
              obs::tracer().complete(client, obs_track_, "xfs.write", t0,
                                     engine().now());
              done(ok);
@@ -507,7 +505,6 @@ void Xfs::do_write(net::NodeId c, BlockId b, OpDone done,
   }
   if (attempts > params_.max_op_retries) {
     ++stats_.failed_ops;
-    obs_failed_ops_->inc();
     obs::tracer().instant(c, obs_track_, "op_failed");
     done(false);
     return;
@@ -584,7 +581,6 @@ void Xfs::flush_segment(net::NodeId c, Done done) {
   log_.append_segment(c, batch, [this, c, batch, flush_t0,
                                  done = std::move(done)]() mutable {
     ++stats_.segments_flushed;
-    obs_flushes_->inc();
     obs::tracer().complete(c, obs_track_, "xfs.flush_segment", flush_t0,
                            engine().now());
     ClientState& state = cstate(c);
@@ -668,7 +664,6 @@ void Xfs::client_crashed(net::NodeId client) {
 void Xfs::manager_takeover(net::NodeId failed, net::NodeId successor,
                            Done done) {
   ++stats_.manager_takeovers;
-  obs_takeovers_->inc();
   obs::tracer().instant(successor, obs_track_, "manager_takeover");
   sim::LogStream(sim::LogLevel::kInfo, engine().now(), "xfs")
       << "manager takeover: node " << failed << " -> node " << successor;

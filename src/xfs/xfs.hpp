@@ -184,18 +184,8 @@ class Xfs final : public FileService {
   std::unordered_set<net::NodeId> recovering_;  // managers mid-takeover
   XfsStats stats_;
   bool started_ = false;
-  obs::Counter* obs_reads_;
-  obs::Counter* obs_writes_;
-  obs::Counter* obs_peer_fetches_;
-  obs::Counter* obs_invalidations_;
-  obs::Counter* obs_transfers_;
-  obs::Counter* obs_retries_;
-  obs::Counter* obs_failed_ops_;
-  obs::Counter* obs_flushes_;
-  obs::Counter* obs_takeovers_;
-  obs::Summary* obs_read_us_;
-  obs::Summary* obs_write_us_;
   obs::TrackId obs_track_;
+  obs::Collector stats_obs_;
 
   sim::Engine& engine() { return rpc_.engine(); }
   os::Node* node(net::NodeId id) const;

@@ -8,7 +8,6 @@
 #include "coopcache/coopcache.hpp"
 #include "coopcache/flat_map.hpp"
 #include "coopcache/lru.hpp"
-#include "obs/metrics.hpp"
 #include "sim/random.hpp"
 #include "trace/fs_trace.hpp"
 
@@ -255,14 +254,12 @@ TEST(CoopCache, NChanceRecirculationIsBounded) {
 }
 
 TEST(CoopCache, NChanceWithOneClientForwardsNothing) {
-  const obs::Counter& forwards =
-      obs::metrics().counter("coopcache.singlet_forwards");
   CoopCacheConfig cfg = small_config(Policy::kNChance);
   cfg.clients = 1;
   CoopCacheSim sim(cfg);
-  const std::uint64_t before = forwards.value();
   for (std::uint64_t b = 0; b < 50; ++b) sim.access(0, b, false);
-  EXPECT_EQ(forwards.value(), before);  // every eviction had nowhere to go
+  // Every eviction had nowhere to go.
+  EXPECT_EQ(sim.results().singlet_forwards, 0u);
   EXPECT_TRUE(sim.directory_consistent());
   EXPECT_EQ(sim.holders(0), 0u);
 }

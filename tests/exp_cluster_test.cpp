@@ -66,7 +66,7 @@ TEST(ExpCluster, ConcurrentClustersMatchSerialByteForByte) {
   // Distinct seeds produced genuinely different simulations.
   EXPECT_NE(serial[0], serial[1]);
   // Nothing leaked into the process-wide registry.
-  EXPECT_EQ(obs::metrics().find_counter("xfs.reads"), nullptr);
+  EXPECT_FALSE(obs::metrics().find<std::uint64_t>("xfs.reads"));
 }
 
 TEST(ExpCluster, ClusterSeedsFromRunContext) {

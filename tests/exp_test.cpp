@@ -166,10 +166,12 @@ TEST(RunSweep, MetricsDumpsInvariantUnderJobs) {
     EXPECT_EQ(&obs::metrics(), &ctx.metrics);
     sim::Pcg32 rng(ctx.seed);
     auto& c = obs::metrics().counter("exp.test.ops");
-    auto& s = obs::metrics().summary("exp.test.latency");
+    sim::Summary latency;
+    const obs::Collector report(
+        "exp.test", [&](obs::Sink& s) { s.summary("latency", latency); });
     for (int i = 0; i < 200; ++i) {
       c.inc();
-      s.observe(static_cast<double>(rng.next_below(1000)));
+      latency.add(static_cast<double>(rng.next_below(1000)));
     }
     return ctx.metrics.dump_json();
   };
@@ -269,11 +271,11 @@ TEST(RunContext, ConcurrentRunsKeepPrivateMetrics) {
   std::thread tb(body, std::ref(b));
   ta.join();
   tb.join();
-  EXPECT_EQ(a.metrics.find_counter("exp.isolation.count")->value(),
+  EXPECT_EQ(a.metrics.find<std::uint64_t>("exp.isolation.count"),
             static_cast<std::uint64_t>(kPerRun));
-  EXPECT_EQ(b.metrics.find_counter("exp.isolation.count")->value(),
+  EXPECT_EQ(b.metrics.find<std::uint64_t>("exp.isolation.count"),
             static_cast<std::uint64_t>(kPerRun));
-  EXPECT_EQ(obs::metrics().find_counter("exp.isolation.count"), nullptr);
+  EXPECT_FALSE(obs::metrics().find<std::uint64_t>("exp.isolation.count"));
 }
 
 }  // namespace

@@ -221,9 +221,8 @@ TEST(HierarchicalNetwork, ThousandNodeSmoke) {
   EXPECT_EQ(net.stats().packets_delivered, 1024u);
   // Attach-time registration: the per-port instruments exist without any
   // packet-path lookups having created them.
-  EXPECT_NE(obs::metrics().find_gauge("net.link1023.queue_us"), nullptr);
-  EXPECT_NE(obs::metrics().find_gauge("net.rack31.spine7.queue_us"),
-            nullptr);
+  EXPECT_TRUE(obs::metrics().find<double>("net.link1023.queue_us"));
+  EXPECT_TRUE(obs::metrics().find<double>("net.rack31.spine7.queue_us"));
 }
 
 // --- Rack-aligned partitioning --------------------------------------------

@@ -433,19 +433,19 @@ TEST(SloTracker, MirrorsIntoObsRegistry) {
     slo.record(cls, 5 * sim::kMillisecond, true);
     slo.record(cls, 50 * sim::kMillisecond, true);
     slo.record(cls, 1 * sim::kMillisecond, false);
+
+    EXPECT_EQ(reg.find<std::uint64_t>("serve.read.completed"), 3u);
+    EXPECT_EQ(reg.find<std::uint64_t>("serve.read.failed"), 1u);
+    EXPECT_EQ(reg.find<std::uint64_t>("serve.read.slo_miss"), 2u);
+    // Latency distributions are discoverable like every other kind.
+    const auto lat = reg.find<sim::Histogram>("serve.read.latency_us");
+    ASSERT_TRUE(lat);
+    EXPECT_EQ(lat->count(), 3u);
+    EXPECT_FALSE(reg.find<sim::Histogram>("serve.read.completed"))
+        << "find<Histogram> must not alias other kinds";
   }
-  const obs::Counter* completed = reg.find_counter("serve.read.completed");
-  ASSERT_NE(completed, nullptr);
-  EXPECT_EQ(completed->value(), 3u);
-  EXPECT_EQ(reg.find_counter("serve.read.failed")->value(), 1u);
-  EXPECT_EQ(reg.find_counter("serve.read.slo_miss")->value(), 2u);
-  // find_histogram is new with this subsystem: latency distributions are
-  // discoverable like every other instrument kind.
-  const obs::Histogram* lat = reg.find_histogram("serve.read.latency_us");
-  ASSERT_NE(lat, nullptr);
-  EXPECT_EQ(lat->value().count(), 3u);
-  EXPECT_EQ(reg.find_histogram("serve.read.completed"), nullptr)
-      << "find_histogram must not alias other kinds";
+  // The tracker reported its own shards; once it is gone, so are they.
+  EXPECT_FALSE(reg.find<std::uint64_t>("serve.read.completed"));
   obs::set_thread_metrics(prev);
 }
 
@@ -812,7 +812,7 @@ TEST(ServeWorkload, SessionsActiveGaugeTracksChurn) {
     double gauge_mid = -1.0;
     std::uint64_t live_mid = 0;
     eng.schedule_at(sim::kSecond, [&] {
-      gauge_mid = reg.find_gauge("serve.sessions_active")->value();
+      gauge_mid = *reg.find<double>("serve.sessions_active");
       live_mid = w.sessions_active();
     });
     eng.run();
