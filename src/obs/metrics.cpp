@@ -84,13 +84,6 @@ Reading native_reading(const std::variant<Counter, Gauge>& inst) {
 
 template <typename T>
 void Sink::put(std::string_view field, const T& v) {
-  if (!only_.empty()) {
-    // The registry picked this collector because only_ starts with
-    // "<prefix>."; compare the rest without building the path.
-    if (only_.substr(prefix_.size() + 1) != field) return;
-    put_reading(out_, only_, Reading(v));
-    return;
-  }
   std::string path;
   path.reserve(prefix_.size() + 1 + field.size());
   path.append(prefix_).append(1, '.').append(field);
@@ -122,31 +115,20 @@ MetricsRegistry::~MetricsRegistry() {
   for (Collector* c : collectors_) c->registry_ = nullptr;
 }
 
-Readings MetricsRegistry::collect(std::string_view only) const {
+Readings MetricsRegistry::collect() const {
   Readings out;
-  if (only.empty()) {
-    for (const auto& [path, inst] : instruments_) {
-      out.emplace(path, native_reading(inst));
-    }
-  } else if (const auto it = instruments_.find(only);
-             it != instruments_.end()) {
-    out.emplace(it->first, native_reading(it->second));
+  for (const auto& [path, inst] : instruments_) {
+    out.emplace(path, native_reading(inst));
   }
   for (Collector* c : collectors_) {
-    const std::string_view prefix = c->prefix_;
-    if (!only.empty() &&
-        !(only.size() > prefix.size() && only.starts_with(prefix) &&
-          only[prefix.size()] == '.')) {
-      continue;
-    }
-    Sink sink(out, prefix, only);
+    Sink sink(out, c->prefix_);
     c->fn_(sink);
   }
   return out;
 }
 
 bool MetricsRegistry::read(std::string_view path, double* out) const {
-  const Readings r = collect(path);
+  const Readings r = collect();
   const auto it = r.find(path);
   if (it == r.end()) return false;
   struct Scalar {
@@ -212,7 +194,7 @@ struct JsonValue {
 std::string MetricsRegistry::dump_json() const {
   std::string out = "{\n";
   bool first = true;
-  for (const auto& [path, value] : collect({})) {
+  for (const auto& [path, value] : collect()) {
     if (!first) out += ",\n";
     first = false;
     out += "  \"";

@@ -115,16 +115,13 @@ class Sink {
 
  private:
   friend class MetricsRegistry;
-  Sink(Readings& out, std::string_view prefix, std::string_view only)
-      : out_(out), prefix_(prefix), only_(only) {}
+  Sink(Readings& out, std::string_view prefix) : out_(out), prefix_(prefix) {}
 
   template <typename T>
   void put(std::string_view field, const T& v);
 
   Readings& out_;
   std::string_view prefix_;
-  /// Non-empty: the one path being read; every other field is skipped.
-  std::string_view only_;
 };
 
 class MetricsRegistry;
@@ -171,7 +168,7 @@ class MetricsRegistry {
   /// sim::Histogram for a distribution.  nullopt otherwise.
   template <typename T>
   std::optional<T> find(std::string_view path) const {
-    Readings r = collect(path);
+    Readings r = collect();
     const auto it = r.find(path);
     if (it == r.end()) return std::nullopt;
     T* v = std::get_if<T>(&it->second);
@@ -198,8 +195,8 @@ class MetricsRegistry {
   template <typename T>
   T& get(std::string_view path);
 
-  /// Every path's value, or just `only`'s when it is non-empty.
-  Readings collect(std::string_view only) const;
+  /// Every path's value: native instruments, then each live collector.
+  Readings collect() const;
 
   std::map<std::string, Instrument, std::less<>> instruments_;
   /// Live collectors in registration order (the merge order).

@@ -46,6 +46,11 @@ std::string run_xfs_point(exp::RunContext& ctx) {
     c.run();
   }
   EXPECT_EQ(done, 60);
+  // The live Xfs reports into this run's registry, and so does the
+  // switched fabric's native per-link gauge.
+  EXPECT_EQ(ctx.metrics.find<std::uint64_t>("xfs.reads"),
+            c.fs().stats().reads);
+  EXPECT_TRUE(ctx.metrics.find<double>("net.link0.queue_us"));
 
   std::ostringstream out;
   out << "seed=" << ctx.seed << " t=" << c.engine().now()
@@ -65,8 +70,10 @@ TEST(ExpCluster, ConcurrentClustersMatchSerialByteForByte) {
   }
   // Distinct seeds produced genuinely different simulations.
   EXPECT_NE(serial[0], serial[1]);
-  // Nothing leaked into the process-wide registry.
-  EXPECT_FALSE(obs::metrics().find<std::uint64_t>("xfs.reads"));
+  // Nothing leaked into the process-wide registry.  A native gauge
+  // outlives the network that registered it, so a leak would still be
+  // here after every Cluster is gone.
+  EXPECT_FALSE(obs::metrics().find<double>("net.link0.queue_us"));
 }
 
 TEST(ExpCluster, ClusterSeedsFromRunContext) {
