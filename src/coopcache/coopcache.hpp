@@ -21,7 +21,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "coopcache/flat_map.hpp"
+#include "sim/flat_map.hpp"
 #include "coopcache/lru.hpp"
 #include "obs/metrics.hpp"
 #include "sim/random.hpp"
@@ -149,13 +149,13 @@ class CoopCacheSim {
 
   /// Directory: block -> first of the clients holding it in their local
   /// caches.  Holder order is arbitrary; nothing may depend on it.
-  FlatMap<std::uint32_t> directory_;
+  sim::FlatMap<std::uint32_t> directory_;
   /// Every block's holder list, linked through one pool.  Freed links are
   /// reused through free_holder_, so a block costs no allocation.
   std::vector<Holder> holder_pool_;
   std::uint32_t free_holder_ = kNoHolder;
   /// N-chance: times each at-large singlet has been forwarded.
-  FlatMap<std::uint32_t> recirculations_;
+  sim::FlatMap<std::uint32_t> recirculations_;
   CoopCacheResults results_;
   obs::Collector stats_obs_;
 };

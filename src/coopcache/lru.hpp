@@ -13,7 +13,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "coopcache/flat_map.hpp"
+#include "sim/flat_map.hpp"
 
 namespace now::coopcache {
 
@@ -113,7 +113,7 @@ class LruCache {
   std::uint32_t head_ = kNil;  // MRU
   std::uint32_t tail_ = kNil;  // LRU
   std::uint32_t free_ = kNil;  // erased nodes, linked through `next`
-  FlatMap<std::uint32_t> index_;
+  sim::FlatMap<std::uint32_t> index_;
 };
 
 }  // namespace now::coopcache

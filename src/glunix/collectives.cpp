@@ -5,15 +5,8 @@
 namespace now::glunix {
 
 namespace {
-struct BcastWire {
-  std::uint64_t op;
-  std::size_t rank;  // absolute rank of the receiver
-};
-struct ReduceWire {
-  std::uint64_t op;
-  std::size_t parent;  // absolute rank receiving the partial
-  double value;
-};
+using proto::BcastWire;
+using proto::ReduceWire;
 }  // namespace
 
 Collectives::Collectives(proto::AmLayer& am, std::vector<os::Node*> nodes)
@@ -24,11 +17,11 @@ Collectives::Collectives(proto::AmLayer& am, std::vector<os::Node*> nodes)
         am_.create_endpoint(*nodes[r], proto::AmLayer::Mode::kInterrupt);
     endpoints_.push_back(ep);
     am_.register_handler(ep, kBcast, [this](const proto::AmMessage& m) {
-      const auto w = std::any_cast<BcastWire>(m.payload);
+      const auto w = std::get<BcastWire>(m.payload);
       bcast_forward(w.op, w.rank);
     });
     am_.register_handler(ep, kReduce, [this](const proto::AmMessage& m) {
-      const auto w = std::any_cast<ReduceWire>(m.payload);
+      const auto w = std::get<ReduceWire>(m.payload);
       Op& op = ops_.at(w.op);
       op.partial[w.parent] = op.combine(op.partial[w.parent], w.value);
       assert(op.missing[w.parent] > 0);

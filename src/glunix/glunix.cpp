@@ -12,18 +12,9 @@ namespace {
 /// Master-side method: a daemon reports a guest's completion.
 constexpr proto::MethodId kGluGuestDone = 124;
 
-struct SpawnReq {
-  JobId job;
-  std::size_t rank;  // SIZE_MAX for sequential guests
-  sim::Duration work;
-};
-struct SpawnAck {
-  os::ProcessId pid;
-};
-struct DoneNote {
-  JobId job;
-  std::size_t rank;
-};
+using proto::DoneNote;
+using proto::SpawnAck;
+using proto::SpawnReq;
 }  // namespace
 
 Glunix::Glunix(proto::RpcLayer& rpc, std::vector<os::Node*> nodes,
@@ -56,9 +47,10 @@ void Glunix::start() {
   // Master-side completion notifications.
   rpc_.register_method(
       master_node(), kGluGuestDone,
-      [this](net::NodeId from, std::any req, proto::RpcLayer::ReplyFn reply) {
+      [this](net::NodeId from, proto::Body req,
+             proto::RpcLayer::ReplyFn reply) {
         reply(16, {});
-        const auto note = std::any_cast<DoneNote>(req);
+        const auto note = std::get<DoneNote>(req);
         const auto git = gangs_.find(note.job);
         if (git != gangs_.end()) {
           Gang& gang = git->second;
@@ -114,19 +106,19 @@ void Glunix::install_daemon(os::Node& node) {
   os::Node* n = &node;
   rpc_.register_method(
       node.id(), kGluPing,
-      [](net::NodeId, std::any, proto::RpcLayer::ReplyFn reply) {
+      [](net::NodeId, proto::Body, proto::RpcLayer::ReplyFn reply) {
         reply(16, {});
       });
   rpc_.register_method(
       node.id(), kGluProbeIdle,
-      [this, n](net::NodeId, std::any, proto::RpcLayer::ReplyFn reply) {
+      [this, n](net::NodeId, proto::Body, proto::RpcLayer::ReplyFn reply) {
         reply(16, n->user_idle_for(params_.idle_window));
       });
   rpc_.register_method(
       node.id(), kGluSpawn,
-      [this, n](net::NodeId master, std::any req,
+      [this, n](net::NodeId master, proto::Body req,
                 proto::RpcLayer::ReplyFn reply) {
-        const auto spawn = std::any_cast<SpawnReq>(req);
+        const auto spawn = std::get<SpawnReq>(req);
         // One boxed pid so the entry continuation can reference itself.
         auto pid_box = std::make_shared<os::ProcessId>(os::kNoProcess);
         *pid_box = n->cpu().spawn(
@@ -138,27 +130,27 @@ void Glunix::install_daemon(os::Node& node) {
                                  rpc_.call(n->id(), master, kGluGuestDone,
                                            32, DoneNote{spawn.job,
                                                         spawn.rank},
-                                           [](std::any) {});
+                                           [](proto::Body) {});
                                });
             });
         reply(16, SpawnAck{*pid_box});
       });
   rpc_.register_method(
       node.id(), kGluKill,
-      [n](net::NodeId, std::any req, proto::RpcLayer::ReplyFn reply) {
-        n->cpu().kill(std::any_cast<os::ProcessId>(req));
+      [n](net::NodeId, proto::Body req, proto::RpcLayer::ReplyFn reply) {
+        n->cpu().kill(std::get<os::ProcessId>(req));
         reply(16, {});
       });
   rpc_.register_method(
       node.id(), kGluSuspend,
-      [n](net::NodeId, std::any req, proto::RpcLayer::ReplyFn reply) {
-        n->cpu().suspend(std::any_cast<os::ProcessId>(req));
+      [n](net::NodeId, proto::Body req, proto::RpcLayer::ReplyFn reply) {
+        n->cpu().suspend(std::get<os::ProcessId>(req));
         reply(16, {});
       });
   rpc_.register_method(
       node.id(), kGluResume,
-      [n](net::NodeId, std::any req, proto::RpcLayer::ReplyFn reply) {
-        n->cpu().resume(std::any_cast<os::ProcessId>(req));
+      [n](net::NodeId, proto::Body req, proto::RpcLayer::ReplyFn reply) {
+        n->cpu().resume(std::get<os::ProcessId>(req));
         reply(16, {});
       });
 }
@@ -170,7 +162,7 @@ void Glunix::heartbeat_tick() {
     // rejoins the pool the moment it answers, no cluster restart needed.
     rpc_.call(
         master_node(), info_[i].node->id(), kGluPing, 16, {},
-        [this, i](std::any) {
+        [this, i](proto::Body) {
           NodeInfo& ni = info_[i];
           ni.missed_beats = 0;
           if (!ni.up) {
@@ -196,9 +188,9 @@ void Glunix::poll_tick() {
     if (!info_[i].up) continue;
     rpc_.call(
         master_node(), info_[i].node->id(), kGluProbeIdle, 16, {},
-        [this, i](std::any resp) {
+        [this, i](proto::Body resp) {
           if (!info_[i].up) return;
-          info_[i].reported_idle = std::any_cast<bool>(resp);
+          info_[i].reported_idle = std::get<bool>(resp);
           if (!info_[i].reported_idle && info_[i].hosting != 0) {
             // Owner is back: the guest must leave, now — and this counts
             // against the machine's disturbance budget.
@@ -303,12 +295,12 @@ void Glunix::launch_on(JobId id, std::size_t idx) {
     const net::NodeId target = node_info.node->id();
     rpc_.call(master_node(), target, kGluSpawn, 64,
               SpawnReq{id, SIZE_MAX, guest.remaining},
-              [this, id, target](std::any resp) {
+              [this, id, target](proto::Body resp) {
                 const auto it2 = guests_.find(id);
                 if (it2 == guests_.end()) return;
                 Guest& gg = it2->second;
                 if (gg.where != target) return;  // evicted mid-spawn
-                gg.pid = std::any_cast<SpawnAck>(resp).pid;
+                gg.pid = std::get<SpawnAck>(resp).pid;
                 gg.seg_start = engine().now();
                 gg.in_transit = false;
                 gg.has_state = true;
@@ -354,7 +346,7 @@ void Glunix::evict(JobId id, bool node_crashed) {
       g.checkpointed_remaining = g.remaining;  // the freeze IS a checkpoint
       // Kill the frozen process; its image travels with the migration.
       rpc_.call(master_node(), g.where, kGluKill, 32, g.pid,
-                [](std::any) {});
+                [](proto::Body) {});
     }
     ++stats_.migrations;
     if (g.where != net::kInvalidNode) {
@@ -459,7 +451,7 @@ void Glunix::gang_rank_spawn(JobId id, std::size_t rank) {
   const net::NodeId target = info_[r.where].node->id();
   rpc_.call(master_node(), target, kGluSpawn, 64,
             SpawnReq{id, rank, r.remaining},
-            [this, id, rank, target](std::any resp) {
+            [this, id, rank, target](proto::Body resp) {
               const auto git = gangs_.find(id);
               if (git == gangs_.end()) return;
               Gang& g = git->second;
@@ -468,7 +460,7 @@ void Glunix::gang_rank_spawn(JobId id, std::size_t rank) {
                   info_[rk.where].node->id() != target) {
                 return;  // displaced while the spawn was in flight
               }
-              rk.pid = std::any_cast<SpawnAck>(resp).pid;
+              rk.pid = std::get<SpawnAck>(resp).pid;
               rk.seg_start = engine().now();
               rk.running = true;
               if (g.suspended_count > 0) {
@@ -477,7 +469,7 @@ void Glunix::gang_rank_spawn(JobId id, std::size_t rank) {
                 gang_account(g);
                 rk.running = false;
                 rpc_.call(master_node(), target, kGluSuspend, 32, rk.pid,
-                          [](std::any) {});
+                          [](proto::Body) {});
               }
             });
 }
@@ -505,7 +497,7 @@ void Glunix::gang_pause(JobId id) {
     }
     r.running = false;
     rpc_.call(master_node(), info_[r.where].node->id(), kGluSuspend, 32,
-              r.pid, [](std::any) {});
+              r.pid, [](proto::Body) {});
   }
 }
 
@@ -520,7 +512,7 @@ void Glunix::gang_resume(JobId id) {
     r.running = true;
     r.seg_start = engine().now();
     rpc_.call(master_node(), info_[r.where].node->id(), kGluResume, 32,
-              r.pid, [](std::any) {});
+              r.pid, [](proto::Body) {});
   }
 }
 
@@ -530,7 +522,7 @@ void Glunix::gang_displace(JobId id, std::size_t rank, bool crashed) {
   gang_pause(id);  // also retires elapsed work on every rank
   if (!crashed && r.pid != os::kNoProcess && r.where != SIZE_MAX) {
     rpc_.call(master_node(), info_[r.where].node->id(), kGluKill, 32,
-              r.pid, [](std::any) {});
+              r.pid, [](proto::Body) {});
     ++stats_.migrations;
     obs::tracer().instant(info_[r.where].node->id(), obs_track_, "migrate");
   } else if (crashed) {

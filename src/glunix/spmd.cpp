@@ -45,13 +45,13 @@ SpmdApp::SpmdApp(proto::AmLayer& am, std::vector<os::Node*> nodes,
                            assert(r == 0);
                            (void)r;
                            const auto gen =
-                               std::any_cast<std::uint32_t>(m.payload);
+                               std::get<std::uint32_t>(m.payload);
                            ++barrier_arrivals_[gen];
                          });
     am_.register_handler(rank.ep, kBarRelease,
                          [this, r](const proto::AmMessage& m) {
                            const auto gen =
-                               std::any_cast<std::uint32_t>(m.payload);
+                               std::get<std::uint32_t>(m.payload);
                            Rank& rk = ranks_[r];
                            if (gen > rk.released_gen) rk.released_gen = gen;
                          });

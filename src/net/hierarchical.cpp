@@ -91,23 +91,29 @@ void HierarchicalNetwork::send(Packet pkt) {
     // senders (trunks belong to racks, the downlink to the receiver), so
     // it is applied at the next barrier in the deterministic merge order —
     // exactly the SwitchedNetwork two-phase discipline, per hop.
-    domain()->post(
-        pkt.src, pkt.dst, pkt.sent_at,
-        [this, up_start, up_done, ser, p = std::move(pkt)]() mutable {
-          finish_send(std::move(p), up_start, up_done, ser);
-        });
+    // The closure carries only the packet and its uplink start (the rest
+    // is recomputed from them) so it stays inside the inline buffer.
+    const NodeId src = pkt.src;
+    const NodeId dst = pkt.dst;
+    const sim::SimTime sent_at = pkt.sent_at;
+    auto finish = [this, up_start, p = std::move(pkt)]() mutable {
+      finish_send(std::move(p), up_start);
+    };
+    static_assert(sim::InlinedCallback::fits_inline<decltype(finish)>(),
+                  "a packet-carrying closure must not allocate");
+    domain()->post(src, dst, sent_at, std::move(finish));
     return;
   }
-  finish_send(std::move(pkt), up_start, up_done, ser);
+  finish_send(std::move(pkt), up_start);
 }
 
 // Walks the remaining hops — [trunk up, trunk down,] host downlink — each
 // with its own busy horizon.  Serial: inline from send().  Partitioned: at
 // the epoch barrier; the delivery lands at least one hop latency after
 // sent_at, so scheduling on the destination lane never rewinds its clock.
-void HierarchicalNetwork::finish_send(Packet pkt, sim::SimTime up_start,
-                                      sim::SimTime up_done,
-                                      sim::Duration ser) {
+void HierarchicalNetwork::finish_send(Packet pkt, sim::SimTime up_start) {
+  const sim::Duration ser = params_.fabric.serialization(pkt.size_bytes);
+  const sim::SimTime up_done = up_start + ser;
   const sim::Duration lat = params_.fabric.latency;
   const bool ct = params_.fabric.cut_through;
   sim::SimTime prev_start = up_start;
@@ -146,10 +152,12 @@ void HierarchicalNetwork::finish_send(Packet pkt, sim::SimTime up_start,
   }
 
   const NodeId dst = pkt.dst;
-  engine_for(dst).schedule_at(prev_done,
-                              [this, p = std::move(pkt)]() mutable {
-                                deliver_now(std::move(p));
-                              });
+  auto deliver = [this, p = std::move(pkt)]() mutable {
+    deliver_now(std::move(p));
+  };
+  static_assert(sim::InlinedCallback::fits_inline<decltype(deliver)>(),
+                "a packet-carrying closure must not allocate");
+  engine_for(dst).schedule_at(prev_done, std::move(deliver));
 }
 
 }  // namespace now::net

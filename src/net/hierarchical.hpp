@@ -65,8 +65,7 @@ class HierarchicalNetwork final : public Network {
   void on_attach(NodeId node) override;
 
  private:
-  void finish_send(Packet pkt, sim::SimTime up_start, sim::SimTime up_done,
-                   sim::Duration ser);
+  void finish_send(Packet pkt, sim::SimTime up_start);
   /// Grows the trunk SoA arrays (and their cached gauges) to cover `racks`.
   void ensure_racks(std::uint32_t racks);
 

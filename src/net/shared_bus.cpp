@@ -25,10 +25,12 @@ void SharedBusNetwork::send(Packet pkt) {
   medium_busy_total_ += ser;
   medium_busy_until_ = done;
 
-  engine_.schedule_at(done + params_.latency,
-                      [this, p = std::move(pkt)]() mutable {
-                        deliver_now(std::move(p));
-                      });
+  auto deliver = [this, p = std::move(pkt)]() mutable {
+    deliver_now(std::move(p));
+  };
+  static_assert(sim::InlinedCallback::fits_inline<decltype(deliver)>(),
+                "a packet-carrying closure must not allocate");
+  engine_.schedule_at(done + params_.latency, std::move(deliver));
 }
 
 double SharedBusNetwork::utilization() const {

@@ -52,22 +52,29 @@ void SwitchedNetwork::send(Packet pkt) {
     // the serial send-order evolution of busy_until regardless of which
     // lane ran first.  Same-lane sends take this path too; bypassing the
     // mailbox would make contention order depend on the partition layout.
-    domain()->post(
-        pkt.src, pkt.dst, pkt.sent_at,
-        [this, up_start, up_done, ser, p = std::move(pkt)]() mutable {
-          finish_send(std::move(p), up_start, up_done, ser);
-        });
+    // The closure carries only the packet and its uplink start (the rest
+    // is recomputed from them) so it stays inside the inline buffer.
+    const NodeId src = pkt.src;
+    const NodeId dst = pkt.dst;
+    const sim::SimTime sent_at = pkt.sent_at;
+    auto finish = [this, up_start, p = std::move(pkt)]() mutable {
+      finish_send(std::move(p), up_start);
+    };
+    static_assert(sim::InlinedCallback::fits_inline<decltype(finish)>(),
+                  "a packet-carrying closure must not allocate");
+    domain()->post(src, dst, sent_at, std::move(finish));
     return;
   }
-  finish_send(std::move(pkt), up_start, up_done, ser);
+  finish_send(std::move(pkt), up_start);
 }
 
 // Downlink contention + delivery scheduling.  Serial: called inline from
 // send().  Partitioned: called at the epoch barrier; the delivery time is
 // always >= sent_at + latency >= the epoch bound, so scheduling on the
 // destination lane never lands in its past.
-void SwitchedNetwork::finish_send(Packet pkt, sim::SimTime up_start,
-                                  sim::SimTime up_done, sim::Duration ser) {
+void SwitchedNetwork::finish_send(Packet pkt, sim::SimTime up_start) {
+  const sim::Duration ser = params_.serialization(pkt.size_bytes);
+  const sim::SimTime up_done = up_start + ser;
   sim::SimTime& down = downlink_busy_[pkt.dst];
   sim::SimTime down_done;
   if (params_.cut_through) {
@@ -92,9 +99,12 @@ void SwitchedNetwork::finish_send(Packet pkt, sim::SimTime up_start,
   }
 
   const NodeId dst = pkt.dst;
-  engine_for(dst).schedule_at(down_done, [this, p = std::move(pkt)]() mutable {
+  auto deliver = [this, p = std::move(pkt)]() mutable {
     deliver_now(std::move(p));
-  });
+  };
+  static_assert(sim::InlinedCallback::fits_inline<decltype(deliver)>(),
+                "a packet-carrying closure must not allocate");
+  engine_for(dst).schedule_at(down_done, std::move(deliver));
 }
 
 }  // namespace now::net

@@ -35,8 +35,7 @@ class SwitchedNetwork final : public Network {
   void on_attach(NodeId node) override;
 
  private:
-  void finish_send(Packet pkt, sim::SimTime up_start, sim::SimTime up_done,
-                   sim::Duration ser);
+  void finish_send(Packet pkt, sim::SimTime up_start);
 
   FabricParams params_;
   // Flat SoA link state indexed by node id, sized at attach() time: the

@@ -1,8 +1,8 @@
 // Common network-layer types.
 #pragma once
 
-#include <any>
 #include <cstdint>
+#include <memory>
 
 #include "sim/time.hpp"
 
@@ -13,18 +13,33 @@ using NodeId = std::uint32_t;
 
 inline constexpr NodeId kInvalidNode = 0xffffffffu;
 
-/// One message travelling through the network.  The payload is opaque to the
-/// wire: the simulator carries metadata, not real bytes, and upper layers
-/// (Active Messages, the TCP model, xFS RPCs) define its meaning.
+/// What a packet carries above the wire fields: one protocol frame (an AM
+/// data frame, an AM ack, a TCP segment).  The wire never looks inside; the
+/// layer that owns the packet's tag defines the concrete frame type.
+struct Frame {
+  Frame() = default;
+  Frame(const Frame&) = default;
+  Frame(Frame&&) = default;
+  Frame& operator=(const Frame&) = default;
+  Frame& operator=(Frame&&) = default;
+  virtual ~Frame() = default;
+};
+
+/// One message travelling through the network.  The simulator carries
+/// metadata, not real bytes: `size_bytes` is what the wire is charged for,
+/// and the frame is what the receiving layer reads.
 struct Packet {
   NodeId src = kInvalidNode;
   NodeId dst = kInvalidNode;
   std::uint32_t size_bytes = 0;
-  /// Protocol-level multiplexing tag (e.g. AM endpoint, TCP port).
+  /// Protocol-level multiplexing tag: one per (layer, frame type).
   std::uint32_t tag = 0;
   /// Time the sender handed the packet to the wire (set by the network).
   sim::SimTime sent_at = 0;
-  std::any payload;
+  /// One allocation per packet, owned by whoever holds the packet.  Kept to
+  /// a single pointer so a `[this, packet]` closure fits the engine's
+  /// inline callback buffer.
+  std::unique_ptr<Frame> frame;
 };
 
 /// Physical parameters of one fabric, in the paper's own vocabulary:

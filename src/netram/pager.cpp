@@ -29,8 +29,8 @@ void install_donor_service(proto::RpcLayer& rpc, os::Node& node) {
   // donated DRAM.  Capacity accounting happens at the registry.
   rpc.register_method(
       id, kNetRamWrite,
-      [&node](net::NodeId, std::any req, proto::RpcLayer::ReplyFn reply) {
-        const auto bytes = std::any_cast<std::uint32_t>(req);
+      [&node](net::NodeId, proto::Body req, proto::RpcLayer::ReplyFn reply) {
+        const auto bytes = std::get<std::uint32_t>(req);
         node.engine().schedule_in(node.copy_cost(bytes),
                                   [reply = std::move(reply)] {
                                     reply(16, {});
@@ -38,8 +38,8 @@ void install_donor_service(proto::RpcLayer& rpc, os::Node& node) {
       });
   rpc.register_method(
       id, kNetRamRead,
-      [&node](net::NodeId, std::any req, proto::RpcLayer::ReplyFn reply) {
-        const auto bytes = std::any_cast<std::uint32_t>(req);
+      [&node](net::NodeId, proto::Body req, proto::RpcLayer::ReplyFn reply) {
+        const auto bytes = std::get<std::uint32_t>(req);
         node.engine().schedule_in(node.copy_cost(bytes),
                                   [reply = std::move(reply), bytes] {
                                     reply(bytes, {});
@@ -108,7 +108,7 @@ void NetworkRamPager::store_remote(std::uint64_t page, net::NodeId donor,
   const sim::SimTime t0 = client_.engine().now();
   rpc_.call(client_.id(), donor, kNetRamWrite, page_bytes_ + 64,
             std::uint32_t{page_bytes_},
-            [this, t0, done = std::move(done)](std::any) {
+            [this, t0, done = std::move(done)](proto::Body) {
               obs::tracer().complete(client_.id(), obs_track_, "remote_write",
                                      t0, client_.engine().now());
               done();
@@ -147,7 +147,7 @@ void NetworkRamPager::page_in(std::uint64_t page,
   const sim::SimTime t0 = client_.engine().now();
   rpc_.call(client_.id(), it->second.donor, kNetRamRead, 64,
             std::uint32_t{page_bytes_},
-            [this, t0, done = std::move(done)](std::any) {
+            [this, t0, done = std::move(done)](proto::Body) {
               obs::tracer().complete(client_.id(), obs_track_, "remote_read",
                                      t0, client_.engine().now());
               done();
@@ -163,7 +163,7 @@ void NetworkRamPager::maybe_prefetch(std::uint64_t page) {
   prefetch_inflight_.insert(page);
   ++stats_.prefetches;
   rpc_.call(client_.id(), it->second.donor, kNetRamRead, 64,
-            std::uint32_t{page_bytes_}, [this, page](std::any) {
+            std::uint32_t{page_bytes_}, [this, page](proto::Body) {
               if (prefetch_inflight_.erase(page) == 0) return;
               prefetched_.insert(page);
               prefetch_order_.push_back(page);
@@ -194,7 +194,7 @@ void NetworkRamPager::on_donor_gone(net::NodeId id, bool graceful) {
       };
       rpc_.call(client_.id(), id, kNetRamRead, 64,
                 std::uint32_t{page_bytes_},
-                [finish = std::move(finish)](std::any) { finish(); });
+                [finish = std::move(finish)](proto::Body) { finish(); });
       loc = fresh != net::kInvalidNode
                 ? Location{false, fresh}
                 : Location{true, net::kInvalidNode};

@@ -20,8 +20,16 @@ AmLayer::AmLayer(NicMux& mux, AmParams params, std::uint64_t seed)
         s.summary("msg_latency_us", stats_.msg_latency_us);
       }) {
   assert(params_.window > 0 && params_.mtu_bytes > 0);
-  tag_ = mux_.register_layer(
-      [this](net::Packet&& pkt) { on_packet(std::move(pkt)); });
+  // One tag per frame type, so arrival needs no type test.
+  data_tag_ = mux_.register_layer([this](net::Packet&& pkt) {
+    on_data(std::unique_ptr<AmMessage>(
+        static_cast<AmMessage*>(pkt.frame.release())));
+  });
+  ack_tag_ = mux_.register_layer([this](net::Packet&& pkt) {
+    os::Node& n = *mux_.node(pkt.dst);
+    n.cpu().steal(params_.costs.recv_fixed / params_.ack_cost_divisor);
+    on_ack(static_cast<const AmAck&>(*pkt.frame));
+  });
 }
 
 os::Node& AmLayer::node_of(EndpointId id) { return *ep(id).node; }
@@ -58,7 +66,9 @@ void AmLayer::set_owner(EndpointId id, os::ProcessId pid) {
 }
 
 void AmLayer::register_handler(EndpointId id, HandlerId h, Handler fn) {
-  ep(id).handlers[h] = std::move(fn);
+  std::vector<Handler>& handlers = ep(id).handlers;
+  if (h >= handlers.size()) handlers.resize(h + 1);
+  handlers[h] = std::move(fn);
 }
 
 sim::Duration AmLayer::unloaded_one_way(std::uint32_t bytes,
@@ -67,22 +77,36 @@ sim::Duration AmLayer::unloaded_one_way(std::uint32_t bytes,
          params_.costs.recv_overhead(bytes);
 }
 
+AmLayer::PairTx* AmLayer::find_tx(EndpointId src, EndpointId dst) {
+  Endpoint& e = ep(src);
+  const std::uint32_t* i = e.tx_index.find(dst);
+  return i == nullptr ? nullptr : e.tx_pairs[*i].get();
+}
+
+AmLayer::PairTx& AmLayer::tx_pair(EndpointId src, EndpointId dst) {
+  if (PairTx* tx = find_tx(src, dst)) return *tx;
+  Endpoint& e = ep(src);
+  e.tx_index.find_or_insert(dst,
+                            static_cast<std::uint32_t>(e.tx_pairs.size()));
+  return *e.tx_pairs.emplace_back(std::make_unique<PairTx>());
+}
+
 void AmLayer::send(EndpointId src, EndpointId dst, HandlerId h,
-                   std::uint32_t bytes, std::any payload,
-                   std::function<void()> on_injected) {
+                   std::uint32_t bytes, Body payload,
+                   std::function<void()> on_injected, RpcHeader rpc) {
   enqueue_fragments(src, dst, h, bytes, std::move(payload),
-                    std::move(on_injected));
+                    std::move(on_injected), rpc);
 }
 
 void AmLayer::send_from_process(os::ProcessId pid, EndpointId src,
                                 EndpointId dst, HandlerId h,
-                                std::uint32_t bytes, std::any payload,
+                                std::uint32_t bytes, Body payload,
                                 std::function<void()> then) {
   // The injection callback may fire synchronously (window open) or later
   // (credits exhausted), so the flag must outlive this frame.
   auto injected = std::make_shared<bool>(false);
   enqueue_fragments(src, dst, h, bytes, std::move(payload),
-                    [injected] { *injected = true; });
+                    [injected] { *injected = true; }, RpcHeader{});
   if (*injected) {
     then();
     return;
@@ -116,39 +140,44 @@ void AmLayer::spin_until_injected(os::ProcessId pid, EndpointId src,
 }
 
 void AmLayer::enqueue_fragments(EndpointId src, EndpointId dst, HandlerId h,
-                                std::uint32_t bytes, std::any payload,
-                                std::function<void()> on_injected) {
-  PairTx& tx = ep(src).tx[dst];
-  tx.failed = false;  // a fresh send retries a previously failed pair
+                                std::uint32_t bytes, Body payload,
+                                std::function<void()> on_injected,
+                                RpcHeader rpc) {
+  PairTx& tx = tx_pair(src, dst);
   const std::uint32_t nfrags =
       bytes == 0 ? 1 : (bytes + params_.mtu_bytes - 1) / params_.mtu_bytes;
   std::uint32_t remaining = bytes;
   const sim::SimTime t0 = engine_of(*ep(src).node).now();
   for (std::uint32_t i = 0; i < nfrags; ++i) {
-    Fragment f;
-    f.handler = h;
-    f.frag_bytes = std::min(remaining, params_.mtu_bytes);
-    if (bytes == 0) f.frag_bytes = 0;
-    remaining -= f.frag_bytes;
-    f.msg_bytes = bytes;
-    f.last = (i + 1 == nfrags);
-    f.injected_at = t0;
-    if (f.last) {
-      f.payload = std::move(payload);
+    Fragment& f = tx.queue.emplace_back();
+    AmMessage& m = f.msg;
+    m.src_ep = src;
+    m.dst_ep = dst;
+    m.handler = h;
+    m.frag_bytes = bytes == 0 ? 0 : std::min(remaining, params_.mtu_bytes);
+    remaining -= m.frag_bytes;
+    m.bytes = bytes;
+    m.last = (i + 1 == nfrags);
+    m.injected_at = t0;
+    m.rpc = rpc;
+    if (m.last) {
+      m.payload = std::move(payload);
       f.on_injected = std::move(on_injected);
     }
-    tx.pending.push_back(std::move(f));
   }
   pump_window(src, dst, tx);
 }
 
 void AmLayer::pump_window(EndpointId src, EndpointId dst, PairTx& tx) {
-  while (!tx.pending.empty() &&
-         tx.next_seq - tx.base < params_.window) {
-    Fragment f = std::move(tx.pending.front());
-    tx.pending.pop_front();
-    f.seq = tx.next_seq++;
-    transmit(src, dst, f);
+  // Indices are re-read every round: on_injected may send again on this
+  // very pair, appending to the queue and advancing next_seq.
+  for (std::uint32_t in_flight = tx.next_seq - tx.base;
+       in_flight < tx.queue.size() && in_flight < params_.window;
+       in_flight = tx.next_seq - tx.base) {
+    Fragment& f = tx.queue[in_flight];
+    f.msg.epoch = tx.epoch;
+    f.msg.seq = tx.next_seq++;
+    transmit(src, f.msg);
     {
       sim::SpinGuard g(stats_lock_);
       ++stats_.sent;
@@ -156,35 +185,32 @@ void AmLayer::pump_window(EndpointId src, EndpointId dst, PairTx& tx) {
     if (f.on_injected) {
       auto cb = std::move(f.on_injected);
       f.on_injected = nullptr;
-      tx.unacked.push_back(std::move(f));
       cb();
-    } else {
-      tx.unacked.push_back(std::move(f));
     }
   }
-  if (!tx.unacked.empty() && tx.timer == 0) arm_timer(src, dst, tx);
+  if (tx.next_seq != tx.base && tx.timer == 0) arm_timer(src, dst, tx);
 }
 
-void AmLayer::transmit(EndpointId src, EndpointId dst, const Fragment& f) {
+void AmLayer::transmit(EndpointId src, const AmMessage& f) {
   os::Node& sn = *ep(src).node;
   if (!sn.alive()) return;
   const sim::Duration o_s = params_.costs.send_overhead(f.frag_bytes);
   sn.cpu().steal(o_s);
   const sim::SimTime inject_at = mux_.reserve_stack(sn.id(), o_s);
 
-  WireData d{src,          dst,         ep(src).tx[dst].epoch,
-             f.seq,        f.handler,   f.frag_bytes,
-             f.msg_bytes,  f.last,      f.payload,
-             f.injected_at};
   net::Packet pkt;
   pkt.src = sn.id();
-  pkt.dst = ep(dst).node->id();
+  pkt.dst = ep(f.dst_ep).node->id();
   pkt.size_bytes = f.frag_bytes + 16;  // AM header
-  pkt.tag = tag_;
-  pkt.payload = std::move(d);
-  engine_of(sn).schedule_at(inject_at, [this, p = std::move(pkt)]() mutable {
+  pkt.tag = data_tag_;
+  // The window keeps its entry for retransmission; the wire gets a copy.
+  pkt.frame = std::make_unique<AmMessage>(f);
+  auto inject = [this, p = std::move(pkt)]() mutable {
     mux_.send(std::move(p));
-  });
+  };
+  static_assert(sim::InlinedCallback::fits_inline<decltype(inject)>(),
+                "a packet-carrying closure must not allocate");
+  engine_of(sn).schedule_at(inject_at, std::move(inject));
 }
 
 void AmLayer::arm_timer(EndpointId src, EndpointId dst, PairTx& tx) {
@@ -195,39 +221,39 @@ void AmLayer::arm_timer(EndpointId src, EndpointId dst, PairTx& tx) {
 }
 
 void AmLayer::on_timeout(EndpointId src, EndpointId dst) {
-  const auto it = ep(src).tx.find(dst);
-  if (it == ep(src).tx.end()) return;
-  PairTx& tx = it->second;
+  PairTx* const found = find_tx(src, dst);
+  if (found == nullptr) return;
+  PairTx& tx = *found;
   tx.timer = 0;
-  if (tx.unacked.empty()) return;
-  if (!ep(src).node->alive()) {
-    // The sender itself died; abandon the window quietly.
-    ep(src).tx.erase(it);
-    return;
-  }
-  if (++tx.timeouts > params_.max_retries) {
-    {
-      sim::SpinGuard g(stats_lock_);
-      ++stats_.pair_failures;
+  if (tx.next_seq == tx.base) return;
+  const bool sender_dead = !ep(src).node->alive();
+  const bool give_up = !sender_dead && ++tx.timeouts > params_.max_retries;
+  if (sender_dead || give_up) {
+    if (give_up) {
+      {
+        sim::SpinGuard g(stats_lock_);
+        ++stats_.pair_failures;
+      }
+      obs::tracer().instant(ep(src).node->id(), obs_track_, "epoch_bump");
     }
-    obs::tracer().instant(ep(src).node->id(), obs_track_, "epoch_bump");
-    tx.failed = true;
-    tx.unacked.clear();
-    tx.pending.clear();
-    // New connection generation: the next send starts at seq 0 under a
-    // fresh epoch, so a peer holding stale in-order state (a reboot, or
-    // simply having missed everything) resynchronizes.
+    // Abandon the window under a new connection generation: the next send
+    // starts at seq 0 under a fresh epoch, so a peer holding stale in-order
+    // state (a reboot, or simply having missed everything) resynchronizes.
+    // A dead sender keeps its generation count too — restarting at epoch 0
+    // would look stale to a receiver that already holds a higher one.
+    tx.queue.clear();
     ++tx.epoch;
     tx.base = 0;
     tx.next_seq = 0;
     tx.timeouts = 0;
-    if (on_failure_) on_failure_(src, dst);
+    if (give_up && on_failure_) on_failure_(src, dst);
     return;
   }
   // Go-back-N: retransmit everything outstanding.
   obs::tracer().instant(ep(src).node->id(), obs_track_, "go_back_n");
-  for (const Fragment& f : tx.unacked) {
-    transmit(src, dst, f);
+  const std::uint32_t in_flight = tx.next_seq - tx.base;
+  for (std::uint32_t i = 0; i < in_flight; ++i) {
+    transmit(src, tx.queue[i].msg);
     {
       sim::SpinGuard g(stats_lock_);
       ++stats_.retransmits;
@@ -236,41 +262,30 @@ void AmLayer::on_timeout(EndpointId src, EndpointId dst) {
   arm_timer(src, dst, tx);
 }
 
-void AmLayer::on_packet(net::Packet&& pkt) {
-  if (auto* ack = std::any_cast<WireAck>(&pkt.payload)) {
-    os::Node& n = *mux_.node(pkt.dst);
-    n.cpu().steal(params_.costs.recv_fixed / params_.ack_cost_divisor);
-    on_ack(*ack);
-    return;
-  }
-  auto* data = std::any_cast<WireData>(&pkt.payload);
-  assert(data != nullptr && "unknown AM packet");
-  on_data(std::move(*data));
-}
-
-void AmLayer::on_data(WireData&& d) {
+void AmLayer::on_data(std::unique_ptr<AmMessage> d) {
   if (params_.loss_probability > 0.0 &&
       rng_.bernoulli(params_.loss_probability)) {
     sim::SpinGuard g(stats_lock_);
     ++stats_.injected_losses;
     return;
   }
-  Endpoint& e = ep(d.dst_ep);
-  PairRx& rx = e.rx[d.src_ep];
-  if (d.epoch != rx.epoch) {
-    if (d.epoch < rx.epoch) return;  // stale generation: drop
+  Endpoint& e = ep(d->dst_ep);
+  PairRx& rx = e.rx.find_or_insert(d->src_ep);
+  if (d->epoch != rx.epoch) {
+    if (d->epoch < rx.epoch) return;  // stale generation: drop
     // The sender restarted this pair: resynchronize.
-    rx.epoch = d.epoch;
+    rx.epoch = d->epoch;
     rx.delivered = 0;
     rx.handled = 0;
     rx.last_acked = 0;
+    rx.partial_bytes = 0;
   }
-  if (d.seq != rx.delivered) {
+  if (d->seq != rx.delivered) {
     // Out of order: either a duplicate (seq < delivered) or a gap after a
     // loss.  Either way go-back-N will resend; re-advertise progress so a
     // sender that missed an ack can move on.
-    if (d.seq < rx.delivered) {
-      send_ack(d.dst_ep, d.src_ep, rx.epoch, rx.handled);
+    if (d->seq < rx.delivered) {
+      send_ack(d->dst_ep, d->src_ep, rx.epoch, rx.handled);
     }
     return;
   }
@@ -279,40 +294,37 @@ void AmLayer::on_data(WireData&& d) {
       e.node->cpu().current() == e.owner) {
     // Interrupt endpoints handle immediately; polling endpoints whose owner
     // is on the CPU right now are actively polling.
-    handle_now(e, d.dst_ep, std::move(d));
+    handle_now(e, std::move(d));
   } else {
     e.rx_queue.push_back(std::move(d));
   }
 }
 
-void AmLayer::handle_now(Endpoint& e, EndpointId dst_ep, WireData&& d) {
-  const sim::Duration o_r = params_.costs.recv_overhead(d.frag_bytes);
+void AmLayer::handle_now(Endpoint& e, std::unique_ptr<AmMessage> d) {
+  const sim::Duration o_r = params_.costs.recv_overhead(d->frag_bytes);
   e.node->cpu().steal(o_r);
-  PairRx& rx = e.rx[d.src_ep];
+  const EndpointId src_ep = d->src_ep;
+  const EndpointId dst_ep = d->dst_ep;
+  PairRx& rx = e.rx.find_or_insert(src_ep);
   ++rx.handled;
 
-  bool run_handler = false;
-  AmMessage msg;
-  if (d.msg_bytes > params_.mtu_bytes) {
+  bool run_handler = true;
+  if (d->bytes > params_.mtu_bytes) {
     // Bulk transfer: the handler fires once the final fragment lands.
-    std::uint64_t& got = e.partial_bytes[d.src_ep];
-    got += d.frag_bytes;
-    if (d.last) {
-      assert(got == d.msg_bytes);
-      got = 0;
-      run_handler = true;
+    rx.partial_bytes += d->frag_bytes;
+    run_handler = d->last;
+    if (d->last) {
+      assert(rx.partial_bytes == d->bytes);
+      rx.partial_bytes = 0;
     }
-  } else {
-    run_handler = true;
   }
 
   // Return credit (coalesced: one ack event flushes all handling that
   // happened at this instant).
   if (!rx.ack_flush_pending) {
     rx.ack_flush_pending = true;
-    const EndpointId src_ep = d.src_ep;
     engine_of(*e.node).schedule_in(0, [this, src_ep, dst_ep] {
-      PairRx& r = ep(dst_ep).rx[src_ep];
+      PairRx& r = ep(dst_ep).rx.find_or_insert(src_ep);
       r.ack_flush_pending = false;
       if (r.handled != r.last_acked) {
         r.last_acked = r.handled;
@@ -322,31 +334,25 @@ void AmLayer::handle_now(Endpoint& e, EndpointId dst_ep, WireData&& d) {
   }
 
   if (run_handler) {
-    msg.src_ep = d.src_ep;
-    msg.bytes = d.msg_bytes;
-    msg.payload = std::move(d.payload);
     // The handler body runs once the receiver has spent its overhead
     // processing the message, so end-to-end times include o_recv.
-    os::Node* node = e.node;
-    const HandlerId h = d.handler;
-    const sim::SimTime injected_at = d.injected_at;
-    engine_of(*node).schedule_in(
-        o_r, [this, node, dst_ep, h, injected_at, m = std::move(msg)] {
-          if (!node->alive()) return;
-          const sim::SimTime at = engine_of(*node).now();
-          {
-            sim::SpinGuard g(stats_lock_);
-            ++stats_.handled;
-            stats_.msg_latency_us.add(sim::to_us(at - injected_at));
-          }
-          // Full message lifetime, injection to handler start.
-          obs::tracer().complete(node->id(), obs_track_, "am.msg", injected_at,
-                                 at);
-          Endpoint& e2 = ep(dst_ep);
-          const auto it = e2.handlers.find(h);
-          assert(it != e2.handlers.end() && "no handler registered");
-          it->second(m);
-        });
+    engine_of(*e.node).schedule_in(o_r, [this, m = std::move(d)] {
+      os::Node* node = ep(m->dst_ep).node;
+      if (!node->alive()) return;
+      const sim::SimTime at = engine_of(*node).now();
+      {
+        sim::SpinGuard g(stats_lock_);
+        ++stats_.handled;
+        stats_.msg_latency_us.add(sim::to_us(at - m->injected_at));
+      }
+      // Full message lifetime, injection to handler start.
+      obs::tracer().complete(node->id(), obs_track_, "am.msg",
+                             m->injected_at, at);
+      Endpoint& e2 = ep(m->dst_ep);
+      assert(m->handler < e2.handlers.size() && e2.handlers[m->handler] &&
+             "no handler registered");
+      e2.handlers[m->handler](*m);
+    });
   }
 }
 
@@ -362,26 +368,34 @@ void AmLayer::send_ack(EndpointId from_ep, EndpointId to_ep,
       params_.costs.send_fixed / params_.ack_cost_divisor;
   n.cpu().steal(cost);
   const sim::SimTime at = mux_.reserve_stack(n.id(), cost);
+  auto ack = std::make_unique<AmAck>();
+  ack->src_ep = from_ep;
+  ack->dst_ep = to_ep;
+  ack->epoch = epoch;
+  ack->cum_seq = cum_seq;
   net::Packet pkt;
   pkt.src = n.id();
   pkt.dst = ep(to_ep).node->id();
   pkt.size_bytes = 16;
-  pkt.tag = tag_;
-  pkt.payload = WireAck{from_ep, to_ep, epoch, cum_seq};
-  engine_of(n).schedule_at(at, [this, p = std::move(pkt)]() mutable {
+  pkt.tag = ack_tag_;
+  pkt.frame = std::move(ack);
+  auto inject = [this, p = std::move(pkt)]() mutable {
     mux_.send(std::move(p));
-  });
+  };
+  static_assert(sim::InlinedCallback::fits_inline<decltype(inject)>(),
+                "a packet-carrying closure must not allocate");
+  engine_of(n).schedule_at(at, std::move(inject));
 }
 
-void AmLayer::on_ack(const WireAck& a) {
+void AmLayer::on_ack(const AmAck& a) {
   // Runs at ack delivery on the data sender's node — the lane owning tx.
-  const auto it = ep(a.dst_ep).tx.find(a.src_ep);
-  if (it == ep(a.dst_ep).tx.end()) return;
-  PairTx& tx = it->second;
+  PairTx* const found = find_tx(a.dst_ep, a.src_ep);
+  if (found == nullptr) return;
+  PairTx& tx = *found;
   if (a.epoch != tx.epoch) return;  // ack for a dead generation
   bool advanced = false;
-  while (!tx.unacked.empty() && tx.base < a.cum_seq) {
-    tx.unacked.pop_front();
+  while (tx.next_seq != tx.base && tx.base < a.cum_seq) {
+    tx.queue.pop_front();
     ++tx.base;
     advanced = true;
   }
@@ -389,7 +403,7 @@ void AmLayer::on_ack(const WireAck& a) {
     tx.timeouts = 0;
     if (tx.timer != 0) {
       sim::Engine& eng = engine_of(*ep(a.dst_ep).node);
-      if (tx.unacked.empty()) {
+      if (tx.next_seq == tx.base) {
         eng.cancel(tx.timer);
         tx.timer = 0;
       } else {
@@ -411,11 +425,11 @@ void AmLayer::drain_polling(net::NodeId node, os::ProcessId pid) {
   if (pit == nit->second.end()) return;
   for (const EndpointId id : pit->second) {
     Endpoint& e = ep(id);
-    while (!e.rx_queue.empty()) {
-      WireData d = std::move(e.rx_queue.front());
-      e.rx_queue.pop_front();
-      handle_now(e, id, std::move(d));
+    // handle_now only schedules; nothing it does appends to this queue.
+    for (std::unique_ptr<AmMessage>& d : e.rx_queue) {
+      handle_now(e, std::move(d));
     }
+    e.rx_queue.clear();
   }
 }
 

@@ -3,7 +3,7 @@
 //
 // An endpoint lives on one node and owns a table of handlers.  A message
 // names a destination endpoint and handler; on arrival the handler runs with
-// the message's payload.  Two endpoint modes capture the paper's two worlds:
+// the message itself.  Two endpoint modes capture the paper's two worlds:
 //
 //  * kInterrupt — the handler runs as soon as the message is delivered,
 //    charging receive overhead as interrupt (stolen) CPU time.  System
@@ -20,20 +20,29 @@
 // doubles as credit return, so flow control is tied to *handling* (not mere
 // delivery), exactly like the CM-5 AM request/reply discipline the paper
 // describes.  Loss can be injected to exercise the timeout/retry path.
+//
+// On the wire each packet owns one frame: an `AmMessage` (the fixed AM
+// header, the RPC header riding in it, and the message body) or an `AmAck`.
+// The frame travels by pointer from the sender's window to the receiving
+// handler; only a window entry keeps its own copy, for retransmission.
+// Handler and pair tables are flat: handlers are indexed by id, and pair
+// state sits behind per-endpoint FlatMaps that allocate nothing until the
+// endpoint first sends or receives.
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <functional>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "proto/body.hpp"
 #include "proto/costs.hpp"
 #include "proto/nic_mux.hpp"
+#include "sim/flat_map.hpp"
 #include "sim/random.hpp"
 #include "sim/spinlock.hpp"
 #include "sim/stats.hpp"
@@ -42,6 +51,7 @@ namespace now::proto {
 
 using EndpointId = std::uint32_t;
 using HandlerId = std::uint16_t;
+using MethodId = std::uint16_t;
 inline constexpr EndpointId kInvalidEndpoint = 0xffffffffu;
 
 struct AmParams {
@@ -68,11 +78,38 @@ struct AmParams {
   std::uint32_t ack_cost_divisor = 4;
 };
 
-/// What a handler receives.
-struct AmMessage {
+/// The RPC header: plain fields of the AM data frame, zero on raw AM
+/// traffic.  The call id names the caller in its high word.
+struct RpcHeader {
+  std::uint64_t call_id = 0;
+  MethodId method = 0;
+};
+
+/// One AM data frame, and what a handler receives.  A packet owns it on
+/// the wire; the handler gets it by reference and may move the body out.
+/// Simulated size is `frag_bytes` plus a 16-byte header, whatever the
+/// frame holds.
+struct AmMessage final : net::Frame {
   EndpointId src_ep = kInvalidEndpoint;
-  std::uint32_t bytes = 0;
-  std::any payload;
+  EndpointId dst_ep = kInvalidEndpoint;
+  std::uint32_t epoch = 0;  // connection generation of the pair
+  std::uint32_t seq = 0;
+  HandlerId handler = 0;
+  bool last = true;  // final fragment of its message
+  std::uint32_t frag_bytes = 0;
+  std::uint32_t bytes = 0;  // the whole message
+  sim::SimTime injected_at = 0;
+  RpcHeader rpc;
+  /// Carried on a message's last fragment only.
+  Body payload;
+};
+
+/// An AM ack frame: cumulative handled count, which doubles as credit.
+struct AmAck final : net::Frame {
+  EndpointId src_ep = kInvalidEndpoint;  // acknowledging (data receiver)
+  EndpointId dst_ep = kInvalidEndpoint;  // acknowledged (data sender)
+  std::uint32_t epoch = 0;
+  std::uint32_t cum_seq = 0;
 };
 
 struct AmStats {
@@ -90,7 +127,7 @@ struct AmStats {
 class AmLayer {
  public:
   enum class Mode : std::uint8_t { kInterrupt, kPolling };
-  using Handler = std::function<void(const AmMessage&)>;
+  using Handler = std::function<void(AmMessage&)>;
   /// Called when a window gives up after max_retries (dest presumed dead).
   using FailureHandler = std::function<void(EndpointId src, EndpointId dst)>;
 
@@ -112,14 +149,16 @@ class AmLayer {
   /// from any event context; sender overhead is charged as stolen (system)
   /// CPU time on the source node.  `on_injected`, if given, fires when the
   /// message enters the send window (use it to build blocking sends).
+  /// `rpc` rides in the frame header for the RPC layer.
   void send(EndpointId src, EndpointId dst, HandlerId h, std::uint32_t bytes,
-            std::any payload, std::function<void()> on_injected = nullptr);
+            Body payload, std::function<void()> on_injected = nullptr,
+            RpcHeader rpc = {});
 
   /// Blocking send for application processes: charges sender overhead as
   /// *process* compute time, waits for window space if the pair's credits
   /// are exhausted, then calls `then` from the process's context.
   void send_from_process(os::ProcessId pid, EndpointId src, EndpointId dst,
-                         HandlerId h, std::uint32_t bytes, std::any payload,
+                         HandlerId h, std::uint32_t bytes, Body payload,
                          std::function<void()> then);
 
   void set_failure_handler(FailureHandler fn) { on_failure_ = std::move(fn); }
@@ -141,48 +180,25 @@ class AmLayer {
                                  sim::Duration wire_transit) const;
 
  private:
+  /// A send-window entry: the frame as first sent (retransmissions copy
+  /// it) and the sender's injection callback.
   struct Fragment {
-    std::uint32_t seq = 0;
-    HandlerId handler = 0;
-    std::uint32_t frag_bytes = 0;
-    std::uint32_t msg_bytes = 0;
-    bool last = false;
-    std::any payload;  // carried on the last fragment only
-    sim::SimTime injected_at = 0;
+    AmMessage msg;
     std::function<void()> on_injected;
   };
 
-  struct WireData {
-    EndpointId src_ep;
-    EndpointId dst_ep;
-    std::uint32_t epoch;
-    std::uint32_t seq;
-    HandlerId handler;
-    std::uint32_t frag_bytes;
-    std::uint32_t msg_bytes;
-    bool last;
-    std::any payload;
-    sim::SimTime injected_at;
-  };
-
-  struct WireAck {
-    EndpointId src_ep;  // endpoint acknowledging (the data receiver)
-    EndpointId dst_ep;  // endpoint being acknowledged (the data sender)
-    std::uint32_t epoch;
-    std::uint32_t cum_seq;
-  };
-
   struct PairTx {
-    /// Connection generation: bumped when a window gives up, so a peer
-    /// that kept stale in-order state (or a rebooted one) resynchronizes.
+    /// Connection generation: bumped whenever a window is abandoned, so a
+    /// peer that kept stale in-order state (or a rebooted one)
+    /// resynchronizes.
     std::uint32_t epoch = 0;
     std::uint32_t next_seq = 0;
     std::uint32_t base = 0;  // oldest unacked
-    std::deque<Fragment> unacked;
-    std::deque<Fragment> pending;  // waiting for window space
+    /// The first next_seq - base entries are sent and unacked; the rest
+    /// wait for window space.
+    std::deque<Fragment> queue;
     sim::EventId timer = 0;
     std::uint32_t timeouts = 0;
-    bool failed = false;
   };
 
   struct PairRx {
@@ -191,40 +207,44 @@ class AmLayer {
     std::uint32_t handled = 0;     // fragments consumed by handlers so far
     std::uint32_t last_acked = 0;  // handled value last advertised
     bool ack_flush_pending = false;
+    std::uint32_t partial_bytes = 0;  // reassembly of a fragmented message
   };
 
   // Pair state lives inside the endpoint whose lane mutates it, so a
-  // partitioned run never touches these maps from two lanes: tx is driven
+  // partitioned run never touches these tables from two lanes: tx is driven
   // by the data sender (sends, timers, acks arriving back at the sender's
   // node) and rx by the data receiver.
   struct Endpoint {
     os::Node* node = nullptr;
     Mode mode = Mode::kInterrupt;
     os::ProcessId owner = os::kNoProcess;
-    std::unordered_map<HandlerId, Handler> handlers;
+    std::vector<Handler> handlers;  // by HandlerId
     // Polling endpoints: delivered-but-unhandled messages.
-    std::deque<WireData> rx_queue;
-    // Reassembly: bytes accumulated of a fragmented message, per source ep.
-    std::unordered_map<EndpointId, std::uint64_t> partial_bytes;
-    std::unordered_map<EndpointId, PairTx> tx;  // keyed by destination ep
-    std::unordered_map<EndpointId, PairRx> rx;  // keyed by source ep
+    std::vector<std::unique_ptr<AmMessage>> rx_queue;
+    // Destination ep -> index into tx_pairs.  Heap-allocated pairs keep
+    // their address while the index grows: pump_window holds a PairTx&
+    // across on_injected, which may open a new pair.
+    sim::FlatMap<std::uint32_t> tx_index;
+    std::vector<std::unique_ptr<PairTx>> tx_pairs;
+    sim::FlatMap<PairRx> rx;  // by source ep
   };
 
   Endpoint& ep(EndpointId id) { return endpoints_[id]; }
+  PairTx* find_tx(EndpointId src, EndpointId dst);
+  PairTx& tx_pair(EndpointId src, EndpointId dst);
   void enqueue_fragments(EndpointId src, EndpointId dst, HandlerId h,
-                         std::uint32_t bytes, std::any payload,
-                         std::function<void()> on_injected);
+                         std::uint32_t bytes, Body payload,
+                         std::function<void()> on_injected, RpcHeader rpc);
   void spin_until_injected(os::ProcessId pid, EndpointId src,
                            std::shared_ptr<bool> injected,
                            std::function<void()> then);
   void pump_window(EndpointId src, EndpointId dst, PairTx& tx);
-  void transmit(EndpointId src, EndpointId dst, const Fragment& f);
+  void transmit(EndpointId src, const AmMessage& f);
   void arm_timer(EndpointId src, EndpointId dst, PairTx& tx);
   void on_timeout(EndpointId src, EndpointId dst);
-  void on_packet(net::Packet&& pkt);
-  void on_data(WireData&& d);
-  void on_ack(const WireAck& a);
-  void handle_now(Endpoint& e, EndpointId dst_ep, WireData&& d);
+  void on_data(std::unique_ptr<AmMessage> d);
+  void on_ack(const AmAck& a);
+  void handle_now(Endpoint& e, std::unique_ptr<AmMessage> d);
   void send_ack(EndpointId from_ep, EndpointId to_ep, std::uint32_t epoch,
                 std::uint32_t cum_seq);
   void drain_polling(net::NodeId node, os::ProcessId pid);
@@ -235,7 +255,8 @@ class AmLayer {
   // partitioned runs forbid (a shared RNG would be both a race and a
   // thread-count-dependent sequence); the Cluster enforces that.
   sim::Pcg32 rng_;
-  std::uint32_t tag_;
+  std::uint32_t data_tag_;
+  std::uint32_t ack_tag_;
   std::vector<Endpoint> endpoints_;
   // node -> (owner pid -> polling endpoints) for dispatch-driven draining.
   std::unordered_map<net::NodeId,

@@ -13,10 +13,10 @@ void AmSockets::bind_node(os::Node& node) {
   const EndpointId ep = am_.create_endpoint(node, AmLayer::Mode::kInterrupt);
   endpoints_[id] = ep;
   os::Node* n = &node;
-  am_.register_handler(ep, kData, [this, n, id](const AmMessage& m) {
+  am_.register_handler(ep, kData, [this, n, id](AmMessage& m) {
     // Receive-side shim: demux to the socket and hand the data up.
     n->cpu().steal(params_.shim_cost);
-    auto w = std::any_cast<Wire>(m.payload);
+    auto w = std::get<SocketData>(std::move(m.payload));
     const net::NodeId src = am_.node_of(m.src_ep).id();
     am_.engine().schedule_in(
         params_.shim_cost,
@@ -47,7 +47,7 @@ void AmSockets::send(net::NodeId src, std::uint16_t src_port,
   // Send-side shim before the AM injection.
   am_.node_of(sit->second).cpu().steal(params_.shim_cost);
   am_.send(sit->second, dit->second, kData, bytes,
-           Wire{src_port, dst_port, std::move(payload)});
+           SocketData{src_port, dst_port, std::move(payload)});
 }
 
 }  // namespace now::proto

@@ -54,12 +54,6 @@ class AmSockets {
   std::uint64_t messages() const { return messages_; }
 
  private:
-  struct Wire {
-    std::uint16_t src_port;
-    std::uint16_t dst_port;
-    std::any payload;
-  };
-
   AmLayer& am_;
   AmSocketParams params_;
   std::unordered_map<net::NodeId, EndpointId> endpoints_;

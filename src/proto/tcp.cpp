@@ -7,8 +7,12 @@ namespace now::proto {
 
 TcpLayer::TcpLayer(NicMux& mux, TcpParams params)
     : mux_(mux), params_(params) {
-  tag_ = mux_.register_layer(
-      [this](net::Packet&& pkt) { on_packet(std::move(pkt)); });
+  // One tag per frame type, so arrival needs no type test.
+  data_tag_ = mux_.register_layer([this](net::Packet&& pkt) {
+    on_data(pkt, static_cast<WireSegment&>(*pkt.frame));
+  });
+  ack_tag_ = mux_.register_layer(
+      [this](net::Packet&& pkt) { on_ack(pkt); });
 }
 
 void TcpLayer::listen(net::NodeId node, std::uint16_t port, Receiver rx) {
@@ -35,8 +39,12 @@ void TcpLayer::send(net::NodeId src, std::uint16_t src_port, net::NodeId dst,
     const bool last = (i + 1 == nsegs);
     PendingSegment p;
     p.dst = dst;
-    p.seg = WireSegment{src_port, dst_port, seg, bytes, last, std::any{},
-                        call_time};
+    p.seg.src_port = src_port;
+    p.seg.dst_port = dst_port;
+    p.seg.seg_bytes = seg;
+    p.seg.msg_bytes = bytes;
+    p.seg.last = last;
+    p.seg.sent_at = call_time;
     if (last) {
       p.seg.payload = std::move(payload);
       p.on_sent = std::move(on_sent);
@@ -67,12 +75,14 @@ void TcpLayer::pump(net::NodeId src, Connection& conn) {
     pkt.src = src;
     pkt.dst = p.dst;
     pkt.size_bytes = p.seg.seg_bytes + 40;  // TCP/IP headers
-    pkt.tag = tag_;
-    pkt.payload = std::move(p.seg);
-    mux_.engine().schedule_at(inject_at,
-                              [this, q = std::move(pkt)]() mutable {
-                                mux_.send(std::move(q));
-                              });
+    pkt.tag = data_tag_;
+    pkt.frame = std::make_unique<WireSegment>(std::move(p.seg));
+    auto inject = [this, q = std::move(pkt)]() mutable {
+      mux_.send(std::move(q));
+    };
+    static_assert(sim::InlinedCallback::fits_inline<decltype(inject)>(),
+                  "a packet-carrying closure must not allocate");
+    mux_.engine().schedule_at(inject_at, std::move(inject));
     if (p.on_sent) {
       // A blocking write() returns once the kernel accepted the last byte.
       mux_.engine().schedule_at(inject_at, std::move(p.on_sent));
@@ -81,24 +91,19 @@ void TcpLayer::pump(net::NodeId src, Connection& conn) {
   if (!conn.queue.empty()) ++stats_.window_stalls;
 }
 
-void TcpLayer::on_packet(net::Packet&& pkt) {
-  if (auto* ack = std::any_cast<WireTcpAck>(&pkt.payload)) {
-    // Ack at the data sender: open the window.
-    os::Node* sn = mux_.node(pkt.dst);
-    assert(sn != nullptr);
-    sn->cpu().steal(params_.costs.recv_fixed / params_.ack_cost_divisor);
-    Connection& conn = connections_[conn_key(pkt.dst, ack->src_port,
-                                             pkt.src, ack->dst_port)];
-    conn.in_flight -= std::min(conn.in_flight, ack->bytes);
-    pump(pkt.dst, conn);
-    return;
-  }
-  auto* seg = std::any_cast<WireSegment>(&pkt.payload);
-  assert(seg != nullptr);
-  on_data(std::move(pkt), std::move(*seg));
+void TcpLayer::on_ack(const net::Packet& pkt) {
+  // Ack at the data sender: open the window.
+  const auto& ack = static_cast<const WireTcpAck&>(*pkt.frame);
+  os::Node* sn = mux_.node(pkt.dst);
+  assert(sn != nullptr);
+  sn->cpu().steal(params_.costs.recv_fixed / params_.ack_cost_divisor);
+  Connection& conn = connections_[conn_key(pkt.dst, ack.src_port, pkt.src,
+                                           ack.dst_port)];
+  conn.in_flight -= std::min(conn.in_flight, ack.bytes);
+  pump(pkt.dst, conn);
 }
 
-void TcpLayer::on_data(net::Packet&& pkt, WireSegment&& seg) {
+void TcpLayer::on_data(const net::Packet& pkt, WireSegment& seg) {
   os::Node* dn = mux_.node(pkt.dst);
   assert(dn != nullptr);
   const sim::Duration o_r = params_.costs.recv_overhead(seg.seg_bytes);
@@ -114,11 +119,18 @@ void TcpLayer::on_data(net::Packet&& pkt, WireSegment&& seg) {
   ack.src = pkt.dst;
   ack.dst = pkt.src;
   ack.size_bytes = 40;
-  ack.tag = tag_;
-  ack.payload = WireTcpAck{seg.src_port, seg.dst_port, seg.seg_bytes};
-  mux_.engine().schedule_at(ack_at, [this, a = std::move(ack)]() mutable {
+  ack.tag = ack_tag_;
+  auto frame = std::make_unique<WireTcpAck>();
+  frame->src_port = seg.src_port;
+  frame->dst_port = seg.dst_port;
+  frame->bytes = seg.seg_bytes;
+  ack.frame = std::move(frame);
+  auto inject = [this, a = std::move(ack)]() mutable {
     mux_.send(std::move(a));
-  });
+  };
+  static_assert(sim::InlinedCallback::fits_inline<decltype(inject)>(),
+                "a packet-carrying closure must not allocate");
+  mux_.engine().schedule_at(ack_at, std::move(inject));
 
   const std::uint64_t ck =
       conn_key(pkt.src, seg.src_port, pkt.dst, seg.dst_port);

@@ -78,19 +78,19 @@ class TcpLayer {
   }
 
  private:
-  struct WireSegment {
-    std::uint16_t src_port;
-    std::uint16_t dst_port;
-    std::uint32_t seg_bytes;
-    std::uint32_t msg_bytes;
-    bool last;
+  struct WireSegment final : net::Frame {
+    std::uint16_t src_port = 0;
+    std::uint16_t dst_port = 0;
+    std::uint32_t seg_bytes = 0;
+    std::uint32_t msg_bytes = 0;
+    bool last = false;
     std::any payload;
-    sim::SimTime sent_at;
+    sim::SimTime sent_at = 0;
   };
-  struct WireTcpAck {
-    std::uint16_t src_port;  // the data sender's port being acked
-    std::uint16_t dst_port;  // the data receiver's port
-    std::uint32_t bytes;
+  struct WireTcpAck final : net::Frame {
+    std::uint16_t src_port = 0;  // the data sender's port being acked
+    std::uint16_t dst_port = 0;  // the data receiver's port
+    std::uint32_t bytes = 0;
   };
   struct PendingSegment {
     net::NodeId dst;
@@ -102,13 +102,14 @@ class TcpLayer {
     std::deque<PendingSegment> queue;
   };
 
-  void on_packet(net::Packet&& pkt);
-  void on_data(net::Packet&& pkt, WireSegment&& seg);
+  void on_ack(const net::Packet& pkt);
+  void on_data(const net::Packet& pkt, WireSegment& seg);
   void pump(net::NodeId src, Connection& conn);
 
   NicMux& mux_;
   TcpParams params_;
-  std::uint32_t tag_;
+  std::uint32_t data_tag_;
+  std::uint32_t ack_tag_;
   // (node << 16 | port) -> receiver
   std::unordered_map<std::uint64_t, Receiver> listeners_;
   // Reassembly per (src node, src port, dst node, dst port) is implicit:

@@ -7,12 +7,7 @@
 namespace now::raid {
 
 namespace {
-/// Wire payload for storage-daemon requests.
-struct RaidIo {
-  std::uint64_t offset;
-  std::uint32_t bytes;
-  bool is_write;
-};
+using proto::RaidIo;
 
 /// Fires `done` once `n` sub-operations have completed.
 class Join {
@@ -38,8 +33,8 @@ std::shared_ptr<Join> make_join(std::size_t n, SoftwareRaid::Done done) {
 void install_storage_service(proto::RpcLayer& rpc, os::Node& node) {
   rpc.register_method(
       node.id(), kRaidRead,
-      [&node](net::NodeId, std::any req, proto::RpcLayer::ReplyFn reply) {
-        const auto io = std::any_cast<RaidIo>(req);
+      [&node](net::NodeId, proto::Body req, proto::RpcLayer::ReplyFn reply) {
+        const auto io = std::get<RaidIo>(req);
         node.disk().read(io.offset, io.bytes,
                          [reply = std::move(reply), io] {
                            reply(io.bytes, {});
@@ -47,8 +42,8 @@ void install_storage_service(proto::RpcLayer& rpc, os::Node& node) {
       });
   rpc.register_method(
       node.id(), kRaidWrite,
-      [&node](net::NodeId, std::any req, proto::RpcLayer::ReplyFn reply) {
-        const auto io = std::any_cast<RaidIo>(req);
+      [&node](net::NodeId, proto::Body req, proto::RpcLayer::ReplyFn reply) {
+        const auto io = std::get<RaidIo>(req);
         node.disk().write(io.offset, io.bytes,
                           [reply = std::move(reply)] { reply(16, {}); });
       });
@@ -98,14 +93,14 @@ void SoftwareRaid::issue_read(net::NodeId client, const Target& t,
                               Done done) {
   rpc_.call(client, members_[t.member]->id(), kRaidRead, 64,
             RaidIo{t.disk_offset, t.bytes, false},
-            [done = std::move(done)](std::any) { done(); });
+            [done = std::move(done)](proto::Body) { done(); });
 }
 
 void SoftwareRaid::issue_write(net::NodeId client, const Target& t,
                                Done done) {
   rpc_.call(client, members_[t.member]->id(), kRaidWrite, t.bytes + 64,
             RaidIo{t.disk_offset, t.bytes, true},
-            [done = std::move(done)](std::any) { done(); });
+            [done = std::move(done)](proto::Body) { done(); });
 }
 
 void SoftwareRaid::read(net::NodeId client, std::uint64_t offset,

@@ -1,14 +1,16 @@
-// A move-only, type-erased `void()` callable with small-buffer optimisation.
+// Move-only, type-erased callables with small-buffer optimisation.
 //
-// `std::function<void()>` heap-allocates for any capture list larger than two
-// pointers, which makes it the dominant cost on the engine's schedule path.
-// `InlinedCallback` stores captures up to `kInlineSize` bytes directly inside
-// the object (one cache line together with the event-pool slot header) and
-// falls back to the heap only for oversized or throwing-move captures.
+// `std::function` heap-allocates for any capture list larger than two
+// pointers, which makes it the dominant cost on the engine's schedule path
+// and on the RPC layer's per-call completions.  `InlinedFn<void(Args...), N>`
+// stores captures up to `N` bytes directly inside the object and falls back
+// to the heap only for oversized or throwing-move captures.
+// `InlinedCallback` is the engine's `void()` instance (one cache line
+// together with the event-pool slot header).
 //
-// Compared to `std::function` it drops everything the engine does not need:
-// no copy, no target_type(), no allocator support — just construct, move,
-// invoke, destroy.
+// Compared to `std::function` it drops everything the simulator does not
+// need: no copy, no target_type(), no allocator support — just construct,
+// move, invoke, destroy.
 #pragma once
 
 #include <cstddef>
@@ -18,32 +20,33 @@
 
 namespace now::sim {
 
-class InlinedCallback {
- public:
-  /// Captures up to this many bytes live inline; larger closures heap-allocate.
-  /// 48 bytes keeps the engine's pool slot (callback + generation + free-list
-  /// link) at exactly one 64-byte cache line while still fitting a
-  /// `std::function` (32 bytes on libstdc++) or a `this` pointer plus five
-  /// words of captures.
-  static constexpr std::size_t kInlineSize = 48;
+template <typename Sig, std::size_t N = 48>
+class InlinedFn;
 
-  InlinedCallback() noexcept = default;
+template <typename... Args, std::size_t N>
+class InlinedFn<void(Args...), N> {
+ public:
+  /// Captures up to this many bytes live inline; larger closures
+  /// heap-allocate.
+  static constexpr std::size_t kInlineSize = N;
+
+  InlinedFn() noexcept = default;
 
   template <typename F, typename D = std::decay_t<F>,
-            typename = std::enable_if_t<!std::is_same_v<D, InlinedCallback> &&
-                                        std::is_invocable_r_v<void, D&>>>
-  InlinedCallback(F&& fn) {  // NOLINT(google-explicit-constructor)
+            typename = std::enable_if_t<!std::is_same_v<D, InlinedFn> &&
+                                        std::is_invocable_v<D&, Args...>>>
+  InlinedFn(F&& fn) {  // NOLINT(google-explicit-constructor)
     emplace(std::forward<F>(fn));
   }
 
-  InlinedCallback(InlinedCallback&& o) noexcept : ops_(o.ops_) {
+  InlinedFn(InlinedFn&& o) noexcept : ops_(o.ops_) {
     if (ops_ != nullptr) {
       ops_->relocate(o.buf_, buf_);
       o.ops_ = nullptr;
     }
   }
 
-  InlinedCallback& operator=(InlinedCallback&& o) noexcept {
+  InlinedFn& operator=(InlinedFn&& o) noexcept {
     if (this != &o) {
       reset();
       ops_ = o.ops_;
@@ -55,10 +58,10 @@ class InlinedCallback {
     return *this;
   }
 
-  InlinedCallback(const InlinedCallback&) = delete;
-  InlinedCallback& operator=(const InlinedCallback&) = delete;
+  InlinedFn(const InlinedFn&) = delete;
+  InlinedFn& operator=(const InlinedFn&) = delete;
 
-  ~InlinedCallback() { reset(); }
+  ~InlinedFn() { reset(); }
 
   /// Destroys the held callable (if any), leaving the object empty.
   void reset() noexcept {
@@ -68,7 +71,7 @@ class InlinedCallback {
     }
   }
 
-  /// Constructs a callable in place in an *empty* InlinedCallback — the
+  /// Constructs a callable in place in an *empty* InlinedFn — the
   /// zero-move path the engine uses to build closures directly inside pool
   /// slots.  Precondition: !*this.
   template <typename F, typename D = std::decay_t<F>>
@@ -84,14 +87,16 @@ class InlinedCallback {
 
   explicit operator bool() const noexcept { return ops_ != nullptr; }
 
-  void operator()() { ops_->invoke(buf_); }
+  void operator()(Args... args) {
+    ops_->invoke(buf_, std::forward<Args>(args)...);
+  }
 
   /// Invokes the callable and destroys it, leaving the object empty — the
   /// engine's dispatch path, fused into a single indirect call.
-  void invoke_and_reset() {
+  void invoke_and_reset(Args... args) {
     const Ops* ops = ops_;
     ops_ = nullptr;
-    ops->invoke_destroy(buf_);
+    ops->invoke_destroy(buf_, std::forward<Args>(args)...);
   }
 
   /// True if a callable of type `D` is stored inline (no heap allocation).
@@ -105,9 +110,9 @@ class InlinedCallback {
   // One static dispatch table per erased type; a single pointer compare
   // replaces std::function's vtable-per-operation indirection.
   struct Ops {
-    void (*invoke)(void* self);
+    void (*invoke)(void* self, Args&&... args);
     // Invoke, then destroy — one indirect call on the dispatch hot path.
-    void (*invoke_destroy)(void* self);
+    void (*invoke_destroy)(void* self, Args&&... args);
     // Move-construct into `dst` from `src`, then destroy `src`.
     void (*relocate)(void* src, void* dst) noexcept;
     void (*destroy)(void* self) noexcept;
@@ -115,10 +120,12 @@ class InlinedCallback {
 
   template <typename D>
   static constexpr Ops kInlineOps = {
-      [](void* self) { (*static_cast<D*>(self))(); },
-      [](void* self) {
+      [](void* self, Args&&... args) {
+        (*static_cast<D*>(self))(std::forward<Args>(args)...);
+      },
+      [](void* self, Args&&... args) {
         D* d = static_cast<D*>(self);
-        (*d)();
+        (*d)(std::forward<Args>(args)...);
         d->~D();
       },
       [](void* src, void* dst) noexcept {
@@ -131,10 +138,12 @@ class InlinedCallback {
 
   template <typename D>
   static constexpr Ops kHeapOps = {
-      [](void* self) { (**static_cast<D**>(self))(); },
-      [](void* self) {
+      [](void* self, Args&&... args) {
+        (**static_cast<D**>(self))(std::forward<Args>(args)...);
+      },
+      [](void* self, Args&&... args) {
         D* d = *static_cast<D**>(self);
-        (*d)();
+        (*d)(std::forward<Args>(args)...);
         delete d;
       },
       [](void* src, void* dst) noexcept {
@@ -146,5 +155,11 @@ class InlinedCallback {
   alignas(std::max_align_t) unsigned char buf_[kInlineSize];
   const Ops* ops_ = nullptr;
 };
+
+/// The engine's event callback.  48 bytes keeps the engine's pool slot
+/// (callback + generation + free-list link) at exactly one 64-byte cache
+/// line while still fitting a `std::function` (32 bytes on libstdc++) or a
+/// `this` pointer plus five words of captures.
+using InlinedCallback = InlinedFn<void()>;
 
 }  // namespace now::sim

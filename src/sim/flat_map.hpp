@@ -1,6 +1,7 @@
 // An open-addressing hash map from 64-bit keys to small trivially copyable
 // values: the one table behind the cooperative cache's LRU index, its
-// manager directory and its N-chance recirculation counts.
+// manager directory and its N-chance recirculation counts, and behind the
+// protocol layers' per-endpoint pair state and outstanding-call slots.
 //
 // Linear probing over a power-of-two table.  Keys are hashed
 // multiplicatively (Fibonacci hashing): block ids are small dense integers,
@@ -8,7 +9,8 @@
 // the rest of the probe chain back into the hole, so there are no
 // tombstones and an erase-heavy LRU never degrades.  The table doubles
 // before it passes 50% load and allocates nothing until the first insert:
-// a building keeps a thousand disabled client caches beside its server's.
+// a building keeps a thousand disabled client caches beside its server's,
+// and a thousand AM endpoints that may never send.
 //
 // The all-ones key marks an empty slot and cannot be stored.
 #pragma once
@@ -19,7 +21,7 @@
 #include <type_traits>
 #include <vector>
 
-namespace now::coopcache {
+namespace now::sim {
 
 template <typename V>
 class FlatMap {
@@ -140,4 +142,4 @@ class FlatMap {
   int shift_ = 64;
 };
 
-}  // namespace now::coopcache
+}  // namespace now::sim

@@ -5,13 +5,8 @@
 namespace now::xfs {
 
 namespace {
-struct CfsReq {
-  BlockId block;
-  bool is_write;
-};
-struct CfsResp {
-  bool from_memory;
-};
+using proto::CfsReq;
+using proto::CfsResp;
 constexpr sim::Duration kOpTimeout = 500 * sim::kMillisecond;
 }  // namespace
 
@@ -62,8 +57,8 @@ void CentralServerFs::server_restarted() {
 void CentralServerFs::install_server() {
   rpc_.register_method(
       server_.id(), kCfsRead,
-      [this](net::NodeId, std::any req, proto::RpcLayer::ReplyFn reply) {
-        const auto r = std::any_cast<CfsReq>(req);
+      [this](net::NodeId, proto::Body req, proto::RpcLayer::ReplyFn reply) {
+        const auto r = std::get<CfsReq>(req);
         if (server_cache_.touch(r.block)) {
           reply(params_.block_bytes + 32, CfsResp{true});
           return;
@@ -80,8 +75,8 @@ void CentralServerFs::install_server() {
       });
   rpc_.register_method(
       server_.id(), kCfsWrite,
-      [this](net::NodeId, std::any req, proto::RpcLayer::ReplyFn reply) {
-        const auto r = std::any_cast<CfsReq>(req);
+      [this](net::NodeId, proto::Body req, proto::RpcLayer::ReplyFn reply) {
+        const auto r = std::get<CfsReq>(req);
         server_cache_.insert(r.block);
         on_disk_.insert(r.block);
         // Write-through to the server disk.
@@ -107,8 +102,8 @@ void CentralServerFs::read(net::NodeId client, BlockId b, OpDone done) {
   }
   rpc_.call(
       client, server_.id(), kCfsRead, 48, CfsReq{b, false},
-      [this, client, b, done](std::any resp) mutable {
-        const auto r = std::any_cast<CfsResp>(resp);
+      [this, client, b, done](proto::Body resp) mutable {
+        const auto r = std::get<CfsResp>(resp);
         count(r.from_memory ? &CentralFsStats::server_mem_hits
                             : &CentralFsStats::server_disk_reads);
         cstate(client).cache.insert(b);
@@ -129,7 +124,7 @@ void CentralServerFs::write(net::NodeId client, BlockId b, OpDone done) {
   rpc_.call(
       client, server_.id(), kCfsWrite, params_.block_bytes + 48,
       CfsReq{b, true},
-      [done](std::any) mutable { done(true); }, kOpTimeout,
+      [done](proto::Body) mutable { done(true); }, kOpTimeout,
       [this, client, done]() mutable {
         count(&CentralFsStats::failed_ops);
         obs::tracer().instant(client, obs_track_, "op_failed");

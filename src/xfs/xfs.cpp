@@ -17,34 +17,14 @@ constexpr proto::MethodId kFlushed = 135;
 constexpr proto::MethodId kEvicted = 136;
 constexpr proto::MethodId kReport = 137;
 
-struct BlockReq {
-  BlockId block;
-  net::NodeId requester;
-};
-enum class ReadSource : std::uint8_t { kZero, kPeer, kLog, kRetry };
-struct ReadDirective {
-  ReadSource source = ReadSource::kZero;
-  net::NodeId peer = net::kInvalidNode;
-};
-struct WriteGrant {
-  bool had_data = false;
-  bool retry = false;
-};
-struct FetchReply {
-  bool found = false;
-};
-struct FlushNotice {
-  std::vector<BlockId> blocks;
-  net::NodeId writer;
-};
-struct EvictNotice {
-  BlockId block;
-  net::NodeId client;
-};
-struct ReportEntry {
-  BlockId block;
-  bool dirty;
-};
+using proto::BlockReq;
+using proto::EvictNotice;
+using proto::FetchReply;
+using proto::FlushNotice;
+using proto::ReadDirective;
+using proto::ReadSource;
+using proto::ReportEntry;
+using proto::WriteGrant;
 }  // namespace
 
 Xfs::Xfs(proto::RpcLayer& rpc, LogStore& log, std::vector<os::Node*> nodes,
@@ -165,13 +145,13 @@ void Xfs::install_services(os::Node& node) {
   // ---- Manager-side services ----------------------------------------
   rpc_.register_method(
       self, kXfsRead,
-      [this, self](net::NodeId, std::any req,
+      [this, self](net::NodeId, proto::Body req,
                    proto::RpcLayer::ReplyFn reply) {
         if (recovering_.contains(self)) {
           reply(32, ReadDirective{ReadSource::kRetry, net::kInvalidNode});
           return;
         }
-        const auto r = std::any_cast<BlockReq>(req);
+        const auto r = std::get<BlockReq>(req);
         auto& map = mstate(self);
         BlockMeta& meta = map[r.block];
         ReadDirective d;
@@ -202,13 +182,13 @@ void Xfs::install_services(os::Node& node) {
 
   rpc_.register_method(
       self, kXfsWrite,
-      [this, self](net::NodeId, std::any req,
+      [this, self](net::NodeId, proto::Body req,
                    proto::RpcLayer::ReplyFn reply) {
         if (recovering_.contains(self)) {
           reply(32, WriteGrant{false, true});
           return;
         }
-        const auto r = std::any_cast<BlockReq>(req);
+        const auto r = std::get<BlockReq>(req);
         BlockMeta& meta = mstate(self)[r.block];
         if (meta.write_in_progress) {
           // Serialize ownership transfers per block; see BlockMeta.
@@ -220,9 +200,9 @@ void Xfs::install_services(os::Node& node) {
 
   rpc_.register_method(
       self, kFlushed,
-      [this, self](net::NodeId, std::any req,
+      [this, self](net::NodeId, proto::Body req,
                    proto::RpcLayer::ReplyFn reply) {
-        const auto notice = std::any_cast<FlushNotice>(req);
+        const auto notice = std::get<FlushNotice>(req);
         auto& map = mstate(self);
         for (const BlockId b : notice.blocks) {
           const auto it = map.find(b);
@@ -241,9 +221,9 @@ void Xfs::install_services(os::Node& node) {
 
   rpc_.register_method(
       self, kEvicted,
-      [this, self](net::NodeId, std::any req,
+      [this, self](net::NodeId, proto::Body req,
                    proto::RpcLayer::ReplyFn reply) {
-        const auto notice = std::any_cast<EvictNotice>(req);
+        const auto notice = std::get<EvictNotice>(req);
         auto& map = mstate(self);
         const auto it = map.find(notice.block);
         if (it != map.end()) {
@@ -259,9 +239,9 @@ void Xfs::install_services(os::Node& node) {
   // ---- Client-side services ------------------------------------------
   rpc_.register_method(
       self, kInvalidate,
-      [this, self](net::NodeId, std::any req,
+      [this, self](net::NodeId, proto::Body req,
                    proto::RpcLayer::ReplyFn reply) {
-        const auto b = std::any_cast<BlockId>(req);
+        const auto b = std::get<BlockId>(req);
         ClientState& cs = cstate(self);
         cs.cache.erase(b);
         cs.dirty.erase(b);
@@ -270,9 +250,9 @@ void Xfs::install_services(os::Node& node) {
 
   rpc_.register_method(
       self, kRevoke,
-      [this, self](net::NodeId, std::any req,
+      [this, self](net::NodeId, proto::Body req,
                    proto::RpcLayer::ReplyFn reply) {
-        const auto b = std::any_cast<BlockId>(req);
+        const auto b = std::get<BlockId>(req);
         ClientState& cs = cstate(self);
         cs.cache.erase(b);
         cs.dirty.erase(b);
@@ -285,9 +265,9 @@ void Xfs::install_services(os::Node& node) {
 
   rpc_.register_method(
       self, kPeerFetch,
-      [this, self](net::NodeId, std::any req,
+      [this, self](net::NodeId, proto::Body req,
                    proto::RpcLayer::ReplyFn reply) {
-        const auto b = std::any_cast<BlockId>(req);
+        const auto b = std::get<BlockId>(req);
         ClientState& cs = cstate(self);
         const bool found = client_has_block(self, b);
         if (cs.cache.contains(b)) cs.cache.touch(b);
@@ -296,9 +276,9 @@ void Xfs::install_services(os::Node& node) {
 
   rpc_.register_method(
       self, kReport,
-      [this, self](net::NodeId, std::any req,
+      [this, self](net::NodeId, proto::Body req,
                    proto::RpcLayer::ReplyFn reply) {
-        const auto mgr = std::any_cast<net::NodeId>(req);
+        const auto mgr = std::get<net::NodeId>(req);
         const ClientState& cs = clients_.at(self);
         std::vector<ReportEntry> entries;
         auto consider = [&](BlockId b, bool dirty) {
@@ -368,13 +348,13 @@ void Xfs::manager_write(net::NodeId self, BlockId b, net::NodeId requester,
   for (const net::NodeId peer : to_invalidate) {
     ++stats_.invalidations;
     rpc_.call(self, peer, kInvalidate, 32, b,
-              [finish](std::any) mutable { finish(); },
+              [finish](proto::Body) mutable { finish(); },
               params_.op_timeout, [finish]() mutable { finish(); });
   }
   if (prev_owner != net::kInvalidNode) {
     ++stats_.ownership_transfers;
     rpc_.call(self, prev_owner, kRevoke, 32, b,
-              [finish, had_data](std::any) mutable {
+              [finish, had_data](proto::Body) mutable {
                 *had_data = true;
                 finish();
               },
@@ -434,8 +414,8 @@ void Xfs::do_read(net::NodeId c, BlockId b, OpDone done,
   }
   rpc_.call(
       c, manager_of(b), kXfsRead, 48, BlockReq{b, c},
-      [this, c, b, done, attempts](std::any resp) mutable {
-        const auto d = std::any_cast<ReadDirective>(resp);
+      [this, c, b, done, attempts](proto::Body resp) mutable {
+        const auto d = std::get<ReadDirective>(resp);
         switch (d.source) {
           case ReadSource::kRetry:
             retry_op(c, b, false, std::move(done), attempts);
@@ -458,8 +438,8 @@ void Xfs::do_read(net::NodeId c, BlockId b, OpDone done,
           case ReadSource::kPeer:
             rpc_.call(
                 c, d.peer, kPeerFetch, 32, b,
-                [this, c, b, done, attempts](std::any fr) mutable {
-                  if (std::any_cast<FetchReply>(fr).found) {
+                [this, c, b, done, attempts](proto::Body fr) mutable {
+                  if (std::get<FetchReply>(fr).found) {
                     ++stats_.peer_fetches;
                     finish_read(c, b, std::move(done));
                   } else {
@@ -511,8 +491,8 @@ void Xfs::do_write(net::NodeId c, BlockId b, OpDone done,
   }
   rpc_.call(
       c, manager_of(b), kXfsWrite, 48, BlockReq{b, c},
-      [this, c, b, done, attempts](std::any resp) mutable {
-        const auto grant = std::any_cast<WriteGrant>(resp);
+      [this, c, b, done, attempts](proto::Body resp) mutable {
+        const auto grant = std::get<WriteGrant>(resp);
         if (grant.retry) {
           retry_op(c, b, true, std::move(done), attempts);
           return;
@@ -554,7 +534,7 @@ void Xfs::handle_evicted(net::NodeId c, BlockId victim) {
   // Clean copy dropped: tell the directory (fire and forget).
   ++stats_.evict_notices;
   rpc_.call(c, manager_of(victim), kEvicted, 48, EvictNotice{victim, c},
-            [](std::any) {});
+            [](proto::Body) {});
 }
 
 void Xfs::flush_segment(net::NodeId c, Done done) {
@@ -594,7 +574,7 @@ void Xfs::flush_segment(net::NodeId c, Done done) {
       const auto bytes =
           static_cast<std::uint32_t>(32 + blocks.size() * 8);
       rpc_.call(c, mgr, kFlushed, bytes,
-                FlushNotice{std::move(blocks), c}, [](std::any) {});
+                FlushNotice{std::move(blocks), c}, [](proto::Body) {});
     }
     state.flushing = false;
     done();
@@ -694,9 +674,9 @@ void Xfs::manager_takeover(net::NodeId failed, net::NodeId successor,
   };
   for (const net::NodeId peer : survivors) {
     rpc_.call(successor, peer, kReport, 32, successor,
-              [this, successor, peer, finish](std::any resp) mutable {
-                const auto entries =
-                    std::any_cast<std::vector<ReportEntry>>(resp);
+              [this, successor, peer, finish](proto::Body resp) mutable {
+                const auto& entries =
+                    std::get<std::vector<ReportEntry>>(resp);
                 auto& map = mstate(successor);
                 for (const ReportEntry& e : entries) {
                   BlockMeta& meta = map[e.block];

@@ -1,145 +1,14 @@
 // Tests for the cooperative-caching simulator (Table 3's machinery).
 #include <gtest/gtest.h>
 
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "coopcache/coopcache.hpp"
-#include "coopcache/flat_map.hpp"
 #include "coopcache/lru.hpp"
-#include "sim/random.hpp"
 #include "trace/fs_trace.hpp"
 
 namespace now::coopcache {
 namespace {
-
-using Map = FlatMap<std::uint32_t>;
-
-/// A map whose table is allocated (16 slots) but empty.
-Map empty_table() {
-  Map m;
-  m.find_or_insert(0);
-  m.erase(0);
-  return m;
-}
-
-/// `m`'s value for `key`, or -1 when the key is missing.
-std::int64_t value_of(const Map& m, std::uint64_t key) {
-  const std::uint32_t* v = m.find(key);
-  return v == nullptr ? std::int64_t{-1} : std::int64_t{*v};
-}
-
-/// The first `n` keys whose probe starts at `slot` in `m`'s table.
-std::vector<std::uint64_t> keys_homed_at(const Map& m, std::size_t slot,
-                                         std::size_t n) {
-  std::vector<std::uint64_t> keys;
-  for (std::uint64_t k = 1; keys.size() < n; ++k) {
-    if (m.bucket(k) == slot) keys.push_back(k);
-  }
-  return keys;
-}
-
-TEST(FlatMap, FindAndEraseBeforeFirstInsert) {
-  Map m;
-  EXPECT_EQ(m.find(0), nullptr);
-  EXPECT_EQ(std::as_const(m).find(42), nullptr);
-  EXPECT_FALSE(m.erase(42));
-  EXPECT_EQ(m.size(), 0u);
-  EXPECT_EQ(m.bucket_count(), 0u);
-}
-
-TEST(FlatMap, ProbeChainWrapsPastTheEnd) {
-  Map m = empty_table();
-  const std::size_t last = m.bucket_count() - 1;
-  const auto keys = keys_homed_at(m, last, 3);  // slots last, 0, 1
-  for (std::uint32_t i = 0; i < 3; ++i) m.find_or_insert(keys[i], 10 + i);
-  ASSERT_EQ(m.bucket_count(), last + 1);  // no growth moved them
-  for (std::uint32_t i = 0; i < 3; ++i) EXPECT_EQ(value_of(m, keys[i]), 10 + i);
-  // Erasing the chain's head shifts the wrapped entries back across the end.
-  EXPECT_TRUE(m.erase(keys[0]));
-  EXPECT_EQ(value_of(m, keys[0]), -1);
-  EXPECT_EQ(value_of(m, keys[1]), 11);
-  EXPECT_EQ(value_of(m, keys[2]), 12);
-  EXPECT_TRUE(m.erase(keys[2]));
-  EXPECT_EQ(value_of(m, keys[1]), 11);
-  EXPECT_EQ(m.size(), 1u);
-}
-
-TEST(FlatMap, EraseFromMiddleOfChainKeepsTheRest) {
-  Map m = empty_table();
-  // One run of slots 4..9: three keys homed at 4, then one homed at 5, one
-  // at 7 and one at 9.  Erasing the second key homed at 4 (slot 5) must
-  // pull the next three back one slot each, but leave the key homed at 9.
-  std::vector<std::uint64_t> keys = keys_homed_at(m, 4, 3);
-  for (const std::size_t slot : {5, 7, 9}) {
-    keys.push_back(keys_homed_at(m, slot, 1)[0]);
-  }
-  for (std::uint32_t i = 0; i < keys.size(); ++i) m.find_or_insert(keys[i], i);
-  ASSERT_EQ(m.bucket_count(), 16u);
-  EXPECT_TRUE(m.erase(keys[1]));
-  EXPECT_FALSE(m.erase(keys[1]));
-  EXPECT_EQ(m.size(), keys.size() - 1);
-  for (std::uint32_t i = 0; i < keys.size(); ++i) {
-    EXPECT_EQ(value_of(m, keys[i]), i == 1 ? -1 : std::int64_t{i})
-        << "key " << i;
-  }
-}
-
-TEST(FlatMap, GrowthKeepsEveryEntry) {
-  Map m;
-  for (std::uint32_t k = 0; k < 10'000; ++k) {
-    m.find_or_insert(k, 3 * k);
-    const std::size_t slots = m.bucket_count();
-    ASSERT_EQ(slots & (slots - 1), 0u) << "not a power of two";
-    ASSERT_LE(2 * m.size(), slots) << "over half full";
-  }
-  EXPECT_EQ(m.size(), 10'000u);
-  for (std::uint32_t k = 0; k < 10'000; ++k) {
-    ASSERT_EQ(value_of(m, k), 3 * k) << k;
-  }
-  EXPECT_EQ(value_of(m, 10'000), -1);
-  EXPECT_EQ(m.find_or_insert(7, 99), 21u);  // present: init ignored
-}
-
-TEST(FlatMap, EraseHeavyRandomRunMatchesUnorderedMap) {
-  Map m;
-  std::unordered_map<std::uint64_t, std::uint32_t> ref;
-  sim::Pcg32 rng(5);
-  for (int op = 0; op < 200'000; ++op) {
-    // Mostly dense small ids, like block numbers, plus sparse wide ones.
-    const std::uint64_t key =
-        rng.next_below(4) != 0
-            ? rng.next_below(600)
-            : (std::uint64_t{rng.next_u32()} << 31) ^ rng.next_u32();
-    const std::uint32_t r = rng.next_below(10);
-    if (r < 4) {
-      const std::uint32_t v = rng.next_u32();
-      m.find_or_insert(key) = v;
-      ref[key] = v;
-    } else if (r < 8) {
-      ASSERT_EQ(m.erase(key), ref.erase(key) == 1) << "op " << op;
-    } else {
-      const auto it = ref.find(key);
-      const std::uint32_t* got = m.find(key);
-      ASSERT_EQ(got != nullptr, it != ref.end()) << "op " << op;
-      if (got != nullptr) {
-        ASSERT_EQ(*got, it->second);
-      }
-    }
-    if (op % 1'000 == 0) {
-      ASSERT_EQ(m.size(), ref.size());
-      std::size_t seen = 0;
-      m.for_each([&](std::uint64_t k, std::uint32_t v) {
-        ++seen;
-        const auto it = ref.find(k);
-        ASSERT_NE(it, ref.end());
-        EXPECT_EQ(v, it->second);
-      });
-      ASSERT_EQ(seen, ref.size());
-    }
-  }
-}
 
 TEST(Lru, InsertTouchEvictOrder) {
   LruCache c(2);

@@ -168,7 +168,7 @@ TEST_P(AmLossSweep, ExactlyOnceAndInOrder) {
   const auto e1 = am.create_endpoint(n1, proto::AmLayer::Mode::kInterrupt);
   std::vector<int> received;
   am.register_handler(e1, 1, [&](const proto::AmMessage& m) {
-    received.push_back(std::any_cast<int>(m.payload));
+    received.push_back(std::any_cast<int>(std::get<std::any>(m.payload)));
   });
   const int kMessages = 120;
   for (int i = 0; i < kMessages; ++i) am.send(e0, e1, 1, 64, i);

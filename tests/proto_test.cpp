@@ -68,7 +68,7 @@ TEST(Am, PayloadAndMetadataArriveIntact) {
   EndpointId got_src = kInvalidEndpoint;
   std::uint32_t got_bytes = 0;
   am.register_handler(e1, 7, [&](const AmMessage& m) {
-    got = std::any_cast<std::string>(m.payload);
+    got = std::any_cast<std::string>(std::get<std::any>(m.payload));
     got_src = m.src_ep;
     got_bytes = m.bytes;
   });
@@ -234,6 +234,50 @@ TEST(Am, SendToCrashedNodeTriggersFailureHandler) {
   rig.engine.run();
   EXPECT_TRUE(failed);
   EXPECT_EQ(am.stats().handled, 0u);
+}
+
+// A sender that dies with frames in flight abandons its window but keeps
+// the pair's generation count.  Restarting at epoch 0 would look stale to
+// a receiver that already adopted a later epoch: after the reboot the next
+// message would be dropped until the pair gave up, and the one after that
+// would arrive under an epoch the receiver already holds, be re-acked as a
+// duplicate, and never reach its handler.
+TEST(Am, SenderCrashWithFramesInFlightKeepsThePairGeneration) {
+  Rig rig(2);
+  AmParams params;
+  params.retry_timeout = 2_ms;
+  params.max_retries = 3;
+  AmLayer am(*rig.mux, params);
+  const EndpointId e0 =
+      am.create_endpoint(*rig.nodes[0], AmLayer::Mode::kInterrupt);
+  const EndpointId e1 =
+      am.create_endpoint(*rig.nodes[1], AmLayer::Mode::kInterrupt);
+  int handled = 0;
+  am.register_handler(e1, 1, [&](const AmMessage&) { ++handled; });
+
+  // The pair gives up once on a crashed receiver: generation 1.
+  rig.nodes[1]->crash();
+  am.send(e0, e1, 1, 64, {});
+  rig.engine.run();
+  ASSERT_EQ(am.stats().pair_failures, 1u);
+  rig.nodes[1]->reboot();
+  am.send(e0, e1, 1, 64, {});  // the receiver adopts generation 1
+  rig.engine.run();
+  ASSERT_EQ(handled, 1);
+
+  // The sender dies before its next frame reaches the wire.
+  am.send(e0, e1, 1, 64, {});
+  rig.nodes[0]->crash();
+  rig.engine.run();
+  rig.nodes[0]->reboot();
+
+  am.send(e0, e1, 1, 64, {});
+  rig.engine.run();
+  EXPECT_EQ(handled, 2);
+  EXPECT_EQ(am.stats().pair_failures, 1u);  // not dropped as stale
+  am.send(e0, e1, 1, 64, {});
+  rig.engine.run();
+  EXPECT_EQ(handled, 3);
 }
 
 TEST(Am, SendFromProcessBlocksOnFullWindow) {

@@ -2,13 +2,17 @@
 // structured log's NOW_LOG filter + pluggable sink.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <functional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/flat_map.hpp"
 #include "sim/log.hpp"
 #include "sim/random.hpp"
 #include "sim/stats.hpp"
@@ -578,6 +582,190 @@ TEST(Log, FormatLineCarriesSimTimeLevelAndComponent) {
   EXPECT_NE(line.find("12.345"), std::string::npos);  // ms from ns
   EXPECT_NE(line.find("INFO"), std::string::npos);
   EXPECT_NE(line.find("glunix: node 3 down"), std::string::npos);
+}
+
+using Map = FlatMap<std::uint32_t>;
+
+/// A map whose table is allocated (16 slots) but empty.
+Map empty_table() {
+  Map m;
+  m.find_or_insert(0);
+  m.erase(0);
+  return m;
+}
+
+/// `m`'s value for `key`, or -1 when the key is missing.
+std::int64_t value_of(const Map& m, std::uint64_t key) {
+  const std::uint32_t* v = m.find(key);
+  return v == nullptr ? std::int64_t{-1} : std::int64_t{*v};
+}
+
+/// The first `n` keys whose probe starts at `slot` in `m`'s table.
+std::vector<std::uint64_t> keys_homed_at(const Map& m, std::size_t slot,
+                                         std::size_t n) {
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t k = 1; keys.size() < n; ++k) {
+    if (m.bucket(k) == slot) keys.push_back(k);
+  }
+  return keys;
+}
+
+TEST(FlatMap, FindAndEraseBeforeFirstInsert) {
+  Map m;
+  EXPECT_EQ(m.find(0), nullptr);
+  EXPECT_EQ(std::as_const(m).find(42), nullptr);
+  EXPECT_FALSE(m.erase(42));
+  EXPECT_EQ(m.size(), 0u);
+  EXPECT_EQ(m.bucket_count(), 0u);
+}
+
+TEST(FlatMap, ProbeChainWrapsPastTheEnd) {
+  Map m = empty_table();
+  const std::size_t last = m.bucket_count() - 1;
+  const auto keys = keys_homed_at(m, last, 3);  // slots last, 0, 1
+  for (std::uint32_t i = 0; i < 3; ++i) m.find_or_insert(keys[i], 10 + i);
+  ASSERT_EQ(m.bucket_count(), last + 1);  // no growth moved them
+  for (std::uint32_t i = 0; i < 3; ++i) EXPECT_EQ(value_of(m, keys[i]), 10 + i);
+  // Erasing the chain's head shifts the wrapped entries back across the end.
+  EXPECT_TRUE(m.erase(keys[0]));
+  EXPECT_EQ(value_of(m, keys[0]), -1);
+  EXPECT_EQ(value_of(m, keys[1]), 11);
+  EXPECT_EQ(value_of(m, keys[2]), 12);
+  EXPECT_TRUE(m.erase(keys[2]));
+  EXPECT_EQ(value_of(m, keys[1]), 11);
+  EXPECT_EQ(m.size(), 1u);
+}
+
+TEST(FlatMap, EraseFromMiddleOfChainKeepsTheRest) {
+  Map m = empty_table();
+  // One run of slots 4..9: three keys homed at 4, then one homed at 5, one
+  // at 7 and one at 9.  Erasing the second key homed at 4 (slot 5) must
+  // pull the next three back one slot each, but leave the key homed at 9.
+  std::vector<std::uint64_t> keys = keys_homed_at(m, 4, 3);
+  for (const std::size_t slot : {5, 7, 9}) {
+    keys.push_back(keys_homed_at(m, slot, 1)[0]);
+  }
+  for (std::uint32_t i = 0; i < keys.size(); ++i) m.find_or_insert(keys[i], i);
+  ASSERT_EQ(m.bucket_count(), 16u);
+  EXPECT_TRUE(m.erase(keys[1]));
+  EXPECT_FALSE(m.erase(keys[1]));
+  EXPECT_EQ(m.size(), keys.size() - 1);
+  for (std::uint32_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(value_of(m, keys[i]), i == 1 ? -1 : std::int64_t{i})
+        << "key " << i;
+  }
+}
+
+TEST(FlatMap, GrowthKeepsEveryEntry) {
+  Map m;
+  for (std::uint32_t k = 0; k < 10'000; ++k) {
+    m.find_or_insert(k, 3 * k);
+    const std::size_t slots = m.bucket_count();
+    ASSERT_EQ(slots & (slots - 1), 0u) << "not a power of two";
+    ASSERT_LE(2 * m.size(), slots) << "over half full";
+  }
+  EXPECT_EQ(m.size(), 10'000u);
+  for (std::uint32_t k = 0; k < 10'000; ++k) {
+    ASSERT_EQ(value_of(m, k), 3 * k) << k;
+  }
+  EXPECT_EQ(value_of(m, 10'000), -1);
+  EXPECT_EQ(m.find_or_insert(7, 99), 21u);  // present: init ignored
+}
+
+TEST(FlatMap, EraseHeavyRandomRunMatchesUnorderedMap) {
+  Map m;
+  std::unordered_map<std::uint64_t, std::uint32_t> ref;
+  Pcg32 rng(5);
+  for (int op = 0; op < 200'000; ++op) {
+    // Mostly dense small ids, like block numbers, plus sparse wide ones.
+    const std::uint64_t key =
+        rng.next_below(4) != 0
+            ? rng.next_below(600)
+            : (std::uint64_t{rng.next_u32()} << 31) ^ rng.next_u32();
+    const std::uint32_t r = rng.next_below(10);
+    if (r < 4) {
+      const std::uint32_t v = rng.next_u32();
+      m.find_or_insert(key) = v;
+      ref[key] = v;
+    } else if (r < 8) {
+      ASSERT_EQ(m.erase(key), ref.erase(key) == 1) << "op " << op;
+    } else {
+      const auto it = ref.find(key);
+      const std::uint32_t* got = m.find(key);
+      ASSERT_EQ(got != nullptr, it != ref.end()) << "op " << op;
+      if (got != nullptr) {
+        ASSERT_EQ(*got, it->second);
+      }
+    }
+    if (op % 1'000 == 0) {
+      ASSERT_EQ(m.size(), ref.size());
+      std::size_t seen = 0;
+      m.for_each([&](std::uint64_t k, std::uint32_t v) {
+        ++seen;
+        const auto it = ref.find(k);
+        ASSERT_NE(it, ref.end());
+        EXPECT_EQ(v, it->second);
+      });
+      ASSERT_EQ(seen, ref.size());
+    }
+  }
+}
+
+// Protocol-layer key shapes: AM endpoint ids across the whole 32-bit range
+// (kInvalidEndpoint included; only the all-ones 64-bit key is reserved).
+TEST(FlatMap, EndpointIdKeysSpanAll32Bits) {
+  Map m;
+  const std::vector<std::uint64_t> keys = {0,          1,          0xffff,
+                                           0x10000,    0x7fffffff, 0x80000000,
+                                           0xfffffffe, 0xffffffff};
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    m.find_or_insert(keys[i]) = static_cast<std::uint32_t>(i);
+  }
+  ASSERT_EQ(m.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(value_of(m, keys[i]), static_cast<std::int64_t>(i));
+  }
+  EXPECT_EQ(value_of(m, 0x100000000ull), -1);  // a 33-bit neighbour
+  EXPECT_TRUE(m.erase(0xffffffff));
+  EXPECT_EQ(value_of(m, 0xffffffff), -1);
+  EXPECT_EQ(value_of(m, 0xfffffffe), 6);
+}
+
+// RPC call ids are `node << 32 | seq`: every node's sequence climbs while
+// old calls complete.  Under that churn the table stays exact and sized by
+// the live calls, not by how many ever existed.
+TEST(FlatMap, CallIdChurnStaysExactAndBounded) {
+  Map m;
+  std::unordered_map<std::uint64_t, std::uint32_t> ref;
+  constexpr std::uint64_t kNodes = 8;
+  constexpr std::uint32_t kLive = 64;  // outstanding calls per node
+  std::vector<std::uint32_t> next(kNodes, 1), oldest(kNodes, 1);
+  Pcg32 rng(11);
+  std::size_t peak_buckets = 0;
+  for (int op = 0; op < 200'000; ++op) {
+    const std::uint64_t node = rng.next_below(kNodes);
+    const auto id = [node](std::uint32_t seq) { return node << 32 | seq; };
+    if (next[node] - oldest[node] < kLive && rng.next_below(2) == 0) {
+      const std::uint32_t seq = next[node]++;
+      m.find_or_insert(id(seq)) = seq;
+      ref[id(seq)] = seq;
+    } else if (oldest[node] != next[node]) {
+      // Completions arrive out of order: retire a random live call, and
+      // advance the oldest past calls already gone.
+      const std::uint32_t seq =
+          oldest[node] + rng.next_below(next[node] - oldest[node]);
+      ASSERT_EQ(m.erase(id(seq)), ref.erase(id(seq)) == 1) << "op " << op;
+      while (oldest[node] != next[node] && !ref.contains(id(oldest[node]))) {
+        ++oldest[node];
+      }
+    }
+    peak_buckets = std::max(peak_buckets, m.bucket_count());
+    if (op % 1'000 == 0) {
+      ASSERT_EQ(m.size(), ref.size());
+      for (const auto& [k, v] : ref) ASSERT_EQ(value_of(m, k), v);
+    }
+  }
+  EXPECT_LE(peak_buckets, 4 * kNodes * kLive);
 }
 
 }  // namespace
