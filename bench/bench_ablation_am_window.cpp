@@ -14,8 +14,8 @@
 #include "exp/seed.hpp"
 #include "glunix/coschedule.hpp"
 #include "glunix/spmd.hpp"
+#include "net/hierarchical.hpp"
 #include "net/presets.hpp"
-#include "net/switched.hpp"
 #include "proto/am.hpp"
 #include "proto/nic_mux.hpp"
 
@@ -27,7 +27,7 @@ using namespace now::sim::literals;
 double run_column(std::uint32_t window, bool coscheduled,
                   std::uint64_t seed) {
   sim::Engine engine;
-  net::SwitchedNetwork fabric(engine, net::cm5_fabric());
+  net::HierarchicalNetwork fabric(engine, net::cm5_fabric());
   proto::NicMux mux(fabric);
   proto::AmParams ap;
   ap.costs = proto::am_cm5();

@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "net/hierarchical.hpp"
 #include "net/presets.hpp"
-#include "net/switched.hpp"
 #include "netram/multigrid.hpp"
 #include "netram/pager.hpp"
 #include "netram/registry.hpp"
@@ -28,7 +28,7 @@ using namespace now;
 double run(std::uint64_t problem_mb, bool readahead, bool dram_baseline,
            std::uint64_t* prefetch_hits = nullptr) {
   sim::Engine engine;
-  net::SwitchedNetwork atm(engine, net::atm_155mbps());
+  net::HierarchicalNetwork atm(engine, net::atm_155mbps());
   proto::NicMux mux(atm);
   proto::AmLayer am(mux, proto::AmParams{});
   proto::RpcLayer rpc(am);

@@ -9,9 +9,9 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "net/hierarchical.hpp"
 #include "net/presets.hpp"
 #include "net/shared_bus.hpp"
-#include "net/switched.hpp"
 #include "proto/am.hpp"
 #include "proto/am_sockets.hpp"
 #include "proto/costs.hpp"
@@ -32,8 +32,8 @@ TcpRun measure_tcp(bool atm, proto::ProtocolCosts costs) {
   sim::Engine engine;
   std::unique_ptr<net::Network> fabric;
   if (atm) {
-    fabric = std::make_unique<net::SwitchedNetwork>(engine,
-                                                    net::atm_155mbps());
+    fabric = std::make_unique<net::HierarchicalNetwork>(engine,
+                                                        net::atm_155mbps());
   } else {
     fabric = std::make_unique<net::SharedBusNetwork>(
         engine, net::ethernet_10mbps());
@@ -59,8 +59,8 @@ TcpRun measure_tcp(bool atm, proto::ProtocolCosts costs) {
   sim::Engine eng2;
   std::unique_ptr<net::Network> fabric2;
   if (atm) {
-    fabric2 = std::make_unique<net::SwitchedNetwork>(eng2,
-                                                     net::atm_155mbps());
+    fabric2 = std::make_unique<net::HierarchicalNetwork>(eng2,
+                                                         net::atm_155mbps());
   } else {
     fabric2 = std::make_unique<net::SharedBusNetwork>(
         eng2, net::ethernet_10mbps());
@@ -86,15 +86,15 @@ struct AmRun {
   double half_power_bytes = 0;
 };
 
-double am_one_way_us(proto::AmLayer& am, net::SwitchedNetwork& net,
+double am_one_way_us(proto::AmLayer& am, net::HierarchicalNetwork& net,
                      std::uint32_t bytes) {
   return sim::to_us(
-      am.unloaded_one_way(bytes, net.unloaded_transit(bytes + 16)));
+      am.unloaded_one_way(bytes, net.unloaded_transit(0, 1, bytes + 16)));
 }
 
 AmRun measure_am() {
   sim::Engine engine;
-  net::SwitchedNetwork medusa(engine, net::fddi_medusa());
+  net::HierarchicalNetwork medusa(engine, net::fddi_medusa());
   proto::NicMux mux(medusa);
   os::Node n0(engine, 0, os::NodeParams{});
   os::Node n1(engine, 1, os::NodeParams{});
@@ -173,7 +173,7 @@ int main(int argc, char** argv) {
   double sockets_us = 0;
   {
     sim::Engine eng;
-    net::SwitchedNetwork medusa(eng, net::fddi_medusa());
+    net::HierarchicalNetwork medusa(eng, net::fddi_medusa());
     proto::NicMux mux(medusa);
     os::Node n0(eng, 0, os::NodeParams{});
     os::Node n1(eng, 1, os::NodeParams{});

@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "net/hierarchical.hpp"
 #include "net/presets.hpp"
-#include "net/switched.hpp"
 #include "netram/multigrid.hpp"
 #include "netram/pager.hpp"
 #include "netram/registry.hpp"
@@ -24,7 +24,7 @@ enum class Config { kDisk32, kDram128, kNetram32 };
 
 double run_multigrid(Config config, std::uint64_t problem_mb) {
   sim::Engine engine;
-  net::SwitchedNetwork atm(engine, net::atm_155mbps());
+  net::HierarchicalNetwork atm(engine, net::atm_155mbps());
   proto::NicMux mux(atm);
   proto::AmLayer am(mux, proto::AmParams{});
   proto::RpcLayer rpc(am);

@@ -14,8 +14,8 @@
 #include "exp/seed.hpp"
 #include "glunix/coschedule.hpp"
 #include "glunix/spmd.hpp"
+#include "net/hierarchical.hpp"
 #include "net/presets.hpp"
-#include "net/switched.hpp"
 #include "proto/am.hpp"
 #include "proto/nic_mux.hpp"
 
@@ -28,8 +28,8 @@ constexpr int kNodes = 8;
 
 struct Rig {
   explicit Rig(std::uint64_t seed) {
-    network = std::make_unique<net::SwitchedNetwork>(engine,
-                                                     net::cm5_fabric());
+    network = std::make_unique<net::HierarchicalNetwork>(engine,
+                                                         net::cm5_fabric());
     mux = std::make_unique<proto::NicMux>(*network);
     proto::AmParams ap;
     ap.costs = proto::am_cm5();
@@ -50,7 +50,7 @@ struct Rig {
     return v;
   }
   sim::Engine engine;
-  std::unique_ptr<net::SwitchedNetwork> network;
+  std::unique_ptr<net::HierarchicalNetwork> network;
   std::unique_ptr<proto::NicMux> mux;
   std::unique_ptr<proto::AmLayer> am;
   std::vector<std::unique_ptr<os::Node>> nodes;

@@ -11,7 +11,6 @@
 #include "coopcache/lru.hpp"
 #include "net/hierarchical.hpp"
 #include "net/presets.hpp"
-#include "net/switched.hpp"
 #include "obs/metrics.hpp"
 #include "os/node.hpp"
 #include "proto/am.hpp"
@@ -115,7 +114,7 @@ BENCHMARK(BM_CpuScheduleRoundRobin);
 void BM_AmRoundTrips(benchmark::State& state) {
   for (auto _ : state) {
     sim::Engine eng;
-    net::SwitchedNetwork fabric(eng, net::myrinet());
+    net::HierarchicalNetwork fabric(eng, net::myrinet());
     proto::NicMux mux(fabric);
     proto::AmLayer am(mux, proto::AmParams{});
     os::Node n0(eng, 0, os::NodeParams{});
@@ -142,8 +141,8 @@ BENCHMARK(BM_AmRoundTrips);
 // The per-port instrument pattern the fabrics moved away from: building a
 // dotted path and walking the registry map on every packet.  Paired with
 // BM_ObsGaugeCachedHandle below, this is the measured win of registering
-// gauge handles once at attach() time (SwitchedNetwork/HierarchicalNetwork
-// keep them in flat per-node vectors).
+// gauge handles once at attach() time (HierarchicalNetwork keeps them in
+// flat per-node vectors).
 void BM_ObsGaugeDottedLookup(benchmark::State& state) {
   obs::MetricsRegistry reg;
   for (int i = 0; i < 256; ++i) {
@@ -175,12 +174,12 @@ void BM_ObsGaugeCachedHandle(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsGaugeCachedHandle);
 
-// Full per-packet path of the flat switched fabric: send() + the scheduled
-// finish/delivery events, 256 attached nodes, every send crossing the
+// Full per-packet path of a flat (one-rack) switched fabric: send() + the
+// scheduled delivery event, 256 attached nodes, every send crossing the
 // switch.  Wall-clock cost per simulated packet.
-void BM_SwitchedSendHotPath(benchmark::State& state) {
+void BM_OneRackSendHotPath(benchmark::State& state) {
   sim::Engine eng;
-  net::SwitchedNetwork fabric(eng, net::myrinet());
+  net::HierarchicalNetwork fabric(eng, net::myrinet());
   constexpr std::uint32_t kNodes = 256;
   for (std::uint32_t n = 0; n < kNodes; ++n) {
     fabric.attach(n, [](net::Packet&&) {});
@@ -197,12 +196,12 @@ void BM_SwitchedSendHotPath(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_SwitchedSendHotPath);
+BENCHMARK(BM_OneRackSendHotPath);
 
 // Same measurement through the hierarchical fat tree at building scale:
 // 1024 nodes in 32 racks, every packet cross-rack (4 links, 3 switch
 // crossings, trunk busy-horizon bookkeeping).  The SoA hot path keeps this
-// within sight of the flat fabric's cost despite doing twice the hops.
+// within sight of the one-rack cost despite doing twice the hops.
 void BM_HierarchicalSendHotPath(benchmark::State& state) {
   sim::Engine eng;
   net::HierarchicalNetwork fabric(eng, net::building_now(32, 32, 4.0));

@@ -6,8 +6,8 @@
 
 #include "bench_util.hpp"
 #include "models/access.hpp"
+#include "net/hierarchical.hpp"
 #include "net/presets.hpp"
-#include "net/switched.hpp"
 #include "netram/pager.hpp"
 #include "netram/registry.hpp"
 #include "proto/am.hpp"
@@ -21,7 +21,7 @@ namespace {
 double simulated_rpc_fetch_us() {
   using namespace now;
   sim::Engine engine;
-  net::SwitchedNetwork atm(engine, net::atm_155mbps());
+  net::HierarchicalNetwork atm(engine, net::atm_155mbps());
   proto::NicMux mux(atm);
   proto::AmLayer am(mux, proto::AmParams{});
   proto::RpcLayer rpc(am);

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <string>
 
+#include "replay/cursor.hpp"
 #include "trace/fs_trace.hpp"
 #include "trace/nfs_trace.hpp"
 #include "trace/parallel_trace.hpp"
@@ -67,10 +68,12 @@ int main(int argc, char** argv) {
   // --- Round-trip check --------------------------------------------------
   {
     std::ifstream in(dir + "/fs_trace.txt");
-    const auto reloaded = trace::read_fs_trace(in);
+    replay::FsTraceCursor cur(in);
+    while (cur.next()) {
+    }
     std::printf("\nround trip:      re-read %zu fs accesses (%s)\n",
-                reloaded.size(),
-                reloaded.size() == fs.size() ? "intact" : "MISMATCH");
+                static_cast<std::size_t>(cur.records()),
+                cur.records() == fs.size() ? "intact" : "MISMATCH");
   }
 
   std::printf("\nformat: '#'-comments + one record per line; see "

@@ -6,7 +6,6 @@
 #include "net/hierarchical.hpp"
 #include "net/presets.hpp"
 #include "net/shared_bus.hpp"
-#include "net/switched.hpp"
 #include "netram/pager.hpp"
 
 namespace now {
@@ -19,13 +18,14 @@ std::unique_ptr<net::Network> make_fabric(sim::Engine& engine,
       return std::make_unique<net::SharedBusNetwork>(
           engine, net::ethernet_10mbps(), cfg.seed);
     case Fabric::kAtm:
-      return std::make_unique<net::SwitchedNetwork>(engine,
-                                                    net::atm_155mbps());
+      return std::make_unique<net::HierarchicalNetwork>(engine,
+                                                        net::atm_155mbps());
     case Fabric::kFddiMedusa:
-      return std::make_unique<net::SwitchedNetwork>(engine,
-                                                    net::fddi_medusa());
+      return std::make_unique<net::HierarchicalNetwork>(engine,
+                                                        net::fddi_medusa());
     case Fabric::kMyrinet:
-      return std::make_unique<net::SwitchedNetwork>(engine, net::myrinet());
+      return std::make_unique<net::HierarchicalNetwork>(engine,
+                                                        net::myrinet());
     case Fabric::kBuildingNow:
       return std::make_unique<net::HierarchicalNetwork>(engine,
                                                         cfg.building);

@@ -1,8 +1,8 @@
 #include "models/access.hpp"
 
+#include "net/hierarchical.hpp"
 #include "net/presets.hpp"
 #include "net/shared_bus.hpp"
-#include "net/switched.hpp"
 #include "sim/engine.hpp"
 
 namespace now::models {
@@ -33,7 +33,7 @@ double simulated_remote_memory_us(bool atm) {
   pkt.dst = 1;
   pkt.size_bytes = 8192;
   if (atm) {
-    net::SwitchedNetwork net(eng, net::atm_155mbps());
+    net::HierarchicalNetwork net(eng, net::atm_155mbps());
     net.attach(0, [](net::Packet&&) {});
     net.attach(1, [&](net::Packet&&) { delivered = eng.now(); });
     net.send(std::move(pkt));

@@ -1,9 +1,17 @@
-// Hierarchical (fat-tree) fabric: the building-scale NOW.
+// Switched fabric: the "killer network" of the paper (ATM, Myrinet, FDDI
+// with a switch, or an MPP interconnect), from one switch up to a building.
 //
-// Racks of workstations hang off edge switches; edge switches reach each
-// other through spine trunks.  A rack-local packet behaves exactly like the
-// flat SwitchedNetwork: serialize on the source host link, cross the edge
-// switch, serialize on the destination host link.  A cross-rack packet
+// Every node has a dedicated full-duplex link to an edge switch, so
+// aggregate bandwidth scales with the number of nodes.  A packet serializes
+// onto the source host link, crosses the edge switch after `latency`, then
+// occupies the destination host link for its serialization time (modelling
+// receive-side contention: many senders targeting one node queue on its
+// downlink — the mechanism behind the Column benchmark's trouble in
+// Figure 4).  A flat switch is the one-rack case, built from FabricParams
+// alone.
+//
+// At building scale, racks of workstations hang off edge switches and edge
+// switches reach each other through spine trunks.  A cross-rack packet
 // additionally occupies a spine trunk up and a spine trunk down — four
 // links, three switch crossings — and each hop has its own busy_until
 // horizon, so contention queues *per hop*: many racks converging on one
@@ -15,15 +23,16 @@
 // in flat structure-of-arrays vectors indexed by node id / trunk index —
 // no hash maps, no pointer-chasing, no growth once traffic flows — and
 // every per-port observability gauge is a handle cached at attach() time,
-// so a send touches the metrics registry zero times.
+// so a send touches the metrics registry zero times.  A one-rack fabric
+// has no trunk state and no trunk gauges.
 //
-// Partitioned runs reuse the SwitchedNetwork discipline unchanged: send()
-// mutates only the source host uplink (source-lane-confined), and every
-// downstream hop is applied at the epoch barrier in the deterministic
-// (sent_at, src, dst, seq) merge order.  min_latency() is the *edge-hop*
-// bound: one switch crossing is the soonest a packet can touch any other
-// node's state, so ParallelEngine lanes aligned to racks get the full
-// rack-local event stream inside each epoch.
+// Partitioned runs use a two-phase send: send() mutates only the source
+// host uplink (source-lane-confined), and every downstream hop is applied
+// at the epoch barrier in the deterministic (sent_at, src, dst, seq) merge
+// order.  min_latency() is the *edge-hop* bound: one switch crossing is the
+// soonest a packet can touch any other node's state, so ParallelEngine
+// lanes aligned to racks get the full rack-local event stream inside each
+// epoch.
 #pragma once
 
 #include "net/network.hpp"
@@ -40,6 +49,8 @@ struct HierarchicalStats {
 class HierarchicalNetwork final : public Network {
  public:
   HierarchicalNetwork(sim::Engine& engine, HierarchicalParams params);
+  /// A flat switch: one rack holding every node, no spine trunks.
+  HierarchicalNetwork(sim::Engine& engine, FabricParams fabric);
 
   void send(Packet pkt) override;
 
@@ -66,7 +77,8 @@ class HierarchicalNetwork final : public Network {
 
  private:
   void finish_send(Packet pkt, sim::SimTime up_start);
-  /// Grows the trunk SoA arrays (and their cached gauges) to cover `racks`.
+  /// Grows the trunk SoA arrays (and their cached gauges) to cover `racks`;
+  /// a single rack needs no trunks.
   void ensure_racks(std::uint32_t racks);
 
   HierarchicalParams params_;
@@ -83,8 +95,8 @@ class HierarchicalNetwork final : public Network {
 
   // --- Cached observability handles (resolved at attach, never on the
   // --- packet path) -----------------------------------------------------
-  // Per host downlink: "net.link<N>.queue_us" (same signal as the flat
-  // fabric's Figure 4 receive-contention gauge).
+  // Per host downlink: "net.link<N>.queue_us" (the Figure 4
+  // receive-contention signal).
   std::vector<obs::Gauge*> host_down_q_;
   // Per trunk pair: "net.rack<R>.spine<S>.queue_us" (uplink backlog — the
   // oversubscription signal).

@@ -40,8 +40,8 @@
 //     span clamp to the last block.)
 //
 //   * ParallelJobCursor / UsageIntervalCursor — the other native line
-//     formats, so trace_io's materializing readers are thin wrappers over
-//     the same streaming core.
+//     formats (trace_io writes all three), read through the same
+//     streaming core.
 //
 // Every parse error cites the offending 1-based line number; timestamped
 // formats reject out-of-order records (a recorded stream is a schedule —
@@ -222,7 +222,7 @@ class NfsFsCursor : public TraceCursor {
   NfsMapParams map_;
 };
 
-// --- Other native formats (streaming cores for trace_io) ----------------
+// --- Other native formats (written by trace_io) ---------------------------
 
 /// Parallel-job format: `<arrival_us> <width> <work_us> <p|d>`.
 class ParallelJobCursor {

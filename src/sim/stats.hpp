@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace now::sim {
@@ -75,20 +74,6 @@ class Histogram {
 
   std::size_t bin_index(double x) const;
   double bin_upper(std::size_t i) const;
-};
-
-/// Simple monotonically increasing counter with a name, for component
-/// instrumentation (messages sent, page faults, disk reads, ...).
-class Counter {
- public:
-  explicit Counter(std::string name = {}) : name_(std::move(name)) {}
-  void inc(std::uint64_t by = 1) { value_ += by; }
-  std::uint64_t value() const { return value_; }
-  const std::string& name() const { return name_; }
-
- private:
-  std::string name_;
-  std::uint64_t value_ = 0;
 };
 
 }  // namespace now::sim

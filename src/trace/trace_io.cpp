@@ -1,17 +1,7 @@
 #include "trace/trace_io.hpp"
 
-#include <istream>
 #include <limits>
 #include <ostream>
-
-#include "replay/cursor.hpp"
-
-// The readers here materialize whole traces into vectors for callers that
-// want random access (tests, generators round-tripping).  They are thin
-// wrappers over the streaming cursors in replay/cursor.hpp — one parser,
-// one error-message convention ("trace parse error (...) at line N"), and
-// the same monotonic-timestamp enforcement whether a trace is replayed
-// incrementally or loaded whole.
 
 namespace now::trace {
 
@@ -22,13 +12,6 @@ void write_fs_trace(std::ostream& out, const std::vector<FsAccess>& trace) {
     out << sim::to_us(a.at) << ' ' << a.client << ' ' << a.block << ' '
         << (a.is_write ? 'w' : 'r') << '\n';
   }
-}
-
-std::vector<FsAccess> read_fs_trace(std::istream& in) {
-  std::vector<FsAccess> out;
-  replay::FsTraceCursor cur(in);
-  while (auto a = cur.next()) out.push_back(*a);
-  return out;
 }
 
 void write_usage_trace(std::ostream& out, const UsageTrace& trace) {
@@ -42,17 +25,6 @@ void write_usage_trace(std::ostream& out, const UsageTrace& trace) {
   }
 }
 
-std::vector<std::vector<BusyInterval>> read_usage_intervals(
-    std::istream& in) {
-  std::vector<std::vector<BusyInterval>> out;
-  replay::UsageIntervalCursor cur(in);
-  while (auto row = cur.next()) {
-    if (row->node >= out.size()) out.resize(row->node + 1);
-    out[row->node].push_back(row->interval);
-  }
-  return out;
-}
-
 void write_parallel_jobs(std::ostream& out,
                          const std::vector<ParallelJob>& jobs) {
   out.precision(std::numeric_limits<double>::max_digits10);
@@ -61,13 +33,6 @@ void write_parallel_jobs(std::ostream& out,
     out << sim::to_us(j.arrival) << ' ' << j.width << ' '
         << sim::to_us(j.work) << ' ' << (j.development ? 'd' : 'p') << '\n';
   }
-}
-
-std::vector<ParallelJob> read_parallel_jobs(std::istream& in) {
-  std::vector<ParallelJob> out;
-  replay::ParallelJobCursor cur(in);
-  while (auto j = cur.next()) out.push_back(*j);
-  return out;
 }
 
 }  // namespace now::trace

@@ -1,6 +1,7 @@
-// Trace file I/O: simple line-oriented formats so real traces (or traces
-// from other tools) can replace the synthetic generators, and synthetic
-// ones can be exported for inspection.
+// Trace file writers: simple line-oriented formats so synthetic traces
+// can be exported for inspection and replayed, and real traces (or traces
+// from other tools) can replace the synthetic generators.  The readers are
+// the streaming cursors in replay/cursor.hpp.
 //
 // Formats (one record per line, '#' comments and blank lines ignored):
 //   file-system access : <time_us> <client> <block> <r|w>
@@ -9,7 +10,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "trace/fs_trace.hpp"
@@ -20,19 +20,12 @@ namespace now::trace {
 
 // --- File-system traces -----------------------------------------------
 void write_fs_trace(std::ostream& out, const std::vector<FsAccess>& trace);
-/// Throws std::runtime_error on malformed input, with the line number.
-std::vector<FsAccess> read_fs_trace(std::istream& in);
 
 // --- Usage (busy-interval) traces -------------------------------------
 void write_usage_trace(std::ostream& out, const UsageTrace& trace);
-/// Returns per-node busy intervals (node ids may be sparse; the result is
-/// sized to the largest id + 1).
-std::vector<std::vector<BusyInterval>> read_usage_intervals(
-    std::istream& in);
 
 // --- Parallel-job traces -----------------------------------------------
 void write_parallel_jobs(std::ostream& out,
                          const std::vector<ParallelJob>& jobs);
-std::vector<ParallelJob> read_parallel_jobs(std::istream& in);
 
 }  // namespace now::trace

@@ -6,8 +6,8 @@
 
 #include "glunix/collectives.hpp"
 #include "models/logp.hpp"
+#include "net/hierarchical.hpp"
 #include "net/presets.hpp"
-#include "net/switched.hpp"
 #include "proto/am.hpp"
 #include "proto/nic_mux.hpp"
 #include "sim/engine.hpp"
@@ -33,7 +33,7 @@ struct Rig {
     return v;
   }
   sim::Engine engine;
-  net::SwitchedNetwork fabric;
+  net::HierarchicalNetwork fabric;
   proto::NicMux mux;
   std::unique_ptr<proto::AmLayer> am;
   std::vector<std::unique_ptr<os::Node>> nodes;

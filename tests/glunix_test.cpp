@@ -10,8 +10,8 @@
 #include "glunix/migration.hpp"
 #include "glunix/overlay_sim.hpp"
 #include "glunix/spmd.hpp"
+#include "net/hierarchical.hpp"
 #include "net/presets.hpp"
-#include "net/switched.hpp"
 #include "proto/am.hpp"
 #include "proto/nic_mux.hpp"
 #include "proto/rpc.hpp"
@@ -40,8 +40,8 @@ TEST(Migration, SlowerOfNetworkAndPfsGoverns) {
 
 struct Rig {
   explicit Rig(int n, std::uint32_t window = 32) {
-    network = std::make_unique<net::SwitchedNetwork>(engine,
-                                                     net::myrinet());
+    network = std::make_unique<net::HierarchicalNetwork>(engine,
+                                                         net::myrinet());
     mux = std::make_unique<proto::NicMux>(*network);
     proto::AmParams ap;
     ap.costs = proto::am_cm5();
@@ -66,7 +66,7 @@ struct Rig {
     return v;
   }
   sim::Engine engine;
-  std::unique_ptr<net::SwitchedNetwork> network;
+  std::unique_ptr<net::HierarchicalNetwork> network;
   std::unique_ptr<proto::NicMux> mux;
   std::unique_ptr<proto::AmLayer> am;
   std::unique_ptr<proto::RpcLayer> rpc;

@@ -1,11 +1,12 @@
 // Unit tests for the fabric models.
 #include <gtest/gtest.h>
 
+#include "net/hierarchical.hpp"
 #include "net/network.hpp"
 #include "net/placement.hpp"
 #include "net/presets.hpp"
 #include "net/shared_bus.hpp"
-#include "net/switched.hpp"
+#include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 
 namespace now::net {
@@ -44,23 +45,23 @@ TEST(FabricParams, AtmCellsRoundUp) {
   EXPECT_EQ(two_cells, p.serialization(96));
 }
 
-TEST(SwitchedNetwork, UnloadedTransitMatchesModel) {
+TEST(FlatSwitch, UnloadedTransitMatchesModel) {
   sim::Engine eng;
-  SwitchedNetwork net(eng, fddi_medusa());
+  HierarchicalNetwork net(eng, fddi_medusa());
   sim::SimTime delivered_at = -1;
   net.attach(0, [](Packet&&) {});
   net.attach(1, [&](Packet&&) { delivered_at = eng.now(); });
   net.send(make_packet(0, 1, 1024));
   eng.run();
-  EXPECT_EQ(delivered_at, net.unloaded_transit(1024));
+  EXPECT_EQ(delivered_at, net.unloaded_transit(0, 1, 1024));
 }
 
-TEST(SwitchedNetwork, UplinkSerializesBackToBackSends) {
+TEST(FlatSwitch, UplinkSerializesBackToBackSends) {
   sim::Engine eng;
   FabricParams p;
   p.link_bandwidth_bps = 8e6;  // 1 us/byte
   p.latency = 0;
-  SwitchedNetwork net(eng, p);
+  HierarchicalNetwork net(eng, p);
   std::vector<sim::SimTime> times;
   net.attach(0, [](Packet&&) {});
   net.attach(1, [&](Packet&&) { times.push_back(eng.now()); });
@@ -74,12 +75,12 @@ TEST(SwitchedNetwork, UplinkSerializesBackToBackSends) {
   EXPECT_EQ(times[1], sim::from_us(300));
 }
 
-TEST(SwitchedNetwork, DisjointPairsDontContend) {
+TEST(FlatSwitch, DisjointPairsDontContend) {
   sim::Engine eng;
   FabricParams p;
   p.link_bandwidth_bps = 8e6;
   p.latency = 0;
-  SwitchedNetwork net(eng, p);
+  HierarchicalNetwork net(eng, p);
   std::vector<sim::SimTime> times(4, -1);
   for (NodeId n = 0; n < 4; ++n) {
     net.attach(n, [&, n](Packet&&) { times[n] = eng.now(); });
@@ -91,12 +92,12 @@ TEST(SwitchedNetwork, DisjointPairsDontContend) {
   EXPECT_EQ(times[1], times[3]);
 }
 
-TEST(SwitchedNetwork, DownlinkContentionQueuesFanIn) {
+TEST(FlatSwitch, DownlinkContentionQueuesFanIn) {
   sim::Engine eng;
   FabricParams p;
   p.link_bandwidth_bps = 8e6;
   p.latency = 0;
-  SwitchedNetwork net(eng, p);
+  HierarchicalNetwork net(eng, p);
   std::vector<sim::SimTime> arrivals;
   for (NodeId n = 0; n < 3; ++n) {
     net.attach(n, [&](Packet&&) { arrivals.push_back(eng.now()); });
@@ -109,6 +110,21 @@ TEST(SwitchedNetwork, DownlinkContentionQueuesFanIn) {
   ASSERT_EQ(arrivals.size(), 2u);
   EXPECT_EQ(arrivals[0], sim::from_us(200));
   EXPECT_EQ(arrivals[1], sim::from_us(300));
+}
+
+TEST(FlatSwitch, IsOneRackWithNoTrunks) {
+  sim::Engine eng;
+  HierarchicalNetwork net(eng, myrinet());
+  for (NodeId n = 0; n < 64; ++n) net.attach(n, [](Packet&&) {});
+  for (NodeId n = 0; n < 64; ++n) net.send(make_packet(n, 63 - n, 512));
+  eng.run();
+  // The locality counters are registered; no spine-trunk gauge is.
+  const std::string dump = obs::metrics().dump_json();
+  EXPECT_NE(dump.find("\"net.rack_local_packets\""), std::string::npos);
+  EXPECT_EQ(dump.find(".spine"), std::string::npos);
+  EXPECT_EQ(net.hier_stats().cross_rack_packets, 0u);
+  EXPECT_EQ(net.hier_stats().rack_local_packets, net.stats().packets_sent);
+  EXPECT_EQ(net.stats().packets_sent, 64u);
 }
 
 TEST(SharedBus, SendersShareOneMedium) {
@@ -143,7 +159,7 @@ TEST(SharedBus, UtilizationTracksLoad) {
 
 TEST(Network, RxBufferOverflowDrops) {
   sim::Engine eng;
-  SwitchedNetwork net(eng, fddi_medusa());
+  HierarchicalNetwork net(eng, fddi_medusa());
   int delivered = 0;
   net.attach(0, [](Packet&&) {});
   net.attach(1, [&](Packet&&) { ++delivered; }, /*rx_buffer_bytes=*/2048);
@@ -156,7 +172,7 @@ TEST(Network, RxBufferOverflowDrops) {
 
 TEST(Network, ReleaseRxMakesRoomAgain) {
   sim::Engine eng;
-  SwitchedNetwork net(eng, fddi_medusa());
+  HierarchicalNetwork net(eng, fddi_medusa());
   int delivered = 0;
   net.attach(0, [](Packet&&) {});
   net.attach(1,
@@ -173,7 +189,7 @@ TEST(Network, ReleaseRxMakesRoomAgain) {
 
 TEST(Network, StatsCountTraffic) {
   sim::Engine eng;
-  SwitchedNetwork net(eng, myrinet());
+  HierarchicalNetwork net(eng, myrinet());
   net.attach(0, [](Packet&&) {});
   net.attach(1, [](Packet&&) {});
   net.send(make_packet(0, 1, 4096));
@@ -188,11 +204,11 @@ TEST(Presets, RelativeSpeeds) {
   // The paper's ordering: MPP fabrics << switched LANs << shared Ethernet
   // for an 8 KB transfer.
   sim::Engine eng;
-  SwitchedNetwork mpp(eng, cm5_fabric());
-  SwitchedNetwork atm(eng, atm_155mbps());
+  HierarchicalNetwork mpp(eng, cm5_fabric());
+  HierarchicalNetwork atm(eng, atm_155mbps());
   SharedBusNetwork eth(eng, ethernet_10mbps());
-  const auto t_mpp = mpp.unloaded_transit(8192);
-  const auto t_atm = atm.unloaded_transit(8192);
+  const auto t_mpp = mpp.unloaded_transit(0, 1, 8192);
+  const auto t_atm = atm.unloaded_transit(0, 1, 8192);
   const auto t_eth = eth.unloaded_transit(8192);
   EXPECT_LT(t_mpp, t_atm);
   EXPECT_LT(t_atm, t_eth);

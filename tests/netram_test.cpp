@@ -4,8 +4,8 @@
 #include <memory>
 #include <vector>
 
+#include "net/hierarchical.hpp"
 #include "net/presets.hpp"
-#include "net/switched.hpp"
 #include "netram/multigrid.hpp"
 #include "netram/pager.hpp"
 #include "netram/registry.hpp"
@@ -21,8 +21,8 @@ using namespace now::sim::literals;
 
 struct Rig {
   explicit Rig(int n, std::uint64_t donor_dram = 64ull << 20) {
-    network = std::make_unique<net::SwitchedNetwork>(engine,
-                                                     net::atm_155mbps());
+    network = std::make_unique<net::HierarchicalNetwork>(engine,
+                                                         net::atm_155mbps());
     mux = std::make_unique<proto::NicMux>(*network);
     am = std::make_unique<proto::AmLayer>(*mux, proto::AmParams{});
     rpc = std::make_unique<proto::RpcLayer>(*am);
@@ -36,7 +36,7 @@ struct Rig {
     }
   }
   sim::Engine engine;
-  std::unique_ptr<net::SwitchedNetwork> network;
+  std::unique_ptr<net::HierarchicalNetwork> network;
   std::unique_ptr<proto::NicMux> mux;
   std::unique_ptr<proto::AmLayer> am;
   std::unique_ptr<proto::RpcLayer> rpc;

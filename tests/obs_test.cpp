@@ -13,6 +13,7 @@
 #include <string>
 
 #include "core/cluster.hpp"
+#include "net/hierarchical.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
@@ -239,6 +240,10 @@ std::map<std::string, double> expected_scalars(Cluster& c) {
   e["net.packets_dropped"] = n.packets_dropped;
   e["net.link_drops"] = n.link_drops;
   e["net.bytes_sent"] = n.bytes_sent;
+  const net::HierarchicalStats& h =
+      static_cast<const net::HierarchicalNetwork&>(c.network()).hier_stats();
+  e["net.rack_local_packets"] = h.rack_local_packets;
+  e["net.cross_rack_packets"] = h.cross_rack_packets;
   const glunix::GuestStats& g = c.glunix().stats();
   e["glunix.launched"] = g.launched;
   e["glunix.completed"] = g.completed;

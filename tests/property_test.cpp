@@ -11,8 +11,8 @@
 #include "core/cluster.hpp"
 #include "glunix/overlay_sim.hpp"
 #include "glunix/spmd.hpp"
+#include "net/hierarchical.hpp"
 #include "net/presets.hpp"
-#include "net/switched.hpp"
 #include "proto/am.hpp"
 #include "proto/nic_mux.hpp"
 #include "proto/rpc.hpp"
@@ -153,7 +153,7 @@ class AmLossSweep : public ::testing::TestWithParam<double> {};
 TEST_P(AmLossSweep, ExactlyOnceAndInOrder) {
   const double loss = GetParam();
   sim::Engine eng;
-  net::SwitchedNetwork fabric(eng, net::fddi_medusa());
+  net::HierarchicalNetwork fabric(eng, net::fddi_medusa());
   proto::NicMux mux(fabric);
   proto::AmParams ap;
   ap.loss_probability = loss;
@@ -205,7 +205,7 @@ class RaidExtents : public ::testing::TestWithParam<RaidCase> {};
 TEST_P(RaidExtents, RandomExtentsAlwaysComplete) {
   const RaidCase tc = GetParam();
   sim::Engine eng;
-  net::SwitchedNetwork fabric(eng, net::myrinet());
+  net::HierarchicalNetwork fabric(eng, net::myrinet());
   proto::NicMux mux(fabric);
   proto::AmLayer am(mux, proto::AmParams{});
   proto::RpcLayer rpc(am);
@@ -258,7 +258,7 @@ class XfsCoherence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(XfsCoherence, SingleWriterInvariantSurvivesChaos) {
   sim::Engine eng;
-  net::SwitchedNetwork fabric(eng, net::atm_155mbps());
+  net::HierarchicalNetwork fabric(eng, net::atm_155mbps());
   proto::NicMux mux(fabric);
   proto::AmLayer am(mux, proto::AmParams{});
   proto::RpcLayer rpc(am);
@@ -407,7 +407,7 @@ class TcpDelivery : public ::testing::TestWithParam<TcpCase> {};
 TEST_P(TcpDelivery, ExactlyOnceInOrderAnySizes) {
   const TcpCase tc = GetParam();
   sim::Engine eng;
-  net::SwitchedNetwork fabric(eng, net::atm_155mbps());
+  net::HierarchicalNetwork fabric(eng, net::atm_155mbps());
   proto::NicMux mux(fabric);
   os::Node n0(eng, 0, os::NodeParams{});
   os::Node n1(eng, 1, os::NodeParams{});
@@ -450,7 +450,7 @@ class FailureIsolation : public ::testing::TestWithParam<int> {};
 
 TEST_P(FailureIsolation, CrashOnlyKillsItsOwnPrograms) {
   sim::Engine eng;
-  net::SwitchedNetwork fabric(eng, net::cm5_fabric());
+  net::HierarchicalNetwork fabric(eng, net::cm5_fabric());
   proto::NicMux mux(fabric);
   proto::AmParams ap;
   ap.costs = proto::am_cm5();

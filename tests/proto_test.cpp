@@ -5,9 +5,9 @@
 #include <string>
 #include <vector>
 
+#include "net/hierarchical.hpp"
 #include "net/presets.hpp"
 #include "net/shared_bus.hpp"
-#include "net/switched.hpp"
 #include "proto/am.hpp"
 #include "proto/am_sockets.hpp"
 #include "proto/costs.hpp"
@@ -25,7 +25,7 @@ using namespace now::sim::literals;
 // A small rig: N workstations on a Medusa-class switched fabric.
 struct Rig {
   explicit Rig(int n, net::FabricParams fabric = net::fddi_medusa()) {
-    network = std::make_unique<net::SwitchedNetwork>(engine, fabric);
+    network = std::make_unique<net::HierarchicalNetwork>(engine, fabric);
     mux = std::make_unique<NicMux>(*network);
     for (int i = 0; i < n; ++i) {
       os::NodeParams p;
@@ -36,7 +36,7 @@ struct Rig {
     }
   }
   sim::Engine engine;
-  std::unique_ptr<net::SwitchedNetwork> network;
+  std::unique_ptr<net::HierarchicalNetwork> network;
   std::unique_ptr<NicMux> mux;
   std::vector<std::unique_ptr<os::Node>> nodes;
 };
@@ -53,7 +53,7 @@ TEST(Am, InterruptHandlerRunsAtOneWayTime) {
   am.send(e0, e1, 1, 64, {});
   rig.engine.run();
   const auto expect = am.unloaded_one_way(
-      64, rig.network->unloaded_transit(64 + 16));
+      64, rig.network->unloaded_transit(0, 1, 64 + 16));
   EXPECT_EQ(at, expect);
 }
 
@@ -405,7 +405,7 @@ TEST(Tcp, HostOverheadCapsThroughputBelowWire) {
   // TCP on 155 Mb/s ATM delivered only ~78 Mb/s: the stack, not the wire,
   // is the bottleneck.
   sim::Engine eng;
-  net::SwitchedNetwork atm(eng, net::atm_155mbps());
+  net::HierarchicalNetwork atm(eng, net::atm_155mbps());
   NicMux mux(atm);
   os::Node n0(eng, 0, os::NodeParams{});
   os::Node n1(eng, 1, os::NodeParams{});
@@ -447,7 +447,7 @@ TEST(Tcp, WindowLimitsThroughputOnLongPaths) {
     sim::Engine eng;
     net::FabricParams slow = net::atm_155mbps();
     slow.latency = 5 * sim::kMillisecond;  // a campus-length path
-    net::SwitchedNetwork fabric(eng, slow);
+    net::HierarchicalNetwork fabric(eng, slow);
     NicMux mux(fabric);
     os::Node n0(eng, 0, os::NodeParams{});
     os::Node n1(eng, 1, os::NodeParams{});

@@ -4,8 +4,8 @@
 #include <memory>
 #include <vector>
 
+#include "net/hierarchical.hpp"
 #include "net/presets.hpp"
-#include "net/switched.hpp"
 #include "proto/am.hpp"
 #include "proto/nic_mux.hpp"
 #include "proto/rpc.hpp"
@@ -20,8 +20,8 @@ using namespace now::sim::literals;
 
 struct Rig {
   explicit Rig(int n) {
-    network = std::make_unique<net::SwitchedNetwork>(engine,
-                                                     net::myrinet());
+    network = std::make_unique<net::HierarchicalNetwork>(engine,
+                                                         net::myrinet());
     mux = std::make_unique<proto::NicMux>(*network);
     am = std::make_unique<proto::AmLayer>(*mux, proto::AmParams{});
     rpc = std::make_unique<proto::RpcLayer>(*am);
@@ -39,7 +39,7 @@ struct Rig {
     return v;
   }
   sim::Engine engine;
-  std::unique_ptr<net::SwitchedNetwork> network;
+  std::unique_ptr<net::HierarchicalNetwork> network;
   std::unique_ptr<proto::NicMux> mux;
   std::unique_ptr<proto::AmLayer> am;
   std::unique_ptr<proto::RpcLayer> rpc;

@@ -16,7 +16,6 @@
 #include "serve/workload.hpp"
 #include "sim/engine.hpp"
 #include "trace/fs_trace.hpp"
-#include "trace/trace_io.hpp"
 #include "xfs/central_server.hpp"
 
 namespace now::replay {
@@ -86,35 +85,6 @@ TEST(LineCursor, MemoryStaysAtWindowForTracesMuchLargerThanIt) {
     EXPECT_EQ(cur.window_bytes(), kWindow);  // never grows
   }
   EXPECT_EQ(n, kRecords);
-}
-
-// ---------------------------------------------------------------------------
-// FsTraceCursor and the trace_io wrappers
-
-TEST(FsTraceCursor, MatchesTheMaterializingReader) {
-  trace::FsWorkloadParams p;
-  p.clients = 4;
-  p.accesses_per_client = 500;
-  const auto original = trace::generate_fs_trace(p);
-  std::stringstream buf;
-  trace::write_fs_trace(buf, original);
-  const std::string text = buf.str();
-
-  std::istringstream a(text);
-  const auto wrapped = trace::read_fs_trace(a);
-  std::istringstream b(text);
-  FsTraceCursor cur(b);
-  std::size_t i = 0;
-  while (auto rec = cur.next()) {
-    ASSERT_LT(i, wrapped.size());
-    EXPECT_EQ(rec->at, wrapped[i].at);
-    EXPECT_EQ(rec->client, wrapped[i].client);
-    EXPECT_EQ(rec->block, wrapped[i].block);
-    EXPECT_EQ(rec->is_write, wrapped[i].is_write);
-    ++i;
-  }
-  EXPECT_EQ(i, wrapped.size());
-  EXPECT_EQ(i, original.size());
 }
 
 // ---------------------------------------------------------------------------

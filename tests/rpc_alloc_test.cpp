@@ -18,8 +18,8 @@
 #include <utility>
 #include <vector>
 
+#include "net/hierarchical.hpp"
 #include "net/presets.hpp"
-#include "net/switched.hpp"
 #include "proto/am.hpp"
 #include "proto/nic_mux.hpp"
 #include "proto/rpc.hpp"
@@ -68,7 +68,8 @@ constexpr MethodId kSlowEcho = 9;
 // an echo, a sink that never answers, and an echo that answers 10 ms late.
 struct Rig {
   explicit Rig(std::uint32_t n) {
-    network = std::make_unique<net::SwitchedNetwork>(engine, net::myrinet());
+    network = std::make_unique<net::HierarchicalNetwork>(engine,
+                                                         net::myrinet());
     mux = std::make_unique<NicMux>(*network);
     for (std::uint32_t i = 0; i < n; ++i) {
       nodes.push_back(std::make_unique<os::Node>(engine, i, os::NodeParams{}));
@@ -98,7 +99,7 @@ struct Rig {
   }
 
   sim::Engine engine;
-  std::unique_ptr<net::SwitchedNetwork> network;
+  std::unique_ptr<net::HierarchicalNetwork> network;
   std::unique_ptr<NicMux> mux;
   std::vector<std::unique_ptr<os::Node>> nodes;
   std::unique_ptr<AmLayer> am;

@@ -1,9 +1,11 @@
-// Tests for the synthetic trace generators.
+// Tests for the synthetic trace generators and the trace file formats
+// (written by trace_io, read back through the replay cursors).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <sstream>
 
+#include "replay/cursor.hpp"
 #include "trace/fs_trace.hpp"
 #include "trace/nfs_trace.hpp"
 #include "trace/parallel_trace.hpp"
@@ -12,6 +14,15 @@
 
 namespace now::trace {
 namespace {
+
+// Reads every record of a trace file through one of the replay cursors.
+template <typename Cursor>
+auto read_all(std::istream& in) {
+  Cursor cur(in);
+  std::vector<typename decltype(cur.next())::value_type> out;
+  while (auto r = cur.next()) out.push_back(*r);
+  return out;
+}
 
 TEST(FsTrace, VolumeAndOrdering) {
   FsWorkloadParams p;
@@ -176,7 +187,7 @@ TEST(TraceIo, FsTraceRoundTrips) {
   const auto original = generate_fs_trace(p);
   std::stringstream buf;
   write_fs_trace(buf, original);
-  const auto loaded = read_fs_trace(buf);
+  const auto loaded = read_all<replay::FsTraceCursor>(buf);
   ASSERT_EQ(loaded.size(), original.size());
   for (std::size_t i = 0; i < original.size(); ++i) {
     EXPECT_EQ(loaded[i].client, original[i].client);
@@ -193,15 +204,18 @@ TEST(TraceIo, UsageTraceRoundTrips) {
   const UsageTrace original(p);
   std::stringstream buf;
   write_usage_trace(buf, original);
-  const auto loaded = read_usage_intervals(buf);
-  ASSERT_LE(loaded.size(), 6u);
-  for (std::uint32_t n = 0; n < loaded.size(); ++n) {
-    ASSERT_EQ(loaded[n].size(), original.intervals(n).size()) << n;
-    for (std::size_t i = 0; i < loaded[n].size(); ++i) {
-      EXPECT_NEAR(sim::to_us(loaded[n][i].begin),
-                  sim::to_us(original.intervals(n)[i].begin), 1.0);
+  const auto rows = read_all<replay::UsageIntervalCursor>(buf);
+  std::size_t k = 0;
+  for (std::uint32_t n = 0; n < p.workstations; ++n) {
+    for (const BusyInterval& b : original.intervals(n)) {
+      ASSERT_LT(k, rows.size());
+      EXPECT_EQ(rows[k].node, n);
+      EXPECT_NEAR(sim::to_us(rows[k].interval.begin), sim::to_us(b.begin),
+                  1.0);
+      ++k;
     }
   }
+  EXPECT_EQ(k, rows.size());
 }
 
 TEST(TraceIo, ParallelJobsRoundTrip) {
@@ -210,7 +224,7 @@ TEST(TraceIo, ParallelJobsRoundTrip) {
   const auto original = generate_parallel_jobs(p);
   std::stringstream buf;
   write_parallel_jobs(buf, original);
-  const auto loaded = read_parallel_jobs(buf);
+  const auto loaded = read_all<replay::ParallelJobCursor>(buf);
   ASSERT_EQ(loaded.size(), original.size());
   for (std::size_t i = 0; i < loaded.size(); ++i) {
     EXPECT_EQ(loaded[i].width, original[i].width);
@@ -221,7 +235,7 @@ TEST(TraceIo, ParallelJobsRoundTrip) {
 TEST(TraceIo, CommentsAndBlanksAreSkipped) {
   std::stringstream buf;
   buf << "# a comment\n\n  \n100.5 2 77 w\n# another\n200 0 1 r\n";
-  const auto loaded = read_fs_trace(buf);
+  const auto loaded = read_all<replay::FsTraceCursor>(buf);
   ASSERT_EQ(loaded.size(), 2u);
   EXPECT_EQ(loaded[0].client, 2u);
   EXPECT_TRUE(loaded[0].is_write);
@@ -232,7 +246,7 @@ TEST(TraceIo, MalformedLinesThrowWithLineNumber) {
   std::stringstream buf;
   buf << "100 2 77 w\nnot a record\n";
   try {
-    read_fs_trace(buf);
+    read_all<replay::FsTraceCursor>(buf);
     FAIL() << "expected a parse error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
@@ -242,14 +256,14 @@ TEST(TraceIo, MalformedLinesThrowWithLineNumber) {
 TEST(TraceIo, BadIntervalOrderingRejected) {
   std::stringstream buf;
   buf << "0 500 100\n";  // end before begin
-  EXPECT_THROW(read_usage_intervals(buf), std::runtime_error);
+  EXPECT_THROW(read_all<replay::UsageIntervalCursor>(buf), std::runtime_error);
 }
 
 TEST(TraceIo, TruncatedFsLineCitesLineNumber) {
   std::stringstream buf;
   buf << "# header\n100 2 77 w\n200 3 12\n";  // missing the r|w field
   try {
-    read_fs_trace(buf);
+    read_all<replay::FsTraceCursor>(buf);
     FAIL() << "expected a parse error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
@@ -261,7 +275,7 @@ TEST(TraceIo, OutOfOrderFsTimestampsRejected) {
   std::stringstream buf;
   buf << "200 0 1 r\n100 0 2 r\n";  // time runs backwards
   try {
-    read_fs_trace(buf);
+    read_all<replay::FsTraceCursor>(buf);
     FAIL() << "expected a parse error";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
@@ -273,14 +287,14 @@ TEST(TraceIo, OutOfOrderFsTimestampsRejected) {
 TEST(TraceIo, ExtraFsFieldsRejected) {
   std::stringstream buf;
   buf << "100 2 77 w trailing-garbage\n";
-  EXPECT_THROW(read_fs_trace(buf), std::runtime_error);
+  EXPECT_THROW(read_all<replay::FsTraceCursor>(buf), std::runtime_error);
 }
 
 TEST(TraceIo, TruncatedIntervalLineCitesLineNumber) {
   std::stringstream buf;
   buf << "0 100 500\n1 600\n";  // missing end_us
   try {
-    read_usage_intervals(buf);
+    read_all<replay::UsageIntervalCursor>(buf);
     FAIL() << "expected a parse error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
@@ -292,7 +306,7 @@ TEST(TraceIo, MalformedParallelJobCitesLineNumber) {
   std::stringstream buf;
   buf << "100 8 5000 p\n200 0 5000 p\n";  // zero-width job
   try {
-    read_parallel_jobs(buf);
+    read_all<replay::ParallelJobCursor>(buf);
     FAIL() << "expected a parse error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
@@ -304,7 +318,7 @@ TEST(TraceIo, OutOfOrderParallelArrivalsRejected) {
   std::stringstream buf;
   buf << "500 8 1000 p\n100 4 1000 d\n";
   try {
-    read_parallel_jobs(buf);
+    read_all<replay::ParallelJobCursor>(buf);
     FAIL() << "expected a parse error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("out-of-order"), std::string::npos)
@@ -315,7 +329,7 @@ TEST(TraceIo, OutOfOrderParallelArrivalsRejected) {
 TEST(TraceIo, UnknownParallelJobKindRejected) {
   std::stringstream buf;
   buf << "100 8 5000 x\n";  // kind must be p or d
-  EXPECT_THROW(read_parallel_jobs(buf), std::runtime_error);
+  EXPECT_THROW(read_all<replay::ParallelJobCursor>(buf), std::runtime_error);
 }
 
 TEST(NfsTrace, NinetyFivePercentUnder200Bytes) {
