@@ -41,18 +41,25 @@ struct ReadDirective {
   net::NodeId peer = net::kInvalidNode;
 };
 /// The manager's answer to a write: ownership granted (and whether a
-/// previous owner's data came with it), or try again.
+/// previous owner's data came with it), or try again.  `version` names the
+/// grant; the owner's flush notice quotes it back.
 struct WriteGrant {
   bool had_data = false;
   bool retry = false;
+  std::uint64_t version = 0;
 };
 /// A peer's answer to a cooperative fetch.
 struct FetchReply {
   bool found = false;
 };
+/// One flushed block and the write version that reached the log.
+struct FlushedBlock {
+  std::uint64_t block;
+  std::uint64_t version;
+};
 /// A writer telling a manager which of its blocks reached the log.
 struct FlushNotice {
-  std::vector<std::uint64_t> blocks;
+  std::vector<FlushedBlock> blocks;
   net::NodeId writer;
 };
 /// A client telling a manager it dropped a clean copy.
@@ -64,6 +71,7 @@ struct EvictNotice {
 struct ReportEntry {
   std::uint64_t block;
   bool dirty;
+  std::uint64_t version;  // of the survivor's write grant, when dirty
 };
 
 // ---- Central file server (src/xfs/central_server.cpp) ------------------

@@ -20,6 +20,7 @@ constexpr proto::MethodId kReport = 137;
 using proto::BlockReq;
 using proto::EvictNotice;
 using proto::FetchReply;
+using proto::FlushedBlock;
 using proto::FlushNotice;
 using proto::ReadDirective;
 using proto::ReadSource;
@@ -204,10 +205,13 @@ void Xfs::install_services(os::Node& node) {
                    proto::RpcLayer::ReplyFn reply) {
         const auto notice = std::get<FlushNotice>(req);
         auto& map = mstate(self);
-        for (const BlockId b : notice.blocks) {
+        for (const auto& [b, version] : notice.blocks) {
           const auto it = map.find(b);
           if (it == map.end()) continue;
           if (it->second.owner == notice.writer) {
+            // The writer rewrote the block after this flush began: its
+            // newer grant still stands.
+            if (it->second.version != version) continue;
             it->second.owner = net::kInvalidNode;
           }
           it->second.readers.erase(notice.writer);
@@ -256,6 +260,7 @@ void Xfs::install_services(os::Node& node) {
         ClientState& cs = cstate(self);
         cs.cache.erase(b);
         cs.dirty.erase(b);
+        cs.versions.erase(b);
         if (cs.staged_set.erase(b) > 0) {
           std::erase(cs.staged, b);
         }
@@ -282,7 +287,9 @@ void Xfs::install_services(os::Node& node) {
         const ClientState& cs = clients_.at(self);
         std::vector<ReportEntry> entries;
         auto consider = [&](BlockId b, bool dirty) {
-          if (manager_of(b) == mgr) entries.push_back({b, dirty});
+          if (manager_of(b) == mgr) {
+            entries.push_back({b, dirty, cs.versions.at(b)});
+          }
         };
         // LruCache has no iteration; report from the coherence-relevant
         // sets the client keeps: dirty + staged, plus reads are rebuilt
@@ -313,13 +320,14 @@ void Xfs::manager_write(net::NodeId self, BlockId b, net::NodeId requester,
           : net::kInvalidNode;
 
   meta.owner = requester;
+  meta.version = ++versions_issued_;
   meta.readers.clear();
   meta.readers.insert(requester);
 
-  auto complete = [this, self, b](proto::RpcLayer::ReplyFn rep,
-                                  bool had_data) {
+  auto complete = [this, self, b, version = meta.version](
+                      proto::RpcLayer::ReplyFn rep, bool had_data) {
     rep(had_data ? params_.block_bytes + 32 : 32,
-        WriteGrant{had_data, false});
+        WriteGrant{had_data, false, version});
     BlockMeta& m = mstate(self)[b];
     if (m.pending_writes.empty()) {
       m.write_in_progress = false;
@@ -500,6 +508,7 @@ void Xfs::do_write(net::NodeId c, BlockId b, OpDone done,
         ClientState& state = cstate(c);
         // A staged older version is superseded by this new ownership.
         if (state.staged_set.erase(b) > 0) std::erase(state.staged, b);
+        state.versions[b] = grant.version;
         insert_cached(c, b, /*dirty=*/true);
         done(true);
       },
@@ -556,19 +565,30 @@ void Xfs::flush_segment(net::NodeId c, Done done) {
                                  static_cast<std::ptrdiff_t>(take));
   cs.staged.erase(cs.staged.begin(),
                   cs.staged.begin() + static_cast<std::ptrdiff_t>(take));
+  // The versions going to the log: the owner may rewrite a block (a new
+  // grant) before this flush completes.
+  std::vector<FlushedBlock> flushed;
+  flushed.reserve(take);
+  for (const BlockId b : batch) flushed.push_back({b, cs.versions.at(b)});
 
   const sim::SimTime flush_t0 = engine().now();
-  log_.append_segment(c, batch, [this, c, batch, flush_t0,
-                                 done = std::move(done)]() mutable {
+  log_.append_segment(c, batch, [this, c, flushed = std::move(flushed),
+                                 flush_t0, done = std::move(done)]() mutable {
     ++stats_.segments_flushed;
     obs::tracer().complete(c, obs_track_, "xfs.flush_segment", flush_t0,
                            engine().now());
     ClientState& state = cstate(c);
     // Group the notifications per manager.
-    std::unordered_map<net::NodeId, std::vector<BlockId>> per_mgr;
-    for (const BlockId b : batch) {
-      state.staged_set.erase(b);
-      per_mgr[manager_of(b)].push_back(b);
+    std::unordered_map<net::NodeId, std::vector<FlushedBlock>> per_mgr;
+    for (const FlushedBlock& f : flushed) {
+      // A block rewritten since the flush began is dirty again under its
+      // newer version; anything else is now clean here.
+      const auto it = state.versions.find(f.block);
+      if (it == state.versions.end() || it->second == f.version) {
+        state.staged_set.erase(f.block);
+        if (it != state.versions.end()) state.versions.erase(it);
+      }
+      per_mgr[manager_of(f.block)].push_back(f);
     }
     for (auto& [mgr, blocks] : per_mgr) {
       const auto bytes =
@@ -681,7 +701,10 @@ void Xfs::manager_takeover(net::NodeId failed, net::NodeId successor,
                 for (const ReportEntry& e : entries) {
                   BlockMeta& meta = map[e.block];
                   meta.readers.insert(peer);
-                  if (e.dirty) meta.owner = peer;
+                  if (e.dirty) {
+                    meta.owner = peer;
+                    meta.version = e.version;
+                  }
                 }
                 finish();
               },

@@ -134,6 +134,10 @@ class Xfs final : public FileService {
  private:
   struct BlockMeta {
     net::NodeId owner = net::kInvalidNode;
+    /// Write version of the owner's grant.  A flush notice releases
+    /// ownership only for the version it flushed: an owner that rewrote
+    /// the block while the flush was in flight holds a newer grant.
+    std::uint64_t version = 0;
     std::unordered_set<net::NodeId> readers;
     /// Ownership transfers serialize at the manager: while one is running,
     /// later write requests queue here.  Per-pair FIFO delivery then
@@ -149,6 +153,9 @@ class Xfs final : public FileService {
     std::unordered_set<BlockId> dirty;   // owned, modified, still cached
     std::deque<BlockId> staged;          // evicted dirty, awaiting flush
     std::unordered_set<BlockId> staged_set;
+    /// Write version of every block held dirty, staged or in flight to
+    /// the log.
+    std::unordered_map<BlockId, std::uint64_t> versions;
     bool flushing = false;
   };
   void install_services(os::Node& node);
@@ -182,6 +189,9 @@ class Xfs final : public FileService {
                      std::unordered_map<BlockId, BlockMeta>>
       managers_;
   std::unordered_set<net::NodeId> recovering_;  // managers mid-takeover
+  /// Write versions are unique across all managers, so a notice quoting a
+  /// grant from before a manager takeover never matches a later one.
+  std::uint64_t versions_issued_ = 0;
   XfsStats stats_;
   bool started_ = false;
   obs::TrackId obs_track_;
