@@ -77,6 +77,85 @@ void BM_EngineTimerWheelChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineTimerWheelChurn);
 
+// The queue mix measured on the building-scale serving workload: 2048
+// client arrivals, each re-armed ~0.7 s out when it fires; every arrival
+// starts a chain of µs-scale hops, and each hop arms a ~500 ms timeout that
+// the next hop cancels (the RPC timer pattern).  Far timers outnumber the
+// near events, and most of them die without ever firing.
+class FarTimerMix {
+ public:
+  static constexpr int kClients = 2048;
+  static constexpr int kHops = 8;
+
+  FarTimerMix() {
+    for (int c = 0; c < kClients; ++c) {
+      eng.schedule_at(rng.next_below(700) * sim::kMillisecond,
+                      [this] { arrive(); });
+    }
+  }
+
+  sim::Engine eng;
+
+ private:
+  void arrive() {
+    eng.schedule_in(700 * sim::kMillisecond +
+                        rng.next_below(1'000) * sim::kMicrosecond,
+                    [this] { arrive(); });
+    hop(kHops, 0);
+  }
+
+  void hop(int left, sim::EventId timeout) {
+    if (timeout != 0) eng.cancel(timeout);
+    if (left == 0) return;
+    const sim::EventId t = eng.schedule_in(500 * sim::kMillisecond, [] {});
+    eng.schedule_in(1 + rng.next_below(10'000),
+                    [this, left, t] { hop(left - 1, t); });
+  }
+
+  sim::Pcg32 rng{7};
+};
+
+void BM_EngineFarTimers(benchmark::State& state) {
+  FarTimerMix mix;
+  mix.eng.run_until(sim::kSecond);  // past the first round of arrivals
+  const std::uint64_t before = mix.eng.dispatched();
+  for (auto _ : state) {
+    mix.eng.run_until(mix.eng.now() + 10 * sim::kMillisecond);
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(mix.eng.dispatched() - before));
+}
+BENCHMARK(BM_EngineFarTimers);
+
+// Four self-rescheduling chains whose hops are one to three hours apart:
+// almost every dispatch crosses an idle gap of hours.  A queue that steps
+// through fixed-width time buckets crawls here.
+void BM_EngineSparseEvents(benchmark::State& state) {
+  constexpr int kEvents = 1'024;
+  struct Chain {
+    sim::Engine* eng;
+    sim::Pcg32* rng;
+    int* left;
+    void operator()() const {
+      if (--*left > 0) {
+        eng->schedule_in(sim::kHour + rng->next_below(7'200) * sim::kSecond,
+                         Chain{*this});
+      }
+    }
+  };
+  sim::Pcg32 rng(11);
+  for (auto _ : state) {
+    sim::Engine eng;
+    int left = kEvents;
+    for (int c = 0; c < 4; ++c) {
+      eng.schedule_in(c * sim::kHour, Chain{&eng, &rng, &left});
+    }
+    benchmark::DoNotOptimize(eng.run());
+  }
+  state.SetItemsProcessed(state.iterations() * (kEvents + 3));
+}
+BENCHMARK(BM_EngineSparseEvents);
+
 void BM_Pcg32Stream(benchmark::State& state) {
   sim::Pcg32 rng(42);
   std::uint64_t acc = 0;

@@ -1,8 +1,9 @@
 // A thread-local recycling cache for the engine's large allocations.
 //
 // A simulation run allocates a handful of large, long-lived blocks — the
-// event-pool slab chunks (32 KiB each) and the pending-queue buffers
-// (doubling up to hundreds of KiB) — and frees them all at Engine teardown.
+// event-pool slab chunks (32 KiB each), the pending queue's heap and bucket
+// arena (doubling up to hundreds of KiB) — and frees them all at Engine
+// teardown.
 // Handing multi-hundred-KiB blocks back to glibc puts them at the top of the
 // heap, where the allocator trims them back to the kernel; the next Engine
 // then soft-faults every page back in, which costs more than all the actual
@@ -113,32 +114,6 @@ class BlockCache {
   static Impl& impl() {
     thread_local Impl cache;
     return cache;
-  }
-};
-
-/// Minimal std allocator routing a container's buffer through BlockCache —
-/// used by the engine's pending-event vectors so their doubling growth
-/// recycles instead of churning the glibc heap.
-template <typename T>
-struct BlockCacheAllocator {
-  using value_type = T;
-
-  BlockCacheAllocator() = default;
-  template <typename U>
-  BlockCacheAllocator(const BlockCacheAllocator<U>&) {}  // NOLINT
-
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(BlockCache::allocate(n * sizeof(T)));
-  }
-  void deallocate(T* p, std::size_t n) noexcept {
-    BlockCache::deallocate(p, n * sizeof(T));
-  }
-
-  friend bool operator==(BlockCacheAllocator, BlockCacheAllocator) {
-    return true;
-  }
-  friend bool operator!=(BlockCacheAllocator, BlockCacheAllocator) {
-    return false;
   }
 };
 
