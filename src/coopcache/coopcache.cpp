@@ -74,17 +74,18 @@ bool CoopCacheSim::directory_consistent() const {
   // by the cache it names...
   bool backed = true;
   std::size_t directory_total = 0;
-  directory_.for_each([&](std::uint64_t block, std::uint32_t head) {
-    if (head == kNoHolder) backed = false;  // empty lists should be erased
-    for (std::uint32_t h = head; h != kNoHolder; h = holder_pool_[h].next) {
-      const std::uint32_t c = holder_pool_[h].client;
-      if (!client_caches_[c].contains(block)) backed = false;
-      for (std::uint32_t d = holder_pool_[h].next; d != kNoHolder;
-           d = holder_pool_[d].next) {
-        if (holder_pool_[d].client == c) backed = false;
-      }
-      ++directory_total;
+  std::vector<std::uint32_t> clients;
+  directory_.for_each([&](std::uint64_t block, const Holders& hs) {
+    clients.clear();
+    for_each_holder(hs, [&](std::uint32_t c) { clients.push_back(c); });
+    std::sort(clients.begin(), clients.end());
+    if (std::adjacent_find(clients.begin(), clients.end()) != clients.end()) {
+      backed = false;
     }
+    for (const std::uint32_t c : clients) {
+      if (!client_caches_[c].contains(block)) backed = false;
+    }
+    directory_total += clients.size();
   });
   // ...and every cached block must appear in the directory.
   std::size_t cached_total = 0;
@@ -93,47 +94,59 @@ bool CoopCacheSim::directory_consistent() const {
 }
 
 std::size_t CoopCacheSim::holders(std::uint64_t block) const {
-  const std::uint32_t* head = directory_.find(block);
+  const Holders* hs = directory_.find(block);
   std::size_t n = 0;
-  if (head == nullptr) return n;
-  for (std::uint32_t h = *head; h != kNoHolder; h = holder_pool_[h].next) ++n;
+  if (hs != nullptr) for_each_holder(*hs, [&n](std::uint32_t) { ++n; });
   return n;
 }
 
 void CoopCacheSim::directory_add(std::uint64_t block, std::uint32_t client) {
-  std::uint32_t& head = directory_.find_or_insert(block, kNoHolder);
+  Holders& hs =
+      directory_.find_or_insert(block, Holders{kNoHolder, kNoHolder});
+  if (hs.first == kNoHolder) {  // a new entry: the common case
+    hs.first = client;
+    return;
+  }
   std::uint32_t h = free_holder_;
   if (h != kNoHolder) {
     free_holder_ = holder_pool_[h].next;
-    holder_pool_[h] = Holder{client, head};
+    holder_pool_[h] = Holder{client, hs.rest};
   } else {
     h = static_cast<std::uint32_t>(holder_pool_.size());
-    holder_pool_.push_back(Holder{client, head});
+    holder_pool_.push_back(Holder{client, hs.rest});
   }
-  head = h;
+  hs.rest = h;
 }
 
-void CoopCacheSim::directory_remove(std::uint64_t block,
+bool CoopCacheSim::directory_remove(std::uint64_t block,
                                     std::uint32_t client) {
-  std::uint32_t* head = directory_.find(block);
-  if (head == nullptr) return;
-  for (std::uint32_t* link = head; *link != kNoHolder;
-       link = &holder_pool_[*link].next) {
-    const std::uint32_t h = *link;
-    if (holder_pool_[h].client == client) {
-      *link = holder_pool_[h].next;
-      holder_pool_[h].next = free_holder_;
-      free_holder_ = h;
-      break;
+  Holders* hs = directory_.find(block);
+  if (hs == nullptr) return false;
+  std::uint32_t* link = &hs->rest;
+  if (hs->first == client) {
+    if (hs->rest == kNoHolder) {
+      directory_.erase(block);
+      return false;
     }
+    // The second holder moves inline and its link is freed below.
+    hs->first = holder_pool_[hs->rest].client;
+  } else {
+    while (*link != kNoHolder && holder_pool_[*link].client != client) {
+      link = &holder_pool_[*link].next;
+    }
+    if (*link == kNoHolder) return true;
   }
-  if (*head == kNoHolder) directory_.erase(block);
+  const std::uint32_t h = *link;
+  *link = holder_pool_[h].next;
+  holder_pool_[h].next = free_holder_;
+  free_holder_ = h;
+  return true;
 }
 
 std::int64_t CoopCacheSim::find_holder(std::uint64_t block,
                                        std::uint32_t except) const {
-  const std::uint32_t* head = directory_.find(block);
-  if (head == nullptr) return -1;
+  const Holders* hs = directory_.find(block);
+  if (hs == nullptr) return -1;
   // Deterministic choice: the smallest id other than the requester — but
   // with rack awareness a same-rack holder always beats a cross-rack one
   // (the manager knows the topology; forwarding from the next rack over
@@ -141,16 +154,15 @@ std::int64_t CoopCacheSim::find_holder(std::uint64_t block,
   const std::uint32_t rs = config_.rack_size;
   std::int64_t best = -1;
   bool best_local = false;
-  for (std::uint32_t h = *head; h != kNoHolder; h = holder_pool_[h].next) {
-    const std::uint32_t c = holder_pool_[h].client;
-    if (c == except) continue;
+  for_each_holder(*hs, [&](std::uint32_t c) {
+    if (c == except) return;
     const bool local = rs > 0 && c / rs == except / rs;
     if (best < 0 || (local && !best_local) ||
         (local == best_local && static_cast<std::int64_t>(c) < best)) {
       best = c;
       best_local = local;
     }
-  }
+  });
   return best;
 }
 
@@ -174,7 +186,7 @@ void CoopCacheSim::insert_local(std::uint32_t client, std::uint64_t block) {
 
 void CoopCacheSim::handle_eviction(std::uint32_t client,
                                    std::uint64_t victim) {
-  directory_remove(victim, client);
+  const bool duplicate = directory_remove(victim, client);
   switch (config_.policy) {
     case Policy::kClientServer:
     case Policy::kGreedyForwarding:
@@ -187,7 +199,7 @@ void CoopCacheSim::handle_eviction(std::uint32_t client,
     }
     case Policy::kNChance: {
       if (config_.clients < 2) break;  // no peer to forward to
-      if (holders(victim) > 0) break;  // duplicate: drop quietly
+      if (duplicate) break;  // another copy remains: drop quietly
       std::uint32_t& count = recirculations_.find_or_insert(victim, 0);
       if (count >= config_.nchance_limit) {
         recirculations_.erase(victim);

@@ -129,7 +129,8 @@ class CoopCacheSim {
   void insert_local(std::uint32_t client, std::uint64_t block);
   void handle_eviction(std::uint32_t client, std::uint64_t victim);
   void directory_add(std::uint64_t block, std::uint32_t client);
-  void directory_remove(std::uint64_t block, std::uint32_t client);
+  /// Drops `client` from `block`'s holders; returns whether any remain.
+  bool directory_remove(std::uint64_t block, std::uint32_t client);
   /// A client (other than `except`) caching `block`, or -1.
   std::int64_t find_holder(std::uint64_t block, std::uint32_t except) const;
 
@@ -146,12 +147,28 @@ class CoopCacheSim {
     std::uint32_t next;  // kNoHolder ends the list
   };
   static constexpr std::uint32_t kNoHolder = ~std::uint32_t{0};
+  /// A block's holders: the first inline, the rest linked through the
+  /// pool.  Most blocks have one holder, so most directory operations
+  /// touch only the table slot.
+  struct Holders {
+    std::uint32_t first;
+    std::uint32_t rest;  // pool index of the second holder, or kNoHolder
+  };
+  /// Calls `f(client)` for each of a block's holders.
+  template <typename F>
+  void for_each_holder(const Holders& hs, F&& f) const {
+    f(hs.first);
+    for (std::uint32_t h = hs.rest; h != kNoHolder; h = holder_pool_[h].next) {
+      f(holder_pool_[h].client);
+    }
+  }
 
-  /// Directory: block -> first of the clients holding it in their local
-  /// caches.  Holder order is arbitrary; nothing may depend on it.
-  sim::FlatMap<std::uint32_t> directory_;
-  /// Every block's holder list, linked through one pool.  Freed links are
-  /// reused through free_holder_, so a block costs no allocation.
+  /// Directory: block -> the clients holding it in their local caches.
+  /// Holder order is arbitrary; nothing may depend on it.
+  sim::FlatMap<Holders> directory_;
+  /// Every block's second and later holders, linked through one pool.
+  /// Freed links are reused through free_holder_, so a block costs no
+  /// allocation.
   std::vector<Holder> holder_pool_;
   std::uint32_t free_holder_ = kNoHolder;
   /// N-chance: times each at-large singlet has been forwarded.

@@ -15,35 +15,64 @@ namespace {
                            std::to_string(lineno));
 }
 
-/// Splits on runs of spaces/tabs; returns the field count (capped at max).
-std::size_t split(std::string_view line, std::string_view* out,
-                  std::size_t max) {
-  std::size_t n = 0;
-  std::size_t i = 0;
-  while (i < line.size() && n < max) {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-    if (i >= line.size()) break;
-    const std::size_t start = i;
-    while (i < line.size() && line[i] != ' ' && line[i] != '\t') ++i;
-    out[n++] = line.substr(start, i - start);
+/// A time in `unit`s as a SimTime: finite, non-negative and within range,
+/// else false.  Converts exactly as sim::from_us and sim::from_sec do.
+bool to_time(double value, sim::Duration unit, sim::SimTime* out) {
+  const double ns = value * static_cast<double>(unit);
+  if (!(ns >= 0.0 && ns < 0x1p63)) return false;  // also rejects NaN
+  *out = static_cast<sim::SimTime>(ns);
+  return true;
+}
+
+/// Reads one line's fields left to right.  Fields are separated by runs of
+/// spaces and tabs; a number is parsed in place with from_chars and must
+/// fill its whole field.
+class Fields {
+ public:
+  explicit Fields(std::string_view line)
+      : p_(line.data()), end_(line.data() + line.size()) {}
+
+  /// The next field's text; empty once the line is used up.
+  std::string_view text() {
+    skip_blanks();
+    const char* start = p_;
+    while (p_ != end_ && !blank(*p_)) ++p_;
+    return {start, static_cast<std::size_t>(p_ - start)};
   }
-  // Trailing garbage beyond `max` fields still counts as a field so the
-  // caller can reject it.
-  while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-  if (i < line.size() && n == max) ++n;
-  return n;
-}
 
-bool parse_f64(std::string_view s, double* out) {
-  const auto r = std::from_chars(s.data(), s.data() + s.size(), *out);
-  return r.ec == std::errc{} && r.ptr == s.data() + s.size();
-}
+  /// The next field as a decimal integer or a double.
+  template <typename T>
+  bool number(T* out) {
+    skip_blanks();
+    const auto r = std::from_chars(p_, end_, *out);
+    if (r.ec != std::errc{} || (r.ptr != end_ && !blank(*r.ptr))) {
+      return false;
+    }
+    p_ = r.ptr;
+    return true;
+  }
 
-template <typename T>
-bool parse_uint(std::string_view s, T* out) {
-  const auto r = std::from_chars(s.data(), s.data() + s.size(), *out);
-  return r.ec == std::errc{} && r.ptr == s.data() + s.size();
-}
+  /// The next field as a time in `unit`s (see to_time).
+  bool time(sim::Duration unit, sim::SimTime* out) {
+    double value = 0;
+    return number(&value) && to_time(value, unit, out);
+  }
+
+  /// True when no field is left.
+  bool done() {
+    skip_blanks();
+    return p_ == end_;
+  }
+
+ private:
+  static bool blank(char c) { return c == ' ' || c == '\t'; }
+  void skip_blanks() {
+    while (p_ != end_ && blank(*p_)) ++p_;
+  }
+
+  const char* p_;
+  const char* end_;
+};
 
 }  // namespace
 
@@ -108,17 +137,15 @@ FsTraceCursor::FsTraceCursor(std::istream& in, CursorOptions opt)
 std::optional<trace::FsAccess> FsTraceCursor::next() {
   const auto line = lines_.next();
   if (!line) return std::nullopt;
-  std::string_view f[5];
-  if (split(*line, f, 4) != 4) bad_line("fs access", lines_.line_number());
-  double time_us = 0;
+  Fields f(*line);
   trace::FsAccess a;
-  if (!parse_f64(f[0], &time_us) || !parse_uint(f[1], &a.client) ||
-      !parse_uint(f[2], &a.block) || f[3].size() != 1 ||
-      (f[3][0] != 'r' && f[3][0] != 'w')) {
+  std::string_view op;
+  if (!f.time(sim::kMicrosecond, &a.at) || !f.number(&a.client) ||
+      !f.number(&a.block) || (op = f.text()).size() != 1 ||
+      (op[0] != 'r' && op[0] != 'w') || !f.done()) {
     bad_line("fs access", lines_.line_number());
   }
-  a.at = sim::from_us(time_us);
-  a.is_write = f[3][0] == 'w';
+  a.is_write = op[0] == 'w';
   if (opt_.enforce_monotonic && records_ > 0 && a.at < last_) {
     bad_line("out-of-order timestamp", lines_.line_number());
   }
@@ -182,37 +209,37 @@ NfsTraceCursor::NfsTraceCursor(std::istream& in, CursorOptions opt)
 std::optional<NfsRecord> NfsTraceCursor::next() {
   const auto line = lines_.next();
   if (!line) return std::nullopt;
-  std::string_view f[7];
-  if (split(*line, f, 6) != 6) bad_line("nfs record", lines_.line_number());
-  double time_sec = 0;
+  Fields f(*line);
   NfsRecord r;
   std::uint64_t bytes = 0;
-  if (!parse_f64(f[0], &time_sec) || !parse_uint(f[4], &r.offset) ||
-      !parse_uint(f[5], &bytes)) {
+  const bool timed = f.time(sim::kSecond, &r.at);
+  const std::string_view client = f.text();
+  const std::string_view op = f.text();
+  const std::string_view fh = f.text();
+  if (!timed || fh.empty() || !f.number(&r.offset) || !f.number(&bytes) ||
+      !f.done()) {
     bad_line("nfs record", lines_.line_number());
   }
   r.bytes = bytes > 0xffffffffull ? 0xffffffffu
                                   : static_cast<std::uint32_t>(bytes);
-  r.at = sim::from_sec(time_sec);
   bool known = false;
   for (const auto& e : kNfsOps) {
-    if (f[2] == e.name) {
+    if (op == e.name) {
       r.op = e.op;
       known = true;
       break;
     }
   }
   if (!known) {
-    bad_line("unknown NFS op '" + std::string(f[2]) + "'",
+    bad_line("unknown NFS op '" + std::string(op) + "'",
              lines_.line_number());
   }
   // Dense ids in first-appearance order: deterministic for a given file.
-  const auto client =
-      clients_.emplace(std::string(f[1]),
-                       static_cast<std::uint32_t>(clients_.size()));
-  r.client = client.first->second;
-  const auto fh = fhs_.emplace(std::string(f[3]), fhs_.size());
-  r.fh = fh.first->second;
+  r.client = clients_
+                 .emplace(std::string(client),
+                          static_cast<std::uint32_t>(clients_.size()))
+                 .first->second;
+  r.fh = fhs_.emplace(std::string(fh), fhs_.size()).first->second;
   if (opt_.enforce_monotonic && records_ > 0 && r.at < last_) {
     bad_line("out-of-order timestamp", lines_.line_number());
   }
@@ -250,18 +277,16 @@ ParallelJobCursor::ParallelJobCursor(std::istream& in, CursorOptions opt)
 std::optional<trace::ParallelJob> ParallelJobCursor::next() {
   const auto line = lines_.next();
   if (!line) return std::nullopt;
-  std::string_view f[5];
-  if (split(*line, f, 4) != 4) bad_line("parallel job", lines_.line_number());
-  double arrival_us = 0, work_us = 0;
+  Fields f(*line);
   trace::ParallelJob j;
-  if (!parse_f64(f[0], &arrival_us) || !parse_uint(f[1], &j.width) ||
-      !parse_f64(f[2], &work_us) || f[3].size() != 1 ||
-      (f[3][0] != 'p' && f[3][0] != 'd') || j.width == 0) {
+  std::string_view kind;
+  if (!f.time(sim::kMicrosecond, &j.arrival) || !f.number(&j.width) ||
+      !f.time(sim::kMicrosecond, &j.work) ||
+      (kind = f.text()).size() != 1 || (kind[0] != 'p' && kind[0] != 'd') ||
+      !f.done() || j.width == 0) {
     bad_line("parallel job", lines_.line_number());
   }
-  j.arrival = sim::from_us(arrival_us);
-  j.work = sim::from_us(work_us);
-  j.development = f[3][0] == 'd';
+  j.development = kind[0] == 'd';
   if (opt_.enforce_monotonic && j.arrival < last_) {
     bad_line("out-of-order timestamp", lines_.line_number());
   }
@@ -275,16 +300,15 @@ UsageIntervalCursor::UsageIntervalCursor(std::istream& in, CursorOptions opt)
 std::optional<UsageIntervalCursor::Row> UsageIntervalCursor::next() {
   const auto line = lines_.next();
   if (!line) return std::nullopt;
-  std::string_view f[4];
-  if (split(*line, f, 3) != 3) bad_line("busy interval", lines_.line_number());
+  Fields f(*line);
   Row row;
   double begin_us = 0, end_us = 0;
-  if (!parse_uint(f[0], &row.node) || !parse_f64(f[1], &begin_us) ||
-      !parse_f64(f[2], &end_us) || end_us < begin_us) {
+  if (!f.number(&row.node) || !f.number(&begin_us) || !f.number(&end_us) ||
+      !f.done() || end_us < begin_us ||
+      !to_time(begin_us, sim::kMicrosecond, &row.interval.begin) ||
+      !to_time(end_us, sim::kMicrosecond, &row.interval.end)) {
     bad_line("busy interval", lines_.line_number());
   }
-  row.interval.begin = sim::from_us(begin_us);
-  row.interval.end = sim::from_us(end_us);
   return row;
 }
 
@@ -304,9 +328,11 @@ TraceFormat detect_format(const std::string& path) {
   if (!line) {
     throw std::runtime_error("trace file has no records: " + path);
   }
-  std::string_view f[7];
-  const std::size_t n = split(*line, f, 6);
-  if (n == 4 && f[3].size() == 1 && (f[3][0] == 'r' || f[3][0] == 'w')) {
+  Fields f(*line);
+  std::size_t n = 0;
+  std::string_view last;
+  for (std::string_view t; !(t = f.text()).empty(); ++n) last = t;
+  if (n == 4 && last.size() == 1 && (last[0] == 'r' || last[0] == 'w')) {
     return TraceFormat::kFs;
   }
   if (n == 6) return TraceFormat::kNfs;

@@ -43,9 +43,13 @@
 //     formats (trace_io writes all three), read through the same
 //     streaming core.
 //
-// Every parse error cites the offending 1-based line number; timestamped
-// formats reject out-of-order records (a recorded stream is a schedule —
-// replaying one out of order would silently reorder the simulation).
+// Every cursor reads a line's whitespace-separated fields in one pass,
+// parsing each number in place; a number must fill its field, and a
+// missing or extra field rejects the line.  Times must be finite,
+// non-negative and fit a SimTime in nanoseconds.  Every parse error cites
+// the offending 1-based line number; timestamped formats reject
+// out-of-order records (a recorded stream is a schedule — replaying one
+// out of order would silently reorder the simulation).
 // Cursors are pure functions of their input bytes: two cursors over the
 // same stream yield identical records, which is what keeps trace-driven
 // benches byte-identical across --jobs and --threads.

@@ -226,57 +226,95 @@ TEST(CoopCache, DeterministicForSeed) {
   EXPECT_EQ(a.results().remote_client_hits, b.results().remote_client_hits);
 }
 
-// Every counter of every policy, flat and in racks of 4, on one fixed-seed
-// trace, pinned to the values the node-based containers produced.  A
-// container or iteration-order change that moves any result fails here;
-// DeterministicForSeed, which compares two runs of one build, cannot.
+// Every counter of every policy, flat and in racks, on two fixed-seed
+// traces, pinned to the values the node-based containers produced (the
+// 80-client rows to the values of the pooled holder lists).  A container
+// or iteration-order change that moves any result fails here;
+// DeterministicForSeed, which compares two runs of one build, cannot.  The
+// 80-client trace has holders above id 63, so a holder set capped at 64
+// clients fails it too.
 TEST(CoopCache, GoldenResultsForSeed) {
-  trace::FsWorkloadParams wp;
-  wp.clients = 12;
-  wp.accesses_per_client = 4'000;
-  wp.shared_blocks = 1'536;
-  wp.private_blocks = 768;
-  wp.seed = 11;
-  const auto accesses = trace::generate_fs_trace(wp);
   struct Golden {
     Policy policy;
     std::uint32_t rack_size;
     CoopCacheResults expect;  // reads, writes, local, peer, rack-local
-                              // peer, server memory, disk
+                              // peer, server memory, disk, singlet forwards
   };
-  const Golden golden[] = {
-      {Policy::kClientServer, 0, {16263, 2297, 6123, 0, 0, 750, 9390}},
-      {Policy::kGreedyForwarding, 0, {16263, 2297, 6126, 1276, 0, 297, 8564}},
-      {Policy::kCentrallyCoordinated, 0,
-       {16263, 2297, 2344, 6995, 0, 149, 6775}},
-      {Policy::kNChance, 0, {16263, 2297, 5143, 4446, 0, 24, 6650}},
-      {Policy::kClientServer, 4, {16263, 2297, 6123, 0, 0, 750, 9390}},
-      {Policy::kGreedyForwarding, 4,
-       {16263, 2297, 6121, 1278, 450, 300, 8564}},
-      {Policy::kCentrallyCoordinated, 4,
-       {16263, 2297, 2344, 6995, 0, 149, 6775}},
-      {Policy::kNChance, 4, {16263, 2297, 5169, 4422, 1298, 18, 6654}},
+  struct Workload {
+    std::uint32_t clients;
+    std::uint64_t accesses_per_client;
+    std::vector<Golden> golden;
   };
-  for (const Golden& g : golden) {
-    SCOPED_TRACE(std::string(policy_name(g.policy)) + " rack_size " +
-                 std::to_string(g.rack_size));
-    CoopCacheConfig cfg;
-    cfg.clients = wp.clients;
-    cfg.client_cache_blocks = 128;
-    cfg.server_cache_blocks = 512;
-    cfg.policy = g.policy;
-    cfg.rack_size = g.rack_size;
-    CoopCacheSim sim(cfg);
-    for (const auto& a : accesses) sim.access(a.client, a.block, a.is_write);
-    const CoopCacheResults& r = sim.results();
-    EXPECT_EQ(r.reads, g.expect.reads);
-    EXPECT_EQ(r.writes, g.expect.writes);
-    EXPECT_EQ(r.local_hits, g.expect.local_hits);
-    EXPECT_EQ(r.remote_client_hits, g.expect.remote_client_hits);
-    EXPECT_EQ(r.rack_local_peer_hits, g.expect.rack_local_peer_hits);
-    EXPECT_EQ(r.server_mem_hits, g.expect.server_mem_hits);
-    EXPECT_EQ(r.disk_reads, g.expect.disk_reads);
-    EXPECT_TRUE(sim.directory_consistent());
+  const Workload workloads[] = {
+      {12,
+       4'000,
+       {
+           {Policy::kClientServer, 0, {16263, 2297, 6123, 0, 0, 750, 9390, 0}},
+           {Policy::kGreedyForwarding, 0,
+            {16263, 2297, 6126, 1276, 0, 297, 8564, 0}},
+           {Policy::kCentrallyCoordinated, 0,
+            {16263, 2297, 2344, 6995, 0, 149, 6775, 0}},
+           {Policy::kNChance, 0, {16263, 2297, 5143, 4446, 0, 24, 6650, 17997}},
+           {Policy::kClientServer, 4, {16263, 2297, 6123, 0, 0, 750, 9390, 0}},
+           {Policy::kGreedyForwarding, 4,
+            {16263, 2297, 6121, 1278, 450, 300, 8564, 0}},
+           {Policy::kCentrallyCoordinated, 4,
+            {16263, 2297, 2344, 6995, 0, 149, 6775, 0}},
+           {Policy::kNChance, 4,
+            {16263, 2297, 5169, 4422, 1298, 18, 6654, 17999}},
+       }},
+      {80,
+       1'500,
+       {
+           {Policy::kClientServer, 0,
+            {52150, 7130, 18912, 0, 0, 2103, 31135, 0}},
+           {Policy::kGreedyForwarding, 0,
+            {52150, 7130, 18814, 7794, 0, 0, 25542, 0}},
+           {Policy::kCentrallyCoordinated, 0,
+            {52150, 7130, 7570, 21513, 0, 1380, 21687, 0}},
+           {Policy::kNChance, 0,
+            {52150, 7130, 15902, 16067, 0, 0, 20181, 46220}},
+           {Policy::kClientServer, 32,
+            {52150, 7130, 18912, 0, 0, 2103, 31135, 0}},
+           {Policy::kGreedyForwarding, 32,
+            {52150, 7130, 18811, 7781, 5739, 0, 25558, 0}},
+           {Policy::kCentrallyCoordinated, 32,
+            {52150, 7130, 7570, 21513, 0, 1380, 21687, 0}},
+           {Policy::kNChance, 32,
+            {52150, 7130, 15932, 16056, 7978, 0, 20162, 46135}},
+       }},
+  };
+  for (const Workload& w : workloads) {
+    trace::FsWorkloadParams wp;
+    wp.clients = w.clients;
+    wp.accesses_per_client = w.accesses_per_client;
+    wp.shared_blocks = 1'536;
+    wp.private_blocks = 768;
+    wp.seed = 11;
+    const auto accesses = trace::generate_fs_trace(wp);
+    for (const Golden& g : w.golden) {
+      SCOPED_TRACE(std::to_string(w.clients) + " clients, " +
+                   policy_name(g.policy) + ", rack_size " +
+                   std::to_string(g.rack_size));
+      CoopCacheConfig cfg;
+      cfg.clients = wp.clients;
+      cfg.client_cache_blocks = 128;
+      cfg.server_cache_blocks = 512;
+      cfg.policy = g.policy;
+      cfg.rack_size = g.rack_size;
+      CoopCacheSim sim(cfg);
+      for (const auto& a : accesses) sim.access(a.client, a.block, a.is_write);
+      const CoopCacheResults& r = sim.results();
+      EXPECT_EQ(r.reads, g.expect.reads);
+      EXPECT_EQ(r.writes, g.expect.writes);
+      EXPECT_EQ(r.local_hits, g.expect.local_hits);
+      EXPECT_EQ(r.remote_client_hits, g.expect.remote_client_hits);
+      EXPECT_EQ(r.rack_local_peer_hits, g.expect.rack_local_peer_hits);
+      EXPECT_EQ(r.server_mem_hits, g.expect.server_mem_hits);
+      EXPECT_EQ(r.disk_reads, g.expect.disk_reads);
+      EXPECT_EQ(r.singlet_forwards, g.expect.singlet_forwards);
+      EXPECT_TRUE(sim.directory_consistent());
+    }
   }
 }
 

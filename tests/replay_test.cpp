@@ -2,6 +2,8 @@
 // drivers, the profiler, and the ServeWorkload replay arrival source.
 #include <gtest/gtest.h>
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -15,6 +17,7 @@
 #include "replay/profile.hpp"
 #include "serve/workload.hpp"
 #include "sim/engine.hpp"
+#include "sim/random.hpp"
 #include "trace/fs_trace.hpp"
 #include "xfs/central_server.hpp"
 
@@ -168,6 +171,397 @@ TEST(NfsTraceCursor, OutOfOrderTimestampsRejected) {
   NfsTraceCursor cur(in);
   ASSERT_TRUE(cur.next());
   EXPECT_THROW(cur.next(), std::runtime_error);
+}
+
+// ---------------------------------------------------------------------------
+// Field rules, the timestamp rule and a seeded mutation test
+
+/// Everything a cursor makes of one line of a document: the record, no
+/// record (a blank or comment line, or EOF), or the parse error's text.
+template <typename Record>
+struct Outcome {
+  std::optional<Record> record;
+  std::string error;
+};
+
+/// Reads every record of `text`, then returns what the cursor made of the
+/// line after them.  The records before it must all parse.
+template <typename Cursor>
+auto last_outcome(const std::string& text, std::size_t records_before) {
+  std::istringstream in(text);
+  CursorOptions opt;
+  opt.window_bytes = 1'024;  // test lines are short
+  Cursor cur(in, opt);
+  Outcome<typename decltype(cur.next())::value_type> out;
+  for (std::size_t i = 0; i < records_before; ++i) {
+    if (!cur.next()) {
+      out.error = "a record before the last line was missing";
+      return out;
+    }
+  }
+  try {
+    out.record = cur.next();
+  } catch (const std::runtime_error& e) {
+    out.error = e.what();
+  }
+  return out;
+}
+
+TEST(FsTraceCursor, AppliesTheFieldRules) {
+  struct Case {
+    const char* line;
+    bool accepted;
+    trace::FsAccess expect;  // at, client, block, is_write
+  };
+  const Case cases[] = {
+      {"100 1 2 r", true, {sim::from_us(100), 1, 2, false}},
+      {"2.5 7 99 w", true, {sim::from_us(2.5), 7, 99, true}},
+      {"1e3 1 2 r", true, {sim::from_us(1000), 1, 2, false}},
+      {"100\t1\t2\tw", true, {sim::from_us(100), 1, 2, true}},
+      {"   100  1 \t 2 r", true, {sim::from_us(100), 1, 2, false}},
+      {"100 1 2 r \t ", true, {sim::from_us(100), 1, 2, false}},
+      {"100 1 2 r\r", true, {sim::from_us(100), 1, 2, false}},
+      {"007 0 0 r", true, {sim::from_us(7), 0, 0, false}},
+      {"100 1 2", false, {}},                       // missing field
+      {"100 1 2 r extra", false, {}},               // extra field
+      {"100 1 2 rw", false, {}},                    // two-letter op
+      {"100 1 2 x", false, {}},                     // unknown op
+      {"100 1 2 R", false, {}},                     // ops are lower case
+      {"100 1 2 r#", false, {}},                    // no trailing comment
+      {"100 -1 2 r", false, {}},                    // negative client
+      {"100 1 -2 r", false, {}},                    // negative block
+      {"100 0x1 2 r", false, {}},                   // hex client
+      {"0x64 1 2 r", false, {}},                    // hex time
+      {"+100 1 2 r", false, {}},                    // '+' on the time
+      {"100 +1 2 r", false, {}},                    // '+' on the client
+      {"100 4294967296 2 r", false, {}},            // client overflows
+      {"100 1 18446744073709551616 r", false, {}},  // block overflows
+      {"100 1.5 2 r", false, {}},                   // fractional client
+      {"100us 1 2 r", false, {}},                   // unit suffix
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.line);
+    const auto out =
+        last_outcome<FsTraceCursor>(std::string("0 0 0 r\n") + c.line, 1);
+    if (c.accepted) {
+      ASSERT_TRUE(out.record) << out.error;
+      EXPECT_EQ(out.record->at, c.expect.at);
+      EXPECT_EQ(out.record->client, c.expect.client);
+      EXPECT_EQ(out.record->block, c.expect.block);
+      EXPECT_EQ(out.record->is_write, c.expect.is_write);
+    } else {
+      EXPECT_FALSE(out.record);
+      EXPECT_TRUE(out.error.ends_with("(fs access) at line 2")) << out.error;
+    }
+  }
+  // Comments and blank lines are skipped wherever they start.
+  for (const char* skipped : {"# 100 1 2 r", "  \t# note", "", " \t ", "\r"}) {
+    SCOPED_TRACE(skipped);
+    const auto out =
+        last_outcome<FsTraceCursor>(std::string("0 0 0 r\n") + skipped, 1);
+    EXPECT_FALSE(out.record);
+    EXPECT_EQ(out.error, "");
+  }
+}
+
+// Times that are not finite, are negative or overflow a SimTime are parse
+// errors, in every timestamped format; the largest time that fits parses.
+const char* const kBadTimes[] = {"inf",   "-inf",   "infinity", "nan",
+                                 "-nan",  "1e300",  "-5",       "-0.001",
+                                 "1e400", "9.3e15"};
+
+TEST(FsTraceCursor, RejectsNonFiniteAndNegativeTimes) {
+  for (const char* t : kBadTimes) {
+    SCOPED_TRACE(t);
+    const auto out = last_outcome<FsTraceCursor>(
+        std::string("# header\n") + t + " 1 2 r\n", 0);
+    EXPECT_FALSE(out.record);
+    EXPECT_TRUE(out.error.ends_with("(fs access) at line 2")) << out.error;
+  }
+  const auto out = last_outcome<FsTraceCursor>("9.2e15 1 2 r\n", 0);
+  ASSERT_TRUE(out.record) << out.error;
+  EXPECT_EQ(out.record->at, sim::from_us(9.2e15));
+}
+
+TEST(NfsTraceCursor, RejectsNonFiniteAndNegativeTimes) {
+  // Seconds: 1e10 s is past the SimTime range, 9e9 s is inside it.
+  for (const char* t : {"inf", "-inf", "nan", "1e300", "-5", "1e10"}) {
+    SCOPED_TRACE(t);
+    const auto out = last_outcome<NfsTraceCursor>(
+        std::string("# header\n") + t + " ws01 read fhAA 0 8192\n", 0);
+    EXPECT_FALSE(out.record);
+    EXPECT_TRUE(out.error.ends_with("(nfs record) at line 2")) << out.error;
+  }
+  const auto out =
+      last_outcome<NfsTraceCursor>("9e9 ws01 read fhAA 0 8192\n", 0);
+  ASSERT_TRUE(out.record) << out.error;
+  EXPECT_EQ(out.record->at, sim::from_sec(9e9));
+}
+
+TEST(ParallelJobCursor, RejectsNonFiniteAndNegativeTimes) {
+  for (const char* t : kBadTimes) {
+    SCOPED_TRACE(t);
+    for (const std::string& line :
+         {std::string(t) + " 8 5000 p", "100 8 " + std::string(t) + " p"}) {
+      const auto out =
+          last_outcome<ParallelJobCursor>("# header\n" + line + "\n", 0);
+      EXPECT_FALSE(out.record);
+      EXPECT_TRUE(out.error.ends_with("(parallel job) at line 2"))
+          << out.error;
+    }
+  }
+}
+
+TEST(UsageIntervalCursor, RejectsNonFiniteAndNegativeTimes) {
+  for (const char* t : kBadTimes) {
+    SCOPED_TRACE(t);
+    for (const std::string& line :
+         {"0 " + std::string(t) + " 500", "0 100 " + std::string(t),
+          "0 " + std::string(t) + " " + t}) {
+      const auto out =
+          last_outcome<UsageIntervalCursor>("# header\n" + line + "\n", 0);
+      EXPECT_FALSE(out.record);
+      EXPECT_TRUE(out.error.ends_with("(busy interval) at line 2"))
+          << out.error;
+    }
+  }
+}
+
+/// The fs line rules of the original split-then-parse reader, kept here as
+/// the reference the cursor must match: at most one trailing '\r' dropped,
+/// blank and '#' lines skipped, exactly four space- or tab-separated
+/// fields, each number spanning its whole field, plus the timestamp rule.
+/// nullopt with `*skipped` false is a rejection.
+std::optional<trace::FsAccess> reference_fs_line(std::string_view line,
+                                                 bool* skipped) {
+  *skipped = false;
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  const std::size_t first = line.find_first_not_of(" \t");
+  if (first == std::string_view::npos || line[first] == '#') {
+    *skipped = true;
+    return std::nullopt;
+  }
+  std::vector<std::string_view> f;
+  std::size_t i = 0;
+  while (i < line.size()) {
+    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
+    if (i == line.size()) break;
+    const std::size_t start = i;
+    while (i < line.size() && line[i] != ' ' && line[i] != '\t') ++i;
+    f.push_back(line.substr(start, i - start));
+  }
+  const auto whole = [](std::string_view s, auto* out) {
+    const auto r = std::from_chars(s.data(), s.data() + s.size(), *out);
+    return r.ec == std::errc{} && r.ptr == s.data() + s.size();
+  };
+  double time_us = 0;
+  trace::FsAccess a;
+  if (f.size() != 4 || !whole(f[0], &time_us) || !whole(f[1], &a.client) ||
+      !whole(f[2], &a.block) || (f[3] != "r" && f[3] != "w")) {
+    return std::nullopt;
+  }
+  if (!std::isfinite(time_us) || time_us < 0 ||
+      time_us * 1e3 >= std::ldexp(1.0, 63)) {
+    return std::nullopt;
+  }
+  a.at = sim::from_us(time_us);
+  a.is_write = f[3] == "w";
+  return a;
+}
+
+/// Applies one to three random edits to a valid line: a byte replaced,
+/// inserted or deleted, or a whole field replaced, dropped, doubled or
+/// swapped.  Never adds a newline, so the line stays one line.
+std::string mutate(std::string line, sim::Pcg32& rng) {
+  static const char kBytes[] = "0123456789 \t-+.eExXpPinfaI#rwdR\r\x7f\xff,_";
+  static const char* const kTokens[] = {
+      "inf", "-inf", "nan", "1e300", "-5", "-0", "0", "+1", "0x10", "1e-400",
+      "4294967296", "18446744073709551616", "9.3e15", "r", "w", "rw", "x",
+      "p", "d", "read", "getattr", "frob", "#", "1.5", "007", "\r"};
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.next_below(static_cast<std::uint32_t>(n)));
+  };
+  const std::size_t edits = 1 + pick(3);
+  for (std::size_t e = 0; e < edits; ++e) {
+    std::vector<std::string> fields;
+    std::istringstream split(line);
+    for (std::string t; split >> t;) fields.push_back(t);
+    const std::size_t kind = pick(7);
+    if (kind <= 2 || fields.empty()) {
+      const char byte = kBytes[pick(sizeof kBytes - 1)];
+      const std::size_t at = pick(line.size() + 1);
+      if (kind == 0 && at < line.size()) {
+        line[at] = byte;
+      } else if (kind == 1 || at == line.size()) {
+        line.insert(line.begin() + static_cast<std::ptrdiff_t>(at), byte);
+      } else {
+        line.erase(at, 1);
+      }
+      continue;
+    }
+    const std::size_t i = pick(fields.size());
+    const std::size_t j = pick(fields.size());
+    const auto at = fields.begin() + static_cast<std::ptrdiff_t>(i);
+    if (kind == 3) {
+      *at = kTokens[pick(std::size(kTokens))];
+    } else if (kind == 4) {
+      fields.erase(at);
+    } else if (kind == 5) {
+      fields.insert(at, std::string(fields[j]));
+    } else {
+      std::swap(fields[i], fields[j]);
+    }
+    line.clear();
+    for (const std::string& t : fields) line += (line.empty() ? "" : " ") + t;
+  }
+  return line;
+}
+
+/// A document of `kLead` valid records, a comment, then the line under
+/// test; the line under test is line kLead + 2.
+constexpr std::size_t kLead = 2;
+constexpr int kMutations = 20'000;
+
+std::string mutation_document(const char* const (&lead)[kLead],
+                              const std::string& line) {
+  std::string doc;
+  for (const char* l : lead) doc += std::string(l) + "\n";
+  return doc + "# the mutated line follows\n" + line + "\n";
+}
+
+TEST(FsTraceCursor, MutatedLinesMatchTheReferenceParser) {
+  const char* const lead[kLead] = {"10 0 0 r", "20.5 1 1 w"};
+  const sim::SimTime last = sim::from_us(20.5);
+  sim::Pcg32 rng(19);
+  std::uint64_t accepted = 0, rejected = 0;
+  for (int n = 0; n < kMutations; ++n) {
+    std::ostringstream valid;
+    valid.precision(17);
+    valid << 20.5 + rng.uniform(0.0, 1e7) << ' ' << rng.next_below(100) << ' '
+          << rng.next_below(1'000'000) << ' ' << (rng.next_below(4) ? 'r' : 'w');
+    const std::string line = mutate(valid.str(), rng);
+    SCOPED_TRACE("line \"" + line + "\"");
+    const auto out = last_outcome<FsTraceCursor>(
+        mutation_document(lead, line), kLead);
+    bool skipped = false;
+    auto expect = reference_fs_line(line, &skipped);
+    const bool reordered = expect && expect->at < last;
+    if (reordered) expect.reset();
+    if (expect) {
+      ASSERT_TRUE(out.record) << out.error;
+      EXPECT_EQ(out.record->at, expect->at);
+      EXPECT_EQ(out.record->client, expect->client);
+      EXPECT_EQ(out.record->block, expect->block);
+      EXPECT_EQ(out.record->is_write, expect->is_write);
+      ++accepted;
+    } else if (skipped) {
+      EXPECT_FALSE(out.record);
+      EXPECT_EQ(out.error, "");
+    } else {
+      EXPECT_FALSE(out.record);
+      EXPECT_TRUE(out.error.ends_with(reordered
+                                           ? "(out-of-order timestamp) at line 4"
+                                           : "(fs access) at line 4"))
+          << out.error;
+      ++rejected;
+    }
+  }
+  // The edits must leave both outcomes common, or the test checks little.
+  EXPECT_GT(accepted, kMutations / 20u);
+  EXPECT_GT(rejected, kMutations / 4u);
+}
+
+/// Mutates valid lines of a format and checks that each input parses or
+/// fails citing its own line; `check` vets every accepted record.
+template <typename Cursor, typename MakeLine, typename Check>
+void fuzz_format(const char* const (&lead)[kLead], MakeLine make_line,
+                 Check check) {
+  sim::Pcg32 rng(19);
+  std::uint64_t accepted = 0;
+  for (int n = 0; n < kMutations; ++n) {
+    const std::string valid = make_line(rng);
+    const std::string line = n == 0 ? valid : mutate(valid, rng);
+    SCOPED_TRACE("line \"" + line + "\"");
+    const auto out =
+        last_outcome<Cursor>(mutation_document(lead, line), kLead);
+    if (n == 0) {
+      ASSERT_TRUE(out.record) << out.error;  // the generator is valid
+    }
+    if (out.record) {
+      check(*out.record);
+      ++accepted;
+    } else if (!out.error.empty()) {
+      EXPECT_TRUE(out.error.starts_with("trace parse error (")) << out.error;
+      EXPECT_TRUE(out.error.ends_with(") at line 4")) << out.error;
+    }
+  }
+  EXPECT_GT(accepted, kMutations / 20u);
+}
+
+TEST(ReplayParsers, MutatedLinesParseOrCiteTheirLine) {
+  const auto us = [](sim::Pcg32& rng) {
+    std::ostringstream t;
+    t.precision(17);
+    t << 100.0 + rng.uniform(0.0, 1e7);
+    return t.str();
+  };
+  {
+    SCOPED_TRACE("nfs");
+    const char* const lead[kLead] = {"0.000010 ws00 getattr fh0 0 0",
+                                     "0.000020 ws01 read fh1 8192 8192"};
+    const char* const ops[] = {"read", "write", "getattr", "lookup", "create"};
+    fuzz_format<NfsTraceCursor>(
+        lead,
+        [&](sim::Pcg32& rng) {
+          std::ostringstream l;
+          l.precision(17);
+          l << 1e-4 + rng.uniform(0.0, 100.0) << " ws" << rng.next_below(20)
+            << ' ' << ops[rng.next_below(5)] << " fh" << rng.next_below(500)
+            << ' ' << 8192 * rng.next_below(64) << " 8192";
+          return l.str();
+        },
+        [](const NfsRecord& r) {
+          EXPECT_GE(r.at, sim::from_sec(2e-5));
+          EXPECT_LE(r.client, 2u);  // at most one client beyond the lead's
+          EXPECT_LE(r.fh, 2u);
+        });
+  }
+  {
+    SCOPED_TRACE("parallel job");
+    const char* const lead[kLead] = {"10 8 5000 p", "20 4 100 d"};
+    fuzz_format<ParallelJobCursor>(
+        lead,
+        [&](sim::Pcg32& rng) {
+          std::ostringstream l;
+          l << us(rng) << ' ' << (1u << rng.next_below(6)) << ' ' << us(rng)
+            << ' ' << (rng.next_below(2) ? 'p' : 'd');
+          return l.str();
+        },
+        [](const trace::ParallelJob& j) {
+          EXPECT_GE(j.arrival, sim::from_us(20));
+          EXPECT_GE(j.work, 0);
+          EXPECT_GT(j.width, 0u);
+        });
+  }
+  {
+    SCOPED_TRACE("busy interval");
+    const char* const lead[kLead] = {"0 10 20", "1 15 30"};
+    fuzz_format<UsageIntervalCursor>(
+        lead,
+        [&](sim::Pcg32& rng) {
+          const double begin = rng.uniform(0.0, 1e7);
+          std::ostringstream l;
+          l.precision(17);
+          l << rng.next_below(64) << ' ' << begin << ' '
+            << begin + rng.uniform(0.0, 1e6);
+          return l.str();
+        },
+        [](const UsageIntervalCursor::Row& r) {
+          EXPECT_GE(r.interval.begin, 0);
+          EXPECT_GE(r.interval.end, r.interval.begin);
+        });
+  }
 }
 
 // ---------------------------------------------------------------------------
