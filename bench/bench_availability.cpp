@@ -94,8 +94,7 @@ fault::FaultPlan outage_plan(sim::Duration period) {
 // with success, or with a timeout/retry-exhaustion failure — and its
 // completion says which, so issued - ok is exactly the failure count.
 DesignResult run_design(bool use_xfs, sim::Duration period,
-                        exp::RunContext& ctx, unsigned threads,
-                        const Shape& shape) {
+                        exp::RunContext& ctx, const Shape& shape) {
   ClusterConfig cfg;
   cfg.workstations = shape.workstations;
   cfg.fabric = shape.fabric;
@@ -106,14 +105,6 @@ DesignResult run_design(bool use_xfs, sim::Duration period,
   cfg.xfs.client_cache_blocks = 64;
   cfg.stripe_group_size = shape.stripe_group_size;
   cfg.fault_plan = outage_plan(period);
-  // --threads is accepted but the workload is not partition-clean: the
-  // CentralServerFs driver lives outside the cluster and touches many
-  // nodes' requests per event, and xFS manager/RAID traffic spans nodes,
-  // so node-local execution would race.  kAllGlobal keeps every event on
-  // the serial path — output is byte-identical at any --threads value by
-  // construction.
-  cfg.threads = threads;
-  cfg.partitioning = Partitioning::kAllGlobal;
   cfg.run = &ctx;
   Cluster c(cfg);
   std::unique_ptr<xfs::CentralServerFs> central;
@@ -208,8 +199,8 @@ int main(int argc, char** argv) {
   const auto points = sweep.run(names, [&](now::exp::RunContext& ctx) {
     Point p;
     const now::sim::Duration period = periods[ctx.task_index];
-    p.central = run_design(false, period, ctx, sweep.threads(), flat);
-    p.xfs = run_design(true, period, ctx, sweep.threads(), flat);
+    p.central = run_design(false, period, ctx, flat);
+    p.xfs = run_design(true, period, ctx, flat);
     return p;
   });
 
@@ -281,8 +272,8 @@ int main(int argc, char** argv) {
   const auto bpoints = sweep.run(bnames, [&](now::exp::RunContext& ctx) {
     Point p;
     const Shape& s = *placements[ctx.task_index - first_section].second;
-    p.central = run_design(false, bperiod, ctx, sweep.threads(), s);
-    p.xfs = run_design(true, bperiod, ctx, sweep.threads(), s);
+    p.central = run_design(false, bperiod, ctx, s);
+    p.xfs = run_design(true, bperiod, ctx, s);
     return p;
   });
 

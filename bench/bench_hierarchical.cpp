@@ -7,15 +7,12 @@
 // trunk and is immune to the oversubscription knob, while cross-rack
 // traffic queues on the spine trunks and slows as they thin out.
 //
-// Every sweep point is an independent simulation (--jobs N parallelizes
-// them); inside each point the cluster can itself run partitioned
-// (--threads N, lanes aligned to racks).  stdout is pure simulated results
-// — integer op counts, latency sums, FNV digests — and is byte-identical
-// across every --jobs and --threads value; wall-clock, rss, and events/sec
-// go to --json only.
+// Every sweep point is an independent serial simulation (--jobs N
+// parallelizes them).  stdout is pure simulated results — integer op
+// counts, latency sums, FNV digests — and is byte-identical across every
+// --jobs value; wall-clock, rss, and events/sec go to --json only.
 //
 //   --nodes N     cap the size axis (default sweep: 256 and 1024)
-//   --threads N   partition lanes inside each simulation (default 1)
 //   --sim-ms M    simulated horizon per point (default 20)
 //   --jobs N      sweep points in parallel (stdout invariant)
 //   --json PATH   machine-readable report (BENCH_hierarchical.json)
@@ -23,7 +20,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -60,13 +56,9 @@ struct PointResult {
 
 std::uint32_t parse_u32(int argc, char** argv, const char* flag,
                         std::uint32_t def) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      const unsigned long v = std::strtoul(argv[i + 1], nullptr, 10);
-      if (v > 0) return static_cast<std::uint32_t>(v);
-    }
-  }
-  return def;
+  const std::uint32_t v =
+      now::bench::numeric_flag<std::uint32_t>(argc, argv, flag, 0);
+  return v > 0 ? v : def;
 }
 
 std::uint64_t digest(const std::vector<NodeState>& st) {
@@ -97,7 +89,7 @@ std::uint64_t digest(const std::vector<NodeState>& st) {
 // trunks literally do not appear on their path — while cross-rack rows
 // diverge only through the fabric.
 PointResult run_point(std::uint64_t seed, std::uint32_t nodes,
-                      double oversub, bool cross_rack, unsigned threads,
+                      double oversub, bool cross_rack,
                       sim::SimTime horizon) {
   const auto w0 = std::chrono::steady_clock::now();
   ClusterConfig cfg;
@@ -105,9 +97,7 @@ PointResult run_point(std::uint64_t seed, std::uint32_t nodes,
   cfg.fabric = Fabric::kBuildingNow;
   cfg.building = net::building_now((nodes + kNodesPerRack - 1) / kNodesPerRack,
                                    kNodesPerRack, oversub);
-  cfg.with_glunix = false;  // partition-clean: only the fabric is shared
-  cfg.threads = threads;
-  cfg.partitioning = Partitioning::kNodeLocal;
+  cfg.with_glunix = false;
   cfg.seed = seed;
   // No cfg.run: the seed must not vary per sweep point.  run_sweep still
   // installs each point's private metrics/tracer context on the worker
@@ -133,31 +123,29 @@ PointResult run_point(std::uint64_t seed, std::uint32_t nodes,
 
   auto issue = std::make_shared<std::function<void(std::uint32_t)>>();
   *issue = [&c, state, issue, partner, horizon](std::uint32_t i) {
-    sim::Engine& e = c.network().engine_for(i);
-    if (e.now() >= horizon) return;
-    const sim::SimTime t0 = e.now();
+    if (c.engine().now() >= horizon) return;
+    const sim::SimTime t0 = c.engine().now();
     c.rpc().call(i, partner(i), kEcho, kReqBytes, std::any{},
                  [&c, state, issue, i, t0](std::any) {
                    NodeState& s = (*state)[i];
                    ++s.ops;
                    s.latency_ticks += static_cast<std::uint64_t>(
-                       c.network().engine_for(i).now() - t0);
+                       c.engine().now() - t0);
                    const sim::Duration think =
                        100 * sim::kMicrosecond +
                        static_cast<sim::Duration>(s.rng.next_below(
                            static_cast<std::uint32_t>(200 *
                                                       sim::kMicrosecond)));
-                   c.network().engine_for(i).schedule_in(
-                       think, [issue, i] {
-                         if (*issue) (*issue)(i);
-                       });
+                   c.engine().schedule_in(think, [issue, i] {
+                     if (*issue) (*issue)(i);
+                   });
                  });
   };
   for (std::uint32_t i = 0; i < nodes; ++i) {
     const sim::Duration at =
         static_cast<sim::Duration>((*state)[i].rng.next_below(
             static_cast<std::uint32_t>(100 * sim::kMicrosecond)));
-    c.network().engine_for(i).schedule_at(at, [issue, i] {
+    c.engine().schedule_at(at, [issue, i] {
       if (*issue) (*issue)(i);
     });
   }
@@ -204,7 +192,6 @@ int main(int argc, char** argv) {
       "Myrinet-class links; spine thinned to oversubscription ratio; "
       "D-mod-k routing");
   now::bench::Sweep sweep(argc, argv, "bench/bench_hierarchical");
-  const unsigned threads = sweep.threads();
 
   struct Point {
     std::uint32_t nodes;
@@ -234,7 +221,7 @@ int main(int argc, char** argv) {
     const Point& p = points[ctx.task_index];
     const std::uint64_t seed =
         sweep.base_seed() * 1000003ull + p.nodes * 31ull + (p.cross ? 1 : 0);
-    return run_point(seed, p.nodes, p.oversub, p.cross, threads, horizon);
+    return run_point(seed, p.nodes, p.oversub, p.cross, horizon);
   });
 
   now::bench::row("%u nodes/rack; spine trunks per rack = 32/oversub; "
@@ -289,7 +276,6 @@ int main(int argc, char** argv) {
   getrusage(RUSAGE_SELF, &ru);
   const double rss_mb = static_cast<double>(ru.ru_maxrss) / 1024.0;
   json.value("aggregate", "max_rss_mb", rss_mb);
-  json.value("aggregate", "threads", threads);
   char prof[256];
   std::snprintf(prof, sizeof prof,
                 "profile: at %u nodes cross-rack mean latency went %.1f -> "
@@ -303,7 +289,7 @@ int main(int argc, char** argv) {
             "on flat arrays; the sweep saturates the spine trunks "
             "(simulated) long before the simulator itself - events/sec is "
             "bounded by the slab engine, not by fabric bookkeeping");
-  json.note("stdout is byte-identical across --jobs and --threads; wall_ms "
-            "and rss are measurement");
+  json.note("stdout is byte-identical across --jobs; wall_ms and rss are "
+            "measurement");
   return 0;
 }

@@ -21,7 +21,6 @@
 //   --json PATH   machine-readable report (BENCH_parallel.json shape)
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -46,13 +45,17 @@ struct NodeState {
 
 std::uint32_t parse_u32(int argc, char** argv, const char* flag,
                         std::uint32_t def) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      const unsigned long v = std::strtoul(argv[i + 1], nullptr, 10);
-      if (v > 0) return static_cast<std::uint32_t>(v);
-    }
-  }
-  return def;
+  const std::uint32_t v =
+      now::bench::numeric_flag<std::uint32_t>(argc, argv, flag, 0);
+  return v > 0 ? v : def;
+}
+
+/// `--threads N` (default 1; 0 also means 1): ClusterConfig::threads for
+/// the partitioned cluster.  1 = the serial engine.
+unsigned parse_threads(int argc, char** argv) {
+  const unsigned n = now::bench::numeric_flag<unsigned>(argc, argv,
+                                                        "--threads", 1);
+  return n == 0 ? 1 : n;
 }
 
 // FNV-1a over the per-node (ops, latency) sequence: any reordering or
@@ -80,7 +83,7 @@ int main(int argc, char** argv) {
       "'A Case for NOW': the simulator of the building-sized computer "
       "should itself scale with cores");
   const std::uint32_t nodes = parse_u32(argc, argv, "--nodes", 256);
-  const unsigned threads = now::bench::parse_threads(argc, argv);
+  const unsigned threads = parse_threads(argc, argv);
   const sim::SimTime horizon =
       static_cast<sim::SimTime>(parse_u32(argc, argv, "--sim-ms", 200)) *
       sim::kMillisecond;

@@ -27,18 +27,13 @@
 // clients on Fabric::kBuildingNow, central backend only, comparing
 // rack-local placement (clients beside the server) against spread
 // placement (clients dealt across every other rack, all traffic over the
-// 4:1 oversubscribed spine).  Those cells run partitioned
-// (Partitioning::kNodeLocal, --threads N) with the ServeWorkload's state
-// lane-confined and SLO shards merged exactly at report time.
+// 4:1 oversubscribed spine).
 //
-// Determinism: every cell is one exp::run_sweep point (--jobs N) whose
-// arrivals/mix draws derive from the point seed.  The classic cells pin
-// Partitioning::kAllGlobal (xFS and the fault plan's shared services);
-// the building cells are partition-clean.  stdout is byte-identical for
-// any --jobs/--threads combination (DESIGN.md §13, §15).
+// Determinism: every cell is one serial simulation and one exp::run_sweep
+// point (--jobs N) whose arrivals/mix draws derive from the point seed.
+// stdout is byte-identical for any --jobs value (DESIGN.md §13, §15).
 #include <sys/resource.h>
 
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -102,8 +97,7 @@ struct CellResult {
   std::uint64_t cold_restarts = 0;
 };
 
-ClusterConfig base_config(bool with_fault, exp::RunContext& ctx,
-                          unsigned threads) {
+ClusterConfig base_config(bool with_fault, exp::RunContext& ctx) {
   ClusterConfig cfg;
   cfg.workstations = kClients + 1;  // node 0: server / manager+RAID member
   cfg.with_glunix = false;
@@ -112,12 +106,6 @@ ClusterConfig base_config(bool with_fault, exp::RunContext& ctx,
     plan.crash_at(kCrashAt, 0).restart_at(kCrashAt + kOutage, 0);
     cfg.fault_plan = plan;
   }
-  // The classic grid crosses backends and a fault plan; xFS events touch
-  // many nodes' state per event, so these cells stay serial (kAllGlobal —
-  // --threads accepted, byte-identical at any value).  The building cells
-  // below are partition-clean and genuinely use the lanes.
-  cfg.threads = threads;
-  cfg.partitioning = Partitioning::kAllGlobal;
   cfg.seed = ctx.seed;
   cfg.run = &ctx;
   return cfg;
@@ -133,9 +121,9 @@ CellResult harvest(const serve::ServeWorkload& w) {
   return r;
 }
 
-CellResult run_central(double offered, bool with_fault, exp::RunContext& ctx,
-                       unsigned threads) {
-  ClusterConfig cfg = base_config(with_fault, ctx, threads);
+CellResult run_central(double offered, bool with_fault,
+                       exp::RunContext& ctx) {
+  ClusterConfig cfg = base_config(with_fault, ctx);
   Cluster c(cfg);
   xfs::CentralFsParams p;
   p.client_cache_blocks = 64;
@@ -156,9 +144,8 @@ CellResult run_central(double offered, bool with_fault, exp::RunContext& ctx,
   return r;
 }
 
-CellResult run_xfs(double offered, bool with_fault, exp::RunContext& ctx,
-                   unsigned threads) {
-  ClusterConfig cfg = base_config(with_fault, ctx, threads);
+CellResult run_xfs(double offered, bool with_fault, exp::RunContext& ctx) {
+  ClusterConfig cfg = base_config(with_fault, ctx);
   cfg.with_xfs = true;
   cfg.xfs.client_cache_blocks = 64;
   cfg.stripe_group_size = 0;  // one RAID-5 across all seventeen disks
@@ -189,16 +176,12 @@ constexpr std::uint32_t kDefaultBldClients = 2048;
 const std::vector<double> kBldLoads{1000.0, 3000.0, 4000.0};
 const std::vector<std::string> kBldPlacements{"in-rack", "spread"};
 
-/// `--clients N`: building-section population size (default 2048).
+/// `--clients N`: building-section population size (default 2048; 0 also
+/// means the default).
 std::uint32_t parse_clients(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--clients") == 0) {
-      const auto n = static_cast<std::uint32_t>(
-          std::strtoul(argv[i + 1], nullptr, 10));
-      if (n > 0) return n;
-    }
-  }
-  return kDefaultBldClients;
+  const std::uint32_t n =
+      now::bench::numeric_flag<std::uint32_t>(argc, argv, "--clients", 0);
+  return n > 0 ? n : kDefaultBldClients;
 }
 
 serve::ServeConfig building_config(std::uint32_t clients, double offered,
@@ -239,16 +222,13 @@ struct BldCell {
 };
 
 BldCell run_building(std::uint32_t nodes, std::uint32_t clients, bool spread,
-                     double offered, bool churn, std::uint64_t seed,
-                     unsigned threads) {
+                     double offered, bool churn, std::uint64_t seed) {
   ClusterConfig cfg;
   cfg.workstations = nodes;
   cfg.fabric = Fabric::kBuildingNow;
   cfg.building =
       net::building_now(nodes / kNodesPerRack, kNodesPerRack, kOversub);
-  cfg.with_glunix = false;  // partition-clean: central fs + fabric only
-  cfg.threads = threads;
-  cfg.partitioning = Partitioning::kNodeLocal;
+  cfg.with_glunix = false;
   cfg.seed = seed;
   Cluster c(cfg);
 
@@ -273,8 +253,7 @@ BldCell run_building(std::uint32_t nodes, std::uint32_t clients, bool spread,
   b.central = &fs;
   serve::ServeWorkload w(c.engine(), b,
                          building_config(clients, offered, placement, seed,
-                                         churn),
-                         c.parallel_engine());
+                                         churn));
   w.start();
   c.run_until(kBldHorizon + kBldDrain);
 
@@ -306,21 +285,18 @@ BldCell run_building(std::uint32_t nodes, std::uint32_t clients, bool spread,
 // Part three (--trace <path>): recorded arrivals as the third source.
 // The same 16-client open population runs at a gentle background rate
 // while a recorded trace is replayed on top by four replay clients — each
-// owning an independent stride-filtered cursor over its own file handle,
-// so the cell runs partitioned (kNodeLocal) and stays byte-identical at
-// any --threads value.  Replayed requests are judged against the same
-// read/write SLOs as the synthetic ones.
+// owning an independent stride-filtered cursor over its own file handle.
+// Replayed requests are judged against the same read/write SLOs as the
+// synthetic ones.
 
 constexpr std::uint32_t kReplayClients = 4;
 constexpr double kReplayBackgroundLoad = 25.0;
 
 CellResult run_replay_cell(const std::string& path, double scale,
-                           exp::RunContext& ctx, unsigned threads) {
+                           exp::RunContext& ctx) {
   ClusterConfig cfg;
   cfg.workstations = kClients + 1;
-  cfg.with_glunix = false;  // partition-clean: central backend only
-  cfg.threads = threads;
-  cfg.partitioning = Partitioning::kNodeLocal;
+  cfg.with_glunix = false;
   cfg.seed = ctx.seed;
   cfg.run = &ctx;
   Cluster c(cfg);
@@ -340,7 +316,7 @@ CellResult run_replay_cell(const std::string& path, double scale,
 
   serve::Backends b;
   b.central = &fs;
-  serve::ServeWorkload w(c.engine(), b, sc, c.parallel_engine());
+  serve::ServeWorkload w(c.engine(), b, sc);
   w.start();
   c.run_until(kHorizon + kDrain);
   return harvest(w);
@@ -380,8 +356,8 @@ int main(int argc, char** argv) {
     const bool xfs = co[0] == 1;
     const bool with_fault = co[1] == 1;
     const double load = kLoads[co[2]];
-    return xfs ? run_xfs(load, with_fault, ctx, sweep.threads())
-               : run_central(load, with_fault, ctx, sweep.threads());
+    return xfs ? run_xfs(load, with_fault, ctx)
+               : run_central(load, with_fault, ctx);
   });
 
   now::bench::row("%-8s %-10s %-7s %9s %6s %8s %8s %8s %8s %7s %9s",
@@ -486,7 +462,7 @@ int main(int argc, char** argv) {
   const auto bld = sweep.run(bld_names, [&](now::exp::RunContext& ctx) {
     const BldPoint& p = pts[ctx.task_index - bld_base];
     return run_building(p.nodes, bld_clients, p.spread, p.load, p.churn,
-                        sweep.base_seed(), sweep.threads());
+                        sweep.base_seed());
   });
 
   now::bench::row("");
@@ -582,7 +558,7 @@ int main(int argc, char** argv) {
     const auto rcell = sweep.run(
         {"replay_cell"},
         [&](now::exp::RunContext& ctx) {
-          return run_replay_cell(trace_path, scale, ctx, sweep.threads());
+          return run_replay_cell(trace_path, scale, ctx);
         })[0];
     now::bench::row("");
     now::bench::row("replayed arrivals: %s (%s, %llu records, time scale "
@@ -591,7 +567,7 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(ts.records), scale,
                     kReplayClients);
     now::bench::row("on top of the 16-client open population at %.0f/s; "
-                    "central backend, partitioned (kNodeLocal)",
+                    "central backend",
                     kReplayBackgroundLoad);
     now::bench::row("");
     now::bench::row("%-12s %10s %10s %10s %8s %8s %8s %7s", "arrivals",
@@ -616,18 +592,14 @@ int main(int argc, char** argv) {
     json.value("replay_cell", "p99_ms", rcell.all.p99_ms);
     json.value("replay_cell", "attainment", rcell.all.attainment);
     now::bench::row("");
-    now::bench::row("the recorded stream rides the same lanes, SLOs, and "
-                    "report path as the synthetic");
-    now::bench::row("sources; replay clients never share cursor state, so "
-                    "thread count cannot move a");
-    now::bench::row("single arrival.");
+    now::bench::row("the recorded stream rides the same SLOs and report "
+                    "path as the synthetic sources.");
   }
 
   struct rusage ru;
   getrusage(RUSAGE_SELF, &ru);
   json.value("aggregate", "max_rss_mb",
              static_cast<double>(ru.ru_maxrss) / 1024.0);
-  json.value("aggregate", "threads", static_cast<double>(sweep.threads()));
   json.note("building cells stream arrivals through bounded k-way merge "
             "state: rss stays flat in the horizon and is measurement, not "
             "part of the deterministic surface");

@@ -4,10 +4,6 @@
 //
 // The four policies replay the same trace independently, so they run as a
 // parallel sweep (--jobs N) with byte-identical output to the serial run.
-// --threads is accepted for flag uniformity but has nothing to fan out:
-// CoopCacheSim is an engine-less trace replay with no event queue to
-// partition, so each point executes serially regardless (the documented
-// serial fallback — output is byte-identical at any --threads value).
 #include <algorithm>
 #include <string>
 #include <vector>
@@ -24,9 +20,6 @@ int main(int argc, char** argv) {
       "'A Case for NOW', Table 3 (42 workstations, 16 MB/workstation, "
       "128 MB server; two-day Berkeley trace -> synthetic equivalent)");
   now::bench::Sweep sweep(argc, argv, "bench/bench_table3_coopcache");
-  // Engine-less replay: nothing to partition, so --threads only tightens
-  // the Sweep's jobs x threads oversubscription cap (see header note).
-  (void)sweep.threads();
 
   trace::FsWorkloadParams wp;
   wp.clients = 42;
@@ -178,8 +171,7 @@ int main(int argc, char** argv) {
   // generator for a recorded stream (native fs or nfsdump-style text) and
   // replays it through the same four policies.  Each sweep point opens its
   // own streaming cursor — O(window) memory however large the recording —
-  // so the section parallelizes across --jobs like the synthetic one, and
-  // the engine-less replay keeps output byte-identical at any --threads.
+  // so the section parallelizes across --jobs like the synthetic one.
   const std::string trace_path = now::bench::parse_trace(argc, argv);
   if (!trace_path.empty()) {
     const auto ts = replay::summarize(trace_path);

@@ -16,8 +16,12 @@
 //   --sweep-json P   write per-point wall-clock and the aggregate speedup
 //                    (busy_ms / wall_ms) as a JsonReport-shaped file.
 //   --seed S         base seed for exp::derive_seed (default 1).
+//
+// A numeric flag whose value does not parse (see numeric_flag) exits with
+// status 2 and names the flag, instead of running a default.
 #pragma once
 
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdarg>
@@ -27,6 +31,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -206,29 +211,32 @@ class JsonReport {
   bool written_ = false;
 };
 
-/// `--jobs N` (0 = hardware concurrency), or 0 when absent/garbled.
-inline unsigned parse_jobs(int argc, char** argv) {
+/// The value of numeric flag `flag` (`--flag V`), or `fallback` when the
+/// flag is absent.  V must be a number of type T from its first byte to
+/// its last; anything else ("abc", "12x", "-1" for an unsigned, an empty
+/// string, out of range) prints the flag and the value to stderr and
+/// exits with status 2, so a typo never silently runs the default.
+template <typename T>
+T numeric_flag(int argc, char** argv, const char* flag, T fallback) {
   for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0) {
-      return static_cast<unsigned>(std::strtoul(argv[i + 1], nullptr, 10));
+    if (std::strcmp(argv[i], flag) != 0) continue;
+    const char* v = argv[i + 1];
+    const char* end = v + std::strlen(v);
+    T out{};
+    const auto [stop, ec] = std::from_chars(v, end, out);
+    if (v == end || ec != std::errc{} || stop != end) {
+      std::fprintf(stderr, "error: %s expects a number, got '%s'\n", flag,
+                   v);
+      std::exit(2);
     }
+    return out;
   }
-  return 0;
+  return fallback;
 }
 
-/// `--threads N` (default 1): worker threads *inside* each simulation —
-/// ClusterConfig::threads for benches whose cluster supports partitioned
-/// execution.  1 = the serial engine; every bench's stdout is
-/// byte-identical at --threads 1 to builds that predate the flag.
-inline unsigned parse_threads(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0) {
-      const unsigned n =
-          static_cast<unsigned>(std::strtoul(argv[i + 1], nullptr, 10));
-      return n == 0 ? 1 : n;
-    }
-  }
-  return 1;
+/// `--jobs N` (0 = hardware concurrency), or 0 when absent.
+inline unsigned parse_jobs(int argc, char** argv) {
+  return numeric_flag<unsigned>(argc, argv, "--jobs", 0);
 }
 
 /// `--nodes N`: caller-interpreted cluster-size override shared by the
@@ -236,13 +244,7 @@ inline unsigned parse_threads(int argc, char** argv) {
 /// cap on their size axis — see cap_axis — so CI can run the same binary
 /// at 256 nodes that EXPERIMENTS.md runs at 1024+.
 inline std::uint32_t parse_nodes(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--nodes") == 0) {
-      return static_cast<std::uint32_t>(
-          std::strtoul(argv[i + 1], nullptr, 10));
-    }
-  }
-  return 0;
+  return numeric_flag<std::uint32_t>(argc, argv, "--nodes", 0);
 }
 
 /// `--trace <path>`: a recorded trace to replay (native fs or nfsdump-
@@ -262,13 +264,8 @@ inline std::string parse_trace(int argc, char** argv) {
 /// 2 replays the trace at twice the recorded rate.  Values <= 0 fall back
 /// to 1.
 inline double parse_trace_scale(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace-scale") == 0) {
-      const double s = std::strtod(argv[i + 1], nullptr);
-      return s > 0 ? s : 1.0;
-    }
-  }
-  return 1.0;
+  const double s = numeric_flag<double>(argc, argv, "--trace-scale", 1.0);
+  return s > 0 ? s : 1.0;
 }
 
 /// Applies a --nodes cap to a size axis: sizes above the cap are dropped;
@@ -300,34 +297,17 @@ class Sweep {
  public:
   Sweep(int argc, char** argv, std::string benchmark)
       : benchmark_(std::move(benchmark)), jobs_(parse_jobs(argc, argv)),
-        threads_(parse_threads(argc, argv)) {
+        base_seed_(numeric_flag<std::uint64_t>(argc, argv, "--seed", 1)) {
     for (int i = 1; i + 1 < argc; ++i) {
       if (std::strcmp(argv[i], "--sweep-json") == 0) path_ = argv[i + 1];
-      if (std::strcmp(argv[i], "--seed") == 0) {
-        base_seed_ = std::strtoull(argv[i + 1], nullptr, 10);
-      }
     }
   }
   ~Sweep() { write(); }
   Sweep(const Sweep&) = delete;
   Sweep& operator=(const Sweep&) = delete;
 
-  /// Workers the sweep will actually use.  With --threads > 1, capped so
-  /// that jobs x threads stays within the machine: sweep-level and
-  /// intra-run parallelism multiply, and oversubscribing both ways is
-  /// strictly slower than either alone.
-  unsigned jobs() const {
-    unsigned j = now::exp::effective_jobs(jobs_);
-    if (threads_ > 1) {
-      unsigned hw = std::thread::hardware_concurrency();
-      if (hw == 0) hw = 1;
-      const unsigned cap = hw / threads_ > 0 ? hw / threads_ : 1;
-      if (j > cap) j = cap;
-    }
-    return j;
-  }
-  /// Per-simulation worker threads (--threads, default 1).
-  unsigned threads() const { return threads_; }
+  /// Workers the sweep will use (--jobs, default one per hardware thread).
+  unsigned jobs() const { return now::exp::effective_jobs(jobs_); }
   std::uint64_t base_seed() const { return base_seed_; }
 
   /// Runs fn(ctx) for one point per entry of `names` (the point labels in
@@ -376,10 +356,9 @@ class Sweep {
 
  private:
   std::string benchmark_;
-  std::string path_;
   unsigned jobs_ = 0;
-  unsigned threads_ = 1;
   std::uint64_t base_seed_ = 1;
+  std::string path_;
   std::size_t next_index_ = 0;
   double wall_ms_ = 0;
   double busy_ms_ = 0;

@@ -42,8 +42,7 @@ struct Design {
   }
 };
 
-Design build(std::uint32_t nclients, bool use_xfs, exp::RunContext& ctx,
-             unsigned threads) {
+Design build(std::uint32_t nclients, bool use_xfs, exp::RunContext& ctx) {
   ClusterConfig cfg;
   cfg.workstations = nclients + 1;  // +1 server
   cfg.with_glunix = false;
@@ -51,14 +50,6 @@ Design build(std::uint32_t nclients, bool use_xfs, exp::RunContext& ctx,
   // The xFS settings are ignored without xFS.
   cfg.xfs.client_cache_blocks = 64;
   cfg.xfs.segment_blocks = std::min<std::uint32_t>(nclients, 16);
-  // --threads is accepted but the workload is not partition-clean: the
-  // CentralServerFs driver lives outside the cluster, every request
-  // crosses client/server node state, and xFS manager/RAID traffic spans
-  // nodes.  kAllGlobal keeps every event on the serial path — output is
-  // byte-identical at any --threads value by construction (same pattern
-  // as bench_availability).
-  cfg.threads = threads;
-  cfg.partitioning = Partitioning::kAllGlobal;
   cfg.run = &ctx;
   Design d;
   d.cluster = std::make_unique<Cluster>(cfg);
@@ -79,8 +70,8 @@ Design build(std::uint32_t nclients, bool use_xfs, exp::RunContext& ctx,
 // Each client issues `per_client` ops with 20 ms think time; reads draw
 // from a shared pool with Zipf-ish reuse, 25 % writes.
 RunResult run_design(std::uint32_t nclients, int per_client, bool use_xfs,
-                     exp::RunContext& ctx, unsigned threads) {
-  Design d = build(nclients, use_xfs, ctx, threads);
+                     exp::RunContext& ctx) {
+  Design d = build(nclients, use_xfs, ctx);
   Cluster& c = *d.cluster;
   xfs::FileService& fs = d.fs();
 
@@ -137,10 +128,10 @@ struct ReplayResult {
 // working set, so both designs see exactly the recorded reference string.
 ReplayResult run_replay(const std::string& path, bool use_xfs,
                         bool open_loop, double time_scale,
-                        const replay::TraceSummary& ts, exp::RunContext& ctx,
-                        unsigned threads) {
+                        const replay::TraceSummary& ts,
+                        exp::RunContext& ctx) {
   const std::uint32_t nclients = std::max<std::uint32_t>(ts.clients, 1);
-  Design d = build(nclients, use_xfs, ctx, threads);
+  Design d = build(nclients, use_xfs, ctx);
   Cluster& c = *d.cluster;
   xfs::FileService& fs = d.fs();
 
@@ -202,8 +193,8 @@ int main(int argc, char** argv) {
   const auto points = sweep.run(names, [&](now::exp::RunContext& ctx) {
     const std::uint32_t n = client_counts[ctx.task_index];
     Point p;
-    p.central = run_design(n, 120, /*use_xfs=*/false, ctx, sweep.threads());
-    p.xfs = run_design(n, 120, /*use_xfs=*/true, ctx, sweep.threads());
+    p.central = run_design(n, 120, /*use_xfs=*/false, ctx);
+    p.xfs = run_design(n, 120, /*use_xfs=*/true, ctx);
     return p;
   });
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -275,7 +266,7 @@ int main(int argc, char** argv) {
     const auto rresults = sweep.run(rnames, [&](now::exp::RunContext& ctx) {
       const RPoint& rp = rpoints[ctx.task_index - replay_first];
       return run_replay(trace_path, rp.use_xfs, rp.open_loop, scale, ts,
-                        ctx, sweep.threads());
+                        ctx);
     });
     for (std::size_t i = 0; i < rpoints.size(); ++i) {
       const ReplayResult& r = rresults[i];

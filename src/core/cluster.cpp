@@ -1,6 +1,5 @@
 #include "core/cluster.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 #include "net/hierarchical.hpp"
@@ -55,12 +54,8 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
   // nodes interact exclusively through the network qualify — the asserts
   // spell the contract out; release builds fall back to serial if it does
   // not hold rather than race.
-  unsigned threads = config_.threads == 0 ? 1 : config_.threads;
-  if (config_.run != nullptr && config_.run->thread_budget > 0) {
-    threads = std::min(threads, config_.run->thread_budget);
-  }
-  threads = std::min(threads, config_.workstations);
-  if (config_.partitioning == Partitioning::kNodeLocal && threads > 1) {
+  if (config_.partitioning == Partitioning::kNodeLocal &&
+      config_.threads > 1) {
     const sim::Duration lookahead = network_->min_latency();
     assert(lookahead > 0 &&
            "kNodeLocal needs a switched fabric: shared media (kEthernet) "
@@ -76,15 +71,9 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
                        config_.am.loss_probability == 0.0;
     if (clean) {
       sim::ParallelConfig pc;
-      pc.threads = threads;
+      pc.threads = config_.threads;
       pc.nodes = config_.workstations;
       pc.lookahead = lookahead;
-      if (config_.fabric == Fabric::kBuildingNow) {
-        // Align lane boundaries to edge switches: a rack never spans two
-        // lanes, so the whole rack-local event stream (the lookahead is
-        // exactly one edge hop) runs inside each epoch without a barrier.
-        pc.align = config_.building.topo.nodes_per_rack;
-      }
       // Workers must resolve obs::metrics()/obs::tracer()/NOW_LOG to the
       // same instances as the constructing thread (which may be inside a
       // sweep's ScopedRunContext), so capture the ambient bindings now and

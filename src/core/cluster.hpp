@@ -104,9 +104,8 @@ struct ClusterConfig {
   std::uint64_t seed = 1;
 
   /// Worker threads for intra-run parallel execution.  Takes effect only
-  /// with partitioning = kNodeLocal; clamped to the workstation count and
-  /// to the run context's thread_budget (when part of a sweep).  1 = the
-  /// serial engine, byte-identical to every release so far.
+  /// with partitioning = kNodeLocal; clamped to the workstation count.
+  /// 1 = the serial engine, byte-identical to every release so far.
   unsigned threads = 1;
   Partitioning partitioning = Partitioning::kAllGlobal;
 

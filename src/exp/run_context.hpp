@@ -34,13 +34,6 @@ struct RunContext {
   std::uint64_t seed = 1;
   std::size_t task_index = 0;
 
-  /// Worker threads this task may use for *intra-run* parallelism
-  /// (partitioned clusters).  0 = unconstrained.  run_sweep sets it to
-  /// max(1, hardware_concurrency / concurrent jobs), so a sweep of
-  /// partitioned clusters does not oversubscribe the machine: inter-run
-  /// times intra-run parallelism stays within the core count.
-  unsigned thread_budget = 0;
-
   /// Private instances of the (otherwise process-wide) observability and
   /// logging state.  `log` starts as a snapshot of the process defaults,
   /// so NOW_LOG and an installed mirror sink keep working inside a task.

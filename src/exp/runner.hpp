@@ -17,11 +17,11 @@
 // tests/exp_test.cpp and the CI sweep-determinism diff.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -60,19 +60,10 @@ auto run_sweep(std::size_t n, Fn&& task, const SweepOptions& opt = {})
   if (opt.wall_ms != nullptr) opt.wall_ms->assign(n, 0.0);
 
   const unsigned jobs = effective_jobs(opt.jobs);
-  unsigned jobs_used = jobs;
-  if (n < jobs_used) jobs_used = static_cast<unsigned>(n);
-  if (jobs_used < 1) jobs_used = 1;
 
   const auto run_one = [&](std::size_t i) {
     const auto t0 = std::chrono::steady_clock::now();
     RunContext ctx(opt.base_seed, opt.first_index + i);
-    // Cap each task's *intra-run* threads so sweep jobs times partitioned
-    // cluster lanes never oversubscribes the machine.
-    const unsigned hw = std::thread::hardware_concurrency();
-    ctx.thread_budget = jobs_used >= 1 && hw > 0
-                            ? (hw / jobs_used > 0 ? hw / jobs_used : 1)
-                            : 1;
     ScopedRunContext scope(ctx);
     slots[i].emplace(task(ctx));
     if (opt.wall_ms != nullptr) {
@@ -86,7 +77,8 @@ auto run_sweep(std::size_t n, Fn&& task, const SweepOptions& opt = {})
   if (jobs <= 1 || n <= 1) {
     for (std::size_t i = 0; i < n; ++i) run_one(i);
   } else {
-    WorkStealingPool pool(jobs_used);
+    WorkStealingPool pool(
+        static_cast<unsigned>(std::min<std::size_t>(jobs, n)));
     pool.for_each_index(n, run_one);
   }
 

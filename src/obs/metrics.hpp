@@ -22,9 +22,10 @@
 // Threading model: registration and reads are engine-confined — one
 // simulation, one thread — and obs::metrics() can be rebound per thread
 // (set_thread_metrics), which is how now::exp gives each concurrent
-// simulation its own registry.  A partitioned run (sim::ParallelEngine)
-// is read between epochs or from exclusive global events; a collector
-// whose struct several lanes write takes the lock those writers take.
+// simulation its own registry.  A partitioned run (sim::ParallelEngine,
+// which carries raw AM/RPC traffic only) is read between epochs or from
+// exclusive global events; a collector whose struct several lanes write
+// (the network's, the AM layer's) takes the lock those writers take.
 // Native updates are relaxed atomics, safe from any lane.
 #pragma once
 

@@ -52,7 +52,7 @@
 // out of order would silently reorder the simulation).
 // Cursors are pure functions of their input bytes: two cursors over the
 // same stream yield identical records, which is what keeps trace-driven
-// benches byte-identical across --jobs and --threads.
+// benches byte-identical across --jobs.
 #pragma once
 
 #include <cstdint>
@@ -275,7 +275,7 @@ std::unique_ptr<TraceCursor> open_trace(const std::string& path,
 /// Filters an owned cursor to records with client % modulo == residue and
 /// rewrites their client to `residue` — one replay client's private view
 /// of a shared trace.  Each instance owns an independent file handle, so
-/// lane-partitioned consumers never share reader state.
+/// replay clients never share reader state.
 class ClientStrideCursor : public TraceCursor {
  public:
   ClientStrideCursor(std::unique_ptr<TraceCursor> inner, std::uint32_t modulo,

@@ -22,7 +22,7 @@
 //                       with exp::derive_seed(seed, stream|client), so a
 //                       population's entire arrival schedule is a pure
 //                       function of its seed: identical under --jobs 1
-//                       and --jobs N and at any --threads value.
+//                       and --jobs N.
 //
 // Schedules are *streamed*, not materialized: ArrivalStream generates one
 // client's arrivals lazily (O(1) state per client), and MergedArrivals

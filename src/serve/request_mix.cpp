@@ -45,10 +45,8 @@ void RequestMix::ensure_clients(std::uint32_t n) {
 }
 
 sim::Pcg32& RequestMix::rng(std::uint32_t client) {
-  // Serial growth path; lane-partitioned drivers call ensure_clients()
-  // first so this never reallocates under their feet.  Either way the
-  // stream depends only on (seed, client): creation order is irrelevant
-  // to the draws.
+  // Grows the table on demand.  The stream depends only on (seed,
+  // client), so creation order is irrelevant to the draws.
   if (client >= rng_.size()) ensure_clients(client + 1);
   return rng_[client];
 }

@@ -56,10 +56,8 @@ class RequestMix {
 
   /// Pre-creates the per-client streams for clients [0, n).  Each stream
   /// depends only on (seed, client) — eager creation draws nothing — so
-  /// this changes no sequence; it exists because lane-partitioned runs
-  /// draw for *different* clients concurrently, and pre-sizing makes
-  /// those draws touch disjoint, never-reallocated slots.  Serial callers
-  /// can skip it: rng() grows the table on demand.
+  /// this changes no sequence; it only sizes the table in one step.
+  /// Callers can skip it: rng() grows the table on demand.
   void ensure_clients(std::uint32_t n);
 
   /// Draws the class index of `client`'s next request (weighted).

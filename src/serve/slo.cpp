@@ -1,80 +1,46 @@
 #include "serve/slo.hpp"
 
-#include <cassert>
-
 namespace now::serve {
 
 SloTracker::SloTracker(std::string prefix)
     : prefix_(std::move(prefix)),
-      shards_(1),
       stats_obs_(prefix_, [this](obs::Sink& s) {
-        for (std::size_t c = 0; c < classes_.size(); ++c) {
-          const ClassShard m = merged(c);
-          const std::string& name = classes_[c].name;
-          s.histogram(name + ".latency_us", m.latency_us);
-          s.counter(name + ".completed", m.latency_us.count());
-          s.counter(name + ".failed", m.failed);
-          s.counter(name + ".slo_miss", m.latency_us.count() - m.slo_met);
+        for (const ClassStats& c : classes_) {
+          s.histogram(c.name + ".latency_us", c.latency_us);
+          s.counter(c.name + ".completed", c.latency_us.count());
+          s.counter(c.name + ".failed", c.failed);
+          s.counter(c.name + ".slo_miss", c.latency_us.count() - c.slo_met);
         }
       }) {}
 
 std::size_t SloTracker::add_class(const std::string& name,
                                   sim::Duration slo) {
-  classes_.push_back(ClassMeta{name, slo});
-  for (LaneShard& lane : shards_) lane.classes.emplace_back();
+  ClassStats c;
+  c.name = name;
+  c.slo = slo;
+  classes_.push_back(std::move(c));
   return classes_.size() - 1;
 }
 
-void SloTracker::set_lanes(unsigned lanes) {
-  assert(lanes >= 1);
-  assert(completed() == 0 && "set_lanes() must precede record()");
-  shards_.assign(lanes, LaneShard{});
-  for (LaneShard& lane : shards_) lane.classes.resize(classes_.size());
-}
-
-void SloTracker::record(std::size_t cls, sim::Duration latency, bool ok,
-                        unsigned lane) {
-  LaneShard& shard = shards_.at(lane);
-  ClassShard& cs = shard.classes.at(cls);
+void SloTracker::record(std::size_t cls, sim::Duration latency, bool ok) {
+  ClassStats& cs = classes_.at(cls);
   const double us = sim::to_us(latency);
   cs.latency_us.add(us);
   cs.sum_ns += static_cast<std::uint64_t>(latency);
-  shard.all_us.add(us);
-  shard.all_sum_ns += static_cast<std::uint64_t>(latency);
-  ++shard.completed;
+  all_us_.add(us);
+  all_sum_ns_ += static_cast<std::uint64_t>(latency);
   if (ok) {
     ++cs.ok;
   } else {
     ++cs.failed;
   }
-  if (ok && latency <= classes_[cls].slo) ++cs.slo_met;
-}
-
-std::uint64_t SloTracker::completed() const {
-  std::uint64_t n = 0;
-  for (const LaneShard& lane : shards_) n += lane.completed;
-  return n;
-}
-
-SloTracker::ClassShard SloTracker::merged(std::size_t cls) const {
-  ClassShard out;
-  for (const LaneShard& lane : shards_) {
-    const ClassShard& cs = lane.classes.at(cls);
-    out.latency_us.merge(cs.latency_us);
-    out.sum_ns += cs.sum_ns;
-    out.ok += cs.ok;
-    out.failed += cs.failed;
-    out.slo_met += cs.slo_met;
-  }
-  return out;
+  if (ok && latency <= cs.slo) ++cs.slo_met;
 }
 
 void SloTracker::fill(SloClassReport& r, const sim::Histogram& h,
                       std::uint64_t sum_ns, sim::Duration elapsed) {
   r.completed = h.count();
-  // Mean from the exact integer nanosecond sum: grouping-invariant, so the
-  // report is byte-identical whether one lane recorded everything or
-  // sixteen shared the work.
+  // Mean from the exact integer nanosecond sum.
   r.mean_ms = r.completed > 0 ? static_cast<double>(sum_ns) /
                                     static_cast<double>(r.completed) /
                                     1'000'000.0
@@ -93,34 +59,26 @@ void SloTracker::fill(SloClassReport& r, const sim::Histogram& h,
 
 SloClassReport SloTracker::report(std::size_t cls,
                                   sim::Duration elapsed) const {
-  const ClassMeta& meta = classes_.at(cls);
-  const ClassShard m = merged(cls);
+  const ClassStats& c = classes_.at(cls);
   SloClassReport r;
-  r.name = meta.name;
-  r.slo = meta.slo;
-  r.ok = m.ok;
-  r.failed = m.failed;
-  r.slo_met = m.slo_met;
-  fill(r, m.latency_us, m.sum_ns, elapsed);
+  r.name = c.name;
+  r.slo = c.slo;
+  r.ok = c.ok;
+  r.failed = c.failed;
+  r.slo_met = c.slo_met;
+  fill(r, c.latency_us, c.sum_ns, elapsed);
   return r;
 }
 
 SloClassReport SloTracker::overall(sim::Duration elapsed) const {
   SloClassReport r;
   r.name = "all";
-  sim::Histogram all{1.0, 1.02};
-  std::uint64_t sum_ns = 0;
-  for (const LaneShard& lane : shards_) {
-    all.merge(lane.all_us);
-    sum_ns += lane.all_sum_ns;
+  for (const ClassStats& c : classes_) {
+    r.ok += c.ok;
+    r.failed += c.failed;
+    r.slo_met += c.slo_met;
   }
-  for (std::size_t c = 0; c < classes_.size(); ++c) {
-    const ClassShard m = merged(c);
-    r.ok += m.ok;
-    r.failed += m.failed;
-    r.slo_met += m.slo_met;
-  }
-  fill(r, all, sum_ns, elapsed);
+  fill(r, all_us_, all_sum_ns_, elapsed);
   return r;
 }
 

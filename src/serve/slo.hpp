@@ -10,20 +10,14 @@
 // that succeeded *and* met the SLO), and goodput (SLO-meeting successes
 // per second of offered interval).
 //
-// Partitioned runs record from many lanes at once, so the tracker shards:
-// set_lanes(P) gives every lane its own histogram + counter block, and
-// record(cls, latency, ok, lane) touches only that lane's shard — no lock
-// on the completion path.  Reports merge the shards with *exact*
-// arithmetic (integer bin counts, integer latency sums, min/max), so
-// every printed number is identical at any thread count and any lane
-// layout; nothing order-dependent (like Welford mean merging) sits on the
-// report path.
+// The mean comes from an exact integer nanosecond sum, not a running
+// floating-point average, so it does not depend on recording order.
 //
 // Each class is reported to now::obs under <prefix>.<class>.* — the
 // latency histogram plus completed/failed/slo_miss counters — so serving
 // runs show up in metrics dumps and the periodic sampler like every
-// other subsystem.  The registry reads the merged shards when asked
-// (between epochs or after the run); recording never touches it.
+// other subsystem.  The registry reads the tallies when asked; recording
+// never touches it.
 #pragma once
 
 #include <cstdint>
@@ -63,60 +57,41 @@ class SloTracker {
   /// Adds a request class; returns its index.  Call before record().
   std::size_t add_class(const std::string& name, sim::Duration slo);
 
-  /// Shards the tracker for `lanes` concurrent recorders (default 1 —
-  /// the serial layout).  Call after add_class() and before record().
-  void set_lanes(unsigned lanes);
-
   std::size_t classes() const { return classes_.size(); }
-  unsigned lanes() const { return static_cast<unsigned>(shards_.size()); }
 
   /// Records one completed request of class `cls`: end-to-end `latency`,
   /// and whether the backend succeeded.  A failed request can never meet
-  /// the SLO, whatever its latency.  `lane` must be the recording lane's
-  /// index (ExecDomain::lane_of); each lane owns its shard, so concurrent
-  /// calls from *different* lanes are race-free.
-  void record(std::size_t cls, sim::Duration latency, bool ok,
-              unsigned lane = 0);
+  /// the SLO, whatever its latency.
+  void record(std::size_t cls, sim::Duration latency, bool ok);
 
   /// Per-class report; `elapsed` is the interval goodput is judged over.
-  /// Merges all lane shards exactly — byte-identical at any lane count.
   SloClassReport report(std::size_t cls, sim::Duration elapsed) const;
 
   /// All classes merged (each request judged against its own class SLO).
   SloClassReport overall(sim::Duration elapsed) const;
 
-  std::uint64_t completed() const;
+  std::uint64_t completed() const { return all_us_.count(); }
 
  private:
-  struct ClassMeta {
+  struct ClassStats {
     std::string name;
     sim::Duration slo = 0;
-  };
-  struct ClassShard {
     // 1 us floor, 2 % bins: tight enough for honest p999 readings.
     sim::Histogram latency_us{1.0, 1.02};
-    /// Exact latency sum — integer addition is associative, so the merged
-    /// mean does not depend on how samples were grouped into lanes.
+    /// Exact latency sum, so the mean is independent of recording order.
     std::uint64_t sum_ns = 0;
     std::uint64_t ok = 0;
     std::uint64_t failed = 0;
     std::uint64_t slo_met = 0;
   };
-  struct LaneShard {
-    std::vector<ClassShard> classes;
-    sim::Histogram all_us{1.0, 1.02};
-    std::uint64_t all_sum_ns = 0;
-    std::uint64_t completed = 0;
-  };
 
-  /// All lanes' shards for `cls` merged into one (plus summed tallies).
-  ClassShard merged(std::size_t cls) const;
   static void fill(SloClassReport& r, const sim::Histogram& h,
                    std::uint64_t sum_ns, sim::Duration elapsed);
 
   std::string prefix_;
-  std::vector<ClassMeta> classes_;
-  std::vector<LaneShard> shards_;  // one per lane; [0] exists from birth
+  std::vector<ClassStats> classes_;
+  sim::Histogram all_us_{1.0, 1.02};
+  std::uint64_t all_sum_ns_ = 0;
   obs::Collector stats_obs_;
 };
 

@@ -5,9 +5,8 @@
 namespace now::serve {
 
 ServeWorkload::ServeWorkload(sim::Engine& engine, Backends backends,
-                             ServeConfig cfg, sim::ExecDomain* domain)
+                             ServeConfig cfg)
     : engine_(engine),
-      domain_(domain),
       b_(backends),
       files_(b_.xfs != nullptr
                  ? static_cast<xfs::FileService*>(b_.xfs)
@@ -22,17 +21,9 @@ ServeWorkload::ServeWorkload(sim::Engine& engine, Backends backends,
   assert(!cfg_.client_nodes.empty());
   assert((b_.xfs == nullptr || b_.central == nullptr) &&
          "at most one file backend");
-  assert((domain_ == nullptr ||
-          (b_.xfs == nullptr && b_.coop == nullptr &&
-           b_.glunix == nullptr)) &&
-         "only the central backend is lane-clean; xFS/coop/GLUnix "
-         "workloads must run serial (domain == nullptr)");
   for (std::size_t i = 0; i < mix_.size(); ++i) {
     slo_.add_class(mix_.at(i).name, mix_.at(i).slo);
   }
-  const unsigned lanes = domain_ != nullptr ? domain_->lanes() : 1;
-  slo_.set_lanes(lanes);
-  lane_counts_.assign(lanes, LaneCounters{});
   mix_.ensure_clients(pop_.clients());
   if (cfg_.replay.enabled()) {
     assert(files_ != nullptr &&
@@ -78,8 +69,7 @@ void ServeWorkload::start() {
   }
   // Replayed arrivals: each replay client opens its own cursor over the
   // trace file (stride-filtered to its residue) and runs the same lazy
-  // one-pending-event chain as the open clients.  Cursor state never
-  // crosses a lane boundary, so thread count cannot change the schedule.
+  // one-pending-event chain as the open clients.
   if (cfg_.replay.enabled()) {
     replay::CursorOptions opt;
     opt.window_bytes = cfg_.replay.window_bytes;
@@ -103,7 +93,7 @@ void ServeWorkload::start() {
 
 void ServeWorkload::arm_open(std::uint32_t client) {
   if (auto t = open_streams_[client].next()) {
-    engine_of(client).schedule_at(*t, [this, client] {
+    engine_.schedule_at(*t, [this, client] {
       issue(client, /*closed=*/false);
       arm_open(client);
     });
@@ -122,9 +112,8 @@ void ServeWorkload::arm_replay(std::uint32_t replay_client) {
   // Timestamps are monotonic per cursor: once past the horizon the rest
   // of this client's trace is too, so the chain just ends.
   if (at >= pop_.params().horizon) return;
-  sim::Engine& eng = engine_of(client);
-  if (at < eng.now()) at = eng.now();
-  eng.schedule_at(
+  if (at < engine_.now()) at = engine_.now();
+  engine_.schedule_at(
       at, [this, replay_client, client, block = rec->block,
            is_write = rec->is_write] {
         issue_replayed(client, block, is_write);
@@ -134,31 +123,27 @@ void ServeWorkload::arm_replay(std::uint32_t replay_client) {
 
 void ServeWorkload::arm_presence(std::uint32_t client,
                                  std::optional<Session> window) {
-  // Login/logout bookkeeping rides the client's own lane; the lane tally
-  // is shard-local, so the live headcount needs no lock and no cross-lane
-  // message.
   if (!window) return;
-  engine_of(client).schedule_at(
+  engine_.schedule_at(
       window->login, [this, client, logout = window->logout] {
-        ++lane_counts_[lane_of(client)].sessions;
-        engine_of(client).schedule_at(logout, [this, client] {
-          --lane_counts_[lane_of(client)].sessions;
+        ++sessions_;
+        engine_.schedule_at(logout, [this, client] {
+          --sessions_;
           arm_presence(client, presence_[client].next());
         });
       });
 }
 
 void ServeWorkload::issue(std::uint32_t client, bool closed) {
-  LaneCounters& lc = lane_counts_[lane_of(client)];
-  ++lc.arrivals;
+  ++counts_.arrivals;
   if (closed) {
-    ++lc.closed_arrivals;
+    ++counts_.closed_arrivals;
   } else {
-    ++lc.open_arrivals;
+    ++counts_.open_arrivals;
   }
   const std::size_t cls = mix_.pick_class(client);
   const RequestClass& rc = mix_.at(cls);
-  const sim::SimTime t0 = engine_of(client).now();
+  const sim::SimTime t0 = engine_.now();
 
   switch (rc.op) {
     case RequestOp::kFileRead:
@@ -185,7 +170,7 @@ void ServeWorkload::issue(std::uint32_t client, bool closed) {
       } else if (after.server_mem_hits > before.server_mem_hits) {
         cost = b_.coop_costs.server_mem;
       }
-      engine_of(client).schedule_in(cost, [this, client, cls, t0, closed] {
+      engine_.schedule_in(cost, [this, client, cls, t0, closed] {
         finish(client, cls, t0, /*ok=*/true, closed);
       });
       break;
@@ -207,12 +192,11 @@ void ServeWorkload::issue_replayed(std::uint32_t client, std::uint64_t block,
   // Replay bypasses mix_.pick_class/pick_block entirely — the trace fixes
   // both choices — so the population clients' RNG draw order is untouched
   // and synthetic results are identical with or without a replay source.
-  LaneCounters& lc = lane_counts_[lane_of(client)];
-  ++lc.arrivals;
-  ++lc.replayed_arrivals;
+  ++counts_.arrivals;
+  ++counts_.replayed_arrivals;
   const std::size_t cls = is_write ? replay_write_cls_ : replay_read_cls_;
   issue_file(client, cls, block % mix_.at(cls).working_set, is_write,
-             engine_of(client).now(), /*closed=*/false);
+             engine_.now(), /*closed=*/false);
 }
 
 void ServeWorkload::issue_file(std::uint32_t client, std::size_t cls,
@@ -232,28 +216,23 @@ void ServeWorkload::issue_file(std::uint32_t client, std::size_t cls,
 
 void ServeWorkload::finish(std::uint32_t client, std::size_t cls,
                            sim::SimTime t0, bool ok, bool closed) {
-  // Completions run on the issuing client's lane (RPC caller state is
-  // lane-confined), so the shard index is stable for the whole request.
-  const unsigned lane = lane_of(client);
-  ++lane_counts_[lane].completed;
-  const sim::SimTime now = engine_of(client).now();
-  slo_.record(cls, now - t0, ok, lane);
+  ++counts_.completed;
+  const sim::SimTime now = engine_.now();
+  slo_.record(cls, now - t0, ok);
   obs::tracer().complete(node_of(client), obs_track_, mix_.at(cls).name,
                          t0, now);
   if (closed) schedule_closed(client);
 }
 
 void ServeWorkload::schedule_closed(std::uint32_t client) {
-  sim::Engine& eng = engine_of(client);
-  if (eng.now() >= pop_.params().horizon) return;
-  eng.schedule_in(pop_.think_time(client), [this, client] {
+  if (engine_.now() >= pop_.params().horizon) return;
+  engine_.schedule_in(pop_.think_time(client), [this, client] {
     issue_closed_in_session(client);
   });
 }
 
 void ServeWorkload::issue_closed_in_session(std::uint32_t client) {
-  sim::Engine& eng = engine_of(client);
-  const sim::SimTime now = eng.now();
+  const sim::SimTime now = engine_.now();
   if (now >= pop_.params().horizon) return;
   ClosedSession& cs = closed_sessions_.at(client - pop_.open_clients());
   while (cs.window && cs.window->logout <= now) {
@@ -263,7 +242,7 @@ void ServeWorkload::issue_closed_in_session(std::uint32_t client) {
   if (now < cs.window->login) {
     // Logged out right now: the loop parks until the next login instead
     // of burning think-time draws while nobody is at the keyboard.
-    eng.schedule_at(cs.window->login,
+    engine_.schedule_at(cs.window->login,
                     [this, client] { issue_closed_in_session(client); });
     return;
   }
@@ -271,14 +250,7 @@ void ServeWorkload::issue_closed_in_session(std::uint32_t client) {
 }
 
 ServeTotals ServeWorkload::totals() const {
-  ServeTotals t;
-  for (const LaneCounters& lc : lane_counts_) {
-    t.arrivals += lc.arrivals;
-    t.open_arrivals += lc.open_arrivals;
-    t.closed_arrivals += lc.closed_arrivals;
-    t.replayed_arrivals += lc.replayed_arrivals;
-    t.completed += lc.completed;
-  }
+  ServeTotals t = counts_;
   t.offered_per_sec = pop_.params().horizon > 0
                           ? static_cast<double>(t.arrivals) /
                                 sim::to_sec(pop_.params().horizon)
@@ -287,20 +259,12 @@ ServeTotals ServeWorkload::totals() const {
 }
 
 std::uint64_t ServeWorkload::in_flight() const {
-  std::uint64_t arrivals = 0;
-  std::uint64_t completed = 0;
-  for (const LaneCounters& lc : lane_counts_) {
-    arrivals += lc.arrivals;
-    completed += lc.completed;
-  }
-  return arrivals - completed;
+  return counts_.arrivals - counts_.completed;
 }
 
 std::uint64_t ServeWorkload::sessions_active() const {
   if (!pop_.params().sessions.enabled()) return pop_.clients();
-  std::int64_t n = 0;
-  for (const LaneCounters& lc : lane_counts_) n += lc.sessions;
-  return n > 0 ? static_cast<std::uint64_t>(n) : 0;
+  return sessions_;
 }
 
 }  // namespace now::serve

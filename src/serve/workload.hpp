@@ -21,22 +21,15 @@
 // re-arms one timer, so memory and engine-queue depth stay O(clients)
 // at any horizon or rate.
 //
-// Partition discipline: serving is lane-clean when the backend is.  Pass
-// the cluster's ExecDomain and every client's timers, issue events, and
-// completions run on the lane owning its node; per-lane counter shards
-// and a sharded SloTracker keep the completion path lock-free, merged
-// exactly at report time (thread-count-invariant output — DESIGN.md §15).
-// CentralServerFs is the lane-clean backend (its RPCs cross lanes through
-// the deterministic barrier merge).  xFS, the cooperative cache, and
-// GLUnix touch many nodes' state per event, so workloads driving them
-// must stay serial (domain == nullptr, Partitioning::kAllGlobal) — the
-// constructor asserts this.
+// Serving always runs on the cluster's serial engine: xFS, the
+// cooperative cache and GLUnix touch many nodes' state per event, and the
+// central server keeps one unlocked stats block.
 //
 // Session churn: when PopulationParams::sessions is enabled, clients log
 // in and out over the run.  Open arrivals are filtered inside
 // ArrivalStream; closed loops check their own SessionTimeline cursor and
-// park until the next login; per-lane login tallies sum to the live
-// headcount, which now::obs reads as the serve.sessions_active gauge.
+// park until the next login; a login tally gives the live headcount,
+// which now::obs reads as the serve.sessions_active gauge.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +45,6 @@
 #include "serve/request_mix.hpp"
 #include "serve/slo.hpp"
 #include "sim/engine.hpp"
-#include "sim/exec_domain.hpp"
 #include "xfs/central_server.hpp"
 #include "xfs/xfs.hpp"
 
@@ -61,9 +53,7 @@ namespace now::serve {
 /// The subsystems requests are served by.  File classes need one of
 /// xfs/central (never both): the workload reaches either only through
 /// xfs::FileService, whose per-op status is what SloTracker records.
-/// The two fields stay apart so the constructor can tell the lane-clean
-/// central backend from xFS.  Cache classes need coop; compute classes
-/// need glunix.  Null pointers for classes the mix never draws are fine.
+/// Cache classes need coop; compute classes need glunix.  Null pointers for classes the mix never draws are fine.
 struct Backends {
   xfs::Xfs* xfs = nullptr;
   xfs::CentralServerFs* central = nullptr;
@@ -76,9 +66,8 @@ struct Backends {
 /// The third arrival source, next to the population's open and closed
 /// clients: a recorded trace replayed open-loop.  The trace's recorded
 /// client ids are folded onto `clients` replay clients (id % clients),
-/// each of which owns an *independent* cursor over its own file handle —
-/// no reader state is shared across clients, so lane-partitioned runs
-/// stay byte-identical at any thread count.  Replay clients get ids above
+/// each of which owns an *independent* cursor over its own file handle,
+/// so no reader state is shared across clients.  Replay clients get ids above
 /// the population's and issue file reads/writes through the first
 /// kFileRead / kFileWrite class in the mix (both must exist); recorded
 /// blocks fold onto that class's working set.
@@ -114,11 +103,7 @@ struct ServeTotals {
 class ServeWorkload {
  public:
   /// The workload must outlive the run; completions reference it.
-  /// `domain` non-null runs partitioned: each client's events live on the
-  /// lane owning its node (requires a lane-clean backend — central only).
-  /// Null is the serial path, byte-identical to partitioned output.
-  ServeWorkload(sim::Engine& engine, Backends backends, ServeConfig cfg,
-                sim::ExecDomain* domain = nullptr);
+  ServeWorkload(sim::Engine& engine, Backends backends, ServeConfig cfg);
   ServeWorkload(const ServeWorkload&) = delete;
   ServeWorkload& operator=(const ServeWorkload&) = delete;
 
@@ -138,17 +123,6 @@ class ServeWorkload {
   std::uint64_t sessions_active() const;
 
  private:
-  /// Per-lane tallies: each lane bumps only its own block, totals() sums.
-  struct LaneCounters {
-    std::uint64_t arrivals = 0;
-    std::uint64_t open_arrivals = 0;
-    std::uint64_t closed_arrivals = 0;
-    std::uint64_t replayed_arrivals = 0;
-    std::uint64_t completed = 0;
-    /// Net login count on this lane (logins - logouts); summed across
-    /// lanes it is the live session headcount.
-    std::int64_t sessions = 0;
-  };
   /// A closed client's session cursor (open clients filter inside their
   /// ArrivalStream instead).
   struct ClosedSession {
@@ -171,16 +145,8 @@ class ServeWorkload {
   net::NodeId node_of(std::uint32_t client) const {
     return cfg_.client_nodes[client % cfg_.client_nodes.size()];
   }
-  sim::Engine& engine_of(std::uint32_t client) {
-    return domain_ != nullptr ? domain_->engine_for(node_of(client))
-                              : engine_;
-  }
-  unsigned lane_of(std::uint32_t client) const {
-    return domain_ != nullptr ? domain_->lane_of(node_of(client)) : 0;
-  }
 
   sim::Engine& engine_;
-  sim::ExecDomain* domain_ = nullptr;
   Backends b_;
   /// b_.xfs or b_.central, resolved once; null without a file backend.
   xfs::FileService* files_ = nullptr;
@@ -188,7 +154,11 @@ class ServeWorkload {
   ClientPopulation pop_;
   RequestMix mix_;
   SloTracker slo_;
-  std::vector<LaneCounters> lane_counts_;
+  /// Arrival and completion tallies; offered_per_sec is filled by
+  /// totals().
+  ServeTotals counts_;
+  /// Clients logged in right now (logins - logouts).
+  std::uint64_t sessions_ = 0;
   std::vector<ArrivalStream> open_streams_;     // one per open client
   std::vector<ClosedSession> closed_sessions_;  // one per closed client
   /// One independent trace cursor per replay client (own file handle).

@@ -67,14 +67,6 @@ ParallelEngine::ParallelEngine(Engine& global, ParallelConfig cfg)
   assert(cfg_.threads >= 1);
   assert(cfg_.nodes >= 1);
   assert(cfg_.lookahead > 0 && "partitioned execution needs lookahead > 0");
-  if (cfg_.align == 0) cfg_.align = 1;
-  // Lanes are dealt whole alignment groups (racks); more lanes than groups
-  // would leave the extras permanently idle.
-  groups_ = (static_cast<std::uint64_t>(cfg_.nodes) + cfg_.align - 1) /
-            cfg_.align;
-  if (cfg_.threads > groups_) {
-    cfg_.threads = static_cast<unsigned>(groups_);
-  }
   if (cfg_.threads > cfg_.nodes) cfg_.threads = cfg_.nodes;
   parts_.reserve(cfg_.threads);
   for (unsigned i = 0; i < cfg_.threads; ++i) {

@@ -54,14 +54,6 @@ struct ParallelConfig {
   /// Number of node ids to partition (block assignment: node n lives on
   /// lane n * threads / nodes).
   std::uint32_t nodes = 0;
-  /// Partition-boundary alignment: lanes are assigned in blocks of `align`
-  /// consecutive node ids, so a block never spans two lanes.  Hierarchical
-  /// fabrics pass their rack size here — every rack's nodes (and so every
-  /// rack-local interaction) stay on one lane, and only cross-rack traffic
-  /// crosses lanes.  1 (the default) is the PR-5 per-node block layout.
-  /// Purely a placement hint: results are lane-layout-independent either
-  /// way (the merge key never mentions a lane).
-  std::uint32_t align = 1;
   /// Conservative lookahead window W.  Must be > 0 and no larger than the
   /// minimum cross-node interaction latency (the fabric's one-way latency).
   Duration lookahead = 0;
@@ -119,12 +111,10 @@ class ParallelEngine final : public ExecDomain {
             InlinedCallback fn) override;
 
   Engine& global_engine() { return global_; }
-  /// Block assignment over alignment groups: group g (= node / align) of
-  /// `groups_` total lands on lane g * lanes / groups.  align = 1 reduces
-  /// to the original per-node block layout.
+  /// Block assignment: node n lives on lane n * lanes / nodes.
   unsigned lane_of(std::uint32_t node) const override {
-    const std::uint64_t group = node / cfg_.align;
-    return static_cast<unsigned>((group * parts_.size()) / groups_);
+    return static_cast<unsigned>(
+        (static_cast<std::uint64_t>(node) * parts_.size()) / cfg_.nodes);
   }
 
   /// Runs until every lane (partitions + global) drains.
@@ -176,7 +166,6 @@ class ParallelEngine final : public ExecDomain {
 
   Engine& global_;
   ParallelConfig cfg_;
-  std::uint64_t groups_ = 1;  // ceil(nodes / align), the lane-block count
   std::vector<std::unique_ptr<Engine>> parts_;
   std::vector<Mailbox> mail_;  // indexed [src_lane * P + dst_lane]
   std::vector<Msg> merge_buf_;

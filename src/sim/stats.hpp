@@ -57,9 +57,7 @@ class Histogram {
 
   /// Merges another histogram into this one.  Both must share `lo` and
   /// `growth` (every sample keeps its exact bin, so merged percentiles are
-  /// identical to single-histogram recording, whatever the grouping —
-  /// which is what lets per-lane shards report thread-count-invariant
-  /// quantiles).
+  /// identical to single-histogram recording, whatever the grouping).
   void merge(const Histogram& other);
 
   const Summary& summary() const { return summary_; }

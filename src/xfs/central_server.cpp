@@ -1,6 +1,7 @@
 #include "xfs/central_server.hpp"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace now::xfs {
 
@@ -17,7 +18,7 @@ CentralServerFs::CentralServerFs(proto::RpcLayer& rpc, os::Node& server,
       server_cache_(params.server_cache_blocks),
       obs_track_(obs::tracer().track("cfs")),
       stats_obs_("central", [this](obs::Sink& s) {
-        const CentralFsStats st = stats();
+        const CentralFsStats& st = stats_;
         s.counter("reads", st.reads);
         s.counter("writes", st.writes);
         s.counter("local_hits", st.local_hits);
@@ -27,12 +28,21 @@ CentralServerFs::CentralServerFs(proto::RpcLayer& rpc, os::Node& server,
         s.counter("cold_restarts", st.cold_restarts);
       }) {
   for (os::Node* c : clients) {
-    clients_.emplace(c->id(), ClientState(params_.client_cache_blocks, c));
+    if (&c->engine() != &server_.engine()) {
+      throw std::invalid_argument(
+          "CentralServerFs: client node " + std::to_string(c->id()) +
+          " runs on another engine than server node " +
+          std::to_string(server_.id()) +
+          "; the central server needs a serial cluster "
+          "(Partitioning::kAllGlobal)");
+    }
+    clients_.emplace(c->id(),
+                     coopcache::LruCache(params_.client_cache_blocks));
   }
 }
 
 double CentralServerFs::availability() const {
-  const CentralFsStats s = stats();
+  const CentralFsStats& s = stats_;
   const std::uint64_t issued = s.reads + s.writes;
   if (issued == 0) return 1.0;
   return 1.0 - static_cast<double>(s.failed_ops) /
@@ -50,7 +60,7 @@ void CentralServerFs::server_crashed() {
 }
 
 void CentralServerFs::server_restarted() {
-  count(&CentralFsStats::cold_restarts);
+  ++stats_.cold_restarts;
   obs::tracer().instant(server_.id(), obs_track_, "cold_restart");
 }
 
@@ -89,44 +99,41 @@ void CentralServerFs::install_server() {
 }
 
 void CentralServerFs::read(net::NodeId client, BlockId b, OpDone done) {
-  count(&CentralFsStats::reads);
-  ClientState& cs = cstate(client);
-  if (cs.cache.touch(b)) {
-    count(&CentralFsStats::local_hits);
-    // Local hit costs one block copy (Table 2's memcpy component),
-    // charged on the client's own lane engine: a hit never leaves the
-    // client machine, so it must not schedule into another lane's queue.
-    cs.node->engine().schedule_in(sim::from_us(250),
-                                  [done = std::move(done)] { done(true); });
+  ++stats_.reads;
+  if (client_cache(client).touch(b)) {
+    ++stats_.local_hits;
+    // Local hit costs one block copy (Table 2's memcpy component).
+    server_.engine().schedule_in(sim::from_us(250),
+                                 [done = std::move(done)] { done(true); });
     return;
   }
   rpc_.call(
       client, server_.id(), kCfsRead, 48, CfsReq{b, false},
       [this, client, b, done](proto::Body resp) mutable {
         const auto r = std::get<CfsResp>(resp);
-        count(r.from_memory ? &CentralFsStats::server_mem_hits
-                            : &CentralFsStats::server_disk_reads);
-        cstate(client).cache.insert(b);
+        ++(r.from_memory ? stats_.server_mem_hits
+                         : stats_.server_disk_reads);
+        client_cache(client).insert(b);
         done(true);
       },
       kOpTimeout,
       [this, client, done]() mutable {
         // The building just lost its file system.
-        count(&CentralFsStats::failed_ops);
+        ++stats_.failed_ops;
         obs::tracer().instant(client, obs_track_, "op_failed");
         done(false);
       });
 }
 
 void CentralServerFs::write(net::NodeId client, BlockId b, OpDone done) {
-  count(&CentralFsStats::writes);
-  cstate(client).cache.insert(b);
+  ++stats_.writes;
+  client_cache(client).insert(b);
   rpc_.call(
       client, server_.id(), kCfsWrite, params_.block_bytes + 48,
       CfsReq{b, true},
       [done](proto::Body) mutable { done(true); }, kOpTimeout,
       [this, client, done]() mutable {
-        count(&CentralFsStats::failed_ops);
+        ++stats_.failed_ops;
         obs::tracer().instant(client, obs_track_, "op_failed");
         done(false);
       });

@@ -10,13 +10,9 @@
 // through to it, and when it dies the building's file service dies with
 // it.  The xFS comparison bench sweeps client count against both designs.
 //
-// Lane discipline (partitioned runs): read()/write() must be called from
-// the lane owning `client`, like any RPC issue.  Client cache state is
-// per-client (lane-confined), server cache/disk state is only touched by
-// server-lane RPC handlers, and the shared stats block is the one piece
-// both sides write — it takes a spinlock, mirroring net::Network's stats.
-// Local hits complete on the client's own lane engine, so a hit never
-// schedules into another lane's queue.
+// The model runs serially: clients and server share one engine and one
+// unlocked stats block.  The constructor throws if a partitioned cluster
+// put any client on a different engine from the server.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +22,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "proto/rpc.hpp"
-#include "sim/spinlock.hpp"
 #include "xfs/file_service.hpp"
 #include "xfs/log.hpp"
 
@@ -59,7 +54,9 @@ struct CentralFsStats {
 /// xFS uses, so the comparison isolates the architecture.
 class CentralServerFs final : public FileService {
  public:
-  /// `server` owns cache and disk; `clients` are everyone else.
+  /// `server` owns cache and disk; `clients` are everyone else.  Throws
+  /// std::invalid_argument if a client runs on another engine than the
+  /// server (a partitioned cluster).
   CentralServerFs(proto::RpcLayer& rpc, os::Node& server,
                   std::vector<os::Node*> clients, CentralFsParams params);
   CentralServerFs(const CentralServerFs&) = delete;
@@ -92,13 +89,8 @@ class CentralServerFs final : public FileService {
   void server_crashed();
   void server_restarted();
 
-  /// Snapshot of the running tallies.  Safe to call between runs or from
-  /// the driving thread after the engine drains; during a partitioned run
-  /// it is a consistent point-in-time copy.
-  CentralFsStats stats() const {
-    std::lock_guard<sim::SpinLock> g(stats_lock_);
-    return stats_;
-  }
+  /// The running tallies.
+  const CentralFsStats& stats() const { return stats_; }
   /// Fraction of issued operations that did NOT fail (1.0 before any op).
   /// This is the central server's availability story in one number — the
   /// xFS-vs-central comparison reports it on both sides.
@@ -106,29 +98,17 @@ class CentralServerFs final : public FileService {
   net::NodeId server_id() const { return server_.id(); }
 
  private:
-  struct ClientState {
-    ClientState(std::uint32_t cap, os::Node* n) : cache(cap), node(n) {}
-    coopcache::LruCache cache;
-    /// The client's own node — local hits complete on its lane engine.
-    os::Node* node;
-  };
-
   void install_server();
-  ClientState& cstate(net::NodeId c) { return clients_.at(c); }
-  void count(std::uint64_t CentralFsStats::* field) {
-    std::lock_guard<sim::SpinLock> g(stats_lock_);
-    ++(stats_.*field);
-  }
+  coopcache::LruCache& client_cache(net::NodeId c) { return clients_.at(c); }
 
   proto::RpcLayer& rpc_;
   os::Node& server_;
   CentralFsParams params_;
-  std::unordered_map<net::NodeId, ClientState> clients_;
+  /// Each client's block cache.
+  std::unordered_map<net::NodeId, coopcache::LruCache> clients_;
   coopcache::LruCache server_cache_;
   /// Blocks that exist on the server disk (written at least once).
   std::unordered_set<BlockId> on_disk_;
-  /// Written from every client's lane; net::Network's stats pattern.
-  mutable sim::SpinLock stats_lock_;
   CentralFsStats stats_;
   obs::TrackId obs_track_;
   obs::Collector stats_obs_;

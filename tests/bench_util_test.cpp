@@ -1,0 +1,66 @@
+// The benches' numeric flag parser (bench/bench_util.hpp): a value that
+// does not parse must stop the bench with the flag and the value named,
+// never fall back to a default sweep.
+#include <gtest/gtest.h>
+
+#include <vector>
+
+#include "bench_util.hpp"
+
+namespace now::bench {
+namespace {
+
+// argv-shaped view over string literals ("bench" is argv[0]).
+struct Args {
+  explicit Args(std::vector<const char*> a) : v(std::move(a)) {
+    v.insert(v.begin(), "bench");
+  }
+  int argc() const { return static_cast<int>(v.size()); }
+  char** argv() { return const_cast<char**>(v.data()); }
+  std::vector<const char*> v;
+};
+
+TEST(BenchFlags, AbsentFlagsKeepTheirDefaults) {
+  Args a({"--json", "out.json"});
+  EXPECT_EQ(parse_jobs(a.argc(), a.argv()), 0u);
+  EXPECT_EQ(parse_nodes(a.argc(), a.argv()), 0u);
+  EXPECT_EQ(parse_trace_scale(a.argc(), a.argv()), 1.0);
+}
+
+TEST(BenchFlags, WellFormedValuesParse) {
+  Args a({"--jobs", "3", "--nodes", "256", "--trace-scale", "2.5"});
+  EXPECT_EQ(parse_jobs(a.argc(), a.argv()), 3u);
+  EXPECT_EQ(parse_nodes(a.argc(), a.argv()), 256u);
+  EXPECT_EQ(parse_trace_scale(a.argc(), a.argv()), 2.5);
+}
+
+TEST(BenchFlags, NonPositiveTraceScaleFallsBackToOne) {
+  Args zero({"--trace-scale", "0"});
+  EXPECT_EQ(parse_trace_scale(zero.argc(), zero.argv()), 1.0);
+  Args neg({"--trace-scale", "-2"});
+  EXPECT_EQ(parse_trace_scale(neg.argc(), neg.argv()), 1.0);
+}
+
+TEST(BenchFlagsDeathTest, GarbledValuesExitNamingFlagAndValue) {
+  Args nodes({"--nodes", "abc"});
+  EXPECT_EXIT(parse_nodes(nodes.argc(), nodes.argv()),
+              testing::ExitedWithCode(2), "--nodes expects a number, got 'abc'");
+  Args jobs({"--jobs", "4x"});
+  EXPECT_EXIT(parse_jobs(jobs.argc(), jobs.argv()),
+              testing::ExitedWithCode(2), "--jobs .*'4x'");
+  Args neg({"--jobs", "-1"});
+  EXPECT_EXIT(parse_jobs(neg.argc(), neg.argv()),
+              testing::ExitedWithCode(2), "--jobs .*'-1'");
+  Args empty({"--nodes", ""});
+  EXPECT_EXIT(parse_nodes(empty.argc(), empty.argv()),
+              testing::ExitedWithCode(2), "--nodes .*''");
+  Args huge({"--nodes", "99999999999"});
+  EXPECT_EXIT(parse_nodes(huge.argc(), huge.argv()),
+              testing::ExitedWithCode(2), "--nodes .*'99999999999'");
+  Args scale({"--trace-scale", "fast"});
+  EXPECT_EXIT(parse_trace_scale(scale.argc(), scale.argv()),
+              testing::ExitedWithCode(2), "--trace-scale .*'fast'");
+}
+
+}  // namespace
+}  // namespace now::bench

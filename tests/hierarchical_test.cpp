@@ -10,7 +10,6 @@
 #include "net/presets.hpp"
 #include "net/topology.hpp"
 #include "sim/engine.hpp"
-#include "sim/parallel_engine.hpp"
 
 namespace now::net {
 namespace {
@@ -225,37 +224,6 @@ TEST(HierarchicalNetwork, ThousandNodeSmoke) {
   EXPECT_TRUE(obs::metrics().find<double>("net.rack31.spine7.queue_us"));
 }
 
-// --- Rack-aligned partitioning --------------------------------------------
-
-TEST(ParallelEngine, AlignKeepsRacksOnOneLane) {
-  sim::Engine global;
-  sim::ParallelConfig pc;
-  pc.threads = 4;
-  pc.nodes = 128;
-  pc.align = 32;
-  pc.lookahead = 1;
-  sim::ParallelEngine pe(global, pc);
-  EXPECT_EQ(pe.lanes(), 4u);
-  for (std::uint32_t rack = 0; rack < 4; ++rack) {
-    const unsigned lane = pe.lane_of(rack * 32);
-    for (std::uint32_t i = 1; i < 32; ++i) {
-      EXPECT_EQ(pe.lane_of(rack * 32 + i), lane);
-    }
-  }
-  EXPECT_NE(pe.lane_of(0), pe.lane_of(127));
-}
-
-TEST(ParallelEngine, ThreadsClampToAlignmentGroups) {
-  sim::Engine global;
-  sim::ParallelConfig pc;
-  pc.threads = 16;  // more lanes than racks
-  pc.nodes = 64;
-  pc.align = 32;
-  pc.lookahead = 1;
-  sim::ParallelEngine pe(global, pc);
-  EXPECT_EQ(pe.lanes(), 2u);
-}
-
 }  // namespace
 }  // namespace now::net
 
@@ -274,8 +242,8 @@ struct EchoResult {
 };
 
 // 64 nodes (two racks), every node echoing against the node half the
-// building away, so every call crosses the rack boundary — the worst case
-// for lane-aligned partitioning.
+// building away, so every call crosses the rack boundary.  Lanes are
+// plain node blocks, so at 4 lanes a rack spans two of them.
 EchoResult run_building_cluster(unsigned threads) {
   constexpr std::uint32_t kNodes = 64;
   constexpr proto::MethodId kEcho = 9;

@@ -7,8 +7,8 @@
 // more lanes than cores on a partition-clean RPC workload, a fault
 // landing in a non-zero partition, barrier workers parking and re-waking
 // between runs, engine teardown with idle or parked workers, an
-// all-to-all stress shaped for TSan, and the sweep-nesting thread-budget
-// clamp.
+// all-to-all stress shaped for TSan, and the central server's refusal to
+// run on a partitioned cluster.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,14 +17,15 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/cluster.hpp"
-#include "exp/runner.hpp"
 #include "sim/engine.hpp"
 #include "sim/parallel_engine.hpp"
+#include "xfs/central_server.hpp"
 
 namespace now {
 namespace {
@@ -386,31 +387,31 @@ TEST(ParallelCluster, AllToAllStress) {
   for (std::uint32_t i = 0; i < kNodes; ++i) EXPECT_GT(ops[i], 0u);
 }
 
-// --- Sweep nesting: jobs x threads must not oversubscribe -------------
+// --- Serial-only services ---------------------------------------------
 
-TEST(ParallelCluster, SweepClampsNestedThreadBudget) {
-  // Inside a 2-job sweep each task may use at most hw/2 lanes (min 1);
-  // the cluster reads RunContext::thread_budget and clamps. On a 1-core
-  // machine this collapses to the serial engine — also worth pinning.
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned budget = std::max(1u, hw / 2);
-  const auto lanes = exp::run_sweep(
-      2,
-      [](exp::RunContext& ctx) {
-        ClusterConfig cfg;
-        cfg.workstations = 16;
-        cfg.with_glunix = false;
-        cfg.threads = 16;  // asks for far more than the budget
-        cfg.partitioning = Partitioning::kNodeLocal;
-        cfg.run = &ctx;
-        Cluster c(cfg);
-        c.run_until(1 * sim::kMicrosecond);
-        return c.effective_threads();
-      },
-      {.jobs = 2});
-  for (const unsigned l : lanes) {
-    EXPECT_LE(l, std::max(budget, 1u));
-    if (budget == 1) EXPECT_EQ(l, 1u);  // pe_ skipped entirely
+// CentralServerFs counts every client's operations in one unlocked stats
+// block, so it must refuse a cluster whose clients run on other lanes
+// than the server.  The check is a throw, not an assert, so it holds in
+// Release builds too.
+TEST(ParallelCluster, CentralServerRefusesAPartitionedCluster) {
+  const auto build = [](unsigned threads) {
+    ClusterConfig cfg;
+    cfg.workstations = 4;
+    cfg.fabric = Fabric::kMyrinet;
+    cfg.with_glunix = false;
+    cfg.threads = threads;
+    cfg.partitioning = Partitioning::kNodeLocal;
+    Cluster c(cfg);
+    std::vector<os::Node*> clients{&c.node(1), &c.node(2), &c.node(3)};
+    xfs::CentralServerFs fs(c.rpc(), c.node(0), clients, {});
+  };
+  EXPECT_NO_THROW(build(1));
+  try {
+    build(2);
+    ADD_FAILURE() << "a 2-lane cluster was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("client node 2"), std::string::npos)
+        << e.what();
   }
 }
 

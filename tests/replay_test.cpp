@@ -736,14 +736,12 @@ TEST(Profiler, NfsOpMixIsCounted) {
 // ---------------------------------------------------------------------------
 // ServeWorkload replay arrival source
 
-std::string run_serve_replay(const std::string& path, unsigned threads) {
+std::string run_serve_replay(const std::string& path) {
   ClusterConfig cfg;
   cfg.workstations = 8;
   cfg.fabric = Fabric::kBuildingNow;
   cfg.building = net::building_now(2, 4, 2.0);
   cfg.with_glunix = false;
-  cfg.threads = threads;
-  cfg.partitioning = Partitioning::kNodeLocal;
   cfg.seed = 7;
   Cluster c(cfg);
 
@@ -779,7 +777,7 @@ std::string run_serve_replay(const std::string& path, unsigned threads) {
 
   serve::Backends b;
   b.central = &fs;
-  serve::ServeWorkload w(c.engine(), b, sc, c.parallel_engine());
+  serve::ServeWorkload w(c.engine(), b, sc);
   w.start();
   c.run_until(1'200 * sim::kMillisecond);
 
@@ -803,26 +801,8 @@ TEST(ServeReplay, RecordedArrivalsAreCountedAndServed) {
         << (i % 4 == 0 ? 'w' : 'r') << "\n";
     }
   }
-  const std::string r = run_serve_replay(path, 1);
+  const std::string r = run_serve_replay(path);
   EXPECT_NE(r.find("replayed=200"), std::string::npos) << r;
-  std::remove(path.c_str());
-}
-
-TEST(ServeReplay, ThreadCountCannotMoveAnArrival) {
-  const std::string path = temp_path("now_replay_serve_threads.trace");
-  {
-    std::ofstream f(path);
-    for (int i = 0; i < 300; ++i) {
-      f << i * 3'000 << " " << i % 7 << " " << i % 500 << " "
-        << (i % 5 == 0 ? 'w' : 'r') << "\n";
-    }
-  }
-  const std::string t1 = run_serve_replay(path, 1);
-  const std::string t2 = run_serve_replay(path, 2);
-  const std::string t4 = run_serve_replay(path, 4);
-  EXPECT_NE(t1.find("replayed="), std::string::npos);
-  EXPECT_EQ(t1, t2);
-  EXPECT_EQ(t1, t4);
   std::remove(path.c_str());
 }
 

@@ -700,82 +700,11 @@ TEST(ServeWorkload, ComputeClassRunsThroughGlunix) {
 }
 
 // ---------------------------------------------------------------------------
-// Partitioned serving: lane-confined clients, exact shard merges
-
-// A churned central-backend population on the building fabric, run at
-// several --threads values: every statistic the workload reports must be
-// identical, because per-lane shards merge with exact integer arithmetic
-// and every client's events stay on the lane owning its node.
-std::string run_churned_building(unsigned threads) {
-  ClusterConfig cfg;
-  cfg.workstations = 8;
-  cfg.fabric = Fabric::kBuildingNow;
-  cfg.building = net::building_now(2, 4, 2.0);
-  cfg.with_glunix = false;
-  cfg.threads = threads;
-  cfg.partitioning = Partitioning::kNodeLocal;
-  cfg.seed = 5;
-  Cluster c(cfg);
-
-  xfs::CentralFsParams p;
-  p.client_cache_blocks = 0;
-  std::vector<os::Node*> fsc;
-  for (std::uint32_t i = 1; i < 8; ++i) fsc.push_back(&c.node(i));
-  xfs::CentralServerFs fs(c.rpc(), c.node(0), fsc, p);
-  fs.prewarm(64);
-  fs.start();
-
-  serve::ServeConfig sc;
-  sc.population.clients = 24;
-  sc.population.open_fraction = 1.0;
-  sc.population.offered_per_sec = 300.0;
-  sc.population.horizon = sim::kSecond;
-  sc.population.diurnal.amplitude = 0.5;
-  sc.population.diurnal.period = 800 * sim::kMillisecond;
-  sc.population.sessions.mean_on = 300 * sim::kMillisecond;
-  sc.population.sessions.mean_off = 200 * sim::kMillisecond;
-  serve::RequestClass rd;
-  rd.name = "read";
-  rd.op = serve::RequestOp::kFileRead;
-  rd.slo = 25 * sim::kMillisecond;
-  rd.working_set = 64;
-  sc.classes = {rd};
-  for (std::uint32_t i = 1; i < 8; ++i) sc.client_nodes.push_back(i);
-  sc.seed = 5;
-
-  serve::Backends b;
-  b.central = &fs;
-  serve::ServeWorkload w(c.engine(), b, sc, c.parallel_engine());
-  w.start();
-  c.run_until(1500 * sim::kMillisecond);
-
-  const serve::ServeTotals t = w.totals();
-  const serve::SloClassReport all = w.slo().overall(sc.population.horizon);
-  const xfs::CentralFsStats st = fs.stats();
-  std::ostringstream out;
-  out << "arrivals=" << t.arrivals << " completed=" << t.completed
-      << " in_flight=" << w.in_flight() << " ok=" << all.ok
-      << " slo_met=" << all.slo_met << " mean_us="
-      << static_cast<long long>(all.mean_ms * 1000) << " p50_us="
-      << static_cast<long long>(all.p50_ms * 1000) << " p99_us="
-      << static_cast<long long>(all.p99_ms * 1000) << " max_us="
-      << static_cast<long long>(all.max_ms * 1000)
-      << " reads=" << st.reads << " mem_hits=" << st.server_mem_hits;
-  return out.str();
-}
-
-TEST(ServeWorkload, ChurnedBuildingRunIsThreadCountInvariant) {
-  const std::string t1 = run_churned_building(1);
-  const std::string t2 = run_churned_building(2);
-  const std::string t4 = run_churned_building(4);
-  EXPECT_NE(t1.find("arrivals="), std::string::npos);
-  EXPECT_EQ(t1, t2);
-  EXPECT_EQ(t1, t4);
-}
+// Session churn
 
 // The live-session headcount is published as an obs gauge; mid-run it
-// must agree with the workload's own lane-sharded count and sit strictly
-// inside (0, clients) for a churning population.
+// must agree with the workload's own count and sit strictly inside
+// (0, clients) for a churning population.
 TEST(ServeWorkload, SessionsActiveGaugeTracksChurn) {
   obs::MetricsRegistry reg;
   obs::MetricsRegistry* prev = obs::set_thread_metrics(&reg);
@@ -818,7 +747,7 @@ TEST(ServeWorkload, SessionsActiveGaugeTracksChurn) {
     eng.run();
 
     EXPECT_EQ(static_cast<std::uint64_t>(gauge_mid), live_mid)
-        << "gauge and lane shards disagree";
+        << "gauge and workload count disagree";
     EXPECT_GT(live_mid, 0u);
     EXPECT_LT(live_mid, 16u) << "nobody ever logged out at t=1s";
     EXPECT_EQ(w.sessions_active(), 0u) << "all sessions clip to the horizon";
