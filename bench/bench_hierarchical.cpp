@@ -208,9 +208,11 @@ int main(int argc, char** argv) {
         p.nodes = n;
         p.oversub = o;
         p.cross = cross;
-        p.name = "n" + std::to_string(n) + "_o" +
-                 std::to_string(static_cast<int>(o)) +
-                 (cross ? "_cross" : "_local");
+        p.name = "n";
+        p.name += std::to_string(n);
+        p.name += "_o";
+        p.name += std::to_string(static_cast<int>(o));
+        p.name += cross ? "_cross" : "_local";
         names.push_back(p.name);
         points.push_back(std::move(p));
       }

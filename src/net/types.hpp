@@ -36,9 +36,10 @@ struct Packet {
   std::uint32_t tag = 0;
   /// Time the sender handed the packet to the wire (set by the network).
   sim::SimTime sent_at = 0;
-  /// One allocation per packet, owned by whoever holds the packet.  Kept to
-  /// a single pointer so a `[this, packet]` closure fits the engine's
-  /// inline callback buffer.
+  /// Owned by whoever holds the packet; deleting it goes through the
+  /// concrete frame's own operator delete (AM frames return to a
+  /// per-thread pool, see sim::Pooled).  Kept to a single pointer so a
+  /// `[this, packet]` closure fits the engine's inline callback buffer.
   std::unique_ptr<Frame> frame;
 };
 

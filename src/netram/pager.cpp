@@ -53,8 +53,8 @@ NetworkRamPager::NetworkRamPager(os::Node& client, std::uint32_t page_bytes,
                                  std::size_t readahead_window)
     : client_(client), page_bytes_(page_bytes), registry_(registry),
       rpc_(rpc), readahead_(readahead),
-      readahead_window_(readahead_window),
       disk_fallback_(client, page_bytes),
+      readahead_window_(readahead_window),
       obs_track_(obs::tracer().track("netram")),
       stats_obs_("netram", [this](obs::Sink& s) {
         s.counter("remote_reads", stats_.remote_reads);

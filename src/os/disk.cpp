@@ -68,8 +68,9 @@ void Disk::start_next() {
   }
   busy_ = true;
   const std::size_t idx = pick_next();
-  Request req = std::move(queue_[idx]);
+  in_service_ = std::move(queue_[idx]);
   queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(idx));
+  const Request& req = in_service_;
 
   const bool sequential = req.offset == head_pos_;
   sim::Duration svc;
@@ -92,7 +93,10 @@ void Disk::start_next() {
   }
   service_us_.add(sim::to_us(svc));
 
-  engine_.schedule_in(svc, [this, r = std::move(req)]() mutable {
+  // The request waits in in_service_ (one at a time), so the completion
+  // names only the disk and fits the engine's inline buffer.
+  engine_.schedule_in(svc, [this] {
+    Request r = std::move(in_service_);
     response_us_.add(sim::to_us(engine_.now() - r.enqueued));
     obs::tracer().complete(obs::kClusterNode, obs_track_,
                            r.is_write ? "disk.write" : "disk.read", r.enqueued,

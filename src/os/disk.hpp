@@ -95,6 +95,7 @@ class Disk {
   sim::Engine& engine_;
   DiskParams params_;
   std::deque<Request> queue_;
+  Request in_service_{};
   bool busy_ = false;
   bool sweeping_up_ = true;  // elevator direction
   // Byte offset after the last access; starts "nowhere" so the first access

@@ -91,6 +91,28 @@ AmLayer::PairTx& AmLayer::tx_pair(EndpointId src, EndpointId dst) {
   return *e.tx_pairs.emplace_back(std::make_unique<PairTx>());
 }
 
+void AmLayer::PairTx::push(Fragment* f) {
+  if (tail != nullptr) {
+    tail->next = f;
+  } else {
+    head = f;
+  }
+  tail = f;
+  if (unsent == nullptr) unsent = f;
+}
+
+void AmLayer::PairTx::pop() {
+  Fragment* f = head;
+  head = f->next;
+  if (head == nullptr) tail = nullptr;
+  if (unsent == f) unsent = head;
+  delete f;
+}
+
+void AmLayer::PairTx::clear() {
+  while (head != nullptr) pop();
+}
+
 void AmLayer::send(EndpointId src, EndpointId dst, HandlerId h,
                    std::uint32_t bytes, Body payload,
                    std::function<void()> on_injected, RpcHeader rpc) {
@@ -149,7 +171,8 @@ void AmLayer::enqueue_fragments(EndpointId src, EndpointId dst, HandlerId h,
   std::uint32_t remaining = bytes;
   const sim::SimTime t0 = engine_of(*ep(src).node).now();
   for (std::uint32_t i = 0; i < nfrags; ++i) {
-    Fragment& f = tx.queue.emplace_back();
+    Fragment& f = *new Fragment;
+    tx.push(&f);
     AmMessage& m = f.msg;
     m.src_ep = src;
     m.dst_ep = dst;
@@ -169,12 +192,11 @@ void AmLayer::enqueue_fragments(EndpointId src, EndpointId dst, HandlerId h,
 }
 
 void AmLayer::pump_window(EndpointId src, EndpointId dst, PairTx& tx) {
-  // Indices are re-read every round: on_injected may send again on this
-  // very pair, appending to the queue and advancing next_seq.
-  for (std::uint32_t in_flight = tx.next_seq - tx.base;
-       in_flight < tx.queue.size() && in_flight < params_.window;
-       in_flight = tx.next_seq - tx.base) {
-    Fragment& f = tx.queue[in_flight];
+  // The window is re-read every round: on_injected may send again on this
+  // very pair, appending to it and advancing next_seq.
+  while (tx.unsent != nullptr && tx.next_seq - tx.base < params_.window) {
+    Fragment& f = *tx.unsent;
+    tx.unsent = f.next;
     f.msg.epoch = tx.epoch;
     f.msg.seq = tx.next_seq++;
     transmit(src, f.msg);
@@ -204,7 +226,7 @@ void AmLayer::transmit(EndpointId src, const AmMessage& f) {
   pkt.size_bytes = f.frag_bytes + 16;  // AM header
   pkt.tag = data_tag_;
   // The window keeps its entry for retransmission; the wire gets a copy.
-  pkt.frame = std::make_unique<AmMessage>(f);
+  pkt.frame.reset(new AmMessage(f));
   auto inject = [this, p = std::move(pkt)]() mutable {
     mux_.send(std::move(p));
   };
@@ -241,7 +263,7 @@ void AmLayer::on_timeout(EndpointId src, EndpointId dst) {
     // state (a reboot, or simply having missed everything) resynchronizes.
     // A dead sender keeps its generation count too — restarting at epoch 0
     // would look stale to a receiver that already holds a higher one.
-    tx.queue.clear();
+    tx.clear();
     ++tx.epoch;
     tx.base = 0;
     tx.next_seq = 0;
@@ -251,9 +273,8 @@ void AmLayer::on_timeout(EndpointId src, EndpointId dst) {
   }
   // Go-back-N: retransmit everything outstanding.
   obs::tracer().instant(ep(src).node->id(), obs_track_, "go_back_n");
-  const std::uint32_t in_flight = tx.next_seq - tx.base;
-  for (std::uint32_t i = 0; i < in_flight; ++i) {
-    transmit(src, tx.queue[i].msg);
+  for (const Fragment* f = tx.head; f != tx.unsent; f = f->next) {
+    transmit(src, f->msg);
     {
       sim::SpinGuard g(stats_lock_);
       ++stats_.retransmits;
@@ -395,7 +416,7 @@ void AmLayer::on_ack(const AmAck& a) {
   if (a.epoch != tx.epoch) return;  // ack for a dead generation
   bool advanced = false;
   while (tx.next_seq != tx.base && tx.base < a.cum_seq) {
-    tx.queue.pop_front();
+    tx.pop();
     ++tx.base;
     advanced = true;
   }

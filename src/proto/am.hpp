@@ -25,13 +25,15 @@
 // header, the RPC header riding in it, and the message body) or an `AmAck`.
 // The frame travels by pointer from the sender's window to the receiving
 // handler; only a window entry keeps its own copy, for retransmission.
+// Frames and window entries come from per-thread free lists (sim::Pooled),
+// and a pair's window is an intrusive list of its entries, so a warm send
+// allocates nothing and an idle pair holds three pointers.
 // Handler and pair tables are flat: handlers are indexed by id, and pair
 // state sits behind per-endpoint FlatMaps that allocate nothing until the
 // endpoint first sends or receives.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -43,6 +45,7 @@
 #include "proto/costs.hpp"
 #include "proto/nic_mux.hpp"
 #include "sim/flat_map.hpp"
+#include "sim/pooled.hpp"
 #include "sim/random.hpp"
 #include "sim/spinlock.hpp"
 #include "sim/stats.hpp"
@@ -89,7 +92,7 @@ struct RpcHeader {
 /// the wire; the handler gets it by reference and may move the body out.
 /// Simulated size is `frag_bytes` plus a 16-byte header, whatever the
 /// frame holds.
-struct AmMessage final : net::Frame {
+struct AmMessage final : net::Frame, sim::Pooled<AmMessage> {
   EndpointId src_ep = kInvalidEndpoint;
   EndpointId dst_ep = kInvalidEndpoint;
   std::uint32_t epoch = 0;  // connection generation of the pair
@@ -105,7 +108,7 @@ struct AmMessage final : net::Frame {
 };
 
 /// An AM ack frame: cumulative handled count, which doubles as credit.
-struct AmAck final : net::Frame {
+struct AmAck final : net::Frame, sim::Pooled<AmAck> {
   EndpointId src_ep = kInvalidEndpoint;  // acknowledging (data receiver)
   EndpointId dst_ep = kInvalidEndpoint;  // acknowledged (data sender)
   std::uint32_t epoch = 0;
@@ -180,23 +183,40 @@ class AmLayer {
                                  sim::Duration wire_transit) const;
 
  private:
-  /// A send-window entry: the frame as first sent (retransmissions copy
-  /// it) and the sender's injection callback.
-  struct Fragment {
+  /// A send-window entry: the frame as first sent (every transmission
+  /// sends a copy), the sender's injection callback, and the link to the
+  /// next entry of its pair.
+  struct Fragment : sim::Pooled<Fragment> {
     AmMessage msg;
     std::function<void()> on_injected;
+    Fragment* next = nullptr;
   };
 
   struct PairTx {
+    PairTx() = default;
+    PairTx(const PairTx&) = delete;
+    PairTx& operator=(const PairTx&) = delete;
+    ~PairTx() { clear(); }
+
+    /// Appends `f` to the window, behind everything queued.
+    void push(Fragment* f);
+    /// Frees the oldest entry.
+    void pop();
+    /// Frees every entry.
+    void clear();
+
     /// Connection generation: bumped whenever a window is abandoned, so a
     /// peer that kept stale in-order state (or a rebooted one)
     /// resynchronizes.
     std::uint32_t epoch = 0;
     std::uint32_t next_seq = 0;
     std::uint32_t base = 0;  // oldest unacked
-    /// The first next_seq - base entries are sent and unacked; the rest
-    /// wait for window space.
-    std::deque<Fragment> queue;
+    /// The window, oldest first: the first next_seq - base entries from
+    /// `head` are sent and unacked; `unsent` and the rest wait for window
+    /// space.
+    Fragment* head = nullptr;
+    Fragment* unsent = nullptr;
+    Fragment* tail = nullptr;
     sim::EventId timer = 0;
     std::uint32_t timeouts = 0;
   };

@@ -46,24 +46,21 @@ void RpcLayer::start_call(net::NodeId from, net::NodeId to, MethodId method,
       (static_cast<std::uint64_t>(from) << 32) | t.next_seq++;
   calls_sent_.fetch_add(1, std::memory_order_relaxed);
 
-  std::uint32_t slot;
-  if (!t.free.empty()) {
-    slot = t.free.back();
-    t.free.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(t.slots.size());
-    t.slots.emplace_back();
-  }
+  const std::uint32_t slot = t.slots.open(
+      Outstanding{std::move(on_reply), std::move(on_timeout), 0});
   t.index.find_or_insert(id, slot);
-  Outstanding& out = t.slots[slot];
-  out.on_reply = std::move(on_reply);
   if (timeout > 0) {
     // The timer lives on the caller's lane, like everything in its table.
-    out.timer = am_.engine_of(am_.node_of(nodes_[from].ep))
-                    .schedule_in(timeout, [this, from, id,
-                                           cb = std::move(on_timeout)]() mutable {
-                      if (expire(from, id) && cb) cb();
-                    });
+    // A reply cancels it, so when it fires the call is still outstanding.
+    sim::Engine& eng = am_.engine_of(am_.node_of(nodes_[from].ep));
+    t.slots[slot].timer = eng.schedule_in(timeout, [this, from, id] {
+      CallTable& ct = nodes_[from].calls;
+      const std::uint32_t* s = ct.index.find(id);
+      if (s == nullptr) return;
+      Outstanding expired = release(ct, id, *s);
+      timeouts_.fetch_add(1, std::memory_order_relaxed);
+      if (expired.on_timeout) expired.on_timeout();
+    });
   }
 
   am_.send(nodes_[from].ep, nodes_[to].ep, kRequestHandler, req_bytes,
@@ -72,20 +69,8 @@ void RpcLayer::start_call(net::NodeId from, net::NodeId to, MethodId method,
 
 RpcLayer::Outstanding RpcLayer::release(CallTable& t, std::uint64_t call_id,
                                         std::uint32_t slot) {
-  Outstanding out = std::move(t.slots[slot]);
-  t.slots[slot].timer = 0;
   t.index.erase(call_id);
-  t.free.push_back(slot);
-  return out;
-}
-
-bool RpcLayer::expire(net::NodeId from, std::uint64_t call_id) {
-  CallTable& t = nodes_[from].calls;
-  const std::uint32_t* slot = t.index.find(call_id);
-  if (slot == nullptr) return false;
-  release(t, call_id, *slot);
-  timeouts_.fetch_add(1, std::memory_order_relaxed);
-  return true;
+  return t.slots.release(slot);
 }
 
 void RpcLayer::send_reply(net::NodeId self, std::uint64_t call_id,

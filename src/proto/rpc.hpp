@@ -30,6 +30,7 @@
 #include "proto/am.hpp"
 #include "sim/callback.hpp"
 #include "sim/flat_map.hpp"
+#include "sim/slot_table.hpp"
 
 namespace now::proto {
 
@@ -64,10 +65,11 @@ class RpcLayer {
   };
   /// Service implementation: (caller node, request body, reply handle).
   using Method = std::function<void(net::NodeId, Body&&, ReplyFn)>;
-  /// Sized for the file services' callbacks (a `this`, a few ids and a
-  /// std::function continuation), so wrapping one allocates nothing.
-  using ResponseFn = sim::InlinedFn<void(Body&&), 64>;
-  using TimeoutFn = sim::InlinedFn<void(), 64>;
+  /// Both live in the caller's call slot.  48 bytes holds every in-tree
+  /// continuation inline: the file services capture a `this` and an op
+  /// slot, the pager a `this`, a start time and a std::function.
+  using ResponseFn = sim::InlinedFn<void(Body&&)>;
+  using TimeoutFn = sim::InlinedFn<void()>;
 
   explicit RpcLayer(AmLayer& am) : am_(am) {}
   RpcLayer(const RpcLayer&) = delete;
@@ -128,16 +130,15 @@ class RpcLayer {
   }
   /// Slots `node`'s call table has grown to (its peak of outstanding calls).
   std::size_t call_slots(net::NodeId node) const {
-    return nodes_[node].calls.slots.size();
+    return nodes_[node].calls.slots.capacity();
   }
 
  private:
-  // A slot holds only the response callback; the timeout callback rides in
-  // the timer event.  Most calls set no timeout, and slots are paid for at
-  // the caller's peak of outstanding calls (a segment flush fans out a
-  // hundred RAID writes).
+  // A slot holds both callbacks, so the timer event only names the call
+  // (`this`, caller, id) and fits the engine's inline buffer.
   struct Outstanding {
     ResponseFn on_reply;
+    TimeoutFn on_timeout;
     sim::EventId timer = 0;
   };
   // Caller-side call tracking, confined to the caller's lane: calls, their
@@ -146,8 +147,7 @@ class RpcLayer {
   // past the peak number of concurrently outstanding calls.
   struct CallTable {
     sim::FlatMap<std::uint32_t> index;  // call id -> slot
-    std::vector<Outstanding> slots;
-    std::vector<std::uint32_t> free;
+    sim::SlotTable<Outstanding> slots;
     std::uint32_t next_seq = 1;
   };
   struct NodeState {
@@ -164,8 +164,6 @@ class RpcLayer {
                   std::uint32_t resp_bytes, Body resp);
   void on_request(net::NodeId self, AmMessage& m);
   void on_response(net::NodeId self, AmMessage& m);
-  /// Retires `call_id` as timed out; false if it already completed.
-  bool expire(net::NodeId from, std::uint64_t call_id);
   /// Removes `call_id` from `t`, returning its slot's contents.
   Outstanding release(CallTable& t, std::uint64_t call_id,
                       std::uint32_t slot);

@@ -204,13 +204,13 @@ void ServeWorkload::issue_file(std::uint32_t client, std::size_t cls,
                                sim::SimTime t0, bool closed) {
   assert(files_ != nullptr &&
          "file request class needs an xfs or central backend");
-  auto done = [this, client, cls, t0, closed](bool ok) {
+  xfs::FileService::OpDone done = [this, client, cls, t0, closed](bool ok) {
     finish(client, cls, t0, ok, closed);
   };
   if (is_write) {
-    files_->write(node_of(client), block, done);
+    files_->write(node_of(client), block, std::move(done));
   } else {
-    files_->read(node_of(client), block, done);
+    files_->read(node_of(client), block, std::move(done));
   }
 }
 

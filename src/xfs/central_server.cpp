@@ -100,43 +100,48 @@ void CentralServerFs::install_server() {
 
 void CentralServerFs::read(net::NodeId client, BlockId b, OpDone done) {
   ++stats_.reads;
+  const std::uint32_t op = ops_.open(
+      FileOp{client, b, /*is_write=*/false, 0, 0, std::move(done)});
   if (client_cache(client).touch(b)) {
     ++stats_.local_hits;
     // Local hit costs one block copy (Table 2's memcpy component).
     server_.engine().schedule_in(sim::from_us(250),
-                                 [done = std::move(done)] { done(true); });
+                                 [this, op] { close_op(op, true); });
     return;
   }
   rpc_.call(
       client, server_.id(), kCfsRead, 48, CfsReq{b, false},
-      [this, client, b, done](proto::Body resp) mutable {
+      [this, op](proto::Body&& resp) {
         const auto r = std::get<CfsResp>(resp);
         ++(r.from_memory ? stats_.server_mem_hits
                          : stats_.server_disk_reads);
-        client_cache(client).insert(b);
-        done(true);
+        client_cache(ops_[op].client).insert(ops_[op].block);
+        close_op(op, true);
       },
-      kOpTimeout,
-      [this, client, done]() mutable {
-        // The building just lost its file system.
-        ++stats_.failed_ops;
-        obs::tracer().instant(client, obs_track_, "op_failed");
-        done(false);
-      });
+      kOpTimeout, [this, op] { fail_op(op); });
 }
 
 void CentralServerFs::write(net::NodeId client, BlockId b, OpDone done) {
   ++stats_.writes;
   client_cache(client).insert(b);
+  const std::uint32_t op = ops_.open(
+      FileOp{client, b, /*is_write=*/true, 0, 0, std::move(done)});
   rpc_.call(
       client, server_.id(), kCfsWrite, params_.block_bytes + 48,
-      CfsReq{b, true},
-      [done](proto::Body) mutable { done(true); }, kOpTimeout,
-      [this, client, done]() mutable {
-        ++stats_.failed_ops;
-        obs::tracer().instant(client, obs_track_, "op_failed");
-        done(false);
-      });
+      CfsReq{b, true}, [this, op](proto::Body&&) { close_op(op, true); },
+      kOpTimeout, [this, op] { fail_op(op); });
+}
+
+void CentralServerFs::fail_op(std::uint32_t op) {
+  // The building just lost its file system.
+  ++stats_.failed_ops;
+  obs::tracer().instant(ops_[op].client, obs_track_, "op_failed");
+  close_op(op, false);
+}
+
+void CentralServerFs::close_op(std::uint32_t op, bool ok) {
+  OpDone done = std::move(ops_.release(op).done);
+  done(ok);
 }
 
 }  // namespace now::xfs

@@ -96,9 +96,15 @@ class CentralServerFs final : public FileService {
   /// xFS-vs-central comparison reports it on both sides.
   double availability() const;
   net::NodeId server_id() const { return server_.id(); }
+  /// Reads and writes still in flight (test introspection).
+  std::size_t ops_in_flight() const { return ops_.in_use(); }
 
  private:
   void install_server();
+  /// Counts op `op` as failed and closes it.
+  void fail_op(std::uint32_t op);
+  /// Frees op `op`'s slot, then calls its done.
+  void close_op(std::uint32_t op, bool ok);
   coopcache::LruCache& client_cache(net::NodeId c) { return clients_.at(c); }
 
   proto::RpcLayer& rpc_;
@@ -110,6 +116,7 @@ class CentralServerFs final : public FileService {
   /// Blocks that exist on the server disk (written at least once).
   std::unordered_set<BlockId> on_disk_;
   CentralFsStats stats_;
+  OpSlots ops_;
   obs::TrackId obs_track_;
   obs::Collector stats_obs_;
 };

@@ -306,216 +306,206 @@ void Xfs::manager_write(net::NodeId self, BlockId b, net::NodeId requester,
                         proto::RpcLayer::ReplyFn reply) {
   BlockMeta& meta = mstate(self)[b];
   meta.write_in_progress = true;
-
-  // Collect everyone who must give up their copy.
-  std::vector<net::NodeId> to_invalidate;
-  for (const net::NodeId peer : meta.readers) {
-    if (peer != requester && peer != meta.owner) {
-      to_invalidate.push_back(peer);
-    }
-  }
   const net::NodeId prev_owner =
       (meta.owner != net::kInvalidNode && meta.owner != requester)
           ? meta.owner
           : net::kInvalidNode;
+  const std::uint64_t version = ++versions_issued_;
+  const std::uint32_t txn =
+      txns_.open(WriteTxn{self, b, version, 0, false, std::move(reply)});
 
-  meta.owner = requester;
-  meta.version = ++versions_issued_;
-  meta.readers.clear();
-  meta.readers.insert(requester);
-
-  auto complete = [this, self, b, version = meta.version](
-                      proto::RpcLayer::ReplyFn rep, bool had_data) {
-    rep(had_data ? params_.block_bytes + 32 : 32,
-        WriteGrant{had_data, false, version});
-    BlockMeta& m = mstate(self)[b];
-    if (m.pending_writes.empty()) {
-      m.write_in_progress = false;
-      return;
-    }
-    auto [next_requester, next_reply] = std::move(m.pending_writes.front());
-    m.pending_writes.pop_front();
-    // The grant reply above was sent before the revoke this transaction is
-    // about to issue, and the AM pair is FIFO, so ordering is safe.
-    manager_write(self, b, next_requester, std::move(next_reply));
-  };
-
-  const std::size_t parties =
-      to_invalidate.size() + (prev_owner != net::kInvalidNode ? 1 : 0);
-  if (parties == 0) {
-    complete(std::move(reply), false);
-    return;
-  }
-  auto remaining = std::make_shared<std::size_t>(parties);
-  auto had_data = std::make_shared<bool>(false);
-  auto finish = [remaining, had_data, complete = std::move(complete),
-                 reply = std::move(reply)]() mutable {
-    if (--*remaining > 0) return;
-    complete(std::move(reply), *had_data);
-  };
-  for (const net::NodeId peer : to_invalidate) {
+  // Everyone else who holds a copy must give it up.  Calls only send, so
+  // no answer arrives before the count below is complete.
+  for (const net::NodeId peer : meta.readers) {
+    if (peer == requester || peer == meta.owner) continue;
+    ++txns_[txn].remaining;
     ++stats_.invalidations;
     rpc_.call(self, peer, kInvalidate, 32, b,
-              [finish](proto::Body) mutable { finish(); },
-              params_.op_timeout, [finish]() mutable { finish(); });
+              [this, txn](proto::Body&&) { write_party_done(txn); },
+              params_.op_timeout, [this, txn] { write_party_done(txn); });
   }
   if (prev_owner != net::kInvalidNode) {
+    ++txns_[txn].remaining;
     ++stats_.ownership_transfers;
     rpc_.call(self, prev_owner, kRevoke, 32, b,
-              [finish, had_data](proto::Body) mutable {
-                *had_data = true;
-                finish();
+              [this, txn](proto::Body&&) {
+                txns_[txn].had_data = true;
+                write_party_done(txn);
               },
-              params_.op_timeout, [finish]() mutable { finish(); });
+              params_.op_timeout, [this, txn] { write_party_done(txn); });
   }
+
+  meta.owner = requester;
+  meta.version = version;
+  meta.readers.clear();
+  meta.readers.insert(requester);
+  if (txns_[txn].remaining == 0) grant_write(txn);
+}
+
+void Xfs::write_party_done(std::uint32_t txn) {
+  if (--txns_[txn].remaining == 0) grant_write(txn);
+}
+
+void Xfs::grant_write(std::uint32_t txn) {
+  const WriteTxn t = txns_.release(txn);
+  t.reply(t.had_data ? params_.block_bytes + 32 : 32,
+          WriteGrant{t.had_data, false, t.version});
+  BlockMeta& m = mstate(t.manager)[t.block];
+  if (m.pending_writes.empty()) {
+    m.write_in_progress = false;
+    return;
+  }
+  auto [next_requester, next_reply] = std::move(m.pending_writes.front());
+  m.pending_writes.erase(m.pending_writes.begin());
+  // The grant reply above was sent before the revoke this transaction is
+  // about to issue, and the AM pair is FIFO, so ordering is safe.
+  manager_write(t.manager, t.block, next_requester, std::move(next_reply));
 }
 
 void Xfs::read(net::NodeId client, BlockId b, OpDone done) {
   ++stats_.reads;
-  const sim::SimTime t0 = engine().now();
-  do_read(client, b,
-          [this, client, t0, done = std::move(done)](bool ok) mutable {
-            stats_.read_latency_us.add(sim::to_us(engine().now() - t0));
-            obs::tracer().complete(client, obs_track_, "xfs.read", t0,
-                                   engine().now());
-            done(ok);
-          },
-          0);
+  do_read(ops_.open(
+      FileOp{client, b, /*is_write=*/false, 0, engine().now(),
+             std::move(done)}));
 }
 
-void Xfs::finish_read(net::NodeId c, BlockId b, OpDone done) {
-  insert_cached(c, b, /*dirty=*/false);
-  done(true);
+void Xfs::write(net::NodeId client, BlockId b, OpDone done) {
+  ++stats_.writes;
+  do_write(ops_.open(
+      FileOp{client, b, /*is_write=*/true, 0, engine().now(),
+             std::move(done)}));
 }
 
-void Xfs::retry_op(net::NodeId c, BlockId b, bool is_write, OpDone done,
-                   std::uint32_t attempts) {
+void Xfs::close_op(std::uint32_t op, bool ok) {
+  FileOp o = ops_.release(op);
+  const sim::SimTime now = engine().now();
+  if (o.is_write) {
+    stats_.write_latency_us.add(sim::to_us(now - o.t0));
+    obs::tracer().complete(o.client, obs_track_, "xfs.write", o.t0, now);
+  } else {
+    stats_.read_latency_us.add(sim::to_us(now - o.t0));
+    obs::tracer().complete(o.client, obs_track_, "xfs.read", o.t0, now);
+  }
+  o.done(ok);
+}
+
+void Xfs::retry_op(std::uint32_t op) {
   ++stats_.op_retries;
-  engine().schedule_in(params_.retry_backoff,
-                       [this, c, b, is_write, done = std::move(done),
-                        attempts]() mutable {
-                         if (is_write) {
-                           do_write(c, b, std::move(done), attempts + 1);
-                         } else {
-                           do_read(c, b, std::move(done), attempts + 1);
-                         }
-                       });
+  engine().schedule_in(params_.retry_backoff, [this, op] {
+    FileOp& o = ops_[op];
+    ++o.attempts;
+    if (o.is_write) {
+      do_write(op);
+    } else {
+      do_read(op);
+    }
+  });
 }
 
-void Xfs::do_read(net::NodeId c, BlockId b, OpDone done,
-                  std::uint32_t attempts) {
+void Xfs::do_read(std::uint32_t op) {
+  const FileOp& o = ops_[op];
+  const net::NodeId c = o.client;
+  const BlockId b = o.block;
   ClientState& cs = cstate(c);
   if (cs.cache.contains(b) || cs.staged_set.contains(b)) {
     ++stats_.local_hits;
     cs.cache.touch(b);
     engine().schedule_in(node(c)->copy_cost(params_.block_bytes),
-                         [done = std::move(done)] { done(true); });
+                         [this, op] { close_op(op, true); });
     return;
   }
-  if (attempts > params_.max_op_retries) {
+  if (o.attempts > params_.max_op_retries) {
     // Out of patience (manager unreachable): the op fails, as EIO would
     // in a real FS.  Counted so availability is measurable.
     ++stats_.failed_ops;
     obs::tracer().instant(c, obs_track_, "op_failed");
-    done(false);
+    close_op(op, false);
     return;
   }
   rpc_.call(
       c, manager_of(b), kXfsRead, 48, BlockReq{b, c},
-      [this, c, b, done, attempts](proto::Body resp) mutable {
-        const auto d = std::get<ReadDirective>(resp);
-        switch (d.source) {
-          case ReadSource::kRetry:
-            retry_op(c, b, false, std::move(done), attempts);
-            return;
-          case ReadSource::kZero:
-            ++stats_.zero_fills;
-            engine().schedule_in(
-                node(c)->copy_cost(params_.block_bytes) / 4,
-                [this, c, b, done = std::move(done)]() mutable {
-                  finish_read(c, b, std::move(done));
-                });
-            return;
-          case ReadSource::kLog:
-            ++stats_.log_reads;
-            log_.read_block(c, b,
-                            [this, c, b, done = std::move(done)]() mutable {
-                              finish_read(c, b, std::move(done));
-                            });
-            return;
-          case ReadSource::kPeer:
-            rpc_.call(
-                c, d.peer, kPeerFetch, 32, b,
-                [this, c, b, done, attempts](proto::Body fr) mutable {
-                  if (std::get<FetchReply>(fr).found) {
-                    ++stats_.peer_fetches;
-                    finish_read(c, b, std::move(done));
-                  } else {
-                    // Peer dropped it in the meantime: ask again.
-                    retry_op(c, b, false, std::move(done), attempts);
-                  }
-                },
-                params_.op_timeout,
-                [this, c, b, done, attempts]() mutable {
-                  retry_op(c, b, false, std::move(done), attempts);
-                });
-            return;
-        }
+      [this, op](proto::Body&& resp) {
+        on_read_directive(op, std::get<ReadDirective>(resp));
       },
-      params_.op_timeout,
-      [this, c, b, done, attempts]() mutable {
-        retry_op(c, b, false, std::move(done), attempts);
-      });
+      params_.op_timeout, [this, op] { retry_op(op); });
 }
 
-void Xfs::write(net::NodeId client, BlockId b, OpDone done) {
-  ++stats_.writes;
-  const sim::SimTime t0 = engine().now();
-  do_write(client, b,
-           [this, client, t0, done = std::move(done)](bool ok) mutable {
-             stats_.write_latency_us.add(sim::to_us(engine().now() - t0));
-             obs::tracer().complete(client, obs_track_, "xfs.write", t0,
-                                    engine().now());
-             done(ok);
-           },
-           0);
+void Xfs::on_read_directive(std::uint32_t op, ReadDirective d) {
+  const net::NodeId c = ops_[op].client;
+  const BlockId b = ops_[op].block;
+  switch (d.source) {
+    case ReadSource::kRetry:
+      retry_op(op);
+      return;
+    case ReadSource::kZero:
+      ++stats_.zero_fills;
+      engine().schedule_in(node(c)->copy_cost(params_.block_bytes) / 4,
+                           [this, op] { finish_read(op); });
+      return;
+    case ReadSource::kLog:
+      ++stats_.log_reads;
+      log_.read_block(c, b, [this, op] { finish_read(op); });
+      return;
+    case ReadSource::kPeer:
+      rpc_.call(
+          c, d.peer, kPeerFetch, 32, b,
+          [this, op](proto::Body&& fr) {
+            if (std::get<FetchReply>(fr).found) {
+              ++stats_.peer_fetches;
+              finish_read(op);
+            } else {
+              // Peer dropped it in the meantime: ask again.
+              retry_op(op);
+            }
+          },
+          params_.op_timeout, [this, op] { retry_op(op); });
+      return;
+  }
 }
 
-void Xfs::do_write(net::NodeId c, BlockId b, OpDone done,
-                   std::uint32_t attempts) {
+void Xfs::finish_read(std::uint32_t op) {
+  insert_cached(ops_[op].client, ops_[op].block, /*dirty=*/false);
+  close_op(op, true);
+}
+
+void Xfs::do_write(std::uint32_t op) {
+  const FileOp& o = ops_[op];
+  const net::NodeId c = o.client;
+  const BlockId b = o.block;
   ClientState& cs = cstate(c);
   if (cs.cache.contains(b) && cs.dirty.contains(b)) {
     ++stats_.local_hits;
     cs.cache.touch(b);
     engine().schedule_in(node(c)->copy_cost(params_.block_bytes),
-                         [done = std::move(done)] { done(true); });
+                         [this, op] { close_op(op, true); });
     return;
   }
-  if (attempts > params_.max_op_retries) {
+  if (o.attempts > params_.max_op_retries) {
     ++stats_.failed_ops;
     obs::tracer().instant(c, obs_track_, "op_failed");
-    done(false);
+    close_op(op, false);
     return;
   }
   rpc_.call(
       c, manager_of(b), kXfsWrite, 48, BlockReq{b, c},
-      [this, c, b, done, attempts](proto::Body resp) mutable {
+      [this, op](proto::Body&& resp) {
         const auto grant = std::get<WriteGrant>(resp);
         if (grant.retry) {
-          retry_op(c, b, true, std::move(done), attempts);
+          retry_op(op);
           return;
         }
-        ClientState& state = cstate(c);
+        const net::NodeId client = ops_[op].client;
+        const BlockId block = ops_[op].block;
+        ClientState& state = cstate(client);
         // A staged older version is superseded by this new ownership.
-        if (state.staged_set.erase(b) > 0) std::erase(state.staged, b);
-        state.versions[b] = grant.version;
-        insert_cached(c, b, /*dirty=*/true);
-        done(true);
+        if (state.staged_set.erase(block) > 0) {
+          std::erase(state.staged, block);
+        }
+        state.versions[block] = grant.version;
+        insert_cached(client, block, /*dirty=*/true);
+        close_op(op, true);
       },
-      params_.op_timeout,
-      [this, c, b, done, attempts]() mutable {
-        retry_op(c, b, true, std::move(done), attempts);
-      });
+      params_.op_timeout, [this, op] { retry_op(op); });
 }
 
 void Xfs::insert_cached(net::NodeId c, BlockId b, bool dirty) {

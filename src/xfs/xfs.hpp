@@ -130,6 +130,8 @@ class Xfs final : public FileService {
   bool coherence_invariant_holds() const;
   /// The manager's current owner record for `b` (test introspection).
   net::NodeId debug_owner(BlockId b) const;
+  /// Reads and writes still in flight (test introspection).
+  std::size_t ops_in_flight() const { return ops_.in_use(); }
 
  private:
   struct BlockMeta {
@@ -144,7 +146,9 @@ class Xfs final : public FileService {
     /// guarantees a queued writer's revoke can never overtake the previous
     /// writer's grant.
     bool write_in_progress = false;
-    std::deque<std::pair<net::NodeId, proto::RpcLayer::ReplyFn>>
+    /// A vector, not a deque: an empty one allocates nothing, and every
+    /// block the manager tracks carries one.
+    std::vector<std::pair<net::NodeId, proto::RpcLayer::ReplyFn>>
         pending_writes;
   };
   struct ClientState {
@@ -158,10 +162,25 @@ class Xfs final : public FileService {
     std::unordered_map<BlockId, std::uint64_t> versions;
     bool flushing = false;
   };
+  /// One ownership transfer at a manager: the grant waits for every
+  /// invalidation and the previous owner's revoke to answer or time out.
+  struct WriteTxn {
+    net::NodeId manager;
+    BlockId block;
+    std::uint64_t version;
+    std::uint32_t remaining;
+    bool had_data;
+    proto::RpcLayer::ReplyFn reply;
+  };
+
   void install_services(os::Node& node);
   /// Runs one ownership-transfer transaction at manager `self`.
   void manager_write(net::NodeId self, BlockId b, net::NodeId requester,
                      proto::RpcLayer::ReplyFn reply);
+  /// One party of transaction `txn` answered or timed out.
+  void write_party_done(std::uint32_t txn);
+  /// Sends the grant, frees the slot and starts the next queued writer.
+  void grant_write(std::uint32_t txn);
   ClientState& cstate(net::NodeId c) { return clients_.at(c); }
   std::unordered_map<BlockId, BlockMeta>& mstate(net::NodeId m) {
     return managers_[m];
@@ -170,13 +189,14 @@ class Xfs final : public FileService {
   void insert_cached(net::NodeId c, BlockId b, bool dirty);
   void handle_evicted(net::NodeId c, BlockId victim);
   void flush_segment(net::NodeId c, Done done);
-  void finish_read(net::NodeId c, BlockId b, OpDone done);
-  void retry_op(net::NodeId c, BlockId b, bool is_write, OpDone done,
-                std::uint32_t attempts);
-  void do_read(net::NodeId c, BlockId b, OpDone done,
-               std::uint32_t attempts);
-  void do_write(net::NodeId c, BlockId b, OpDone done,
-                std::uint32_t attempts);
+  // One read or write, from issue to close, names only its slot in ops_.
+  void do_read(std::uint32_t op);
+  void on_read_directive(std::uint32_t op, proto::ReadDirective d);
+  void finish_read(std::uint32_t op);
+  void do_write(std::uint32_t op);
+  void retry_op(std::uint32_t op);
+  /// Records the op's latency and span, frees its slot, then calls done.
+  void close_op(std::uint32_t op, bool ok);
   bool client_has_block(net::NodeId c, BlockId b) const;
 
   proto::RpcLayer& rpc_;
@@ -189,6 +209,8 @@ class Xfs final : public FileService {
                      std::unordered_map<BlockId, BlockMeta>>
       managers_;
   std::unordered_set<net::NodeId> recovering_;  // managers mid-takeover
+  OpSlots ops_;
+  sim::SlotTable<WriteTxn> txns_;
   /// Write versions are unique across all managers, so a notice quoting a
   /// grant from before a manager takeover never matches a later one.
   std::uint64_t versions_issued_ = 0;

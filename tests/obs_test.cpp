@@ -519,7 +519,9 @@ TEST(Tracer, RingOverwritesOldestAndCountsDrops) {
   t.enable(/*capacity=*/4);
   const TrackId track = t.track("ring");
   for (int i = 0; i < 10; ++i) {
-    t.instant_at(0, track, "e" + std::to_string(i), i * 1'000);
+    std::string name = "e";
+    name += std::to_string(i);
+    t.instant_at(0, track, name, i * 1'000);
   }
   EXPECT_EQ(t.size(), 4u);
   EXPECT_EQ(t.dropped(), 6u);

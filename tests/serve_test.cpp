@@ -241,7 +241,9 @@ TEST(SessionTimeline, IntervalsAreOrderedDisjointAndReplayable) {
       EXPECT_EQ(a[i].logout, b[i].logout);
       EXPECT_LT(a[i].login, a[i].logout);
       EXPECT_LE(a[i].logout, p.horizon);
-      if (i > 0) EXPECT_GE(a[i].login, a[i - 1].logout);
+      if (i > 0) {
+        EXPECT_GE(a[i].login, a[i - 1].logout);
+      }
     }
   }
 }

@@ -4,7 +4,9 @@
 Usage: python3 tools/check_links.py [file-or-dir ...]
 
 With no arguments, checks the repo's top-level *.md plus everything under
-docs/.  For every inline link [text](target) in each file:
+docs/.  Fenced code blocks and inline code spans are not Markdown, so
+brackets inside them are never links.  For every inline link
+[text](target) elsewhere in each file:
 
   * http(s)/mailto targets are skipped (no network in CI);
   * a relative path target must exist, resolved against the linking file;
@@ -22,6 +24,14 @@ import sys
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 CODE_FENCE_RE = re.compile(r"```.*?```", re.DOTALL)
+# An inline code span: a run of N backticks up to the next run of exactly N,
+# within one paragraph (no blank line in between).
+CODE_SPAN_RE = re.compile(r"(?<!`)(`+)(?!`)(?:[^\n]|\n(?!\n))*?(?<!`)\1(?!`)")
+
+
+def strip_code(text: str) -> str:
+    """`text` without fenced code blocks and inline code spans."""
+    return CODE_SPAN_RE.sub("", CODE_FENCE_RE.sub("", text))
 
 
 def github_slug(heading: str) -> str:
@@ -51,7 +61,7 @@ def anchors_of(path: str) -> set:
 def check_file(path: str, repo_root: str) -> list:
     errors = []
     with open(path, encoding="utf-8") as f:
-        body = CODE_FENCE_RE.sub("", f.read())
+        body = strip_code(f.read())
     base = os.path.dirname(path)
     for m in LINK_RE.finditer(body):
         target = m.group(1)
