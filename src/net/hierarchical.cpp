@@ -13,7 +13,7 @@ HierarchicalNetwork::HierarchicalNetwork(sim::Engine& engine,
       params_(params),
       topo_(params.topo),
       hier_obs_("net", [this](obs::Sink& s) {
-        sim::SpinGuard g(stats_lock_);
+        sim::SpinGuard g(stats_lock_, partitioned());
         s.counter("rack_local_packets", hstats_.rack_local_packets);
         s.counter("cross_rack_packets", hstats_.cross_rack_packets);
       }) {
@@ -79,7 +79,7 @@ void HierarchicalNetwork::send(Packet pkt) {
   pkt.sent_at = src_engine.now();
   const bool local = topo_.rack_local(pkt.src, pkt.dst);
   {
-    sim::SpinGuard g(stats_lock_);
+    sim::SpinGuard g(stats_lock_, partitioned());
     ++stats_.packets_sent;
     stats_.bytes_sent += pkt.size_bytes;
     if (local) {

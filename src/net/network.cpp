@@ -20,7 +20,7 @@ Network::Network(sim::Engine& engine)
     : engine_(engine),
       obs_track_(obs::tracer().track("net")),
       stats_obs_("net", [this](obs::Sink& s) {
-        sim::SpinGuard g(stats_lock_);
+        sim::SpinGuard g(stats_lock_, partitioned());
         s.counter("packets_sent", stats_.packets_sent);
         s.counter("packets_delivered", stats_.packets_delivered);
         s.counter("packets_dropped", stats_.packets_dropped);
@@ -82,7 +82,7 @@ void Network::deliver_now(Packet&& pkt) {
   if (!p->link_up || !link_up(pkt.src)) {
     // An endpoint's cable is pulled: the packet vanishes on the wire.
     {
-      sim::SpinGuard g(stats_lock_);
+      sim::SpinGuard g(stats_lock_, partitioned());
       ++stats_.link_drops;
     }
     obs::tracer().instant_at(pkt.dst, obs_track_, "link_drop", at);
@@ -91,7 +91,7 @@ void Network::deliver_now(Packet&& pkt) {
   if (p->rx_capacity != 0 &&
       p->rx_used + pkt.size_bytes > p->rx_capacity) {
     {
-      sim::SpinGuard g(stats_lock_);
+      sim::SpinGuard g(stats_lock_, partitioned());
       ++stats_.packets_dropped;
     }
     obs::tracer().instant_at(pkt.dst, obs_track_, "rx_drop", at);
@@ -99,7 +99,7 @@ void Network::deliver_now(Packet&& pkt) {
   }
   if (p->rx_capacity != 0) p->rx_used += pkt.size_bytes;
   {
-    sim::SpinGuard g(stats_lock_);
+    sim::SpinGuard g(stats_lock_, partitioned());
     ++stats_.packets_delivered;
     stats_.wire_time_us.add(sim::to_us(at - pkt.sent_at));
   }

@@ -84,6 +84,9 @@ class Network {
     on_domain_set();
   }
   sim::ExecDomain* domain() { return domain_; }
+  /// True when a domain is installed: only then do two threads touch
+  /// stats_, so only then is stats_lock_ taken.
+  bool partitioned() const { return domain_ != nullptr; }
 
   /// The engine that `node`'s events run on: its partition lane when a
   /// domain is installed, the cluster engine otherwise.  Every site that
@@ -131,8 +134,8 @@ class Network {
   sim::Engine& engine_;
   sim::ExecDomain* domain_ = nullptr;
   NetworkStats stats_;
-  // Guards stats_: sends mutate it from source lanes, deliveries from
-  // destination lanes.  Uncontended in serial runs.
+  // Guards stats_ in partitioned runs: sends mutate it from source lanes,
+  // deliveries from destination lanes.  Serial runs skip it.
   sim::SpinLock stats_lock_;
   obs::TrackId obs_track_;
 

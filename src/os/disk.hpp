@@ -12,6 +12,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sim/callback.hpp"
 #include "sim/engine.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
@@ -41,7 +42,9 @@ struct DiskParams {
 /// One spindle with a FIFO request queue.
 class Disk {
  public:
-  using Done = std::function<void()>;
+  /// Move-only; a completion capturing up to 48 bytes (an RPC reply handle
+  /// and a size, say) is stored without allocating.
+  using Done = sim::InlinedFn<void()>;
 
   Disk(sim::Engine& engine, DiskParams params)
       : engine_(engine), params_(params),

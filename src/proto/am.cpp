@@ -9,7 +9,7 @@ AmLayer::AmLayer(NicMux& mux, AmParams params, std::uint64_t seed)
     : mux_(mux), params_(params), rng_(seed, /*stream=*/0x616d6c),
       obs_track_(obs::tracer().track("proto")),
       stats_obs_("am", [this](obs::Sink& s) {
-        sim::SpinGuard g(stats_lock_);
+        sim::SpinGuard g(stats_lock_, partitioned());
         s.counter("sent", stats_.sent);
         s.counter("retransmits", stats_.retransmits);
         s.counter("handled", stats_.handled);
@@ -134,7 +134,7 @@ void AmLayer::send_from_process(os::ProcessId pid, EndpointId src,
     return;
   }
   {
-    sim::SpinGuard g(stats_lock_);
+    sim::SpinGuard g(stats_lock_, partitioned());
     ++stats_.stalled_sends;
   }
   obs::tracer().instant(ep(src).node->id(), obs_track_, "credit_stall");
@@ -201,7 +201,7 @@ void AmLayer::pump_window(EndpointId src, EndpointId dst, PairTx& tx) {
     f.msg.seq = tx.next_seq++;
     transmit(src, f.msg);
     {
-      sim::SpinGuard g(stats_lock_);
+      sim::SpinGuard g(stats_lock_, partitioned());
       ++stats_.sent;
     }
     if (f.on_injected) {
@@ -237,9 +237,11 @@ void AmLayer::transmit(EndpointId src, const AmMessage& f) {
 
 void AmLayer::arm_timer(EndpointId src, EndpointId dst, PairTx& tx) {
   // The timer lives on the sender's lane: on_timeout touches only tx state.
+  // An ack nearly always cancels or moves it first, so it waits in the
+  // engine's timeout lane rather than its queue.
   tx.timer = engine_of(*ep(src).node)
-                 .schedule_in(params_.retry_timeout,
-                              [this, src, dst] { on_timeout(src, dst); });
+                 .schedule_timeout(params_.retry_timeout,
+                                   [this, src, dst] { on_timeout(src, dst); });
 }
 
 void AmLayer::on_timeout(EndpointId src, EndpointId dst) {
@@ -253,7 +255,7 @@ void AmLayer::on_timeout(EndpointId src, EndpointId dst) {
   if (sender_dead || give_up) {
     if (give_up) {
       {
-        sim::SpinGuard g(stats_lock_);
+        sim::SpinGuard g(stats_lock_, partitioned());
         ++stats_.pair_failures;
       }
       obs::tracer().instant(ep(src).node->id(), obs_track_, "epoch_bump");
@@ -276,7 +278,7 @@ void AmLayer::on_timeout(EndpointId src, EndpointId dst) {
   for (const Fragment* f = tx.head; f != tx.unsent; f = f->next) {
     transmit(src, f->msg);
     {
-      sim::SpinGuard g(stats_lock_);
+      sim::SpinGuard g(stats_lock_, partitioned());
       ++stats_.retransmits;
     }
   }
@@ -286,7 +288,7 @@ void AmLayer::on_timeout(EndpointId src, EndpointId dst) {
 void AmLayer::on_data(std::unique_ptr<AmMessage> d) {
   if (params_.loss_probability > 0.0 &&
       rng_.bernoulli(params_.loss_probability)) {
-    sim::SpinGuard g(stats_lock_);
+    sim::SpinGuard g(stats_lock_, partitioned());
     ++stats_.injected_losses;
     return;
   }
@@ -362,7 +364,7 @@ void AmLayer::handle_now(Endpoint& e, std::unique_ptr<AmMessage> d) {
       if (!node->alive()) return;
       const sim::SimTime at = engine_of(*node).now();
       {
-        sim::SpinGuard g(stats_lock_);
+        sim::SpinGuard g(stats_lock_, partitioned());
         ++stats_.handled;
         stats_.msg_latency_us.add(sim::to_us(at - m->injected_at));
       }
@@ -382,7 +384,7 @@ void AmLayer::send_ack(EndpointId from_ep, EndpointId to_ep,
   os::Node& n = *ep(from_ep).node;
   if (!n.alive()) return;
   {
-    sim::SpinGuard g(stats_lock_);
+    sim::SpinGuard g(stats_lock_, partitioned());
     ++stats_.acks;
   }
   const sim::Duration cost =
@@ -431,7 +433,7 @@ void AmLayer::on_ack(const AmAck& a) {
         // Frames still in flight: restart the retransmit clock by moving the
         // pending timer in place — its closure already names this pair, so
         // cancel + schedule would rebuild an identical event.
-        tx.timer = eng.reschedule_in(tx.timer, params_.retry_timeout);
+        tx.timer = eng.reschedule_timeout(tx.timer, params_.retry_timeout);
         assert(tx.timer != 0);
       }
     }

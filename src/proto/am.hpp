@@ -82,10 +82,12 @@ struct AmParams {
 };
 
 /// The RPC header: plain fields of the AM data frame, zero on raw AM
-/// traffic.  The call id names the caller in its high word.
+/// traffic.  The call id names the caller in its high word; `slot` is the
+/// call's slot in the caller's table, which the reply carries back.
 struct RpcHeader {
   std::uint64_t call_id = 0;
   MethodId method = 0;
+  std::uint32_t slot = 0;
 };
 
 /// One AM data frame, and what a handler receives.  A packet owns it on
@@ -170,6 +172,10 @@ class AmLayer {
   const AmStats& stats() const { return stats_; }
   os::Node& node_of(EndpointId ep);
   sim::Engine& engine() { return mux_.engine(); }
+  /// True when the cluster runs partitioned (an ExecDomain is installed):
+  /// only then can two threads touch the layer's shared counters, so only
+  /// then do they synchronise.
+  bool partitioned() const { return mux_.network().partitioned(); }
   /// The engine `n`'s events run on (its partition lane, or the cluster
   /// engine serially).  Every now()/schedule in this layer — and in layers
   /// above, like RPC — is per-node.
@@ -285,8 +291,8 @@ class AmLayer {
       pollers_;
   std::vector<bool> observer_installed_;  // per node
   AmStats stats_;
-  // Guards stats_: sender-side fields update on source lanes, receiver-side
-  // on destination lanes.  Uncontended serially.
+  // Guards stats_ in partitioned runs: sender-side fields update on source
+  // lanes, receiver-side on destination lanes.  Serial runs skip it.
   sim::SpinLock stats_lock_;
   FailureHandler on_failure_;
   obs::TrackId obs_track_;

@@ -44,40 +44,40 @@ void RpcLayer::start_call(net::NodeId from, net::NodeId to, MethodId method,
   // its caller's table.
   const std::uint64_t id =
       (static_cast<std::uint64_t>(from) << 32) | t.next_seq++;
-  calls_sent_.fetch_add(1, std::memory_order_relaxed);
+  count(calls_sent_);
 
   const std::uint32_t slot = t.slots.open(
-      Outstanding{std::move(on_reply), std::move(on_timeout), 0});
-  t.index.find_or_insert(id, slot);
+      Outstanding{id, std::move(on_reply), std::move(on_timeout), 0});
   if (timeout > 0) {
     // The timer lives on the caller's lane, like everything in its table.
     // A reply cancels it, so when it fires the call is still outstanding.
     sim::Engine& eng = am_.engine_of(am_.node_of(nodes_[from].ep));
-    t.slots[slot].timer = eng.schedule_in(timeout, [this, from, id] {
-      CallTable& ct = nodes_[from].calls;
-      const std::uint32_t* s = ct.index.find(id);
-      if (s == nullptr) return;
-      Outstanding expired = release(ct, id, *s);
-      timeouts_.fetch_add(1, std::memory_order_relaxed);
-      if (expired.on_timeout) expired.on_timeout();
-    });
+    t.slots[slot].timer =
+        eng.schedule_timeout(timeout, [this, from, slot, id] {
+          CallTable& ct = nodes_[from].calls;
+          if (ct.find(slot, id) == nullptr) return;
+          Outstanding expired = release(ct, slot);
+          count(timeouts_);
+          if (expired.on_timeout) expired.on_timeout();
+        });
   }
 
   am_.send(nodes_[from].ep, nodes_[to].ep, kRequestHandler, req_bytes,
-           std::move(req), nullptr, RpcHeader{id, method});
+           std::move(req), nullptr, RpcHeader{id, method, slot});
 }
 
-RpcLayer::Outstanding RpcLayer::release(CallTable& t, std::uint64_t call_id,
-                                        std::uint32_t slot) {
-  t.index.erase(call_id);
-  return t.slots.release(slot);
+RpcLayer::Outstanding RpcLayer::release(CallTable& t, std::uint32_t slot) {
+  Outstanding out = t.slots.release(slot);
+  t.slots[slot].call_id = 0;
+  return out;
 }
 
 void RpcLayer::send_reply(net::NodeId self, std::uint64_t call_id,
-                          std::uint32_t resp_bytes, Body resp) {
+                          std::uint32_t slot, std::uint32_t resp_bytes,
+                          Body resp) {
   const auto caller = static_cast<net::NodeId>(call_id >> 32);
   am_.send(nodes_[self].ep, nodes_[caller].ep, kResponseHandler, resp_bytes,
-           std::move(resp), nullptr, RpcHeader{call_id, 0});
+           std::move(resp), nullptr, RpcHeader{call_id, 0, slot});
 }
 
 void RpcLayer::on_request(net::NodeId self, AmMessage& m) {
@@ -89,15 +89,16 @@ void RpcLayer::on_request(net::NodeId self, AmMessage& m) {
   assert(it != methods.end() && "RPC method not registered");
   const auto caller = static_cast<net::NodeId>(m.rpc.call_id >> 32);
   it->second(caller, std::move(m.payload),
-             ReplyFn(this, self, m.rpc.call_id));
+             ReplyFn(this, self, m.rpc.call_id, m.rpc.slot));
 }
 
 void RpcLayer::on_response(net::NodeId self, AmMessage& m) {
   CallTable& t = nodes_[self].calls;
-  const std::uint32_t* slot = t.index.find(m.rpc.call_id);
-  if (slot == nullptr) return;  // reply after timeout: dropped
-  Outstanding out = release(t, m.rpc.call_id, *slot);
-  replies_.fetch_add(1, std::memory_order_relaxed);
+  // A reply after its call's timeout finds its slot free or holding a
+  // later call: dropped.
+  if (t.find(m.rpc.slot, m.rpc.call_id) == nullptr) return;
+  Outstanding out = release(t, m.rpc.slot);
+  count(replies_);
   if (out.timer != 0) {
     am_.engine_of(am_.node_of(nodes_[self].ep)).cancel(out.timer);
   }

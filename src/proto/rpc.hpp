@@ -11,8 +11,11 @@
 // and bodies move from the caller's request to the service and from the
 // service's reply to the caller's callback without being copied or boxed.
 // Tables are flat: one entry per node, with each node's outstanding calls
-// in a slot array indexed by call id.  Every per-node entry is touched only
-// from that node's lane.
+// in a recycled slot array.  A request carries its call's slot and the
+// reply names it back, so a reply finds its call with one index; the call
+// id kept in the slot must match the reply's, so a late reply to a slot
+// that has since been freed or reused is dropped.  Every per-node entry is
+// touched only from that node's lane.
 //
 // Services and callbacks written against `std::any` (benchmarks, examples,
 // tests) still register and call unchanged: a callable that takes a
@@ -29,7 +32,6 @@
 
 #include "proto/am.hpp"
 #include "sim/callback.hpp"
-#include "sim/flat_map.hpp"
 #include "sim/slot_table.hpp"
 
 namespace now::proto {
@@ -47,21 +49,23 @@ struct BodyOnly {
 class RpcLayer {
  public:
   /// Sends a call's response: `reply(resp_bytes, resp_body)`.  A small
-  /// value (the layer, the replying node, the call id) that services copy
-  /// into whatever continuation answers later.
+  /// value (the layer, the replying node, the call id and its slot) that
+  /// services copy into whatever continuation answers later.
   class ReplyFn {
    public:
     void operator()(std::uint32_t resp_bytes, Body resp = {}) const {
-      rpc_->send_reply(self_, call_id_, resp_bytes, std::move(resp));
+      rpc_->send_reply(self_, call_id_, slot_, resp_bytes, std::move(resp));
     }
 
    private:
     friend class RpcLayer;
-    ReplyFn(RpcLayer* rpc, net::NodeId self, std::uint64_t call_id)
-        : rpc_(rpc), call_id_(call_id), self_(self) {}
+    ReplyFn(RpcLayer* rpc, net::NodeId self, std::uint64_t call_id,
+            std::uint32_t slot)
+        : rpc_(rpc), call_id_(call_id), self_(self), slot_(slot) {}
     RpcLayer* rpc_;
     std::uint64_t call_id_;
     net::NodeId self_;
+    std::uint32_t slot_;
   };
   /// Service implementation: (caller node, request body, reply handle).
   using Method = std::function<void(net::NodeId, Body&&, ReplyFn)>;
@@ -119,6 +123,9 @@ class RpcLayer {
 
   sim::Engine& engine() { return am_.engine(); }
 
+  /// Calls, replies and timeouts so far.  The counters are atomic for
+  /// partitioned runs, where every lane calls; a serial run bumps them with
+  /// plain loads and stores.
   std::uint64_t calls_sent() const {
     return calls_sent_.load(std::memory_order_relaxed);
   }
@@ -135,8 +142,10 @@ class RpcLayer {
 
  private:
   // A slot holds both callbacks, so the timer event only names the call
-  // (`this`, caller, id) and fits the engine's inline buffer.
+  // (`this`, caller, slot, id) and fits the engine's inline buffer.
+  // `call_id` is 0 while the slot is free.
   struct Outstanding {
+    std::uint64_t call_id = 0;
     ResponseFn on_reply;
     TimeoutFn on_timeout;
     sim::EventId timer = 0;
@@ -146,9 +155,15 @@ class RpcLayer {
   // all execute there.  Freed slots are reused, so the table never grows
   // past the peak number of concurrently outstanding calls.
   struct CallTable {
-    sim::FlatMap<std::uint32_t> index;  // call id -> slot
     sim::SlotTable<Outstanding> slots;
     std::uint32_t next_seq = 1;
+    /// The slot holding call `id`, or nullptr if that call is over.
+    Outstanding* find(std::uint32_t slot, std::uint64_t id) {
+      if (slot >= slots.capacity() || slots[slot].call_id != id) {
+        return nullptr;
+      }
+      return &slots[slot];
+    }
   };
   struct NodeState {
     EndpointId ep = kInvalidEndpoint;
@@ -161,12 +176,20 @@ class RpcLayer {
                   std::uint32_t req_bytes, Body req, ResponseFn on_reply,
                   sim::Duration timeout, TimeoutFn on_timeout);
   void send_reply(net::NodeId self, std::uint64_t call_id,
-                  std::uint32_t resp_bytes, Body resp);
+                  std::uint32_t slot, std::uint32_t resp_bytes, Body resp);
   void on_request(net::NodeId self, AmMessage& m);
   void on_response(net::NodeId self, AmMessage& m);
-  /// Removes `call_id` from `t`, returning its slot's contents.
-  Outstanding release(CallTable& t, std::uint64_t call_id,
-                      std::uint32_t slot);
+  /// Frees `slot` of `t`, returning its contents.
+  static Outstanding release(CallTable& t, std::uint32_t slot);
+  /// One more call, reply or timeout.
+  void count(std::atomic<std::uint64_t>& counter) {
+    if (am_.partitioned()) {
+      counter.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      counter.store(counter.load(std::memory_order_relaxed) + 1,
+                    std::memory_order_relaxed);
+    }
+  }
 
   AmLayer& am_;
   std::vector<NodeState> nodes_;  // by node id

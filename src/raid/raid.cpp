@@ -2,43 +2,22 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
 
 namespace now::raid {
 
-namespace {
 using proto::RaidIo;
-
-/// Fires `done` once `n` sub-operations have completed.
-class Join {
- public:
-  Join(std::size_t n, SoftwareRaid::Done done)
-      : remaining_(n), done_(std::move(done)) {
-    assert(n > 0);
-  }
-  void arrive() {
-    if (--remaining_ == 0 && done_) done_();
-  }
-
- private:
-  std::size_t remaining_;
-  SoftwareRaid::Done done_;
-};
-
-std::shared_ptr<Join> make_join(std::size_t n, SoftwareRaid::Done done) {
-  return std::make_shared<Join>(n, std::move(done));
-}
-}  // namespace
 
 void install_storage_service(proto::RpcLayer& rpc, os::Node& node) {
   rpc.register_method(
       node.id(), kRaidRead,
       [&node](net::NodeId, proto::Body req, proto::RpcLayer::ReplyFn reply) {
         const auto io = std::get<RaidIo>(req);
-        node.disk().read(io.offset, io.bytes,
-                         [reply = std::move(reply), io] {
-                           reply(io.bytes, {});
-                         });
+        auto done = [reply = std::move(reply), bytes = io.bytes] {
+          reply(bytes, {});
+        };
+        static_assert(os::Disk::Done::fits_inline<decltype(done)>(),
+                      "a disk completion must not allocate");
+        node.disk().read(io.offset, io.bytes, std::move(done));
       });
   rpc.register_method(
       node.id(), kRaidWrite,
@@ -64,9 +43,9 @@ bool SoftwareRaid::is_failed(std::size_t member) const {
   return failed_.contains(members_[member]->id());
 }
 
-std::vector<SoftwareRaid::Target> SoftwareRaid::map_range(
-    std::uint64_t offset, std::uint32_t bytes) const {
-  std::vector<Target> out;
+template <typename F>
+void SoftwareRaid::map_range(std::uint64_t offset, std::uint32_t bytes,
+                             F&& visit) const {
   const std::uint64_t unit = params_.stripe_unit;
   const std::uint64_t d = data_units_per_row();
   std::uint64_t pos = offset;
@@ -83,49 +62,60 @@ std::vector<SoftwareRaid::Target> SoftwareRaid::map_range(
       const std::size_t p = parity_member(row);
       if (member >= p) ++member;  // skip the parity slot in this row
     }
-    out.push_back(Target{member, row * unit + in_unit, take});
+    visit(Target{member, row * unit + in_unit, take});
     pos += take;
   }
-  return out;
 }
 
-void SoftwareRaid::issue_read(net::NodeId client, const Target& t,
-                              Done done) {
+std::uint32_t SoftwareRaid::open_join(std::size_t n, Done done) {
+  assert(n > 0);
+  return joins_.open(Join{n, std::move(done)});
+}
+
+void SoftwareRaid::arrive(std::uint32_t join) {
+  if (--joins_[join].remaining != 0) return;
+  const Join j = joins_.release(join);
+  if (j.done) j.done();
+}
+
+template <typename F>
+void SoftwareRaid::issue_read(net::NodeId client, const Target& t, F then) {
   rpc_.call(client, members_[t.member]->id(), kRaidRead, 64,
             RaidIo{t.disk_offset, t.bytes, false},
-            [done = std::move(done)](proto::Body) { done(); });
+            [then](proto::Body&&) mutable { then(); });
 }
 
-void SoftwareRaid::issue_write(net::NodeId client, const Target& t,
-                               Done done) {
+template <typename F>
+void SoftwareRaid::issue_write(net::NodeId client, const Target& t, F then) {
   rpc_.call(client, members_[t.member]->id(), kRaidWrite, t.bytes + 64,
             RaidIo{t.disk_offset, t.bytes, true},
-            [done = std::move(done)](proto::Body) { done(); });
+            [then](proto::Body&&) mutable { then(); });
 }
 
 void SoftwareRaid::read(net::NodeId client, std::uint64_t offset,
                         std::uint32_t bytes, Done done) {
   ++stats_.reads;
   stats_.bytes_read += bytes;
-  const auto targets = map_range(offset, bytes);
 
   // Physical reads: one per healthy target; a degraded target fans out to
   // every survivor (data + parity) plus one arrival for the client XOR.
   const std::size_t survivors = members_.size() - failed_.size();
   std::size_t ops = 0;
-  for (const Target& t : targets) {
+  map_range(offset, bytes, [&](const Target& t) {
     ops += is_failed(t.member) ? survivors + 1 : 1;
-  }
-  auto join = make_join(std::max<std::size_t>(ops, 1), std::move(done));
-  if (targets.empty()) {
-    join->arrive();
+  });
+  const std::uint32_t join =
+      open_join(std::max<std::size_t>(ops, 1), std::move(done));
+  if (ops == 0) {
+    arrive(join);
     return;
   }
+  const auto arrival = [this, join] { arrive(join); };
 
-  for (const Target& t : targets) {
+  map_range(offset, bytes, [&](const Target& t) {
     if (!is_failed(t.member)) {
-      issue_read(client, t, [join] { join->arrive(); });
-      continue;
+      issue_read(client, t, arrival);
+      return;
     }
     assert(params_.level == Level::kRaid5 &&
            "RAID-0 cannot read a failed member");
@@ -135,104 +125,117 @@ void SoftwareRaid::read(net::NodeId client, std::uint64_t offset,
       if (m == t.member || is_failed(m)) continue;
       issue_read(client,
                  Target{m, row * params_.stripe_unit, params_.stripe_unit},
-                 [join] { join->arrive(); });
+                 arrival);
     }
     // The client-side XOR completes the reconstruction (its CPU cost is
     // folded into the RPC transfer costs).
-    join->arrive();
-  }
+    arrive(join);
+  });
 }
 
 void SoftwareRaid::write(net::NodeId client, std::uint64_t offset,
                          std::uint32_t bytes, Done done) {
   ++stats_.writes;
   stats_.bytes_written += bytes;
-  const auto targets = map_range(offset, bytes);
 
   if (params_.level == Level::kRaid0) {
-    auto join = make_join(std::max<std::size_t>(targets.size(), 1),
-                          std::move(done));
-    if (targets.empty()) {
-      join->arrive();
+    std::size_t targets = 0;
+    map_range(offset, bytes, [&](const Target&) { ++targets; });
+    const std::uint32_t join =
+        open_join(std::max<std::size_t>(targets, 1), std::move(done));
+    if (targets == 0) {
+      arrive(join);
       return;
     }
-    for (const Target& t : targets) {
+    map_range(offset, bytes, [&](const Target& t) {
       assert(!is_failed(t.member) && "RAID-0 write to failed member");
-      issue_write(client, t, [join] { join->arrive(); });
-    }
+      issue_write(client, t, [this, join] { arrive(join); });
+    });
     return;
   }
 
-  // RAID-5: group by stripe row to detect full-stripe writes.
+  // RAID-5: a row the range covers whole is a full-stripe write.  Targets
+  // come in ascending row order, so a row's first target is the one whose
+  // row differs from the previous target's.
   const std::uint64_t unit = params_.stripe_unit;
   const std::size_t d = data_units_per_row();
-  std::unordered_map<std::uint64_t, std::uint64_t> row_cover;
-  for (const Target& t : targets) {
-    row_cover[t.disk_offset / unit] += t.bytes;
-  }
+  const std::uint64_t row_bytes = d * unit;
+  const std::uint64_t end = offset + bytes;
+  const auto full_row = [&](std::uint64_t row) {
+    const std::uint64_t lo = std::max(offset, row * row_bytes);
+    const std::uint64_t hi = std::min(end, (row + 1) * row_bytes);
+    return hi - lo == row_bytes;
+  };
 
   // Arrivals: full-stripe -> 1 per data target + 1 per row for parity;
   // partial -> 2 per target (data write + parity write; the preceding
   // reads gate the writes rather than joining themselves).
   std::size_t ops = 0;
-  for (const Target& t : targets) {
-    const bool full = row_cover[t.disk_offset / unit] == d * unit;
+  std::uint64_t last_row = ~std::uint64_t{0};
+  map_range(offset, bytes, [&](const Target& t) {
+    const std::uint64_t row = t.disk_offset / unit;
+    const bool full = full_row(row);
     ops += full ? 1 : 2;
-  }
-  for (const auto& [row, cover] : row_cover) {
-    if (cover == d * unit) ++ops;  // the row's parity write (or skip slot)
-  }
+    if (full && row != last_row) ++ops;  // the row's parity write
+    last_row = row;
+  });
 
-  auto join = make_join(std::max<std::size_t>(ops, 1), std::move(done));
-  if (targets.empty()) {
-    join->arrive();
+  const std::uint32_t join =
+      open_join(std::max<std::size_t>(ops, 1), std::move(done));
+  if (ops == 0) {
+    arrive(join);
     return;
   }
+  const auto arrival = [this, join] { arrive(join); };
 
-  std::unordered_set<std::uint64_t> parity_written;
-  for (const Target& t : targets) {
+  last_row = ~std::uint64_t{0};
+  map_range(offset, bytes, [&](const Target& t) {
     const std::uint64_t row = t.disk_offset / unit;
-    const bool full = row_cover[row] == d * unit;
+    const bool first_in_row = row != last_row;
+    last_row = row;
     const std::size_t p = parity_member(row);
     const Target parity_target{p, row * unit,
                                static_cast<std::uint32_t>(unit)};
-    if (full) {
+    if (full_row(row)) {
       ++stats_.full_stripe_writes;
       if (!is_failed(t.member)) {
-        issue_write(client, t, [join] { join->arrive(); });
+        issue_write(client, t, arrival);
       } else {
-        join->arrive();  // lost member: its data is implied by parity
+        arrive(join);  // lost member: its data is implied by parity
       }
-      if (parity_written.insert(row).second) {
+      if (first_in_row) {
         if (!is_failed(p)) {
-          issue_write(client, parity_target, [join] { join->arrive(); });
+          issue_write(client, parity_target, arrival);
         } else {
-          join->arrive();
+          arrive(join);
         }
       }
-      continue;
+      return;
     }
     ++stats_.parity_updates;
     if (is_failed(p) || is_failed(t.member)) {
       // Degraded small write: update whichever of {data, parity} survives.
       const Target alive = is_failed(t.member) ? parity_target : t;
-      issue_write(client, alive, [join] { join->arrive(); });
-      join->arrive();
-      continue;
+      issue_write(client, alive, arrival);
+      arrive(join);
+      return;
     }
     // Read-modify-write: read old data and old parity in parallel, then
     // write both.
-    auto reads_left = std::make_shared<int>(2);
-    const Target data_target = t;
-    auto continue_writes = [this, client, data_target, parity_target, join,
-                            reads_left] {
-      if (--*reads_left > 0) return;
-      issue_write(client, data_target, [join] { join->arrive(); });
-      issue_write(client, parity_target, [join] { join->arrive(); });
-    };
-    issue_read(client, data_target, continue_writes);
-    issue_read(client, parity_target, continue_writes);
-  }
+    const std::uint32_t rmw =
+        rmws_.open(Rmw{client, t, parity_target, join, 2});
+    const auto read_done = [this, rmw] { rmw_read_done(rmw); };
+    issue_read(client, t, read_done);
+    issue_read(client, parity_target, read_done);
+  });
+}
+
+void SoftwareRaid::rmw_read_done(std::uint32_t rmw) {
+  if (--rmws_[rmw].reads_left > 0) return;
+  const Rmw r = rmws_.release(rmw);
+  const std::uint32_t join = r.join;
+  issue_write(r.client, r.data, [this, join] { arrive(join); });
+  issue_write(r.client, r.parity, [this, join] { arrive(join); });
 }
 
 bool SoftwareRaid::is_member(net::NodeId id) const {
@@ -282,17 +285,18 @@ void SoftwareRaid::reconstruct(net::NodeId failed, os::Node& replacement,
     }
     const std::uint64_t row = (*row_counter)++;
     const std::size_t survivors = members_.size() - failed_.size();
-    auto join = make_join(survivors + 1, [step] {
+    const std::uint32_t join = open_join(survivors + 1, [step] {
       if (*step) (*step)();
     });
+    const auto arrival = [this, join] { arrive(join); };
     for (std::size_t m = 0; m < members_.size(); ++m) {
       if (m == idx || is_failed(m)) continue;
       issue_read(driver,
                  Target{m, row * unit, static_cast<std::uint32_t>(unit)},
-                 [join] { join->arrive(); });
+                 arrival);
     }
     replacement.disk().write(row * unit, static_cast<std::uint32_t>(unit),
-                             [join] { join->arrive(); });
+                             arrival);
   };
   (*step)();
 }

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "proto/rpc.hpp"
+#include "sim/slot_table.hpp"
 
 namespace now::raid {
 
@@ -149,18 +150,46 @@ class SoftwareRaid final : public Storage {
     std::uint32_t bytes;
   };
 
-  /// Maps a logical byte range onto member stripe units.
-  std::vector<Target> map_range(std::uint64_t offset,
-                                std::uint32_t bytes) const;
+  /// Fires `done` once `remaining` sub-operations have arrived.
+  struct Join {
+    std::size_t remaining;
+    Done done;
+  };
+  /// A RAID-5 small write's read-modify-write: the old data and old
+  /// parity are read, then both are written, each write arriving at `join`.
+  struct Rmw {
+    net::NodeId client;
+    Target data;
+    Target parity;
+    std::uint32_t join;
+    int reads_left;
+  };
+
+  /// Calls `visit(target)` for each member stripe unit a logical byte
+  /// range covers, in logical order (ascending stripe row).  Nothing is
+  /// built: a caller that needs the targets twice maps the range twice.
+  template <typename F>
+  void map_range(std::uint64_t offset, std::uint32_t bytes,
+                 F&& visit) const;
   std::size_t parity_member(std::uint64_t row) const;
   bool is_failed(std::size_t member) const;
-  void issue_read(net::NodeId client, const Target& t, Done done);
-  void issue_write(net::NodeId client, const Target& t, Done done);
+  std::uint32_t open_join(std::size_t n, Done done);
+  void arrive(std::uint32_t join);
+  void rmw_read_done(std::uint32_t rmw);
+  /// Reads or writes one stripe unit; `then()` runs when it is done.
+  template <typename F>
+  void issue_read(net::NodeId client, const Target& t, F then);
+  template <typename F>
+  void issue_write(net::NodeId client, const Target& t, F then);
 
   proto::RpcLayer& rpc_;
   std::vector<os::Node*> members_;
   RaidParams params_;
   std::unordered_set<net::NodeId> failed_;
+  // In-flight reads' and writes' joins and read-modify-writes, recycled,
+  // so each continuation captures only `this` and an index.
+  sim::SlotTable<Join> joins_;
+  sim::SlotTable<Rmw> rmws_;
   RaidStats stats_;
 };
 

@@ -32,6 +32,7 @@ class SlotTable {
   }
 
   T& operator[](std::uint32_t i) { return slots_[i]; }
+  const T& operator[](std::uint32_t i) const { return slots_[i]; }
 
   /// Moves entry `i` out and frees its index for reuse.
   T release(std::uint32_t i) {

@@ -2,10 +2,10 @@
 // the partitioned engine (shared statistics structs, the tracer ring).
 //
 // The critical sections it guards are a handful of arithmetic ops, orders
-// of magnitude shorter than a context switch, and in the serial engine the
-// lock is always uncontended — one uncontested atomic RMW per acquisition,
-// cheap enough to leave unconditionally in place so the serial and
-// partitioned code paths stay identical.
+// of magnitude shorter than a context switch.  A serial run has nothing to
+// guard against, and the message path's callers skip the lock there (see
+// SpinGuard): an uncontended acquire and release still cost two atomic
+// read-modify-writes per counter update.
 #pragma once
 
 #include <atomic>
@@ -33,16 +33,23 @@ class SpinLock {
 };
 
 /// RAII guard (std::lock_guard works too; this avoids the <mutex> include
-/// in hot headers).
+/// in hot headers).  A guard built with `engaged` false takes no lock: the
+/// protocol and network layers pass whether the cluster runs partitioned,
+/// so a serial run's statistics updates are plain stores.
 class SpinGuard {
  public:
-  explicit SpinGuard(SpinLock& l) noexcept : l_(l) { l_.lock(); }
-  ~SpinGuard() { l_.unlock(); }
+  explicit SpinGuard(SpinLock& l, bool engaged = true) noexcept
+      : l_(engaged ? &l : nullptr) {
+    if (l_ != nullptr) l_->lock();
+  }
+  ~SpinGuard() {
+    if (l_ != nullptr) l_->unlock();
+  }
   SpinGuard(const SpinGuard&) = delete;
   SpinGuard& operator=(const SpinGuard&) = delete;
 
  private:
-  SpinLock& l_;
+  SpinLock* l_;
 };
 
 }  // namespace now::sim

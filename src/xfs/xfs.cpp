@@ -1,7 +1,9 @@
 #include "xfs/xfs.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <memory>
+#include <unordered_map>
 
 #include "sim/log.hpp"
 
@@ -51,11 +53,40 @@ Xfs::Xfs(proto::RpcLayer& rpc, LogStore& log, std::vector<os::Node*> nodes,
         s.summary("write_latency_us", stats_.write_latency_us);
       }) {
   assert(nodes_.size() >= 2);
+  std::size_t ids = 0;
   for (os::Node* n : nodes_) {
     ring_.push_back(n->id());
-    clients_.emplace(n->id(), ClientState(params_.client_cache_blocks));
-    managers_.emplace(n->id(),
-                      std::unordered_map<BlockId, BlockMeta>{});
+    ids = std::max<std::size_t>(ids, n->id() + 1);
+  }
+  by_id_.resize(ids, nullptr);
+  for (os::Node* n : nodes_) by_id_[n->id()] = n;
+  clients_.reserve(ids);
+  for (std::size_t i = 0; i < ids; ++i) {
+    clients_.emplace_back(params_.client_cache_blocks);
+  }
+  managers_.resize(ids);
+  recovering_.resize(ids, false);
+}
+
+Xfs::BlockMeta& Xfs::Directory::operator[](BlockId b) {
+  if (BlockMeta* meta = find(b)) return *meta;
+  const std::uint32_t slot = entries.open(BlockMeta{});
+  index.find_or_insert(b, slot);
+  return entries[slot];
+}
+
+void Xfs::Directory::erase(BlockId b) {
+  const std::uint32_t* slot = index.find(b);
+  if (slot == nullptr) return;
+  entries.release(*slot);
+  index.erase(b);
+}
+
+void Xfs::Directory::erase_if_unused(BlockId b) {
+  const BlockMeta* meta = find(b);
+  if (meta != nullptr && meta->owner == net::kInvalidNode &&
+      meta->readers.empty()) {
+    erase(b);
   }
 }
 
@@ -70,13 +101,6 @@ bool Xfs::is_manager(net::NodeId id) const {
   return false;
 }
 
-os::Node* Xfs::node(net::NodeId id) const {
-  for (os::Node* n : nodes_) {
-    if (n->id() == id) return n;
-  }
-  return nullptr;
-}
-
 std::size_t Xfs::cached_blocks(net::NodeId client) const {
   return clients_.at(client).cache.size();
 }
@@ -87,20 +111,19 @@ bool Xfs::is_cached(net::NodeId client, BlockId b) const {
 
 bool Xfs::is_dirty(net::NodeId client, BlockId b) const {
   const ClientState& cs = clients_.at(client);
-  return cs.dirty.contains(b) || cs.staged_set.contains(b);
+  return cs.dirty.contains(b) || cs.staged_set.find(b) != nullptr;
 }
 
 net::NodeId Xfs::debug_owner(BlockId b) const {
-  const auto mit = managers_.find(manager_of(b));
-  if (mit == managers_.end()) return net::kInvalidNode;
-  const auto it = mit->second.find(b);
-  return it == mit->second.end() ? net::kInvalidNode : it->second.owner;
+  const BlockMeta* meta = managers_.at(manager_of(b)).find(b);
+  return meta == nullptr ? net::kInvalidNode : meta->owner;
 }
 
 bool Xfs::coherence_invariant_holds() const {
   // 1. At most one dirty holder per block.
   std::unordered_map<BlockId, net::NodeId> dirty_holder;
-  for (const auto& [c, cs] : clients_) {
+  for (net::NodeId c = 0; c < clients_.size(); ++c) {
+    const ClientState& cs = clients_[c];
     auto check = [&](BlockId b) {
       const auto [it, fresh] = dirty_holder.emplace(b, c);
       return fresh || it->second == c;
@@ -115,23 +138,23 @@ bool Xfs::coherence_invariant_holds() const {
   // 2. A manager's owner record points at a node that actually holds the
   //    block dirty (or the record is for in-flight state, tolerated only
   //    when the node still caches the block).
-  for (const auto& [mgr, map] : managers_) {
-    for (const auto& [b, meta] : map) {
-      if (meta.owner == net::kInvalidNode) continue;
-      const auto it = clients_.find(meta.owner);
-      if (it == clients_.end()) return false;
-      if (!it->second.cache.contains(b) &&
-          !it->second.staged_set.contains(b)) {
-        return false;
+  bool ok = true;
+  for (const Directory& dir : managers_) {
+    dir.index.for_each([&](BlockId b, std::uint32_t slot) {
+      const BlockMeta& meta = dir.entries[slot];
+      if (meta.owner == net::kInvalidNode) return;
+      if (meta.owner >= clients_.size() || node(meta.owner) == nullptr ||
+          !client_has_block(meta.owner, b)) {
+        ok = false;
       }
-    }
+    });
   }
-  return true;
+  return ok;
 }
 
 bool Xfs::client_has_block(net::NodeId c, BlockId b) const {
-  const ClientState& cs = clients_.at(c);
-  return cs.cache.contains(b) || cs.staged_set.contains(b);
+  const ClientState& cs = clients_[c];
+  return cs.cache.contains(b) || cs.staged_set.find(b) != nullptr;
 }
 
 void Xfs::start() {
@@ -148,13 +171,12 @@ void Xfs::install_services(os::Node& node) {
       self, kXfsRead,
       [this, self](net::NodeId, proto::Body req,
                    proto::RpcLayer::ReplyFn reply) {
-        if (recovering_.contains(self)) {
+        if (recovering_[self]) {
           reply(32, ReadDirective{ReadSource::kRetry, net::kInvalidNode});
           return;
         }
         const auto r = std::get<BlockReq>(req);
-        auto& map = mstate(self);
-        BlockMeta& meta = map[r.block];
+        BlockMeta& meta = mstate(self)[r.block];
         ReadDirective d;
         const auto alive = [this](net::NodeId id) {
           const os::Node* n = this->node(id);
@@ -185,7 +207,7 @@ void Xfs::install_services(os::Node& node) {
       self, kXfsWrite,
       [this, self](net::NodeId, proto::Body req,
                    proto::RpcLayer::ReplyFn reply) {
-        if (recovering_.contains(self)) {
+        if (recovering_[self]) {
           reply(32, WriteGrant{false, true});
           return;
         }
@@ -204,21 +226,18 @@ void Xfs::install_services(os::Node& node) {
       [this, self](net::NodeId, proto::Body req,
                    proto::RpcLayer::ReplyFn reply) {
         const auto notice = std::get<FlushNotice>(req);
-        auto& map = mstate(self);
+        Directory& dir = mstate(self);
         for (const auto& [b, version] : notice.blocks) {
-          const auto it = map.find(b);
-          if (it == map.end()) continue;
-          if (it->second.owner == notice.writer) {
+          BlockMeta* meta = dir.find(b);
+          if (meta == nullptr) continue;
+          if (meta->owner == notice.writer) {
             // The writer rewrote the block after this flush began: its
             // newer grant still stands.
-            if (it->second.version != version) continue;
-            it->second.owner = net::kInvalidNode;
+            if (meta->version != version) continue;
+            meta->owner = net::kInvalidNode;
           }
-          it->second.readers.erase(notice.writer);
-          if (it->second.owner == net::kInvalidNode &&
-              it->second.readers.empty()) {
-            map.erase(it);
-          }
+          meta->readers.erase(notice.writer);
+          dir.erase_if_unused(b);
         }
         reply(16, {});
       });
@@ -228,14 +247,10 @@ void Xfs::install_services(os::Node& node) {
       [this, self](net::NodeId, proto::Body req,
                    proto::RpcLayer::ReplyFn reply) {
         const auto notice = std::get<EvictNotice>(req);
-        auto& map = mstate(self);
-        const auto it = map.find(notice.block);
-        if (it != map.end()) {
-          it->second.readers.erase(notice.client);
-          if (it->second.owner == net::kInvalidNode &&
-              it->second.readers.empty()) {
-            map.erase(it);
-          }
+        Directory& dir = mstate(self);
+        if (BlockMeta* meta = dir.find(notice.block)) {
+          meta->readers.erase(notice.client);
+          dir.erase_if_unused(notice.block);
         }
         reply(16, {});
       });
@@ -261,7 +276,7 @@ void Xfs::install_services(os::Node& node) {
         cs.cache.erase(b);
         cs.dirty.erase(b);
         cs.versions.erase(b);
-        if (cs.staged_set.erase(b) > 0) {
+        if (cs.staged_set.erase(b)) {
           std::erase(cs.staged, b);
         }
         // The reply carries the (possibly dirty) data to the manager.
@@ -284,11 +299,13 @@ void Xfs::install_services(os::Node& node) {
       [this, self](net::NodeId, proto::Body req,
                    proto::RpcLayer::ReplyFn reply) {
         const auto mgr = std::get<net::NodeId>(req);
-        const ClientState& cs = clients_.at(self);
+        const ClientState& cs = cstate(self);
         std::vector<ReportEntry> entries;
         auto consider = [&](BlockId b, bool dirty) {
           if (manager_of(b) == mgr) {
-            entries.push_back({b, dirty, cs.versions.at(b)});
+            const std::uint64_t* version = cs.versions.find(b);
+            assert(version != nullptr);
+            entries.push_back({b, dirty, *version});
           }
         };
         // LruCache has no iteration; report from the coherence-relevant
@@ -407,7 +424,7 @@ void Xfs::do_read(std::uint32_t op) {
   const net::NodeId c = o.client;
   const BlockId b = o.block;
   ClientState& cs = cstate(c);
-  if (cs.cache.contains(b) || cs.staged_set.contains(b)) {
+  if (cs.cache.contains(b) || cs.staged_set.find(b) != nullptr) {
     ++stats_.local_hits;
     cs.cache.touch(b);
     engine().schedule_in(node(c)->copy_cost(params_.block_bytes),
@@ -498,10 +515,10 @@ void Xfs::do_write(std::uint32_t op) {
         const BlockId block = ops_[op].block;
         ClientState& state = cstate(client);
         // A staged older version is superseded by this new ownership.
-        if (state.staged_set.erase(block) > 0) {
+        if (state.staged_set.erase(block)) {
           std::erase(state.staged, block);
         }
-        state.versions[block] = grant.version;
+        state.versions.find_or_insert(block) = grant.version;
         insert_cached(client, block, /*dirty=*/true);
         close_op(op, true);
       },
@@ -520,9 +537,9 @@ void Xfs::handle_evicted(net::NodeId c, BlockId victim) {
   ClientState& cs = cstate(c);
   if (cs.dirty.erase(victim) > 0) {
     // Dirty data enters the write-behind buffer bound for the log.
-    if (!cs.staged_set.contains(victim)) {
+    if (cs.staged_set.find(victim) == nullptr) {
       cs.staged.push_back(victim);
-      cs.staged_set.insert(victim);
+      cs.staged_set.find_or_insert(victim);
     }
     if (cs.staged.size() >=
         static_cast<std::size_t>(params_.segment_blocks)) {
@@ -559,7 +576,11 @@ void Xfs::flush_segment(net::NodeId c, Done done) {
   // grant) before this flush completes.
   std::vector<FlushedBlock> flushed;
   flushed.reserve(take);
-  for (const BlockId b : batch) flushed.push_back({b, cs.versions.at(b)});
+  for (const BlockId b : batch) {
+    const std::uint64_t* version = cs.versions.find(b);
+    assert(version != nullptr);
+    flushed.push_back({b, *version});
+  }
 
   const sim::SimTime flush_t0 = engine().now();
   log_.append_segment(c, batch, [this, c, flushed = std::move(flushed),
@@ -573,10 +594,10 @@ void Xfs::flush_segment(net::NodeId c, Done done) {
     for (const FlushedBlock& f : flushed) {
       // A block rewritten since the flush began is dirty again under its
       // newer version; anything else is now clean here.
-      const auto it = state.versions.find(f.block);
-      if (it == state.versions.end() || it->second == f.version) {
+      const std::uint64_t* version = state.versions.find(f.block);
+      if (version == nullptr || *version == f.version) {
         state.staged_set.erase(f.block);
-        if (it != state.versions.end()) state.versions.erase(it);
+        if (version != nullptr) state.versions.erase(f.block);
       }
       per_mgr[manager_of(f.block)].push_back(f);
     }
@@ -597,9 +618,9 @@ void Xfs::sync(net::NodeId client, Done done) {
   // log and stay cached as clean copies (ownership is released when the
   // flush notice reaches their managers).
   for (const BlockId b : cs.dirty) {
-    if (!cs.staged_set.contains(b)) {
+    if (cs.staged_set.find(b) == nullptr) {
       cs.staged.push_back(b);
-      cs.staged_set.insert(b);
+      cs.staged_set.find_or_insert(b);
     }
   }
   cs.dirty.clear();
@@ -626,9 +647,14 @@ void Xfs::clean(net::NodeId driver,
 }
 
 void Xfs::client_crashed(net::NodeId client) {
-  for (auto& [mgr, map] : managers_) {
-    for (auto it = map.begin(); it != map.end();) {
-      BlockMeta& meta = it->second;
+  std::vector<BlockId> blocks;
+  for (Directory& dir : managers_) {
+    // Erasing reorders the index, so collect the blocks first.
+    blocks.clear();
+    dir.index.for_each(
+        [&](BlockId b, std::uint32_t) { blocks.push_back(b); });
+    for (const BlockId b : blocks) {
+      BlockMeta& meta = *dir.find(b);
       meta.readers.erase(client);
       if (meta.owner == client) {
         meta.owner = net::kInvalidNode;
@@ -636,18 +662,12 @@ void Xfs::client_crashed(net::NodeId client) {
         // logged version (or zero fill).
         ++stats_.lost_dirty_blocks;
       }
-      if (meta.owner == net::kInvalidNode && meta.readers.empty()) {
-        it = map.erase(it);
-      } else {
-        ++it;
-      }
+      dir.erase_if_unused(b);
     }
   }
   // The node's memory is gone.
-  auto it = clients_.find(client);
-  if (it != clients_.end()) {
-    clients_.erase(it);
-    clients_.emplace(client, ClientState(params_.client_cache_blocks));
+  if (client < clients_.size()) {
+    clients_[client] = ClientState(params_.client_cache_blocks);
   }
 }
 
@@ -660,8 +680,8 @@ void Xfs::manager_takeover(net::NodeId failed, net::NodeId successor,
   for (net::NodeId& m : ring_) {
     if (m == failed) m = successor;
   }
-  managers_.erase(failed);  // its directory died with it
-  recovering_.insert(successor);
+  managers_[failed] = Directory{};  // its directory died with it
+  recovering_[successor] = true;
 
   // Rebuild the directory from the survivors' reports.
   std::vector<net::NodeId> survivors;
@@ -669,7 +689,7 @@ void Xfs::manager_takeover(net::NodeId failed, net::NodeId successor,
     if (n->id() != failed && n->alive()) survivors.push_back(n->id());
   }
   if (survivors.empty()) {
-    recovering_.erase(successor);
+    recovering_[successor] = false;
     engine().schedule_in(0, [done = std::move(done)] {
       if (done) done();
     });
@@ -679,7 +699,7 @@ void Xfs::manager_takeover(net::NodeId failed, net::NodeId successor,
   auto finish = [this, successor, remaining,
                  done = std::move(done)]() mutable {
     if (--*remaining > 0) return;
-    recovering_.erase(successor);
+    recovering_[successor] = false;
     if (done) done();
   };
   for (const net::NodeId peer : survivors) {
@@ -687,9 +707,9 @@ void Xfs::manager_takeover(net::NodeId failed, net::NodeId successor,
               [this, successor, peer, finish](proto::Body resp) mutable {
                 const auto& entries =
                     std::get<std::vector<ReportEntry>>(resp);
-                auto& map = mstate(successor);
+                Directory& dir = mstate(successor);
                 for (const ReportEntry& e : entries) {
-                  BlockMeta& meta = map[e.block];
+                  BlockMeta& meta = dir[e.block];
                   meta.readers.insert(peer);
                   if (e.dirty) {
                     meta.owner = peer;

@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -35,6 +34,9 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "proto/rpc.hpp"
+#include "sim/flat_map.hpp"
+#include "sim/pool_allocator.hpp"
+#include "sim/slot_table.hpp"
 #include "sim/stats.hpp"
 #include "xfs/file_service.hpp"
 #include "xfs/log.hpp"
@@ -134,13 +136,24 @@ class Xfs final : public FileService {
   std::size_t ops_in_flight() const { return ops_.in_use(); }
 
  private:
+  /// A hash set whose nodes come from sim::PoolAllocator: the same
+  /// iteration order as a plain std::unordered_set, which the simulated
+  /// behaviour depends on (see BlockMeta::readers), without a heap
+  /// allocation per insert once warm.
+  template <typename K>
+  using NodeSet =
+      std::unordered_set<K, std::hash<K>, std::equal_to<K>,
+                         sim::PoolAllocator<K>>;
+
   struct BlockMeta {
     net::NodeId owner = net::kInvalidNode;
     /// Write version of the owner's grant.  A flush notice releases
     /// ownership only for the version it flushed: an owner that rewrote
     /// the block while the flush was in flight holds a newer grant.
     std::uint64_t version = 0;
-    std::unordered_set<net::NodeId> readers;
+    /// Its iteration order picks the peer a read is sent to and orders the
+    /// invalidations of an ownership transfer.
+    NodeSet<net::NodeId> readers;
     /// Ownership transfers serialize at the manager: while one is running,
     /// later write requests queue here.  Per-pair FIFO delivery then
     /// guarantees a queued writer's revoke can never overtake the previous
@@ -152,15 +165,37 @@ class Xfs final : public FileService {
         pending_writes;
   };
   struct ClientState {
-    ClientState(std::uint32_t capacity) : cache(capacity) {}
+    explicit ClientState(std::uint32_t capacity) : cache(capacity) {}
     coopcache::LruCache cache;
-    std::unordered_set<BlockId> dirty;   // owned, modified, still cached
+    /// Owned, modified, still cached.  Its iteration order sets the order
+    /// sync() stages blocks in and a takeover report lists them.
+    NodeSet<BlockId> dirty;
     std::deque<BlockId> staged;          // evicted dirty, awaiting flush
-    std::unordered_set<BlockId> staged_set;
+    sim::FlatMap<bool> staged_set;
     /// Write version of every block held dirty, staged or in flight to
     /// the log.
-    std::unordered_map<BlockId, std::uint64_t> versions;
+    sim::FlatMap<std::uint64_t> versions;
     bool flushing = false;
+  };
+  /// A manager's directory: block -> slot of its entry.  Entries are
+  /// recycled, so a warm manager allocates nothing for a new entry.
+  struct Directory {
+    sim::FlatMap<std::uint32_t> index;
+    sim::SlotTable<BlockMeta> entries;
+
+    BlockMeta* find(BlockId b) {
+      const std::uint32_t* slot = index.find(b);
+      return slot == nullptr ? nullptr : &entries[*slot];
+    }
+    const BlockMeta* find(BlockId b) const {
+      const std::uint32_t* slot = index.find(b);
+      return slot == nullptr ? nullptr : &entries[*slot];
+    }
+    /// The entry for `b`, created empty if absent.
+    BlockMeta& operator[](BlockId b);
+    void erase(BlockId b);
+    /// Erases `b`'s entry if it has neither an owner nor readers left.
+    void erase_if_unused(BlockId b);
   };
   /// One ownership transfer at a manager: the grant waits for every
   /// invalidation and the previous owner's revoke to answer or time out.
@@ -181,10 +216,8 @@ class Xfs final : public FileService {
   void write_party_done(std::uint32_t txn);
   /// Sends the grant, frees the slot and starts the next queued writer.
   void grant_write(std::uint32_t txn);
-  ClientState& cstate(net::NodeId c) { return clients_.at(c); }
-  std::unordered_map<BlockId, BlockMeta>& mstate(net::NodeId m) {
-    return managers_[m];
-  }
+  ClientState& cstate(net::NodeId c) { return clients_[c]; }
+  Directory& mstate(net::NodeId m) { return managers_[m]; }
 
   void insert_cached(net::NodeId c, BlockId b, bool dirty);
   void handle_evicted(net::NodeId c, BlockId victim);
@@ -204,11 +237,12 @@ class Xfs final : public FileService {
   std::vector<os::Node*> nodes_;
   XfsParams params_;
   std::vector<net::NodeId> ring_;  // block -> manager assignment
-  std::unordered_map<net::NodeId, ClientState> clients_;
-  std::unordered_map<net::NodeId,
-                     std::unordered_map<BlockId, BlockMeta>>
-      managers_;
-  std::unordered_set<net::NodeId> recovering_;  // managers mid-takeover
+  // Per-node state, indexed by node id (ids not in nodes_ hold idle
+  // entries).
+  std::vector<os::Node*> by_id_;
+  std::vector<ClientState> clients_;
+  std::vector<Directory> managers_;
+  std::vector<bool> recovering_;  // managers mid-takeover
   OpSlots ops_;
   sim::SlotTable<WriteTxn> txns_;
   /// Write versions are unique across all managers, so a notice quoting a
@@ -220,7 +254,9 @@ class Xfs final : public FileService {
   obs::Collector stats_obs_;
 
   sim::Engine& engine() { return rpc_.engine(); }
-  os::Node* node(net::NodeId id) const;
+  os::Node* node(net::NodeId id) const {
+    return id < by_id_.size() ? by_id_[id] : nullptr;
+  }
 };
 
 }  // namespace now::xfs

@@ -8,9 +8,11 @@
 // may allocate no per-pair state before a pair first talks, and the
 // caller's call table recycles its slots, so timeouts neither grow it nor
 // let a late reply reach another call's callback.  The file services keep
-// each read or write in a recycled op slot: a warm op allocates at most
-// the directory state it changes, and an op closes exactly once, through
-// its reply or its timeout, even when an earlier call's reply arrives late.
+// each read or write in a recycled op slot, and xFS's directory and client
+// state recycle their entries, so a warm op — a peer fetch, an ownership
+// transfer, or a read from the log through the RAID to a disk — allocates
+// nothing; an op closes exactly once, through its reply or its timeout,
+// even when an earlier call's reply arrives late.
 //
 // Every global operator new in this binary is replaced with a counting
 // wrapper, as in engine_alloc_test.
@@ -247,7 +249,10 @@ TEST(RpcTable, TimedOutCallsDoNotGrowTheCallerTable) {
 }
 
 // Call A times out and call B takes over its slot; A's late reply must be
-// dropped, and B's callback must fire exactly once, with B's reply.
+// dropped, and B's callback must fire exactly once, with B's reply.  A
+// reply names its call's slot, and the call id stored there must match.
+// Then C times out with nothing after it: its late reply finds the slot
+// free and is dropped too.
 TEST(RpcTable, LateReplyNeverFiresAnotherCallsCallback) {
   Rig rig(2);
   rig.bind_all();
@@ -268,6 +273,18 @@ TEST(RpcTable, LateReplyNeverFiresAnotherCallsCallback) {
   EXPECT_EQ(b_replies, std::vector<std::uint32_t>{2});
   EXPECT_EQ(rig.rpc->call_slots(0), 1u);
   EXPECT_EQ(rig.rpc->replies_received(), 1u);
+
+  bool c_timed_out = false;
+  rig.rpc->call(
+      0, 1, kSlowEcho, 64, std::uint32_t{3},
+      [](Body) { ADD_FAILURE() << "C's reply arrived after its timeout"; },
+      1_ms, [&] { c_timed_out = true; });
+  rig.engine.run();
+  EXPECT_TRUE(c_timed_out);
+  EXPECT_EQ(rig.rpc->replies_received(), 1u);
+  EXPECT_EQ(rig.rpc->timeouts(), 2u);
+  // Every request and every reply reached its handler.
+  EXPECT_EQ(rig.am->stats().handled, 6u);
 }
 
 // ---- File services ------------------------------------------------------
@@ -337,7 +354,8 @@ xfs::XfsParams tiny_caches() {
 // misses, asks the block's manager, and fetches from the peer (1 or 2)
 // that holds it; the block it evicts goes back to its manager as a notice.
 // The only allocation left is the manager adding client 0 to the block's
-// reader set (a hash-set node; the evict notice frees it again).
+// reader set: a hash-set node, which the evict notice frees again and the
+// node pool recycles, so none reaches the heap unless the pool is bypassed.
 TEST(FileServiceAlloc, WarmXfsReadAllocatesOnlyItsReaderEntry) {
   FsRig rig(4, tiny_caches());
   for (xfs::BlockId b = 0; b < 8; ++b) {
@@ -353,7 +371,7 @@ TEST(FileServiceAlloc, WarmXfsReadAllocatesOnlyItsReaderEntry) {
   const std::uint64_t fetches = rig.fs->stats().peer_fetches;
   for (xfs::BlockId b = 0; b < 8; ++b) {
     EXPECT_LE(rig.allocs_of([&](auto done) { rig.fs->read(0, b, done); }),
-              1u)
+              sim::kPoolObjects ? 0u : 1u)
         << "block " << b;
   }
   EXPECT_EQ(rig.fs->stats().peer_fetches, fetches + 8);
@@ -363,8 +381,9 @@ TEST(FileServiceAlloc, WarmXfsReadAllocatesOnlyItsReaderEntry) {
 // Clients 1 and 2 take turns writing one block: every write is an
 // ownership transfer through the manager (a revoke to the previous owner
 // and a grant).  What it allocates is the coherence state it moves: the
-// new owner's dirty-set and version entries and the manager's reader
-// entry for it.
+// new owner's dirty-set entry and the manager's reader entry for it, both
+// hash-set nodes the node pool recycles, and its version entry, which a
+// warm flat table holds without allocating.
 TEST(FileServiceAlloc, WarmXfsWriteAllocatesOnlyTheStateItMoves) {
   FsRig rig(4, tiny_caches());
   constexpr xfs::BlockId kBlock = 5;
@@ -378,10 +397,48 @@ TEST(FileServiceAlloc, WarmXfsWriteAllocatesOnlyTheStateItMoves) {
     EXPECT_LE(rig.allocs_of([&](auto done) {
       rig.fs->write(writer, kBlock, done);
     }),
-              3u)
+              sim::kPoolObjects ? 0u : 3u)
         << "write " << i;
   }
   EXPECT_EQ(rig.fs->stats().ownership_transfers, transfers + 8);
+  EXPECT_EQ(rig.fs->ops_in_flight(), 0u);
+}
+
+// Client 1 writes eight blocks and syncs them to the log, which keeps
+// ownership nowhere: the flush notices empty their directory entries.
+// Client 0 then cycles over the eight with a four-block cache, so every
+// read misses, its manager finds no cached copy and directs it to the log,
+// and the log reads the block's stripe unit through the RAID from a
+// member's disk.  Warm, none of it allocates: the directory entry and
+// reader node, the RAID's join, the RPC calls and frames, and the disk's
+// completion are all recycled or inline.
+TEST(FileServiceAlloc, WarmXfsLogReadAllocatesNothing) {
+  FsRig rig(4, tiny_caches());
+  for (xfs::BlockId b = 0; b < 8; ++b) {
+    rig.fs->write(1, b, [](bool) {});
+    rig.engine.run();
+  }
+  bool synced = false;
+  rig.fs->sync(1, [&] { synced = true; });
+  rig.engine.run();
+  ASSERT_TRUE(synced);
+  for (int pass = 0; pass < 3; ++pass) {
+    for (xfs::BlockId b = 0; b < 8; ++b) {
+      rig.fs->read(0, b, [](bool) {});
+      rig.engine.run();
+    }
+  }
+  const std::uint64_t log_reads = rig.fs->stats().log_reads;
+  const std::uint64_t raid_reads = rig.storage->stats().reads;
+  for (xfs::BlockId b = 0; b < 8; ++b) {
+    const std::uint64_t allocs =
+        rig.allocs_of([&](auto done) { rig.fs->read(0, b, done); });
+    if (sim::kPoolObjects) {
+      EXPECT_EQ(allocs, 0u) << "block " << b;
+    }
+  }
+  EXPECT_EQ(rig.fs->stats().log_reads, log_reads + 8);
+  EXPECT_EQ(rig.storage->stats().reads, raid_reads + 8);
   EXPECT_EQ(rig.fs->ops_in_flight(), 0u);
 }
 
