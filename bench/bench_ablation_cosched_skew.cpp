@@ -52,8 +52,10 @@ double run_connect(sim::Duration skew, std::uint64_t seed) {
   sp.rpcs_per_iteration = 6;
   sp.seed = exp::derive_seed(seed, 99);
   sim::Duration app_time = 0;
-  glunix::SpmdApp app(am, ptrs, sp,
-                      [&](sim::Duration d) { app_time = d; });
+  glunix::SpmdApp app(am, ptrs, sp, [&](sim::Duration d) {
+    app_time = d;
+    engine.stop();  // the filler would run on to the horizon
+  });
   glunix::SpmdParams cp;
   cp.pattern = glunix::CommPattern::kComputeOnly;
   cp.iterations = 1'000'000;

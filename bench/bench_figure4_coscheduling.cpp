@@ -76,8 +76,12 @@ double run_once(glunix::CommPattern pattern, int competing, bool coscheduled,
   sim::Duration app_time = 0;
   glunix::SpmdParams ap = app_params(pattern);
   ap.seed = exp::derive_seed(seed, 99);
-  glunix::SpmdApp app(*rig.am, rig.ptrs(), ap,
-                      [&](sim::Duration d) { app_time = d; });
+  // The run ends with the measured app; the fillers' remaining iterations
+  // would only burn CPU time.
+  glunix::SpmdApp app(*rig.am, rig.ptrs(), ap, [&](sim::Duration d) {
+    app_time = d;
+    rig.engine.stop();
+  });
   std::vector<std::unique_ptr<glunix::SpmdApp>> fillers;
   for (int j = 0; j < competing; ++j) {
     auto cp = app_params(glunix::CommPattern::kComputeOnly);

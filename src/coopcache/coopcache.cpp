@@ -50,6 +50,8 @@ std::size_t coordinated_capacity(const CoopCacheConfig& cfg) {
 
 CoopCacheSim::CoopCacheSim(CoopCacheConfig config)
     : config_(config), rng_(config.seed, /*stream=*/0x636f6f70),
+      client_capacity_(static_cast<std::uint32_t>(local_capacity(config))),
+      lists_(config.clients),
       server_cache_(config.server_cache_blocks),
       coordinated_(coordinated_capacity(config)),
       stats_obs_("coopcache", [this](obs::Sink& s) {
@@ -63,107 +65,98 @@ CoopCacheSim::CoopCacheSim(CoopCacheConfig config)
         s.counter("singlet_forwards", results_.singlet_forwards);
       }) {
   assert(config_.clients > 0);
-  client_caches_.reserve(config_.clients);
-  for (std::uint32_t i = 0; i < config_.clients; ++i) {
-    client_caches_.emplace_back(local_capacity(config_));
-  }
+  assert(client_capacity_ < LruLists::kNil);
 }
 
 bool CoopCacheSim::directory_consistent() const {
-  // Every directory entry must be a list of distinct clients, each backed
-  // by the cache it names...
-  bool backed = true;
+  // Walk every client's list, noting which client each node sits on...
+  std::vector<std::uint32_t> owner;  // by node; kNoHolder: on no list
+  std::size_t cached_total = 0;
+  bool ok = true;
+  for (std::uint32_t c = 0; c < lists_.size(); ++c) {
+    const LruLists::List& l = lists_[c];
+    std::uint32_t walked = 0;
+    const bool whole = nodes_.for_each(l, [&](std::uint32_t n) {
+      if (n >= owner.size()) owner.resize(n + 1, kNoHolder);
+      if (owner[n] != kNoHolder) ok = false;  // on two lists
+      owner[n] = c;
+      ++walked;
+    });
+    if (!whole || walked != l.size || l.size > client_capacity_) ok = false;
+    cached_total += l.size;
+  }
+  // ...then every directory entry must be a list of distinct clients, each
+  // link naming a node of that client's list that holds the block.  Links
+  // of one entry name distinct clients and links of two entries distinct
+  // blocks, so no node backs two links, and equal totals mean every cached
+  // node is in the directory.
   std::size_t directory_total = 0;
   std::vector<std::uint32_t> clients;
-  directory_.for_each([&](std::uint64_t block, const Holders& hs) {
+  directory_.for_each([&](std::uint64_t block, const Entry& e) {
     clients.clear();
-    for_each_holder(hs, [&](std::uint32_t c) { clients.push_back(c); });
+    for_each_holder(e, [&](std::uint32_t c, std::uint32_t n) {
+      clients.push_back(c);
+      if (n >= owner.size() || owner[n] != c || nodes_.key(n) != block) {
+        ok = false;
+      }
+    });
     std::sort(clients.begin(), clients.end());
     if (std::adjacent_find(clients.begin(), clients.end()) != clients.end()) {
-      backed = false;
+      ok = false;
     }
-    for (const std::uint32_t c : clients) {
-      if (!client_caches_[c].contains(block)) backed = false;
-    }
+    if (e.recirculations > config_.nchance_limit) ok = false;
     directory_total += clients.size();
   });
-  // ...and every cached block must appear in the directory.
-  std::size_t cached_total = 0;
-  for (const auto& cache : client_caches_) cached_total += cache.size();
-  return backed && cached_total == directory_total;
+  return ok && cached_total == directory_total;
 }
 
 std::size_t CoopCacheSim::holders(std::uint64_t block) const {
-  const Holders* hs = directory_.find(block);
+  const Entry* e = directory_.find(block);
   std::size_t n = 0;
-  if (hs != nullptr) for_each_holder(*hs, [&n](std::uint32_t) { ++n; });
+  if (e != nullptr) {
+    for_each_holder(*e, [&n](std::uint32_t, std::uint32_t) { ++n; });
+  }
   return n;
 }
 
-void CoopCacheSim::directory_add(std::uint64_t block, std::uint32_t client) {
-  Holders& hs =
-      directory_.find_or_insert(block, Holders{kNoHolder, kNoHolder});
-  if (hs.first == kNoHolder) {  // a new entry: the common case
-    hs.first = client;
-    return;
-  }
+void CoopCacheSim::add_holder(Entry& e, std::uint32_t client,
+                              std::uint32_t node) {
   std::uint32_t h = free_holder_;
   if (h != kNoHolder) {
     free_holder_ = holder_pool_[h].next;
-    holder_pool_[h] = Holder{client, hs.rest};
+    holder_pool_[h] = Holder{client, node, e.rest};
   } else {
     h = static_cast<std::uint32_t>(holder_pool_.size());
-    holder_pool_.push_back(Holder{client, hs.rest});
+    holder_pool_.push_back(Holder{client, node, e.rest});
   }
-  hs.rest = h;
+  e.rest = h;
 }
 
-bool CoopCacheSim::directory_remove(std::uint64_t block,
-                                    std::uint32_t client) {
-  Holders* hs = directory_.find(block);
-  if (hs == nullptr) return false;
-  std::uint32_t* link = &hs->rest;
-  if (hs->first == client) {
-    if (hs->rest == kNoHolder) {
-      directory_.erase(block);
-      return false;
-    }
+void CoopCacheSim::drop_holder(Entry& e, std::uint32_t client) {
+  std::uint32_t* link = &e.rest;
+  if (e.client == client) {
     // The second holder moves inline and its link is freed below.
-    hs->first = holder_pool_[hs->rest].client;
+    e.client = holder_pool_[e.rest].client;
+    e.node = holder_pool_[e.rest].node;
   } else {
-    while (*link != kNoHolder && holder_pool_[*link].client != client) {
+    while (holder_pool_[*link].client != client) {
       link = &holder_pool_[*link].next;
+      assert(*link != kNoHolder);
     }
-    if (*link == kNoHolder) return true;
   }
   const std::uint32_t h = *link;
   *link = holder_pool_[h].next;
   holder_pool_[h].next = free_holder_;
   free_holder_ = h;
-  return true;
 }
 
-std::int64_t CoopCacheSim::find_holder(std::uint64_t block,
-                                       std::uint32_t except) const {
-  const Holders* hs = directory_.find(block);
-  if (hs == nullptr) return -1;
-  // Deterministic choice: the smallest id other than the requester — but
-  // with rack awareness a same-rack holder always beats a cross-rack one
-  // (the manager knows the topology; forwarding from the next rack over
-  // costs two extra switch crossings).
-  const std::uint32_t rs = config_.rack_size;
-  std::int64_t best = -1;
-  bool best_local = false;
-  for_each_holder(*hs, [&](std::uint32_t c) {
-    if (c == except) return;
-    const bool local = rs > 0 && c / rs == except / rs;
-    if (best < 0 || (local && !best_local) ||
-        (local == best_local && static_cast<std::int64_t>(c) < best)) {
-      best = c;
-      best_local = local;
-    }
-  });
-  return best;
+std::uint32_t CoopCacheSim::node_of(const Entry& e,
+                                    std::uint32_t client) const {
+  if (e.client == client) return e.node;
+  for (std::uint32_t h = e.rest; h != kNoHolder; h = holder_pool_[h].next) {
+    if (holder_pool_[h].client == client) return holder_pool_[h].node;
+  }
+  return LruLists::kNil;
 }
 
 void CoopCacheSim::access(std::uint32_t client, std::uint64_t block,
@@ -176,100 +169,129 @@ void CoopCacheSim::access(std::uint32_t client, std::uint64_t block,
   }
 }
 
-void CoopCacheSim::insert_local(std::uint32_t client, std::uint64_t block) {
-  if (client_caches_[client].touch(block)) return;
-  std::uint64_t victim = 0;
-  const bool evicted = client_caches_[client].insert(block, &victim);
-  directory_add(block, client);
-  if (evicted) handle_eviction(client, victim);
+CoopCacheSim::Placed CoopCacheSim::place(std::uint32_t client,
+                                         std::uint64_t block) {
+  LruLists::List& l = lists_[client];
+  Placed p{};
+  p.evicted = l.size >= client_capacity_;
+  p.node = p.evicted ? nodes_.replace_lru(l, block, &p.victim)
+                     : nodes_.push(l, block);
+  return p;
+}
+
+void CoopCacheSim::cache_new(std::uint32_t client, std::uint64_t block,
+                             Entry* e) {
+  if (client_capacity_ == 0) return;
+  const Placed p = place(client, block);
+  if (e == nullptr) {
+    directory_.find_or_insert(block, Entry{client, p.node, kNoHolder, 0});
+  } else {
+    add_holder(*e, client, p.node);
+  }
+  if (p.evicted) handle_eviction(client, p.victim);
 }
 
 void CoopCacheSim::handle_eviction(std::uint32_t client,
                                    std::uint64_t victim) {
-  const bool duplicate = directory_remove(victim, client);
-  switch (config_.policy) {
-    case Policy::kClientServer:
-    case Policy::kGreedyForwarding:
-      break;  // dropped
-    case Policy::kCentrallyCoordinated: {
-      // Demote into the coordinated global cache.
-      std::uint64_t global_victim = 0;
-      coordinated_.insert(victim, &global_victim);
-      break;
-    }
-    case Policy::kNChance: {
-      if (config_.clients < 2) break;  // no peer to forward to
-      if (duplicate) break;  // another copy remains: drop quietly
-      std::uint32_t& count = recirculations_.find_or_insert(victim, 0);
-      if (count >= config_.nchance_limit) {
-        recirculations_.erase(victim);
-        break;  // circled enough; let it die
-      }
-      ++count;
-      ++results_.singlet_forwards;
-      // Forward the singlet to a random other client.
-      std::uint32_t peer = rng_.next_below(config_.clients);
-      if (peer == client) peer = (peer + 1) % config_.clients;
-      std::uint64_t peer_victim = 0;
-      const bool evicted =
-          client_caches_[peer].insert(victim, &peer_victim);
-      directory_add(victim, peer);
-      if (evicted) handle_eviction(peer, peer_victim);
-      break;
-    }
+  Entry* e = directory_.find(victim);
+  assert(e != nullptr);
+  const bool singlet = e->rest == kNoHolder;
+  if (singlet && config_.policy == Policy::kNChance && config_.clients >= 2 &&
+      e->recirculations < config_.nchance_limit) {
+    // A singlet with chances left: forward it to a random other client,
+    // its count going along.
+    ++e->recirculations;
+    ++results_.singlet_forwards;
+    std::uint32_t peer = rng_.next_below(config_.clients);
+    if (peer == client) peer = (peer + 1) % config_.clients;
+    const Placed p = place(peer, victim);
+    e->client = peer;
+    e->node = p.node;
+    if (p.evicted) handle_eviction(peer, p.victim);
+    return;
+  }
+  if (singlet) {
+    directory_.erase(victim);  // the last copy dies
+  } else {
+    drop_holder(*e, client);
+  }
+  if (config_.policy == Policy::kCentrallyCoordinated) {
+    coordinated_.insert(victim);  // demoted into the coordinated cache
   }
 }
 
 void CoopCacheSim::read(std::uint32_t client, std::uint64_t block) {
   ++results_.reads;
 
-  if (client_caches_[client].touch(block)) {
-    ++results_.local_hits;
-    recirculations_.erase(block);
-    return;
-  }
-
-  const bool cooperative = config_.policy == Policy::kGreedyForwarding ||
-                           config_.policy == Policy::kNChance;
-  if (cooperative) {
-    const std::int64_t holder = find_holder(block, client);
-    if (holder >= 0) {
+  Entry* e = directory_.find(block);
+  if (e != nullptr) {
+    const std::uint32_t own = node_of(*e, client);
+    if (own != LruLists::kNil) {
+      nodes_.touch(lists_[client], own);
+      ++results_.local_hits;
+      e->recirculations = 0;
+      return;
+    }
+    if (config_.policy == Policy::kGreedyForwarding ||
+        config_.policy == Policy::kNChance) {
+      // Forward from another client.  Deterministic choice: the smallest
+      // holder id — but with rack awareness a same-rack holder always
+      // beats a cross-rack one (the manager knows the topology; forwarding
+      // from the next rack over costs two extra switch crossings).
+      const std::uint32_t rs = config_.rack_size;
+      std::uint32_t holder = kNoHolder;
+      std::uint32_t holder_node = 0;
+      bool holder_local = false;
+      for_each_holder(*e, [&](std::uint32_t c, std::uint32_t n) {
+        const bool local = rs > 0 && c / rs == client / rs;
+        if (holder == kNoHolder || (local && !holder_local) ||
+            (local == holder_local && c < holder)) {
+          holder = c;
+          holder_node = n;
+          holder_local = local;
+        }
+      });
       ++results_.remote_client_hits;
-      if (config_.rack_size > 0 &&
-          static_cast<std::uint32_t>(holder) / config_.rack_size ==
-              client / config_.rack_size) {
-        ++results_.rack_local_peer_hits;
-      }
-      client_caches_[static_cast<std::uint32_t>(holder)].touch(block);
-      recirculations_.erase(block);
-      insert_local(client, block);
+      if (holder_local) ++results_.rack_local_peer_hits;
+      nodes_.touch(lists_[holder], holder_node);
+      e->recirculations = 0;
+      cache_new(client, block, e);
       return;
     }
   }
+
   if (config_.policy == Policy::kCentrallyCoordinated &&
-      coordinated_.contains(block)) {
-    ++results_.remote_client_hits;  // served from coordinated client DRAM
-    coordinated_.erase(block);      // promoted into the reader's local cache
-    insert_local(client, block);
+      coordinated_.erase(block)) {
+    // Served from coordinated client DRAM and promoted into the reader's
+    // local cache.
+    ++results_.remote_client_hits;
+    cache_new(client, block, e);
     return;
   }
 
   if (server_cache_.touch(block)) {
     ++results_.server_mem_hits;
-    insert_local(client, block);
+    cache_new(client, block, e);
     return;
   }
 
   ++results_.disk_reads;
   server_cache_.insert(block);
-  insert_local(client, block);
+  cache_new(client, block, e);
 }
 
 void CoopCacheSim::write(std::uint32_t client, std::uint64_t block) {
   ++results_.writes;
   // Write-through: the block lands in the local cache and the server cache
   // (timing of writes is not part of Table 3's read-response metric).
-  insert_local(client, block);
+  Entry* e = directory_.find(block);
+  const std::uint32_t own =
+      e != nullptr ? node_of(*e, client) : LruLists::kNil;
+  if (own != LruLists::kNil) {
+    nodes_.touch(lists_[client], own);
+  } else {
+    cache_new(client, block, e);
+  }
   server_cache_.insert(block);
 }
 

@@ -120,59 +120,89 @@ class CoopCacheSim {
   std::size_t holders(std::uint64_t block) const;
 
   /// Invariant check: the manager directory exactly mirrors the client
-  /// caches.  O(directory size).
+  /// caches.  Every holder link names a node that holds its block and sits
+  /// on its client's list, no list exceeds its capacity, and no recirculation
+  /// count exceeds the N-chance limit.  O(directory size + cached blocks).
   bool directory_consistent() const;
 
  private:
+  /// A block's directory entry, the only index of its cached copies: the
+  /// first holder inline (its client and that client's LRU node), further
+  /// holders linked through the pool, and the N-chance recirculation count.
+  /// Most blocks have one holder, so most reads touch only the table slot.
+  ///
+  /// The count is the number of times the block has been forwarded as a
+  /// singlet since a client last read it.  A forward carries it to the
+  /// peer, a local or peer hit sets it to 0, and adding or dropping a
+  /// duplicate leaves it alone.
+  struct Entry {
+    std::uint32_t client;
+    std::uint32_t node;
+    std::uint32_t rest;  // pool index of the second holder, or kNoHolder
+    std::uint32_t recirculations;
+  };
+  /// One more client holding a block: a link in that block's holder list.
+  struct Holder {
+    std::uint32_t client;
+    std::uint32_t node;
+    std::uint32_t next;  // kNoHolder ends the list
+  };
+  static constexpr std::uint32_t kNoHolder = ~std::uint32_t{0};
+
   void read(std::uint32_t client, std::uint64_t block);
   void write(std::uint32_t client, std::uint64_t block);
-  void insert_local(std::uint32_t client, std::uint64_t block);
+  /// Caches `block`, which `client` does not hold, at the front of the
+  /// client's list and records the copy in `e`, the block's entry (nullptr
+  /// if it has none yet).  A zero-capacity client caches and records
+  /// nothing.
+  void cache_new(std::uint32_t client, std::uint64_t block, Entry* e);
+  /// Where place() put a block: its node, and the key it evicted if any.
+  struct Placed {
+    std::uint32_t node;
+    bool evicted;
+    std::uint64_t victim;
+  };
+  /// Puts `block` at the front of `client`'s list, evicting the LRU block
+  /// if the list is full.  Touches only the list, not the directory.
+  Placed place(std::uint32_t client, std::uint64_t block);
+  /// `client` has evicted `victim`: update its entry, then demote, forward
+  /// or drop the block as the policy says.
   void handle_eviction(std::uint32_t client, std::uint64_t victim);
-  void directory_add(std::uint64_t block, std::uint32_t client);
-  /// Drops `client` from `block`'s holders; returns whether any remain.
-  bool directory_remove(std::uint64_t block, std::uint32_t client);
-  /// A client (other than `except`) caching `block`, or -1.
-  std::int64_t find_holder(std::uint64_t block, std::uint32_t except) const;
+  /// Adds a holder link to `e`.
+  void add_holder(Entry& e, std::uint32_t client, std::uint32_t node);
+  /// Drops `client`'s link from `e`, which has another holder.
+  void drop_holder(Entry& e, std::uint32_t client);
+  /// `client`'s node for the block of `e`, or LruLists::kNil.
+  std::uint32_t node_of(const Entry& e, std::uint32_t client) const;
+
+  /// Calls `f(client, node)` for each of a block's holders.  Holder order is
+  /// arbitrary; nothing may depend on it.
+  template <typename F>
+  void for_each_holder(const Entry& e, F&& f) const {
+    f(e.client, e.node);
+    for (std::uint32_t h = e.rest; h != kNoHolder; h = holder_pool_[h].next) {
+      f(holder_pool_[h].client, holder_pool_[h].node);
+    }
+  }
 
   CoopCacheConfig config_;
   sim::Pcg32 rng_;
-  std::vector<LruCache> client_caches_;
+  /// Blocks per client cache.
+  std::uint32_t client_capacity_;
+  /// Every client's cache: one LRU list per client over one node pool.
+  LruLists nodes_;
+  std::vector<LruLists::List> lists_;
   LruCache server_cache_;
   /// Centrally coordinated global cache: one LRU over most of the
   /// aggregate client memory (kCentrallyCoordinated only).
   LruCache coordinated_;
-  /// One client holding a block: a link in that block's holder list.
-  struct Holder {
-    std::uint32_t client;
-    std::uint32_t next;  // kNoHolder ends the list
-  };
-  static constexpr std::uint32_t kNoHolder = ~std::uint32_t{0};
-  /// A block's holders: the first inline, the rest linked through the
-  /// pool.  Most blocks have one holder, so most directory operations
-  /// touch only the table slot.
-  struct Holders {
-    std::uint32_t first;
-    std::uint32_t rest;  // pool index of the second holder, or kNoHolder
-  };
-  /// Calls `f(client)` for each of a block's holders.
-  template <typename F>
-  void for_each_holder(const Holders& hs, F&& f) const {
-    f(hs.first);
-    for (std::uint32_t h = hs.rest; h != kNoHolder; h = holder_pool_[h].next) {
-      f(holder_pool_[h].client);
-    }
-  }
-
-  /// Directory: block -> the clients holding it in their local caches.
-  /// Holder order is arbitrary; nothing may depend on it.
-  sim::FlatMap<Holders> directory_;
+  /// Directory: block -> the clients caching it and their nodes.
+  sim::FlatMap<Entry> directory_;
   /// Every block's second and later holders, linked through one pool.
   /// Freed links are reused through free_holder_, so a block costs no
   /// allocation.
   std::vector<Holder> holder_pool_;
   std::uint32_t free_holder_ = kNoHolder;
-  /// N-chance: times each at-large singlet has been forwarded.
-  sim::FlatMap<std::uint32_t> recirculations_;
   CoopCacheResults results_;
   obs::Collector stats_obs_;
 };

@@ -12,21 +12,11 @@
 
 namespace now::obs {
 
-namespace {
-Tracer& process_tracer() {
-  static Tracer t;
-  return t;
-}
-thread_local Tracer* t_tracer = nullptr;
-}  // namespace
-
-Tracer& tracer() {
-  return t_tracer != nullptr ? *t_tracer : process_tracer();
-}
+constinit Tracer detail::g_process_tracer;
 
 Tracer* set_thread_tracer(Tracer* t) {
-  Tracer* prev = t_tracer;
-  t_tracer = t;
+  Tracer* prev = detail::t_tracer;
+  detail::t_tracer = t;
   return prev;
 }
 
@@ -71,22 +61,16 @@ void Tracer::push(Event e) {
   ++dropped_;
 }
 
-void Tracer::complete(std::uint32_t node, TrackId track, std::string_view name,
-                      sim::SimTime start, sim::SimTime end) {
-  if (!enabled()) return;
+void Tracer::record_complete(std::uint32_t node, TrackId track,
+                             std::string_view name, sim::SimTime start,
+                             sim::SimTime end) {
   if (end < start) std::swap(start, end);
   push(Event{Event::Phase::kComplete, track, node, start, end - start,
              std::string(name)});
 }
 
-void Tracer::instant(std::uint32_t node, TrackId track,
-                     std::string_view name) {
-  instant_at(node, track, name, clock_now());
-}
-
-void Tracer::instant_at(std::uint32_t node, TrackId track,
-                        std::string_view name, sim::SimTime at) {
-  if (!enabled()) return;
+void Tracer::record_instant(std::uint32_t node, TrackId track,
+                            std::string_view name, sim::SimTime at) {
   push(Event{Event::Phase::kInstant, track, node, at, 0, std::string(name)});
 }
 

@@ -14,9 +14,9 @@
 // (message lifetimes, page-fault service, migrations) span many callbacks;
 // the RAII Span covers the lexically scoped cases.
 //
-// Everything is a no-op until enable() is called, and each site guards on
-// enabled() before doing any string work, so an untraced run pays one load
-// and branch per site.
+// Everything is a no-op until enable() is called.  tracer(), enabled() and
+// the enabled test of complete()/instant() are inline, so an untraced site
+// pays a few loads and a branch and makes no call.
 #pragma once
 
 #include <cstdint>
@@ -60,14 +60,21 @@ class Tracer {
   /// tracer's lifetime; callable before enable().
   TrackId track(std::string_view module);
 
-  /// Records a completed span [start, end] on `node`'s `track`.
+  /// Records a completed span [start, end] on `node`'s `track`.  The
+  /// enabled test is inline, so an untraced site makes no call.
   void complete(std::uint32_t node, TrackId track, std::string_view name,
-                sim::SimTime start, sim::SimTime end);
+                sim::SimTime start, sim::SimTime end) {
+    if (enabled()) record_complete(node, track, name, start, end);
+  }
 
   /// Records a point event at the bound clock's current time / at `at`.
-  void instant(std::uint32_t node, TrackId track, std::string_view name);
+  void instant(std::uint32_t node, TrackId track, std::string_view name) {
+    if (enabled()) record_instant(node, track, name, clock_now());
+  }
   void instant_at(std::uint32_t node, TrackId track, std::string_view name,
-                  sim::SimTime at);
+                  sim::SimTime at) {
+    if (enabled()) record_instant(node, track, name, at);
+  }
 
   std::size_t size() const { return events_.size(); }
   std::uint64_t dropped() const { return dropped_; }
@@ -89,6 +96,11 @@ class Tracer {
     std::string name;
   };
 
+  void record_complete(std::uint32_t node, TrackId track,
+                       std::string_view name, sim::SimTime start,
+                       sim::SimTime end);
+  void record_instant(std::uint32_t node, TrackId track,
+                      std::string_view name, sim::SimTime at);
   void push(Event e);
 
   bool recording_ = false;
@@ -104,13 +116,25 @@ class Tracer {
   sim::SpinLock lock_;
 };
 
+namespace detail {
+/// The process-wide default tracer.  Constant-initialized, so it exists
+/// before any static constructor runs.
+extern Tracer g_process_tracer;
+/// This thread's override, or nullptr.
+inline constinit thread_local Tracer* t_tracer = nullptr;
+}  // namespace detail
+
 /// The calling thread's active tracer: its override if one is installed,
-/// else the process-wide default.  Recording (push/track) is spinlocked so
-/// the lanes of a partitioned run can share one tracer, but enable/clear/
-/// export remain single-threaded; concurrent *simulations* must each run
-/// against their own tracer — which the per-thread override (and
-/// exp::ScopedRunContext, which installs it) provides.
-Tracer& tracer();
+/// else the process-wide default.  Inline, like Tracer::enabled(), so an
+/// untraced site makes no call.  Recording (push/track) is
+/// spinlocked so the lanes of a partitioned run can share one tracer, but
+/// enable/clear/export remain single-threaded; concurrent *simulations*
+/// must each run against their own tracer — which the per-thread override
+/// (and exp::ScopedRunContext, which installs it) provides.
+inline Tracer& tracer() {
+  Tracer* t = detail::t_tracer;
+  return t != nullptr ? *t : detail::g_process_tracer;
+}
 
 /// Rebinds obs::tracer() on this thread to `t` (nullptr = back to the
 /// process default) and returns the previous override.  The caller owns

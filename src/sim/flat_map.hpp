@@ -1,7 +1,7 @@
 // An open-addressing hash map from 64-bit keys to small trivially copyable
-// values: the one table behind the cooperative cache's LRU index, its
-// manager directory and its N-chance recirculation counts, and behind the
-// protocol layers' per-endpoint pair state and outstanding-call slots.
+// values: the one table behind the cooperative cache's manager directory
+// and LruCache's index, and behind the protocol layers' per-endpoint pair
+// state and outstanding-call slots.
 //
 // Linear probing over a power-of-two table.  Keys are hashed
 // multiplicatively (Fibonacci hashing): block ids are small dense integers,

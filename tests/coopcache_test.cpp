@@ -226,6 +226,68 @@ TEST(CoopCache, DeterministicForSeed) {
   EXPECT_EQ(a.results().remote_client_hits, b.results().remote_client_hits);
 }
 
+// A zero-block client cache caches and records nothing: its reads are
+// never local or peer hits on its own account, and the directory stays
+// empty.  Both ways to get one: a zero client_cache_blocks, and a centrally
+// coordinated cache that hands all client memory to the global LRU.
+TEST(CoopCache, ZeroCapacityClientsCacheNothing) {
+  CoopCacheConfig nchance = small_config(Policy::kNChance);
+  nchance.clients = 4;
+  nchance.client_cache_blocks = 0;
+  CoopCacheConfig coordinated = small_config(Policy::kCentrallyCoordinated);
+  coordinated.clients = 4;
+  coordinated.coordinated_fraction = 1.0;
+  for (const CoopCacheConfig& cfg : {nchance, coordinated}) {
+    SCOPED_TRACE(policy_name(cfg.policy));
+    CoopCacheSim sim(cfg);
+    // Each of 50 blocks is read four times, by two clients in turn.
+    for (std::uint64_t i = 0; i < 200; ++i) {
+      sim.access(static_cast<std::uint32_t>(i % 4), i % 50, false);
+    }
+    EXPECT_EQ(sim.results().reads, 200u);
+    EXPECT_EQ(sim.results().local_hits, 0u);
+    EXPECT_EQ(sim.results().remote_client_hits, 0u);
+    EXPECT_EQ(sim.results().singlet_forwards, 0u);
+    EXPECT_TRUE(sim.directory_consistent());
+    for (std::uint64_t b = 0; b < 50; ++b) EXPECT_EQ(sim.holders(b), 0u);
+  }
+}
+
+// A block's N-chance count survives a duplicate made by a write: the
+// duplicate is evicted first and dropped quietly, and then the last copy,
+// already forwarded once, dies at a limit of 1 instead of being forwarded
+// again.  Two clients, so every forward goes to the other one; writes
+// refresh a copy without resetting its count, as reads would.
+TEST(CoopCache, RecirculationCountSurvivesAWrittenDuplicate) {
+  CoopCacheConfig cfg = small_config(Policy::kNChance);
+  cfg.clients = 2;
+  cfg.client_cache_blocks = 2;
+  cfg.nchance_limit = 1;
+  CoopCacheSim sim(cfg);
+  const std::uint64_t b = 100;
+  sim.access(1, b, false);
+  sim.access(1, 1, false);
+  sim.access(1, 2, false);  // b, a singlet, is forwarded to client 0
+  EXPECT_EQ(sim.results().singlet_forwards, 1u);
+  EXPECT_EQ(sim.holders(b), 1u);
+  sim.access(1, b, true);  // the duplicate; block 1 goes to client 0
+  EXPECT_EQ(sim.results().singlet_forwards, 2u);
+  EXPECT_EQ(sim.holders(b), 2u);
+  sim.access(0, b, true);   // client 0: {b, 1}
+  sim.access(1, 3, false);  // block 2 goes to client 0 and evicts block 1
+  sim.access(0, b, true);   // client 0: {b, 2}
+  sim.access(1, 4, false);  // client 1 evicts its duplicate of b
+  EXPECT_EQ(sim.holders(b), 1u);
+  EXPECT_EQ(sim.results().singlet_forwards, 3u);
+  sim.access(0, 5, false);
+  sim.access(0, 6, false);  // the last copy of b has used its chance
+  EXPECT_EQ(sim.holders(b), 0u);
+  EXPECT_EQ(sim.results().singlet_forwards, 3u);
+  EXPECT_EQ(sim.results().local_hits, 0u);
+  EXPECT_EQ(sim.results().remote_client_hits, 0u);
+  EXPECT_TRUE(sim.directory_consistent());
+}
+
 // Every counter of every policy, flat and in racks, on two fixed-seed
 // traces, pinned to the values the node-based containers produced (the
 // 80-client rows to the values of the pooled holder lists).  A container
