@@ -600,8 +600,8 @@ int main(int argc, char** argv) {
   getrusage(RUSAGE_SELF, &ru);
   json.value("aggregate", "max_rss_mb",
              static_cast<double>(ru.ru_maxrss) / 1024.0);
-  json.note("building cells stream arrivals through bounded k-way merge "
-            "state: rss stays flat in the horizon and is measurement, not "
+  json.note("building cells stream arrivals, one pending event per "
+            "client: rss stays flat in the horizon and is measurement, not "
             "part of the deterministic surface");
   return 0;
 }

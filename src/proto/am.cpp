@@ -237,11 +237,9 @@ void AmLayer::transmit(EndpointId src, const AmMessage& f) {
 
 void AmLayer::arm_timer(EndpointId src, EndpointId dst, PairTx& tx) {
   // The timer lives on the sender's lane: on_timeout touches only tx state.
-  // An ack nearly always cancels or moves it first, so it waits in the
-  // engine's timeout lane rather than its queue.
   tx.timer = engine_of(*ep(src).node)
-                 .schedule_timeout(params_.retry_timeout,
-                                   [this, src, dst] { on_timeout(src, dst); });
+                 .schedule_in(params_.retry_timeout,
+                              [this, src, dst] { on_timeout(src, dst); });
 }
 
 void AmLayer::on_timeout(EndpointId src, EndpointId dst) {
@@ -433,7 +431,7 @@ void AmLayer::on_ack(const AmAck& a) {
         // Frames still in flight: restart the retransmit clock by moving the
         // pending timer in place — its closure already names this pair, so
         // cancel + schedule would rebuild an identical event.
-        tx.timer = eng.reschedule_timeout(tx.timer, params_.retry_timeout);
+        tx.timer = eng.reschedule_in(tx.timer, params_.retry_timeout);
         assert(tx.timer != 0);
       }
     }

@@ -45,7 +45,7 @@
 #include "proto/costs.hpp"
 #include "proto/nic_mux.hpp"
 #include "sim/flat_map.hpp"
-#include "sim/pooled.hpp"
+#include "sim/pool_allocator.hpp"
 #include "sim/random.hpp"
 #include "sim/spinlock.hpp"
 #include "sim/stats.hpp"

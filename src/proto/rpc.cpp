@@ -52,14 +52,13 @@ void RpcLayer::start_call(net::NodeId from, net::NodeId to, MethodId method,
     // The timer lives on the caller's lane, like everything in its table.
     // A reply cancels it, so when it fires the call is still outstanding.
     sim::Engine& eng = am_.engine_of(am_.node_of(nodes_[from].ep));
-    t.slots[slot].timer =
-        eng.schedule_timeout(timeout, [this, from, slot, id] {
-          CallTable& ct = nodes_[from].calls;
-          if (ct.find(slot, id) == nullptr) return;
-          Outstanding expired = release(ct, slot);
-          count(timeouts_);
-          if (expired.on_timeout) expired.on_timeout();
-        });
+    t.slots[slot].timer = eng.schedule_in(timeout, [this, from, slot, id] {
+      CallTable& ct = nodes_[from].calls;
+      if (ct.find(slot, id) == nullptr) return;
+      Outstanding expired = release(ct, slot);
+      count(timeouts_);
+      if (expired.on_timeout) expired.on_timeout();
+    });
   }
 
   am_.send(nodes_[from].ep, nodes_[to].ep, kRequestHandler, req_bytes,

@@ -1,9 +1,7 @@
 #include "serve/arrivals.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <utility>
 
 #include "exp/seed.hpp"
 
@@ -141,70 +139,6 @@ std::optional<sim::SimTime> ArrivalStream::next() {
   }
   done_ = true;
   return std::nullopt;
-}
-
-// --- MergedArrivals ------------------------------------------------------
-
-MergedArrivals::MergedArrivals(const ClientPopulation& pop) {
-  streams_.reserve(pop.open_clients());
-  for (std::uint32_t c = 0; c < pop.open_clients(); ++c) {
-    ArrivalStream s = pop.stream(c);
-    if (auto t = s.next()) {
-      const auto index = static_cast<std::uint32_t>(streams_.size());
-      streams_.push_back(std::move(s));
-      heap_.push_back(Entry{*t, index});
-    }
-  }
-  // streams_ fills in client order, so comparing (time, index) is
-  // comparing (time, client) — the published merge order.
-  if (heap_.size() > 1) {
-    for (std::size_t i = heap_.size() / 2; i-- > 0;) sift_down(i);
-  }
-}
-
-std::optional<Arrival> MergedArrivals::next() {
-  if (heap_.empty()) return std::nullopt;
-  Entry& top = heap_.front();
-  const Arrival out{top.time, streams_[top.index].client()};
-  if (auto t = streams_[top.index].next()) {
-    top.time = *t;  // same stream: time only moves forward
-  } else {
-    top = heap_.back();
-    heap_.pop_back();
-    if (heap_.empty()) return out;
-  }
-  sift_down(0);
-  return out;
-}
-
-void MergedArrivals::sift_down(std::size_t i) {
-  const std::size_t n = heap_.size();
-  auto less = [&](const Entry& a, const Entry& b) {
-    return a.time < b.time || (a.time == b.time && a.index < b.index);
-  };
-  while (true) {
-    std::size_t best = i;
-    const std::size_t l = 2 * i + 1;
-    const std::size_t r = 2 * i + 2;
-    if (l < n && less(heap_[l], heap_[best])) best = l;
-    if (r < n && less(heap_[r], heap_[best])) best = r;
-    if (best == i) return;
-    std::swap(heap_[i], heap_[best]);
-    i = best;
-  }
-}
-
-void MergedArrivals::sift_up(std::size_t i) {
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    const bool less =
-        heap_[i].time < heap_[parent].time ||
-        (heap_[i].time == heap_[parent].time &&
-         heap_[i].index < heap_[parent].index);
-    if (!less) return;
-    std::swap(heap_[i], heap_[parent]);
-    i = parent;
-  }
 }
 
 // --- ClientPopulation ----------------------------------------------------

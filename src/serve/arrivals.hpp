@@ -25,13 +25,12 @@
 //                       and --jobs N.
 //
 // Schedules are *streamed*, not materialized: ArrivalStream generates one
-// client's arrivals lazily (O(1) state per client), and MergedArrivals
-// merges any client range through a bounded k-way heap — memory stays
+// client's arrivals lazily (O(1) state per client), and the serving
+// workload keeps one pending engine event per client — memory stays
 // O(clients) however long the horizon or high the rate, which is what
 // lets a population scale to thousands of thin clients.  arrivals()
-// still materializes one client's full schedule for tests and small
-// runs; golden tests pin that the two paths agree timestamp for
-// timestamp.
+// materializes one client's full schedule for tests and small runs by
+// running its stream to exhaustion.
 #pragma once
 
 #include <cstdint>
@@ -170,45 +169,6 @@ class ArrivalStream {
   bool done_ = false;
 };
 
-/// One merged arrival: when, and whose.
-struct Arrival {
-  sim::SimTime time = 0;
-  std::uint32_t client = 0;
-
-  bool operator==(const Arrival&) const = default;
-};
-
-class ClientPopulation;
-
-/// Bounded k-way merge of every open client's ArrivalStream, ordered by
-/// (time, client).  Memory is O(open clients) — one stream plus one
-/// pending arrival each — at any population size, horizon, or rate; this
-/// is the building-scale replacement for materializing per-client
-/// schedule vectors.  next() is amortized O(log k).
-class MergedArrivals {
- public:
-  explicit MergedArrivals(const ClientPopulation& pop);
-
-  /// Open-client streams still live in the heap.
-  std::size_t streams() const { return heap_.size(); }
-
-  /// Next arrival across the whole population; nullopt when every stream
-  /// is exhausted.
-  std::optional<Arrival> next();
-
- private:
-  struct Entry {
-    sim::SimTime time;
-    std::uint32_t index;  // into streams_
-  };
-
-  void sift_down(std::size_t i);
-  void sift_up(std::size_t i);
-
-  std::vector<ArrivalStream> streams_;
-  std::vector<Entry> heap_;  // min-heap on (time, streams_[index].client())
-};
-
 class ClientPopulation {
  public:
   ClientPopulation(PopulationParams params, std::uint64_t seed);
@@ -228,10 +188,8 @@ class ClientPopulation {
   SessionTimeline sessions(std::uint32_t client) const;
 
   /// Materializes `client`'s complete open-arrival schedule by running
-  /// its stream to exhaustion.  Pure function of (seed, client); the
-  /// reference the golden equivalence tests hold MergedArrivals against.
-  /// O(arrivals) memory — building-scale callers use stream()/
-  /// MergedArrivals instead.
+  /// its stream to exhaustion.  Pure function of (seed, client).
+  /// O(arrivals) memory — building-scale callers use stream() instead.
   std::vector<sim::SimTime> arrivals(std::uint32_t client) const;
 
   /// Draws `client`'s next closed-loop think time (advances the client's

@@ -17,9 +17,6 @@ Engine::~Engine() {
   }
   BlockCache::deallocate(heap_, heap_cap_ * sizeof(HeapEntry));
   BlockCache::deallocate(blocks_, num_blocks_ * sizeof(Block));
-  for (Lane& l : lanes_) {
-    BlockCache::deallocate(l.ring, l.cap * sizeof(HeapEntry));
-  }
 }
 
 void Engine::add_chunk() {
@@ -33,23 +30,16 @@ void Engine::add_chunk() {
   const std::uint32_t base = num_slots_;
   for (std::uint32_t i = 0; i < kChunkSize; ++i) {
     ::new (static_cast<void*>(&chunk[i])) Slot;
-    chunk[i].link = base + i + 1;
+    chunk[i].next_free = base + i + 1;
   }
-  chunk[kChunkSize - 1].link = free_head_;
+  chunk[kChunkSize - 1].next_free = free_head_;
   free_head_ = base;
   num_slots_ += kChunkSize;
 }
 
-// Dispatches the event settle() found, from the heap or its lane.
-void Engine::dispatch_next() {
-  HeapEntry top;
-  if (next_lane_ < 0) {
-    top = heap_[0];
-    heap_pop();
-  } else {
-    top = lanes_[next_lane_].front();
-    lane_pop(next_lane_);
-  }
+void Engine::dispatch_top() {
+  const HeapEntry top = heap_[0];
+  heap_pop();
   const std::uint32_t idx = key_slot(top.key);
   Slot& s = slot(idx);
   now_ = top.time;
@@ -67,7 +57,7 @@ void Engine::dispatch_next() {
 
 bool Engine::step() {
   if (!settle()) return false;
-  dispatch_next();
+  dispatch_top();
   return true;
 }
 
@@ -75,7 +65,7 @@ std::uint64_t Engine::run() {
   stopped_ = false;
   std::uint64_t n = 0;
   while (!stopped_ && settle()) {
-    dispatch_next();
+    dispatch_top();
     ++n;
   }
   return n;
@@ -85,7 +75,7 @@ std::uint64_t Engine::run_until(SimTime deadline) {
   stopped_ = false;
   std::uint64_t n = 0;
   while (!stopped_ && settle(deadline)) {
-    dispatch_next();
+    dispatch_top();
     ++n;
   }
   // A completed run leaves the clock at the deadline; a stop()ped run leaves
@@ -98,7 +88,7 @@ std::uint64_t Engine::run_while_before(SimTime bound) {
   stopped_ = false;
   std::uint64_t n = 0;
   while (!stopped_ && settle(bound - 1)) {
-    dispatch_next();
+    dispatch_top();
     ++n;
   }
   return n;
@@ -106,7 +96,7 @@ std::uint64_t Engine::run_while_before(SimTime bound) {
 
 bool Engine::peek_next(SimTime* at) {
   if (!settle()) return false;
-  *at = next_lane_ < 0 ? heap_[0].time : lanes_[next_lane_].front().time;
+  *at = heap_[0].time;
   return true;
 }
 
@@ -169,36 +159,7 @@ void Engine::grow_blocks() {
   num_blocks_ = cap;
 }
 
-void Engine::make_room(int lane) {
-  Lane& l = lanes_[lane];
-  // Squeeze the live entries, in order, to the front of the ring.  That
-  // may drop the lane's head, or every entry.
-  const std::uint32_t mask = l.cap - 1;
-  std::uint32_t live = 0;
-  for (std::uint32_t i = 0; i < l.size; ++i) {
-    const HeapEntry e = l.ring[(l.head + i) & mask];
-    if (!entry_stale(e)) l.ring[(l.head + live++) & mask] = e;
-  }
-  if (live != l.size) {
-    l.size = live;
-    if (live == 0) lane_mask_ &= ~(1u << lane);
-    find_first_lane();
-  }
-  if (2 * live < l.cap) return;
-  const std::uint32_t cap = l.cap == 0 ? 64 : 2 * l.cap;
-  auto* grown =
-      static_cast<HeapEntry*>(BlockCache::allocate(cap * sizeof(HeapEntry)));
-  for (std::uint32_t i = 0; i < l.size; ++i) {
-    grown[i] = l.ring[(l.head + i) & mask];
-  }
-  BlockCache::deallocate(l.ring, l.cap * sizeof(HeapEntry));
-  l.ring = grown;
-  l.head = 0;
-  l.cap = cap;
-}
-
 void Engine::compact() {
-  ++compactions_;
   // Shed stale entries from every bucket (each live one lands back in its
   // own bucket, last_ being unchanged) and from the heap, which is then
   // rebuilt with Floyd's heapify.

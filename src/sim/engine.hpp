@@ -29,16 +29,9 @@
 //     until time gets near them (or are shed there, never sifted, if they
 //     are cancelled first), an idle gap of hours costs one refill, and the
 //     heap stays a few entries deep.  Dispatch pops the heap, so the exact
-//     (time, priority, seq) order is kept by construction.
-//   * Timeouts (schedule_timeout) skip the radix queue.  Each distinct delay
-//     d gets a FIFO lane: its entries are appended at now + d, and the clock
-//     never runs backwards while sequence numbers only grow, so a lane is
-//     sorted by (time, key) as it is filled.  Dispatch merges the lane heads
-//     with the heap top by (time, key), so the order is the same as if every
-//     timeout had gone through the queue.  A timeout that is cancelled or
-//     moved — the common fate of a retransmit or call timer — leaves a
-//     tombstone in its lane, which is dropped when it reaches the head; it
-//     never enters a bucket and never counts toward a compaction.
+//     (time, priority, seq) order is kept by construction.  Every pending
+//     event waits in this one queue, the retransmit and call timers that are
+//     almost always cancelled included.
 //
 // Threading model: an Engine — and everything hanging off it (components,
 // their RNGs, the run's metrics registry and tracer) — is *engine-confined*:
@@ -93,9 +86,14 @@ class Engine {
   template <typename F>
   EventId schedule_at(SimTime at, F&& fn, int priority = 0) {
     if (at < now_) at = now_;
-    const EventId id = new_event(std::forward<F>(fn), kInQueue);
-    enqueue_entry(entry_for(at, priority, id));
-    return id;
+    const std::uint32_t idx = alloc_slot();
+    Slot& s = slot(idx);
+    const std::uint32_t seq = next_seq();
+    s.seq = seq;
+    s.fn.emplace(std::forward<F>(fn));
+    enqueue_entry(HeapEntry{at, pack_key(priority, seq, idx)});
+    ++live_count_;
+    return make_id(idx, seq);
   }
 
   /// Schedules `fn` to run `delay` after the current time.
@@ -105,22 +103,6 @@ class Engine {
     return schedule_at(now_ + delay, std::forward<F>(fn), priority);
   }
 
-  /// Schedules `fn` to run `delay` after the current time, at priority 0,
-  /// like schedule_in(delay, fn) — the same dispatch order — but for a
-  /// timer that is usually cancelled or moved before it fires (retransmit
-  /// and call timeouts).  The event waits in its delay's FIFO lane, not in
-  /// the radix queue, so cancelling it costs no queue work at all.  Ids
-  /// work with cancel(), reschedule() and reschedule_timeout() as usual.
-  template <typename F>
-  EventId schedule_timeout(Duration delay, F&& fn) {
-    assert(delay >= 0);
-    const int lane = lane_for(delay);
-    if (lane < 0) return schedule_in(delay, std::forward<F>(fn));
-    const EventId id = new_event(std::forward<F>(fn), kInLane);
-    lane_push(lane, entry_for(now_ + delay, 0, id));
-    return id;
-  }
-
   /// Cancels a pending event.  Returns true if it was still pending, false
   /// for 0, a fired event, or a cancelled or rescheduled one.  O(1): clears
   /// the slot's sequence tag so the queued entry dies lazily.
@@ -128,12 +110,11 @@ class Engine {
     if (!live_id(id)) return false;
     const std::uint32_t idx = slot_index(id);
     Slot& s = slot(idx);
-    const bool queued = s.link == kInQueue;
     s.seq = kDeadSeq;
     s.fn.reset();
     free_slot(s, idx);
     --live_count_;
-    if (queued) note_stale_entry();
+    note_stale_entry();
     return true;
   }
 
@@ -144,29 +125,22 @@ class Engine {
   /// been cancelled (the closure is gone; the caller must schedule afresh).
   EventId reschedule(EventId id, SimTime at, int priority = 0) {
     if (!live_id(id)) return 0;
+    const std::uint32_t idx = slot_index(id);
+    Slot& s = slot(idx);
     if (at < now_) at = now_;
-    const EventId moved = retag(id, kInQueue);
-    enqueue_entry(entry_for(at, priority, moved));
-    return moved;
+    // Retag the slot under a fresh sequence number; the old queue entry goes
+    // stale and the slot (with its closure) stays allocated under the new id.
+    const std::uint32_t seq = next_seq();
+    s.seq = seq;
+    note_stale_entry();
+    enqueue_entry(HeapEntry{at, pack_key(priority, seq, idx)});
+    return make_id(idx, seq);
   }
 
   /// Convenience: `delay` from now.  Same contract as reschedule().
   EventId reschedule_in(EventId id, Duration delay, int priority = 0) {
     assert(delay >= 0);
     return reschedule(id, now_ + delay, priority);
-  }
-
-  /// Moves a pending event to fire `delay` from now at priority 0, through
-  /// the timeout lanes: the schedule_timeout() counterpart of
-  /// reschedule_in().  Same contract as reschedule().
-  EventId reschedule_timeout(EventId id, Duration delay) {
-    assert(delay >= 0);
-    const int lane = lane_for(delay);
-    if (lane < 0) return reschedule_in(id, delay);
-    if (!live_id(id)) return 0;
-    const EventId moved = retag(id, kInLane);
-    lane_push(lane, entry_for(now_ + delay, 0, moved));
-    return moved;
   }
 
   /// Runs until the queue is empty or `stop()` is called.
@@ -213,10 +187,6 @@ class Engine {
   /// Total events dispatched over the engine's lifetime.
   std::uint64_t dispatched() const { return dispatched_; }
 
-  /// Bulk compactions of the radix queue over the engine's lifetime (one
-  /// runs when stale queue entries outnumber live ones).
-  std::uint64_t compactions() const { return compactions_; }
-
  private:
   // A pool slot: closure + the sequence tag of the event occupying it
   // (kDeadSeq when free or invalidated).  Exactly one 64-byte cache line, so
@@ -224,9 +194,7 @@ class Engine {
   struct Slot {
     InlinedCallback fn;
     std::uint32_t seq = kDeadSeq;
-    // A free slot's successor on the free list; a pending event's kInQueue
-    // or kInLane, where its entry waits.
-    std::uint32_t link = kNoFreeSlot;
+    std::uint32_t next_free = kNoFreeSlot;
   };
 
   // Plain-data queue entry.  `key` packs (priority+128):8 | sequence:32 |
@@ -247,8 +215,6 @@ class Engine {
   static constexpr std::uint32_t kMaxSlots = 1u << 24;  // index field width
 
   static constexpr std::uint32_t kNoFreeSlot = 0xFFFFFFFFu;
-  static constexpr std::uint32_t kInQueue = 0;
-  static constexpr std::uint32_t kInLane = 1;
   static constexpr std::uint32_t kDeadSeq = 0;  // never issued to an event
   static constexpr int kPriorityBias = 128;
 
@@ -290,35 +256,6 @@ class Engine {
   Slot& slot(std::uint32_t idx) {
     return chunks_[idx >> kChunkShift][idx & kChunkMask];
   }
-
-  /// Puts `fn` in a free slot under a fresh sequence number, its entry to
-  /// wait `where` (kInQueue or kInLane); the caller enqueues the entry.
-  template <typename F>
-  EventId new_event(F&& fn, std::uint32_t where) {
-    const std::uint32_t idx = alloc_slot();
-    Slot& s = slot(idx);
-    s.seq = next_seq();
-    s.link = where;
-    s.fn.emplace(std::forward<F>(fn));
-    ++live_count_;
-    return make_id(idx, s.seq);
-  }
-
-  /// Retags live event `id` under a fresh sequence number, its new entry to
-  /// wait `where`; the slot keeps its closure.  The old entry goes stale: a
-  /// queue entry counts toward compaction, a lane entry waits for its head.
-  EventId retag(EventId id, std::uint32_t where) {
-    const std::uint32_t idx = slot_index(id);
-    Slot& s = slot(idx);
-    s.seq = next_seq();
-    if (s.link == kInQueue) note_stale_entry();
-    s.link = where;
-    return make_id(idx, s.seq);
-  }
-
-  static HeapEntry entry_for(SimTime at, int priority, EventId id) {
-    return HeapEntry{at, pack_key(priority, seq_of(id), slot_index(id))};
-  }
   const Slot& slot(std::uint32_t idx) const {
     return chunks_[idx >> kChunkShift][idx & kChunkMask];
   }
@@ -351,12 +288,12 @@ class Engine {
   std::uint32_t alloc_slot() {
     if (free_head_ == kNoFreeSlot) add_chunk();
     const std::uint32_t idx = free_head_;
-    free_head_ = slot(idx).link;
+    free_head_ = slot(idx).next_free;
     return idx;
   }
 
   void free_slot(Slot& s, std::uint32_t idx) {
-    s.link = free_head_;
+    s.next_free = free_head_;
     free_head_ = idx;
   }
 
@@ -520,122 +457,46 @@ class Engine {
     }
   }
 
-  // ---- timeout lanes ------------------------------------------------------
-  //
-  // One FIFO ring of entries per distinct timeout delay, appended at
-  // now + delay under a fresh sequence number: each lane is sorted by
-  // (time, key) as it fills.  Lanes hold priority-0 entries only, so their
-  // keys order exactly as the queue's would.  A few delays cover a run (AM's
-  // retransmit timeout, each service's call timeout); a delay past the last
-  // lane goes through the radix queue instead.  A full lane first squeezes
-  // out its tombstones and grows only if that frees less than half of it,
-  // so a lane holds at most about twice its live timers and a warm lane
-  // never allocates.
-
-  static constexpr int kMaxLanes = 8;
-
-  struct Lane {
-    Duration delay = 0;
-    HeapEntry* ring = nullptr;
-    std::uint32_t head = 0;  // index of the oldest entry
-    std::uint32_t size = 0;
-    std::uint32_t cap = 0;   // a power of two, or 0 before the first push
-    const HeapEntry& front() const { return ring[head]; }
-  };
-
-  /// The lane for `delay`, opening one if there is room; -1 if not.
-  int lane_for(Duration delay) {
-    for (int i = 0; i < num_lanes_; ++i) {
-      if (lanes_[i].delay == delay) return i;
-    }
-    if (num_lanes_ == kMaxLanes) return -1;
-    lanes_[num_lanes_].delay = delay;
-    return num_lanes_++;
-  }
-
-  void lane_push(int i, HeapEntry e) {
-    Lane& l = lanes_[i];
-    if (l.size == l.cap) make_room(i);
-    assert(l.size == 0 || !entry_less(e, l.ring[(l.head + l.size - 1) &
-                                                 (l.cap - 1)]));
-    l.ring[(l.head + l.size++) & (l.cap - 1)] = e;
-    lane_mask_ |= 1u << i;
-    // Appending behind a lane's head leaves it; only a lane that was empty
-    // gets a new head, which may be the earliest.
-    if (l.size == 1 && (first_lane_ < 0 || entry_less(e, lane_front_))) {
-      first_lane_ = i;
-      lane_front_ = e;
-    }
-  }
-
-  void lane_pop(int i) {
-    Lane& l = lanes_[i];
-    l.head = (l.head + 1) & (l.cap - 1);
-    if (--l.size == 0) lane_mask_ &= ~(1u << i);
-    find_first_lane();
-  }
-
-  /// Points first_lane_ and lane_front_ at the earliest lane head.
-  void find_first_lane() {
-    first_lane_ = -1;
-    for (std::uint32_t m = lane_mask_; m != 0; m &= m - 1) {
-      const int i = std::countr_zero(m);
-      if (first_lane_ < 0 || entry_less(lanes_[i].front(), lane_front_)) {
-        first_lane_ = i;
-        lane_front_ = lanes_[i].front();
-      }
-    }
-  }
-
-  /// Finds the next live event and records where it waits (next_lane_:
-  /// a lane index, or -1 for heap_[0]); returns true if it is due at or
-  /// before `limit`.  Refills the heap from the buckets as it drains, but
-  /// never past `limit` or the earliest lane head: that would move last_
-  /// ahead of the clock, and everything scheduled before it would then have
-  /// to go through the heap.  A stale lane head is dropped only once it is
-  /// the earliest candidate, so settling reads no slot for a lane whose
-  /// head is not due next.
+  /// Leaves the next live event at heap_[0], refilling from the buckets as
+  /// the heap drains, and returns true if it is due at or before `limit`.
+  /// A bucket whose least time is past `limit` is not refilled: that would
+  /// move last_ ahead of the clock, and everything scheduled before it
+  /// would then have to go through the heap.
   bool settle(SimTime limit = std::numeric_limits<SimTime>::max()) {
     skim_stale();
-    for (;;) {
-      const bool lanes = first_lane_ >= 0;
-      const SimTime bound =
-          lanes && lane_front_.time < limit ? lane_front_.time : limit;
-      while (heap_size_ == 0) {  // a refill pushes live entries only
-        if (bucket_mask_ == 0 ||
-            buckets_[std::countr_zero(bucket_mask_)].min > bound) {
-          break;
-        }
-        refill();
+    while (heap_size_ == 0) {  // a refill pushes live entries only
+      if (bucket_mask_ == 0 ||
+          buckets_[std::countr_zero(bucket_mask_)].min > limit) {
+        return false;
       }
-      if (heap_size_ != 0 && (!lanes || entry_less(heap_[0], lane_front_))) {
-        next_lane_ = -1;
-        return heap_[0].time <= limit;
-      }
-      if (!lanes || lane_front_.time > limit) return false;
-      if (!entry_stale(lane_front_)) {
-        next_lane_ = first_lane_;
-        return true;
-      }
-      lane_pop(first_lane_);
+      refill();
     }
+    return heap_[0].time <= limit;
   }
 
   std::size_t queued_entries() const { return heap_size_ + bucketed_; }
 
+  // A queue this small is never compacted: its tombstones are dropped by the
+  // refills that reach them.  A serving run keeps a few dozen live events
+  // and cancels almost every retransmit and call timer; compacting from 64
+  // entries up ran 8.7k compactions per perfbench serve_xfs repetition and
+  // cost ~2.7 % of its speed.  A higher floor buys no more speed there and
+  // costs each engine its arena's growth (4096: +8 % RSS on rpc_lanes).
+  static constexpr std::size_t kCompactFloor = 1024;
+
   void note_stale_entry() {
     // When stale entries outnumber live ones, one O(n) compaction is cheaper
     // than carrying each tombstone to its refill.
-    if (++stale_count_ > queued_entries() / 2 && queued_entries() >= 64) {
+    if (++stale_count_ > queued_entries() / 2 &&
+        queued_entries() >= kCompactFloor) {
       compact();
     }
   }
 
-  void dispatch_next();
+  void dispatch_top();
   void refill();
   void requeue_bucket(int b);
   void grow_blocks();
-  void make_room(int i);
   void compact();
 
   SimTime now_ = 0;
@@ -659,17 +520,6 @@ class Engine {
   Block* blocks_ = nullptr;
   std::uint32_t num_blocks_ = 0;
   std::uint32_t free_block_ = kNoBlock;
-  std::uint64_t compactions_ = 0;
-  // Timeout lanes; bit i of lane_mask_ is set while lane i holds entries.
-  // first_lane_ is the lane with the earliest head (-1 if all are empty)
-  // and lane_front_ a copy of that head, so settling compares the heap top
-  // against one entry.
-  std::array<Lane, kMaxLanes> lanes_;
-  int num_lanes_ = 0;
-  std::uint32_t lane_mask_ = 0;
-  int first_lane_ = -1;
-  HeapEntry lane_front_{};
-  int next_lane_ = -1;  // where settle() found the next event
   // Raw 64-byte-aligned chunk storage, managed manually so an engine whose
   // events have all fired (live_count_ == 0, every slot's closure already
   // destroyed) can be torn down without scanning the slab.

@@ -1,30 +1,51 @@
-// A standard allocator that recycles small blocks through per-thread free
-// lists, for node-based containers on a hot path.
+// Per-thread recycling of small blocks made and freed at message rate.
 //
-// xFS's directory keeps a reader set per block and each client a dirty
-// set; both are `std::unordered_set`s because the order they iterate in
-// picks the peer a read is sent to, the order of invalidations and the
-// order of ownership reports, and the simulated results depend on it.
-// Every insert allocates a node and every fresh set a bucket array, and
-// both are freed again within a few requests.  With `PoolAllocator` the
-// containers keep their exact algorithm (and so their iteration order),
-// while their nodes and small bucket arrays come from a free list per
-// 16-byte size class: a warm request path allocates nothing.
+// `SmallBlocks` keeps one free list per 16-byte size class and thread.
+// Two kinds of objects draw from it:
 //
-// Blocks up to kMaxPooledBytes are pooled, at most kMaxCached per size
-// class and thread; larger ones (the bucket array of a set with more than
-// about a hundred entries) go straight to operator new.  Whatever a list
-// holds at thread exit is freed then.  As with sim::Pooled,
-// AddressSanitizer builds bypass the pool (sim::kPoolObjects).
+//   * `Pooled<T>` gives `T` a class-level operator new/delete over its size
+//     class.  Every AM data frame, ack and send-window entry lives for one
+//     round trip of the wire, and a served file request makes a dozen of
+//     them; handing each back to malloc costs more than the simulation work
+//     it carries.  Usage: `struct Frame : Base, sim::Pooled<Frame> { ... };`
+//     and create objects with plain `new` (or make_unique).  Deleting
+//     through a base pointer reaches the pool as long as the base
+//     destructor is virtual.
+//   * `PoolAllocator<T>` is a standard allocator over the same lists, for
+//     node-based containers.  xFS's directory keeps a reader set per block
+//     and each client a dirty set; both are `std::unordered_set`s because
+//     the order they iterate in picks the peer a read is sent to, the order
+//     of invalidations and the order of ownership reports, and the
+//     simulated results depend on it.  With `PoolAllocator` the containers
+//     keep their exact algorithm (and so their iteration order), while
+//     their nodes and small bucket arrays come from the free lists.
+//
+// Either way a warm request path allocates nothing.  Blocks up to
+// kMaxPooledBytes are pooled, at most kMaxCached per size class and
+// thread; larger ones (the bucket array of a set with more than about a
+// hundred entries) go straight to operator new.  The lists are per thread,
+// so no locking: a block freed on another thread than the one that made it
+// (a cross-lane message) joins that thread's list.  Whatever a list holds
+// at thread exit is freed then.
+//
+// AddressSanitizer builds bypass the pool: every block goes straight to
+// operator new/delete, so a frame used after it was freed is still caught.
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstddef>
 #include <new>
 
-#include "sim/pooled.hpp"
-
 namespace now::sim {
+
+/// False in AddressSanitizer builds, where SmallBlocks passes every block
+/// straight to operator new/delete.
+#ifdef __SANITIZE_ADDRESS__
+inline constexpr bool kPoolObjects = false;
+#else
+inline constexpr bool kPoolObjects = true;
+#endif
 
 class SmallBlocks {
  public:
@@ -56,6 +77,12 @@ class SmallBlocks {
       }
     }
     ::operator delete(p);
+  }
+
+  /// Blocks of `bytes`' size class this thread holds for reuse (always 0
+  /// when the pool is bypassed), at most kMaxCached.
+  static std::size_t cached(std::size_t bytes) {
+    return bytes <= kMaxPooledBytes ? lists().of[class_of(bytes)].size : 0;
   }
 
  private:
@@ -113,6 +140,21 @@ class PoolAllocator {
 
   friend bool operator==(const PoolAllocator&, const PoolAllocator&) {
     return true;
+  }
+};
+
+template <typename T>
+class Pooled {
+ public:
+  static void* operator new(std::size_t bytes) {
+    static_assert(sizeof(T) <= SmallBlocks::kMaxPooledBytes);
+    static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+    assert(bytes == sizeof(T) && "Pooled<T> is for T itself, not subclasses");
+    return SmallBlocks::allocate(bytes);
+  }
+
+  static void operator delete(void* p) noexcept {
+    if (p != nullptr) SmallBlocks::deallocate(p, sizeof(T));
   }
 };
 

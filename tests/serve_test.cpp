@@ -112,72 +112,6 @@ TEST(ClientPopulation, OpenFractionSplitsThePopulation) {
   EXPECT_TRUE(pop.arrivals(7).empty()) << "closed clients have no schedule";
 }
 
-// ---------------------------------------------------------------------------
-// Streaming arrivals: lazy == materialized, merge order, bounded state
-
-// The tentpole invariant: collecting every open client's lazy stream
-// through the k-way merge yields exactly the per-client materialized
-// schedules, interleaved in (time, client) order — for a mixed
-// open/closed population under a diurnal curve.  If this drifts, the
-// streaming path has silently reseeded the serving experiments.
-TEST(MergedArrivals, MatchesMaterializedSchedules) {
-  serve::PopulationParams p;
-  p.clients = 8;
-  p.open_fraction = 0.5;  // clients 0..3 open, 4..7 closed
-  p.offered_per_sec = 120.0;
-  p.horizon = 3 * sim::kSecond;
-  p.diurnal.amplitude = 0.7;
-  p.diurnal.period = 2 * sim::kSecond;
-  serve::ClientPopulation pop(p, 91);
-
-  std::vector<serve::Arrival> expected;
-  for (std::uint32_t c = 0; c < pop.clients(); ++c) {
-    for (const sim::SimTime t : pop.arrivals(c)) expected.push_back({t, c});
-  }
-  std::stable_sort(expected.begin(), expected.end(),
-                   [](const serve::Arrival& a, const serve::Arrival& b) {
-                     return a.time != b.time ? a.time < b.time
-                                             : a.client < b.client;
-                   });
-  ASSERT_GT(expected.size(), 100u);
-
-  serve::MergedArrivals merged(pop);
-  EXPECT_EQ(merged.streams(), pop.open_clients());
-  std::vector<serve::Arrival> got;
-  while (const auto a = merged.next()) got.push_back(*a);
-  EXPECT_EQ(merged.streams(), 0u);
-  EXPECT_EQ(got, expected);
-}
-
-TEST(MergedArrivals, MatchesMaterializedSchedulesUnderChurn) {
-  serve::PopulationParams p;
-  p.clients = 6;
-  p.open_fraction = 1.0;
-  p.offered_per_sec = 90.0;
-  p.horizon = 4 * sim::kSecond;
-  p.diurnal.amplitude = 0.5;
-  p.diurnal.period = 2 * sim::kSecond;
-  p.sessions.mean_on = 500 * sim::kMillisecond;
-  p.sessions.mean_off = 300 * sim::kMillisecond;
-  serve::ClientPopulation pop(p, 37);
-
-  std::vector<serve::Arrival> expected;
-  for (std::uint32_t c = 0; c < pop.clients(); ++c) {
-    for (const sim::SimTime t : pop.arrivals(c)) expected.push_back({t, c});
-  }
-  std::stable_sort(expected.begin(), expected.end(),
-                   [](const serve::Arrival& a, const serve::Arrival& b) {
-                     return a.time != b.time ? a.time < b.time
-                                             : a.client < b.client;
-                   });
-  ASSERT_GT(expected.size(), 30u);
-
-  serve::MergedArrivals merged(pop);
-  std::vector<serve::Arrival> got;
-  while (const auto a = merged.next()) got.push_back(*a);
-  EXPECT_EQ(got, expected);
-}
-
 // Enabling churn draws its session timeline from a *separate* RNG stream,
 // so it may only remove arrivals — every surviving timestamp must appear,
 // unmoved, in the churn-free schedule.
@@ -246,35 +180,6 @@ TEST(SessionTimeline, IntervalsAreOrderedDisjointAndReplayable) {
       }
     }
   }
-}
-
-// 2048 streaming clients at building rates: the merge must hold its
-// bounded O(clients) state (streams() never exceeds the population) and
-// deliver a sane Poisson count in order.  This is the smoke test that the
-// schedule is never materialized — at this rate a vector-of-vectors path
-// would hold every arrival at once.
-TEST(MergedArrivals, TwoThousandClientStreamStaysBounded) {
-  serve::PopulationParams p;
-  p.clients = 2048;
-  p.offered_per_sec = 20'000.0;
-  p.horizon = 2 * sim::kSecond;
-  serve::ClientPopulation pop(p, 77);
-  serve::MergedArrivals merged(pop);
-  EXPECT_EQ(merged.streams(), 2048u);
-
-  std::uint64_t n = 0;
-  sim::SimTime prev = 0;
-  while (const auto a = merged.next()) {
-    EXPECT_GE(a->time, prev);
-    EXPECT_LT(a->time, p.horizon);
-    EXPECT_LT(a->client, 2048u);
-    EXPECT_LE(merged.streams(), 2048u);
-    prev = a->time;
-    ++n;
-  }
-  // 20k/s over 2 s => ~40k arrivals.
-  EXPECT_GT(n, 38'000u);
-  EXPECT_LT(n, 42'000u);
 }
 
 // ---------------------------------------------------------------------------

@@ -563,182 +563,6 @@ TEST(Engine, MatchesOrderedSetReferenceOnRandomOperations) {
   EXPECT_GT(oracle.dispatches(), 300'000u);
 }
 
-// Differential test for the timeout lanes: one seeded random script runs
-// twice, once sending every timeout through schedule_timeout() (and its
-// reschedules through reschedule_timeout()), once through schedule_in()
-// and reschedule_in().  The lanes must not move a single dispatch: the two
-// runs must log the same events at the same times and see the same return
-// values.  The script works on a 10 ns grid with three timeout delays, so
-// lane entries tie with each other and with queued events at one instant;
-// queued events carry priorities -2..3; cancels hit the oldest, a middle
-// and the newest pending timer; and the driver mixes step(), peek_next(),
-// run_while_before() and run_until() with deadlines on and around the
-// next event's time.  The script's own choices come from an RNG that the
-// events draw from as they fire, so a single reordered dispatch changes
-// everything after it.
-class TimeoutScript {
- public:
-  TimeoutScript(bool lanes, std::uint64_t seed)
-      : lanes_(lanes), rng_(seed), driver_(seed ^ 0x5eed) {}
-
-  std::vector<std::int64_t> run(int rounds) {
-    for (int i = 0; i < 24; ++i) act();
-    for (int r = 0; r < rounds; ++r) {
-      if (eng_.pending() < 8) {
-        for (int i = 0; i < 6; ++i) act();
-      }
-      SimTime next = 0;
-      const bool has_next = eng_.peek_next(&next);
-      log(has_next ? next : -1);
-      switch (driver_.next_below(5)) {
-        case 0:
-          log(eng_.step());
-          break;
-        case 1:
-          log(static_cast<std::int64_t>(
-              eng_.run_while_before(eng_.now() + grid(1 + driver_.next_below(
-                                                      30)))));
-          break;
-        case 2: {
-          // A deadline on, just before or just after the next event.
-          const SimTime base = has_next ? next : eng_.now();
-          const SimTime at = base - 1 + driver_.next_below(3);
-          log(static_cast<std::int64_t>(
-              eng_.run_until(at < eng_.now() ? eng_.now() : at)));
-          break;
-        }
-        case 3:
-          log(static_cast<std::int64_t>(
-              eng_.run_until(eng_.now() + grid(driver_.next_below(60)))));
-          break;
-        default:
-          act();
-          break;
-      }
-      log(eng_.now());
-      log(static_cast<std::int64_t>(eng_.pending()));
-    }
-    log(static_cast<std::int64_t>(eng_.run()));
-    log(eng_.now());
-    return log_;
-  }
-
- private:
-  static constexpr Duration kDelays[] = {100, 250, 400};
-
-  static Duration grid(std::uint32_t n) { return 10 * static_cast<Duration>(n); }
-
-  void log(std::int64_t v) { log_.push_back(v); }
-
-  Duration pick_delay() { return kDelays[rng_.next_below(3)]; }
-
-  // One random scheduling action, from the driver or from a firing event.
-  void act() {
-    switch (rng_.next_below(8)) {
-      case 0:
-      case 1:
-      case 2:
-        arm(pick_delay());
-        break;
-      case 3: {
-        // A plain event, often on a timeout's delay so it ties with one.
-        const int priority = static_cast<int>(rng_.next_below(6)) - 2;
-        const Duration d = rng_.next_below(2) == 0
-                               ? pick_delay()
-                               : grid(rng_.next_below(45));
-        const std::int64_t tag = next_tag_++;
-        eng_.schedule_in(d, [this, tag] { fired(tag); }, priority);
-        break;
-      }
-      case 4:
-      case 5: {
-        if (timers_.empty()) break;
-        // Cancel the oldest, a middle or the newest pending timer.
-        const std::uint32_t which = rng_.next_below(3);
-        const std::size_t i = which == 0   ? 0
-                              : which == 1 ? timers_.size() / 2
-                                           : timers_.size() - 1;
-        log(eng_.cancel(timers_[i].id));
-        timers_.erase(timers_.begin() + static_cast<std::ptrdiff_t>(i));
-        break;
-      }
-      case 6: {
-        if (timers_.empty()) break;
-        // Restart a timer's clock, as a partial ack does.
-        Timer& t = timers_[rng_.next_below(
-            static_cast<std::uint32_t>(timers_.size()))];
-        const Duration d = pick_delay();
-        t.id = lanes_ ? eng_.reschedule_timeout(t.id, d)
-                      : eng_.reschedule_in(t.id, d);
-        log(t.id != 0);
-        break;
-      }
-      default:
-        break;
-    }
-  }
-
-  void arm(Duration d) {
-    const std::int64_t tag = next_tag_++;
-    auto fn = [this, tag] {
-      std::erase_if(timers_, [tag](const Timer& t) { return t.tag == tag; });
-      fired(tag);
-    };
-    const EventId id =
-        lanes_ ? eng_.schedule_timeout(d, fn) : eng_.schedule_in(d, fn);
-    timers_.push_back({id, tag});
-  }
-
-  void fired(std::int64_t tag) {
-    log(tag);
-    log(eng_.now());
-    const std::uint32_t n = rng_.next_below(3);
-    for (std::uint32_t i = 0; i < n; ++i) act();
-  }
-
-  struct Timer {
-    EventId id;
-    std::int64_t tag;
-  };
-
-  bool lanes_;
-  Engine eng_;
-  Pcg32 rng_;
-  Pcg32 driver_;
-  std::int64_t next_tag_ = 1;
-  std::vector<Timer> timers_;
-  std::vector<std::int64_t> log_;
-};
-
-TEST(Engine, TimeoutLanesDispatchLikeTheQueue) {
-  for (const std::uint64_t seed : {1u, 2u, 3u, 2026u}) {
-    const auto queued = TimeoutScript(false, seed).run(20'000);
-    const auto laned = TimeoutScript(true, seed).run(20'000);
-    ASSERT_GT(queued.size(), 100'000u) << "seed " << seed;
-    EXPECT_EQ(laned, queued) << "seed " << seed;
-  }
-}
-
-// Cancelled lane timers are tombstones in their lane, not in the radix
-// queue: ten thousand of them trigger no compaction, where the same
-// timers scheduled through the queue do.
-TEST(Engine, CancelledLaneTimersNeverCompactTheQueue) {
-  const auto churn = [](bool lanes) {
-    Engine eng;
-    for (int i = 0; i < 100; ++i) eng.schedule_in(1_s + i, [] {});
-    for (int i = 0; i < 10'000; ++i) {
-      const EventId id = lanes ? eng.schedule_timeout(100_ms, [] {})
-                               : eng.schedule_in(100_ms, [] {});
-      EXPECT_TRUE(eng.cancel(id));
-    }
-    EXPECT_EQ(eng.pending(), 100u);
-    EXPECT_EQ(eng.run(), 100u);
-    return eng.compactions();
-  };
-  EXPECT_EQ(churn(true), 0u);
-  EXPECT_GT(churn(false), 0u);
-}
-
 TEST(Time, ConversionRoundTrip) {
   EXPECT_EQ(from_us(1.0), kMicrosecond);
   EXPECT_EQ(from_ms(1.0), kMillisecond);
