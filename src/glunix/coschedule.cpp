@@ -9,22 +9,7 @@ std::size_t Coscheduler::add_gang(Gang gang) {
   // New gangs start suspended; their slot will resume them.
   for (const Member& m : gang) m.cpu->suspend(m.pid);
   gangs_.push_back(std::move(gang));
-  live_.push_back(true);
   return gangs_.size() - 1;
-}
-
-void Coscheduler::remove_gang(std::size_t index) {
-  assert(index < gangs_.size());
-  live_[index] = false;
-  gangs_[index].clear();
-}
-
-std::size_t Coscheduler::gang_count() const {
-  std::size_t n = 0;
-  for (const bool l : live_) {
-    if (l) ++n;
-  }
-  return n;
 }
 
 void Coscheduler::apply(const Gang& gang, bool run) {
@@ -58,32 +43,18 @@ void Coscheduler::stop() {
     timer_ = 0;
   }
   // Let everything run freely again.
-  for (std::size_t g = 0; g < gangs_.size(); ++g) {
-    if (live_[g]) apply(gangs_[g], /*run=*/true);
-  }
+  for (const Gang& g : gangs_) apply(g, /*run=*/true);
 }
 
 void Coscheduler::tick() {
   timer_ = 0;
   if (!running_) return;
 
-  // Suspend the gang whose slot just ended.
-  if (current_ < gangs_.size() && live_[current_]) {
-    apply(gangs_[current_], /*run=*/false);
-  }
-
-  // Advance to the next live gang (if any).
+  // Suspend the gang whose slot just ended and resume the next one.
   if (!gangs_.empty()) {
-    std::size_t probe = (current_ + 1) % gangs_.size();
-    for (std::size_t i = 0; i < gangs_.size(); ++i) {
-      if (live_[probe]) break;
-      probe = (probe + 1) % gangs_.size();
-    }
-    current_ = probe;
-    if (live_[current_]) {
-      apply(gangs_[current_], /*run=*/true);
-      ++slots_run_;
-    }
+    apply(gangs_[current_], /*run=*/false);
+    current_ = (current_ + 1) % gangs_.size();
+    apply(gangs_[current_], /*run=*/true);
   }
   timer_ = engine_.schedule_in(slot_, [this] { tick(); });
 }

@@ -41,15 +41,9 @@ class Coscheduler {
   /// Returns the gang's index.
   std::size_t add_gang(Gang gang);
 
-  /// Removes a finished gang (its processes are left alone).
-  void remove_gang(std::size_t index);
-
   /// Starts rotating.  Gangs added later join the rotation.
   void start();
   void stop();
-
-  std::size_t gang_count() const;
-  std::size_t slots_run() const { return slots_run_; }
 
  private:
   void tick();
@@ -59,12 +53,10 @@ class Coscheduler {
   sim::Duration slot_;
   sim::Duration skew_;
   sim::Pcg32 rng_;
-  std::vector<Gang> gangs_;          // empty slot = removed
-  std::vector<bool> live_;
+  std::vector<Gang> gangs_;
   std::size_t current_ = 0;
   bool running_ = false;
   sim::EventId timer_ = 0;
-  std::size_t slots_run_ = 0;
 };
 
 }  // namespace now::glunix

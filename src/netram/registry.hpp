@@ -57,7 +57,6 @@ class IdleMemoryRegistry {
 
   /// Total bytes currently donable across all donors.
   std::uint64_t pool_bytes() const;
-  std::size_t donor_count() const { return donors_.size(); }
   const RegistryStats& stats() const { return stats_; }
 
  private:

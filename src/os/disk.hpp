@@ -71,8 +71,6 @@ class Disk {
   std::size_t queue_depth() const { return queue_.size() + (busy_ ? 1 : 0); }
   /// Service-time distribution (queueing excluded), microseconds.
   const sim::Summary& service_time_us() const { return service_us_; }
-  /// Response-time distribution (queueing included), microseconds.
-  const sim::Summary& response_time_us() const { return response_us_; }
 
   /// Pure service time for an access, without queueing: what Table 2 calls
   /// the "disk" component.

@@ -50,9 +50,8 @@ class Node {
 
   // --- Interactive console -------------------------------------------------
   /// Records keyboard/mouse activity at the current time.  GLUnix's idle
-  /// detector (the "one minute" rule) reads last_activity().
+  /// detector (the "one minute" rule) asks user_idle_for().
   void user_activity() { last_activity_ = engine_.now(); }
-  sim::SimTime last_activity() const { return last_activity_; }
   /// True if no console input for at least `window`.
   bool user_idle_for(sim::Duration window) const {
     return engine_.now() - last_activity_ >= window;

@@ -6,9 +6,10 @@
 // frame, so sending a message costs no allocation beyond the frame, and a
 // mismatch between sender and receiver is a `std::get` that names the type.
 //
-// One alternative stays open: `std::any`, for user-level payloads (PVM,
-// TCP and AM-socket data) and the opaque values that tests, benchmarks and
-// examples echo.  Any type not listed converts to it implicitly.
+// One alternative stays open: `std::any`, for the opaque values that
+// tests, benchmarks and examples echo through the RPC adapters
+// (proto::opaque).  Any type not listed converts to it implicitly.  PVM,
+// TCP and AM-socket data are not in it: each has its own payload field.
 //
 // Adding a message: define a plain struct below under its service's
 // heading, add it to `Body`, and read it on arrival with

@@ -71,7 +71,6 @@ class NicMux {
   }
   net::Network& network() { return network_; }
   sim::Engine& engine() { return network_.engine(); }
-  std::size_t node_count() const { return nodes_.size(); }
 
  private:
   void on_delivery(net::Packet&& pkt);

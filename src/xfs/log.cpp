@@ -109,15 +109,6 @@ bool LogStore::on_tape(BlockId b) const {
   return segments_[it->second.segment].on_tape;
 }
 
-std::vector<SegmentId> LogStore::archivable_segments() const {
-  std::vector<SegmentId> v;
-  for (SegmentId s = 0; s < segments_.size(); ++s) {
-    const Segment& seg = segments_[s];
-    if (!seg.free && !seg.on_tape && seg.live_count > 0) v.push_back(s);
-  }
-  return v;
-}
-
 void LogStore::archive_segment(net::NodeId driver, SegmentId s, Done done) {
   assert(tape_ != nullptr && "archive without a tape tier");
   assert(s < segments_.size());

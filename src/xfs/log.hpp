@@ -68,7 +68,6 @@ class LogStore {
   void clean(net::NodeId driver, double threshold,
              std::function<void(std::uint32_t)> done);
 
-  std::size_t segment_count() const { return segments_.size(); }
   const LogStats& stats() const { return stats_; }
 
   // --- Tape tier ------------------------------------------------------
@@ -79,9 +78,6 @@ class LogStore {
   /// driven by `driver`: its data is read off the RAID, streamed to tape,
   /// and the RAID space is freed.  Reads of its blocks then pay the tape.
   void archive_segment(net::NodeId driver, SegmentId s, Done done);
-
-  /// Segments eligible for archival: on the RAID with any live data.
-  std::vector<SegmentId> archivable_segments() const;
 
   bool archived(SegmentId s) const {
     return s < segments_.size() && segments_[s].on_tape;

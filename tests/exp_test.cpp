@@ -1,5 +1,6 @@
-// Tests for now::exp — seed derivation, the work-stealing pool, the
-// sweep runner, and per-run isolation of process-wide state.
+// Tests for now::exp — seed derivation, the sweep runner (its threads,
+// ordering and exception contract), and per-run isolation of
+// process-wide state.
 #include <atomic>
 #include <cstdint>
 #include <numeric>
@@ -11,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "exp/pool.hpp"
 #include "exp/run_context.hpp"
 #include "exp/runner.hpp"
 #include "exp/seed.hpp"
@@ -62,82 +62,6 @@ TEST(DeriveSeed, NeverZero) {
       EXPECT_NE(exp::derive_seed(base, i), 0u);
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// WorkStealingPool
-
-TEST(Pool, EffectiveJobs) {
-  EXPECT_GE(exp::effective_jobs(0), 1u);  // 0 = hardware concurrency
-  EXPECT_EQ(exp::effective_jobs(1), 1u);
-  EXPECT_EQ(exp::effective_jobs(7), 7u);
-}
-
-TEST(Pool, ConstructDestructWithoutWork) {
-  for (int i = 0; i < 8; ++i) {
-    exp::WorkStealingPool pool(4);
-    EXPECT_EQ(pool.threads(), 4u);
-  }  // destructor must join cleanly with no batch ever submitted
-}
-
-TEST(Pool, RunsEveryIndexExactlyOnce) {
-  exp::WorkStealingPool pool(4);
-  constexpr std::size_t kN = 10'000;  // tiny tasks stress dispatch
-  std::vector<std::atomic<int>> hits(kN);
-  pool.for_each_index(kN, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(Pool, ReusableAcrossBatches) {
-  exp::WorkStealingPool pool(3);
-  for (int round = 0; round < 20; ++round) {
-    std::atomic<std::size_t> sum{0};
-    pool.for_each_index(100, [&](std::size_t i) { sum.fetch_add(i); });
-    EXPECT_EQ(sum.load(), 100u * 99u / 2u);
-  }
-}
-
-TEST(Pool, ZeroAndSingleTaskBatches) {
-  exp::WorkStealingPool pool(4);
-  std::atomic<int> calls{0};
-  pool.for_each_index(0, [&](std::size_t) { calls.fetch_add(1); });
-  EXPECT_EQ(calls.load(), 0);
-  pool.for_each_index(1, [&](std::size_t i) {
-    EXPECT_EQ(i, 0u);
-    calls.fetch_add(1);
-  });
-  EXPECT_EQ(calls.load(), 1);
-}
-
-TEST(Pool, RethrowsLowestFailingIndex) {
-  exp::WorkStealingPool pool(4);
-  // Several indices throw; the batch drains and the *lowest* failing
-  // index's exception surfaces — deterministic under any interleaving.
-  std::atomic<int> ran{0};
-  try {
-    pool.for_each_index(64, [&](std::size_t i) {
-      ran.fetch_add(1);
-      if (i == 7 || i == 13 || i == 50) {
-        throw std::runtime_error("task " + std::to_string(i));
-      }
-    });
-    FAIL() << "expected an exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "task 7");
-  }
-  EXPECT_EQ(ran.load(), 64);  // a failure does not cancel the batch
-}
-
-TEST(Pool, UsableAfterAFailedBatch) {
-  exp::WorkStealingPool pool(2);
-  EXPECT_THROW(pool.for_each_index(
-                   4, [](std::size_t) { throw std::logic_error("boom"); }),
-               std::logic_error);
-  std::atomic<int> ok{0};
-  pool.for_each_index(4, [&](std::size_t) { ok.fetch_add(1); });
-  EXPECT_EQ(ok.load(), 4);
 }
 
 // ---------------------------------------------------------------------------
@@ -206,16 +130,104 @@ TEST(RunSweep, WallTimesRecordedPerTask) {
   for (std::size_t i = 0; i < r.size(); ++i) EXPECT_EQ(r[i], i);
 }
 
+TEST(RunSweep, EffectiveJobs) {
+  EXPECT_GE(exp::effective_jobs(0), 1u);  // 0 = hardware concurrency
+  EXPECT_EQ(exp::effective_jobs(1), 1u);
+  EXPECT_EQ(exp::effective_jobs(7), 7u);
+}
+
+// ---------------------------------------------------------------------------
+// The sweep's pool of worker threads: at jobs > 1 they share one counter
+
+// Runs an n-point sweep at jobs = 4 and checks that each index ran once and
+// that its result landed at its own index.
+void expect_every_index_once(std::size_t n) {
+  std::vector<std::atomic<int>> hits(n);
+  const auto r = exp::run_sweep(
+      n,
+      [&](exp::RunContext& ctx) {
+        hits[ctx.task_index].fetch_add(1);
+        return ctx.task_index;
+      },
+      {.jobs = 4});
+  ASSERT_EQ(r.size(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "n " << n << ", index " << i;
+    ASSERT_EQ(r[i], i);
+  }
+}
+
+// Fewer points than threads, and more points than threads (tiny tasks
+// stress the shared counter).
+TEST(Pool, RunsEveryIndexExactlyOnce) {
+  expect_every_index_once(3);
+  expect_every_index_once(2000);
+}
+
+// An empty sweep and a single point, at jobs > 1.
+TEST(Pool, ZeroAndSingleTaskBatches) {
+  expect_every_index_once(0);
+  expect_every_index_once(1);
+}
+
+// Indices 3..7 all throw; the caller sees index 3's exception under any
+// interleaving of the threads.
 TEST(RunSweep, ExceptionFromLowestIndexPropagates) {
+  try {
+    exp::run_sweep(8,
+                   [](exp::RunContext& ctx) -> int {
+                     if (ctx.task_index >= 3) {
+                       throw std::runtime_error(
+                           "task " + std::to_string(ctx.task_index));
+                     }
+                     return 0;
+                   },
+                   {.jobs = 4});
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "task 3");
+  }
+}
+
+// At jobs > 1 a failure does not cancel the sweep: every task still runs,
+// then the lowest failing index's exception surfaces.  More tasks fail
+// than there are threads, so a thread that quit on its first failure
+// would leave tasks unrun.
+TEST(RunSweep, FailureDoesNotCancelOtherTasks) {
+  std::atomic<int> ran{0};
+  try {
+    exp::run_sweep(64,
+                   [&](exp::RunContext& ctx) -> int {
+                     ran.fetch_add(1);
+                     const std::size_t i = ctx.task_index;
+                     if (i % 5 == 2) {
+                       throw std::runtime_error("task " + std::to_string(i));
+                     }
+                     return 0;
+                   },
+                   {.jobs = 4});
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "task 2");
+  }
+  EXPECT_EQ(ran.load(), 64);
+}
+
+// At jobs = 1 the sweep is the plain serial loop: it stops at the first
+// failure.
+TEST(RunSweep, SerialSweepStopsAtFirstFailure) {
+  int ran = 0;
   EXPECT_THROW(exp::run_sweep(8,
-                              [](exp::RunContext& ctx) -> int {
-                                if (ctx.task_index >= 3) {
-                                  throw std::runtime_error("sim blew up");
+                              [&](exp::RunContext& ctx) -> int {
+                                ++ran;
+                                if (ctx.task_index == 2) {
+                                  throw std::logic_error("boom");
                                 }
                                 return 0;
                               },
-                              {.jobs = 4}),
-               std::runtime_error);
+                              {.jobs = 1}),
+               std::logic_error);
+  EXPECT_EQ(ran, 3);
 }
 
 // ---------------------------------------------------------------------------
