@@ -17,8 +17,9 @@
 //                    (busy_ms / wall_ms) as a JsonReport-shaped file.
 //   --seed S         base seed for exp::derive_seed (default 1).
 //
-// A numeric flag whose value does not parse (see numeric_flag) exits with
-// status 2 and names the flag, instead of running a default.
+// A value flag given as the last argument (see flag_value), or a numeric
+// flag whose value does not parse (see numeric_flag), exits with status 2
+// and names the flag, instead of running a default.
 #pragma once
 
 #include <charconv>
@@ -94,6 +95,22 @@ inline void append_json_number(std::string& out, double v) {
 }
 }  // namespace detail
 
+/// The argument after flag `flag` (`--flag V`; the first occurrence wins),
+/// or nullptr when the flag is absent.  A flag given as the last argument
+/// has no value: that prints the flag to stderr and exits with status 2,
+/// so `--json` at the end of a command line never runs without its report.
+inline const char* flag_value(int argc, char** argv, const char* flag) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], flag) != 0) continue;
+    if (i + 1 == argc) {
+      std::fprintf(stderr, "error: %s expects a value\n", flag);
+      std::exit(2);
+    }
+    return argv[i + 1];
+  }
+  return nullptr;
+}
+
 /// Machine-readable bench results, in the shape of BENCH_engine.json:
 /// {"benchmark", "units", "machine", "method", "results": {name: {field:
 /// value}}, "notes": [...]}.  Construct it from main's argv: it activates
@@ -105,9 +122,7 @@ class JsonReport {
   JsonReport(int argc, char** argv, std::string benchmark,
              std::string units)
       : benchmark_(std::move(benchmark)), units_(std::move(units)) {
-    for (int i = 1; i + 1 < argc; ++i) {
-      if (std::string(argv[i]) == "--json") path_ = argv[i + 1];
-    }
+    if (const char* p = flag_value(argc, argv, "--json")) path_ = p;
     default_machine();
   }
 
@@ -218,20 +233,16 @@ class JsonReport {
 /// exits with status 2, so a typo never silently runs the default.
 template <typename T>
 T numeric_flag(int argc, char** argv, const char* flag, T fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) != 0) continue;
-    const char* v = argv[i + 1];
-    const char* end = v + std::strlen(v);
-    T out{};
-    const auto [stop, ec] = std::from_chars(v, end, out);
-    if (v == end || ec != std::errc{} || stop != end) {
-      std::fprintf(stderr, "error: %s expects a number, got '%s'\n", flag,
-                   v);
-      std::exit(2);
-    }
-    return out;
+  const char* v = flag_value(argc, argv, flag);
+  if (v == nullptr) return fallback;
+  const char* end = v + std::strlen(v);
+  T out{};
+  const auto [stop, ec] = std::from_chars(v, end, out);
+  if (v == end || ec != std::errc{} || stop != end) {
+    std::fprintf(stderr, "error: %s expects a number, got '%s'\n", flag, v);
+    std::exit(2);
   }
-  return fallback;
+  return out;
 }
 
 /// `--jobs N` (0 = hardware concurrency), or 0 when absent.
@@ -254,10 +265,8 @@ inline std::uint32_t parse_nodes(int argc, char** argv) {
 /// bench_xfs_vs_central, bench_serving); each prints its replay section
 /// only when the flag is given, so default stdout is unchanged.
 inline std::string parse_trace(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0) return argv[i + 1];
-  }
-  return {};
+  const char* v = flag_value(argc, argv, "--trace");
+  return v != nullptr ? v : std::string();
 }
 
 /// `--trace-scale S` (default 1): recorded timestamps are divided by S, so
@@ -287,7 +296,7 @@ inline std::vector<std::uint32_t> cap_axis(std::vector<std::uint32_t> sizes,
 /// --jobs / --sweep-json / --seed flags.
 ///
 /// Each run() call hands every point a fresh exp::RunContext (derived
-/// seed, private metrics/tracer/log) and returns the results in point
+/// seed, private metrics and tracer) and returns the results in point
 /// order; the bench then formats its rows from them on the main thread,
 /// which is what keeps stdout byte-identical across --jobs values.  Sweep
 /// itself never prints.  Wall-clock per point and the aggregate speedup
@@ -298,9 +307,7 @@ class Sweep {
   Sweep(int argc, char** argv, std::string benchmark)
       : benchmark_(std::move(benchmark)), jobs_(parse_jobs(argc, argv)),
         base_seed_(numeric_flag<std::uint64_t>(argc, argv, "--seed", 1)) {
-    for (int i = 1; i + 1 < argc; ++i) {
-      if (std::strcmp(argv[i], "--sweep-json") == 0) path_ = argv[i + 1];
-    }
+    if (const char* p = flag_value(argc, argv, "--sweep-json")) path_ = p;
   }
   ~Sweep() { write(); }
   Sweep(const Sweep&) = delete;

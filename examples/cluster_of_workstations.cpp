@@ -45,13 +45,21 @@ int main() {
   sim::Pcg32 rng(11, 0x6e6f7764);
   int submitted = 0;
   int completed = 0;
+  bool last_report = false;
+  // Once every job is done and the hour-4 report has printed, nothing left
+  // can change the summary: stop rather than idle to the deadline.
+  const auto stop_when_done = [&c, &submitted, &completed, &last_report] {
+    if (last_report && completed == submitted) c.engine().stop();
+  };
   for (sim::SimTime t = 30 * sim::kSecond; t < up.duration;
        t += sim::from_sec(rng.uniform(120, 360))) {
     const auto work = sim::from_sec(rng.uniform(60, 600));
-    c.engine().schedule_at(t, [&c, &completed, work] {
-      c.glunix().run_remote(work, 32ull << 20, [&completed](net::NodeId) {
-        ++completed;
-      });
+    c.engine().schedule_at(t, [&c, &completed, &stop_when_done, work] {
+      c.glunix().run_remote(work, 32ull << 20,
+                            [&completed, &stop_when_done](net::NodeId) {
+                              ++completed;
+                              stop_when_done();
+                            });
     });
     ++submitted;
   }
@@ -65,12 +73,14 @@ int main() {
 
   // Hourly progress reports.
   for (int h = 1; h <= 4; ++h) {
-    c.engine().schedule_at(h * sim::kHour, [&c, &completed, h] {
+    c.engine().schedule_at(h * sim::kHour, [&, h] {
       const auto& s = c.glunix().stats();
       std::printf("[hour %d] idle machines: %2zu   jobs done: %3d   "
                   "migrations so far: %llu\n",
                   h, c.glunix().idle_node_count(), completed,
                   static_cast<unsigned long long>(s.migrations));
+      last_report = h == 4;
+      stop_when_done();
     });
   }
 

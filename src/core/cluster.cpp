@@ -74,18 +74,15 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
       pc.threads = config_.threads;
       pc.nodes = config_.workstations;
       pc.lookahead = lookahead;
-      // Workers must resolve obs::metrics()/obs::tracer()/NOW_LOG to the
-      // same instances as the constructing thread (which may be inside a
-      // sweep's ScopedRunContext), so capture the ambient bindings now and
-      // install them on every lane.
+      // Workers must resolve obs::metrics()/obs::tracer() to the same
+      // instances as the constructing thread (which may be inside a sweep's
+      // ScopedRunContext), so capture the ambient bindings now and install
+      // them on every lane.
       obs::MetricsRegistry* m = &obs::metrics();
       obs::Tracer* tr = &obs::tracer();
-      sim::LogConfig* lg =
-          config_.run != nullptr ? &config_.run->log : nullptr;
-      pc.worker_init = [m, tr, lg] {
+      pc.worker_init = [m, tr] {
         obs::set_thread_metrics(m);
         obs::set_thread_tracer(tr);
-        if (lg != nullptr) sim::set_thread_log_config(lg);
       };
       pe_ = std::make_unique<sim::ParallelEngine>(engine_, pc);
     }

@@ -9,13 +9,11 @@ thread_local RunContext* t_current = nullptr;
 ScopedRunContext::ScopedRunContext(RunContext& ctx)
     : prev_ctx_(t_current),
       prev_metrics_(obs::set_thread_metrics(&ctx.metrics)),
-      prev_tracer_(obs::set_thread_tracer(&ctx.tracer)),
-      prev_log_(sim::set_thread_log_config(&ctx.log)) {
+      prev_tracer_(obs::set_thread_tracer(&ctx.tracer)) {
   t_current = &ctx;
 }
 
 ScopedRunContext::~ScopedRunContext() {
-  sim::set_thread_log_config(prev_log_);
   obs::set_thread_tracer(prev_tracer_);
   obs::set_thread_metrics(prev_metrics_);
   t_current = prev_ctx_;

@@ -1,16 +1,15 @@
 // Per-run isolation context for parallel experiments.
 //
 // A RunContext owns everything that used to be process-wide mutable state:
-// the metrics registry, the tracer, and the log configuration — plus the
-// task's derived seed.  ScopedRunContext installs those on the calling
-// thread (obs::set_thread_metrics / obs::set_thread_tracer /
-// sim::set_thread_log_config), so all the instrumentation and logging
-// call sites deep inside the stack — which keep calling plain
-// obs::metrics(), obs::tracer(), and NOW_LOG-filtered log macros — resolve
-// to this run's private instances.  N concurrent simulations therefore
-// never share a mutable global, which is both the thread-safety story and
-// the determinism story: a run's observable output depends only on its
-// context, not on what ran beside it.
+// the metrics registry and the tracer — plus the task's derived seed.
+// ScopedRunContext installs those on the calling thread
+// (obs::set_thread_metrics / obs::set_thread_tracer), so all the
+// instrumentation call sites deep inside the stack — which keep calling
+// plain obs::metrics() and obs::tracer() — resolve to this run's private
+// instances.  N concurrent simulations therefore never share a mutable
+// global, which is both the thread-safety story and the determinism
+// story: a run's observable output depends only on its context, not on
+// what ran beside it.
 //
 // The runner (exp::run_sweep) creates one RunContext per task and installs
 // it for exactly the task's duration; now::Cluster accepts a RunContext
@@ -23,7 +22,6 @@
 #include "exp/seed.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/log.hpp"
 
 namespace now::exp {
 
@@ -34,17 +32,13 @@ struct RunContext {
   std::uint64_t seed = 1;
   std::size_t task_index = 0;
 
-  /// Private instances of the (otherwise process-wide) observability and
-  /// logging state.  `log` starts as a snapshot of the process defaults,
-  /// so NOW_LOG and an installed mirror sink keep working inside a task.
+  /// Private instances of the (otherwise process-wide) observability state.
   obs::MetricsRegistry metrics;
   obs::Tracer tracer;
-  sim::LogConfig log;
 
-  RunContext() : log(sim::snapshot_log_config()) {}
+  RunContext() = default;
   RunContext(std::uint64_t base_seed, std::size_t index)
-      : seed(derive_seed(base_seed, index)), task_index(index),
-        log(sim::snapshot_log_config()) {}
+      : seed(derive_seed(base_seed, index)), task_index(index) {}
   RunContext(const RunContext&) = delete;
   RunContext& operator=(const RunContext&) = delete;
 };
@@ -63,7 +57,6 @@ class ScopedRunContext {
   RunContext* prev_ctx_;
   obs::MetricsRegistry* prev_metrics_;
   obs::Tracer* prev_tracer_;
-  sim::LogConfig* prev_log_;
 };
 
 /// The RunContext active on this thread, or nullptr outside any scope.

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <memory>
 
-#include "sim/log.hpp"
-
 namespace now::glunix {
 
 namespace {
@@ -218,9 +216,6 @@ void Glunix::declare_down(std::size_t idx) {
     displace(idx, /*node_crashed=*/true);
   }
   obs::tracer().instant(ni.node->id(), obs_track_, "node_down");
-  sim::LogStream(sim::LogLevel::kInfo, engine().now(), "glunix")
-      << "node " << ni.node->id() << " declared down ("
-      << params_.heartbeat_misses << " missed heartbeats)";
   if (on_down_) on_down_(ni.node->id());
 }
 

@@ -27,27 +27,10 @@ MetricsRegistry* set_thread_metrics(MetricsRegistry* r) {
   return prev;
 }
 
-template <typename T>
-T& MetricsRegistry::get(std::string_view path) {
-  auto it = instruments_.find(path);
-  if (it == instruments_.end()) {
-    it = instruments_.emplace(std::string(path), Instrument(T{})).first;
-    return std::get<T>(it->second);
-  }
-  T* existing = std::get_if<T>(&it->second);
-  assert(existing != nullptr && "instrument re-registered with another kind");
-  if (existing != nullptr) return *existing;
-  // Release-build fallback: park the mismatched caller on a suffixed path so
-  // neither party corrupts the other's instrument.
-  return get<T>(std::string(path) + ".kind_conflict");
-}
-
-Counter& MetricsRegistry::counter(std::string_view path) {
-  return get<Counter>(path);
-}
-
 Gauge& MetricsRegistry::gauge(std::string_view path) {
-  return get<Gauge>(path);
+  const auto it = gauges_.find(path);
+  if (it != gauges_.end()) return it->second;
+  return gauges_.try_emplace(std::string(path)).first->second;
 }
 
 namespace {
@@ -73,11 +56,6 @@ void put_reading(Readings& out, std::string_view path, Reading v) {
         }
       },
       v);
-}
-
-Reading native_reading(const std::variant<Counter, Gauge>& inst) {
-  if (const auto* c = std::get_if<Counter>(&inst)) return c->value();
-  return std::get<Gauge>(inst).value();
 }
 
 }  // namespace
@@ -117,9 +95,7 @@ MetricsRegistry::~MetricsRegistry() {
 
 Readings MetricsRegistry::collect() const {
   Readings out;
-  for (const auto& [path, inst] : instruments_) {
-    out.emplace(path, native_reading(inst));
-  }
+  for (const auto& [path, g] : gauges_) out.emplace(path, g.value());
   for (Collector* c : collectors_) {
     Sink sink(out, c->prefix_);
     c->fn_(sink);

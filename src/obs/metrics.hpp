@@ -9,9 +9,8 @@
 // read() (so every Sampler tick), find() — and a destroyed component
 // drops out of the next dump.  Live instances under one prefix (every
 // Disk reports as "os.disk") are summed, or their distributions merged
-// in registration order.  Native Counter/Gauge instruments cover state
-// with no struct behind it: the per-link queue gauges of the switched
-// fabrics.
+// in registration order.  Native Gauges cover state with no struct
+// behind it: the per-link queue gauges of the switched fabrics.
 //
 // Determinism contract: values only change in simulated events, dumps
 // iterate in sorted path order, and no wall-clock value is recorded —
@@ -66,29 +65,9 @@ inline void set_enabled(bool on) {
   detail::g_enabled.store(on, std::memory_order_relaxed);
 }
 
-/// Monotonic event count ("packets dropped", "segments cleaned").
-/// Updates are relaxed atomic adds: lanes of a partitioned run may bump the
-/// same counter concurrently, and the total is exact regardless of order.
-class Counter {
- public:
-  Counter() = default;
-  Counter(const Counter& o) : v_(o.value()) {}
-  Counter(Counter&& o) noexcept : v_(o.value()) {}
-  void inc(std::uint64_t by = 1) {
-    if (enabled()) v_.fetch_add(by, std::memory_order_relaxed);
-  }
-  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::uint64_t> v_{0};
-};
-
 /// Instantaneous level ("per-link queue delay"); last store wins.
 class Gauge {
  public:
-  Gauge() = default;
-  Gauge(const Gauge& o) : v_(o.value()) {}
-  Gauge(Gauge&& o) noexcept : v_(o.value()) {}
   void set(double v) {
     if (enabled()) v_.store(v, std::memory_order_relaxed);
   }
@@ -147,13 +126,11 @@ class Collector {
   std::function<void(Sink&)> fn_;
 };
 
-/// Registry keyed by dotted paths: native instruments plus the live
-/// components' collectors.
+/// Registry keyed by dotted paths: native gauges plus the live components'
+/// collectors.
 ///
-/// counter()/gauge() create a native instrument on first use and return a
-/// stable reference (node-based storage: handles never move); asking for
-/// an existing path with the other kind aborts in debug builds and returns
-/// a freshly suffixed instrument in release ones.
+/// gauge() creates a native gauge on first use and returns a stable
+/// reference (node-based storage: handles never move).
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -161,7 +138,6 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  Counter& counter(std::string_view path);
   Gauge& gauge(std::string_view path);
 
   /// Current value at `path`, native or collected, if it is of kind `T`:
@@ -180,8 +156,8 @@ class MetricsRegistry {
   /// of a distribution.  False if nothing is registered at `path`.
   bool read(std::string_view path, double* out) const;
 
-  /// Native instruments registered (collected paths not included).
-  std::size_t size() const { return instruments_.size(); }
+  /// Native gauges registered (collected paths not included).
+  std::size_t size() const { return gauges_.size(); }
 
   /// Deterministic dumps of every path: sorted key order, no wall-clock
   /// anything.
@@ -191,15 +167,11 @@ class MetricsRegistry {
 
  private:
   friend class Collector;
-  using Instrument = std::variant<Counter, Gauge>;
 
-  template <typename T>
-  T& get(std::string_view path);
-
-  /// Every path's value: native instruments, then each live collector.
+  /// Every path's value: native gauges, then each live collector.
   Readings collect() const;
 
-  std::map<std::string, Instrument, std::less<>> instruments_;
+  std::map<std::string, Gauge, std::less<>> gauges_;
   /// Live collectors in registration order (the merge order).
   std::vector<Collector*> collectors_;
 };

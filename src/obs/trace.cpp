@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <ostream>
 #include <set>
 #include <utility>
@@ -182,23 +181,5 @@ bool Tracer::export_chrome_json(const std::string& path) const {
   export_chrome_json(f);
   return static_cast<bool>(f);
 }
-
-// --- Log mirroring ------------------------------------------------------
-
-void mirror_logs_to_trace(sim::LogLevel min_level) {
-  sim::set_log_sink([min_level](sim::LogLevel level, sim::SimTime at,
-                                const std::string& component,
-                                const std::string& message) {
-    std::fprintf(stderr, "%s\n",
-                 sim::format_log_line(level, at, component, message).c_str());
-    Tracer& t = tracer();
-    if (level >= min_level && t.enabled()) {
-      t.instant_at(kClusterNode, t.track(component), component + ": " + message,
-                   at);
-    }
-  });
-}
-
-void stop_log_mirror() { sim::set_log_sink(nullptr); }
 
 }  // namespace now::obs

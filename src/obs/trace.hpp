@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "sim/log.hpp"
 #include "sim/spinlock.hpp"
 #include "sim/time.hpp"
 
@@ -39,7 +38,7 @@ namespace now::obs {
 using TrackId = std::uint16_t;
 
 /// Events whose node is the cluster itself, not a workstation (the GLUnix
-/// master's global decisions, log lines without a node).
+/// master's global decisions).
 inline constexpr std::uint32_t kClusterNode = 0xFFFFFFFFu;
 
 class Tracer {
@@ -171,12 +170,5 @@ class Span {
   sim::SimTime start_ = 0;
   std::string name_;
 };
-
-/// Mirrors sim::log lines at or above `min_level` into the tracer as instant
-/// events (track = the log component) while still printing them to stderr —
-/// the "obs sink" behind src/sim/log.  Call stop_log_mirror() to restore the
-/// plain stderr sink.
-void mirror_logs_to_trace(sim::LogLevel min_level = sim::LogLevel::kInfo);
-void stop_log_mirror();
 
 }  // namespace now::obs

@@ -5,8 +5,6 @@
 #include <memory>
 #include <unordered_map>
 
-#include "sim/log.hpp"
-
 namespace now::xfs {
 
 namespace {
@@ -675,8 +673,6 @@ void Xfs::manager_takeover(net::NodeId failed, net::NodeId successor,
                            Done done) {
   ++stats_.manager_takeovers;
   obs::tracer().instant(successor, obs_track_, "manager_takeover");
-  sim::LogStream(sim::LogLevel::kInfo, engine().now(), "xfs")
-      << "manager takeover: node " << failed << " -> node " << successor;
   for (net::NodeId& m : ring_) {
     if (m == failed) m = successor;
   }

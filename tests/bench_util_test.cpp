@@ -1,6 +1,6 @@
-// The benches' numeric flag parser (bench/bench_util.hpp): a value that
-// does not parse must stop the bench with the flag and the value named,
-// never fall back to a default sweep.
+// The benches' flag parsers (bench/bench_util.hpp): a value that does not
+// parse, or a value flag with no value after it, must stop the bench with
+// the flag named, never fall back to a default sweep.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -60,6 +60,16 @@ TEST(BenchFlagsDeathTest, GarbledValuesExitNamingFlagAndValue) {
   Args scale({"--trace-scale", "fast"});
   EXPECT_EXIT(parse_trace_scale(scale.argc(), scale.argv()),
               testing::ExitedWithCode(2), "--trace-scale .*'fast'");
+  // A value flag given last has no value: it must not run as if absent.
+  Args last_nodes({"--jobs", "2", "--nodes"});
+  EXPECT_EXIT(parse_nodes(last_nodes.argc(), last_nodes.argv()),
+              testing::ExitedWithCode(2), "error: --nodes expects a value");
+  Args last_json({"--json"});
+  EXPECT_EXIT(JsonReport(last_json.argc(), last_json.argv(), "b", "u"),
+              testing::ExitedWithCode(2), "error: --json expects a value");
+  Args last_trace({"--trace-scale", "2", "--trace"});
+  EXPECT_EXIT(parse_trace(last_trace.argc(), last_trace.argv()),
+              testing::ExitedWithCode(2), "error: --trace expects a value");
 }
 
 }  // namespace

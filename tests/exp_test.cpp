@@ -17,7 +17,6 @@
 #include "exp/seed.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/log.hpp"
 #include "sim/random.hpp"
 
 namespace {
@@ -89,12 +88,14 @@ TEST(RunSweep, MetricsDumpsInvariantUnderJobs) {
   const auto task = [](exp::RunContext& ctx) {
     EXPECT_EQ(&obs::metrics(), &ctx.metrics);
     sim::Pcg32 rng(ctx.seed);
-    auto& c = obs::metrics().counter("exp.test.ops");
+    std::uint64_t ops = 0;
     sim::Summary latency;
-    const obs::Collector report(
-        "exp.test", [&](obs::Sink& s) { s.summary("latency", latency); });
+    const obs::Collector report("exp.test", [&](obs::Sink& s) {
+      s.counter("ops", ops);
+      s.summary("latency", latency);
+    });
     for (int i = 0; i < 200; ++i) {
-      c.inc();
+      ++ops;
       latency.add(static_cast<double>(rng.next_below(1000)));
     }
     return ctx.metrics.dump_json();
@@ -242,7 +243,6 @@ TEST(RunContext, InstallsAndRestoresThreadState) {
     EXPECT_EQ(exp::current_context(), &ctx);
     EXPECT_EQ(&obs::metrics(), &ctx.metrics);
     EXPECT_EQ(&obs::tracer(), &ctx.tracer);
-    EXPECT_EQ(sim::thread_log_config(), &ctx.log);
     {
       exp::RunContext inner(5, 3);
       exp::ScopedRunContext nested(inner);
@@ -254,40 +254,38 @@ TEST(RunContext, InstallsAndRestoresThreadState) {
   }
   EXPECT_EQ(exp::current_context(), nullptr);
   EXPECT_EQ(&obs::metrics(), &process);
-  EXPECT_EQ(sim::thread_log_config(), nullptr);
-}
-
-TEST(RunContext, LogLevelChangesAreRunLocal) {
-  const sim::LogLevel before = sim::log_level();
-  {
-    exp::RunContext ctx(1, 0);
-    exp::ScopedRunContext scope(ctx);
-    sim::set_log_level(sim::LogLevel::kTrace);  // routes to ctx.log
-    EXPECT_EQ(sim::log_level(), sim::LogLevel::kTrace);
-    EXPECT_EQ(ctx.log.level, sim::LogLevel::kTrace);
-  }
-  EXPECT_EQ(sim::log_level(), before);  // process default untouched
 }
 
 TEST(RunContext, ConcurrentRunsKeepPrivateMetrics) {
-  // Two threads, each inside its own context, hammer the same metric path;
-  // the counts must stay per-run (no shared registry, no lost updates).
+  // Two threads, each inside its own context, report at the same paths
+  // through a collector and a native gauge; each run's registry must hold
+  // only its own values (no shared registry, no summed collectors).
   constexpr int kPerRun = 50'000;
-  auto body = [](exp::RunContext& ctx) {
+  auto body = [](exp::RunContext& ctx, std::uint64_t* seen) {
     exp::ScopedRunContext scope(ctx);
-    auto& c = obs::metrics().counter("exp.isolation.count");
-    for (int i = 0; i < kPerRun; ++i) c.inc();
+    std::uint64_t count = 0;
+    const obs::Collector report(
+        "exp.isolation", [&](obs::Sink& s) { s.counter("count", count); });
+    obs::Gauge& level = obs::metrics().gauge("exp.isolation.level");
+    for (int i = 0; i < kPerRun; ++i) {
+      ++count;
+      level.set(static_cast<double>(ctx.task_index + 1));
+    }
+    // Read while `report` is live: a collector drops out when it dies.
+    *seen = obs::metrics().find<std::uint64_t>("exp.isolation.count")
+                .value_or(0);
   };
   exp::RunContext a(1, 0), b(1, 1);
-  std::thread ta(body, std::ref(a));
-  std::thread tb(body, std::ref(b));
+  std::uint64_t seen_a = 0, seen_b = 0;
+  std::thread ta(body, std::ref(a), &seen_a);
+  std::thread tb(body, std::ref(b), &seen_b);
   ta.join();
   tb.join();
-  EXPECT_EQ(a.metrics.find<std::uint64_t>("exp.isolation.count"),
-            static_cast<std::uint64_t>(kPerRun));
-  EXPECT_EQ(b.metrics.find<std::uint64_t>("exp.isolation.count"),
-            static_cast<std::uint64_t>(kPerRun));
-  EXPECT_FALSE(obs::metrics().find<std::uint64_t>("exp.isolation.count"));
+  EXPECT_EQ(seen_a, static_cast<std::uint64_t>(kPerRun));
+  EXPECT_EQ(seen_b, static_cast<std::uint64_t>(kPerRun));
+  EXPECT_EQ(a.metrics.find<double>("exp.isolation.level"), 1.0);
+  EXPECT_EQ(b.metrics.find<double>("exp.isolation.level"), 2.0);
+  EXPECT_FALSE(obs::metrics().find<double>("exp.isolation.level"));
 }
 
 }  // namespace

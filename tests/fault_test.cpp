@@ -3,14 +3,49 @@
 // Deterministic fault schedules with golden expectations: RAID degraded
 // operation and rebuild, xFS manager takeover under a crash mid-write,
 // GLUnix gang survival across a crash/restart pair, link flaps, and the
-// determinism of a stochastic FaultPlan across two identical runs.
+// determinism of a stochastic FaultPlan across two identical runs.  The
+// availability events (crash, GLUnix node_down, xFS manager_takeover) are
+// checked on the exported trace timeline too.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <sstream>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
 #include "core/cluster.hpp"
+#include "exp/run_context.hpp"
 #include "fault/fault.hpp"
+#include "obs/trace.hpp"
 
 namespace now {
 namespace {
+
+/// Every instant event `name` on track `cat` in `t`'s Chrome JSON export,
+/// as (pid, ts in microseconds) in recording order.
+std::vector<std::pair<std::uint32_t, double>> instants(const obs::Tracer& t,
+                                                       std::string_view cat,
+                                                       std::string_view name) {
+  std::ostringstream os;
+  t.export_chrome_json(os);
+  const std::string head = "{\"name\": \"" + std::string(name) +
+                           "\", \"cat\": \"" + std::string(cat) +
+                           "\", \"ph\": \"i\"";
+  std::vector<std::pair<std::uint32_t, double>> out;
+  std::istringstream lines(os.str());
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(head, 0) != 0) continue;
+    const auto field = [&line](const char* key) {
+      return std::stod(line.substr(line.find(key) + std::strlen(key)));
+    };
+    out.emplace_back(static_cast<std::uint32_t>(field("\"pid\": ")),
+                     field("\"ts\": "));
+  }
+  return out;
+}
 
 TEST(Fault, RaidDegradedOpsAndRebuildGoldenValues) {
   ClusterConfig cfg;
@@ -97,6 +132,62 @@ TEST(Fault, XfsManagerTakeoverUnderCrashMidWrite) {
   // Duty moved off the dead node.
   EXPECT_FALSE(c.fs().is_manager(3));
   EXPECT_NE(c.fs().manager_of(3), 3u);
+}
+
+// The XfsManagerTakeoverUnderCrashMidWrite rig, traced: the timeline shows
+// the crash on the dead manager's row and the takeover on its successor's.
+TEST(Fault, TraceShowsCrashAndManagerTakeoverOnTheirNodes) {
+  exp::RunContext ctx;
+  exp::ScopedRunContext scope(ctx);
+  ctx.tracer.enable();
+  ClusterConfig cfg;
+  cfg.workstations = 8;
+  cfg.with_glunix = false;
+  cfg.with_xfs = true;
+  cfg.stripe_group_size = 0;
+  Cluster c(cfg);
+  ASSERT_EQ(c.fs().manager_of(3), 3u);
+  c.engine().schedule_at(1 * sim::kSecond,
+                         [&] { c.faults().crash_node(3); });
+  c.engine().schedule_at(1 * sim::kSecond + 1 * sim::kMillisecond,
+                         [&] { c.fs().write(1, 3, [](bool) {}); });
+  c.run_until(30 * sim::kSecond);
+  ASSERT_EQ(ctx.tracer.dropped(), 0u);
+
+  const auto crashes = instants(ctx.tracer, "fault", "crash");
+  ASSERT_EQ(crashes.size(), 1u);
+  EXPECT_EQ(crashes[0].first, 3u);
+  EXPECT_DOUBLE_EQ(crashes[0].second, 1e6);  // 1 s, in microseconds
+
+  const net::NodeId successor = c.fs().manager_of(3);
+  ASSERT_NE(successor, 3u);
+  const auto takeovers = instants(ctx.tracer, "xfs", "manager_takeover");
+  ASSERT_EQ(takeovers.size(), 1u);
+  EXPECT_EQ(takeovers[0].first, successor);
+  EXPECT_GT(takeovers[0].second, crashes[0].second);
+}
+
+// GLUnix declares a crashed node down on its row once the heartbeats miss.
+TEST(Fault, TraceShowsGlunixNodeDownAfterMissedHeartbeats) {
+  exp::RunContext ctx;
+  exp::ScopedRunContext scope(ctx);
+  ctx.tracer.enable();
+  ClusterConfig cfg;
+  cfg.workstations = 8;
+  cfg.fault_plan.crash_at(20 * sim::kSecond, 2);
+  Cluster c(cfg);
+  c.run_until(40 * sim::kSecond);
+  ASSERT_EQ(ctx.tracer.dropped(), 0u);
+  EXPECT_FALSE(c.glunix().node_believed_up(2));
+
+  const auto downs = instants(ctx.tracer, "glunix", "node_down");
+  ASSERT_EQ(downs.size(), 1u);
+  EXPECT_EQ(downs[0].first, 2u);
+  // Not before `heartbeat_misses` heartbeat intervals have gone unanswered.
+  const glunix::GlunixParams& hb = cfg.glunix;
+  EXPECT_GE(downs[0].second,
+            sim::to_us(20 * sim::kSecond +
+                       hb.heartbeat_misses * hb.heartbeat_interval));
 }
 
 TEST(Fault, GlunixGangSurvivesCrashRestartPair) {

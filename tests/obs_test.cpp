@@ -29,22 +29,21 @@ namespace {
 
 TEST(MetricsRegistry, LookupCreatesOnceAndReturnsStableHandles) {
   MetricsRegistry reg;
-  Counter& a = reg.counter("net.packets_sent");
-  Counter& b = reg.counter("net.packets_sent");
+  Gauge& a = reg.gauge("net.link0.queue_us");
+  Gauge& b = reg.gauge("net.link0.queue_us");
   EXPECT_EQ(&a, &b);
   EXPECT_EQ(reg.size(), 1u);
 
-  a.inc(3);
-  EXPECT_EQ(b.value(), 3u);
-  EXPECT_EQ(reg.find<std::uint64_t>("net.packets_sent"), 3u);
-  EXPECT_FALSE(reg.find<std::uint64_t>("net.nope"));
-  EXPECT_FALSE(reg.find<double>("net.packets_sent"));  // wrong kind
+  a.set(3.0);
+  EXPECT_DOUBLE_EQ(b.value(), 3.0);
+  EXPECT_EQ(reg.find<double>("net.link0.queue_us"), 3.0);
+  EXPECT_FALSE(reg.find<double>("net.nope"));
+  EXPECT_FALSE(reg.find<std::uint64_t>("net.link0.queue_us"));  // wrong kind
 }
 
 TEST(MetricsRegistry, ReadCoversEveryKind) {
   MetricsRegistry reg;
   MetricsRegistry* prev = set_thread_metrics(&reg);
-  reg.counter("c").inc(7);
   reg.gauge("g").set(2.5);
   sim::Summary s;
   s.add(10.0);
@@ -52,13 +51,14 @@ TEST(MetricsRegistry, ReadCoversEveryKind) {
   sim::Histogram h;
   h.add(4.0);
   const Collector dists("d", [&](Sink& sink) {
+    sink.counter("c", 7);
     sink.summary("s", s);
     sink.histogram("h", h);
   });
   set_thread_metrics(prev);
 
   double v = 0;
-  EXPECT_TRUE(reg.read("c", &v));
+  EXPECT_TRUE(reg.read("d.c", &v));
   EXPECT_DOUBLE_EQ(v, 7.0);
   EXPECT_TRUE(reg.read("g", &v));
   EXPECT_DOUBLE_EQ(v, 2.5);
@@ -72,9 +72,9 @@ TEST(MetricsRegistry, ReadCoversEveryKind) {
 TEST(MetricsRegistry, DumpIsSortedAndDeterministic) {
   MetricsRegistry reg;
   // Registered out of order; the dump must come out sorted.
-  reg.counter("zeta").inc();
+  reg.gauge("zeta").set(1.0);
   reg.gauge("alpha").set(1.0);
-  reg.counter("mid.path").inc(2);
+  reg.gauge("mid.path").set(2.0);
 
   const std::string d1 = reg.dump_json();
   EXPECT_LT(d1.find("\"alpha\""), d1.find("\"mid.path\""));
@@ -82,24 +82,21 @@ TEST(MetricsRegistry, DumpIsSortedAndDeterministic) {
 
   // A second registry built the same way dumps byte-identically.
   MetricsRegistry reg2;
-  reg2.counter("zeta").inc();
+  reg2.gauge("zeta").set(1.0);
   reg2.gauge("alpha").set(1.0);
-  reg2.counter("mid.path").inc(2);
+  reg2.gauge("mid.path").set(2.0);
   EXPECT_EQ(d1, reg2.dump_json());
 }
 
 TEST(MetricsRegistry, DisabledUpdatesAreDropped) {
   MetricsRegistry reg;
-  Counter& c = reg.counter("c");
   Gauge& g = reg.gauge("g");
   set_enabled(false);
-  c.inc(5);
   g.set(9.0);
   set_enabled(true);
-  EXPECT_EQ(c.value(), 0u);
   EXPECT_DOUBLE_EQ(g.value(), 0.0);
-  c.inc(5);
-  EXPECT_EQ(c.value(), 5u);
+  g.set(5.0);
+  EXPECT_DOUBLE_EQ(g.value(), 5.0);
 }
 
 // --- Collectors -----------------------------------------------------------
@@ -548,16 +545,18 @@ TEST(Tracer, NothingRecordedWhileDisabled) {
 TEST(Sampler, SnapshotsWatchedInstrumentsEveryPeriod) {
   sim::Engine engine;
   MetricsRegistry reg;
-  Counter& sent = reg.counter("sent");
+  ScopedMetrics scope(reg);
+  std::uint64_t sent = 0;
+  const Collector net("net", [&](Sink& s) { s.counter("sent", sent); });
   Sampler sampler(engine, reg, 10 * sim::kMillisecond);
-  sampler.watch("sent");
+  sampler.watch("net.sent");
   sampler.watch("unregistered.path");  // samples as 0
   sampler.start();
 
   // +1 at t=5ms, +2 at t=15ms, +4 at t=25ms.
-  engine.schedule_at(5 * sim::kMillisecond, [&] { sent.inc(1); });
-  engine.schedule_at(15 * sim::kMillisecond, [&] { sent.inc(2); });
-  engine.schedule_at(25 * sim::kMillisecond, [&] { sent.inc(4); });
+  engine.schedule_at(5 * sim::kMillisecond, [&] { sent += 1; });
+  engine.schedule_at(15 * sim::kMillisecond, [&] { sent += 2; });
+  engine.schedule_at(25 * sim::kMillisecond, [&] { sent += 4; });
   // Note 35 ms, not 30: a stop at exactly 30 ms (priority 0) would run
   // before — and cancel — the 30 ms sample (priority +1).
   engine.schedule_at(35 * sim::kMillisecond, [&] { sampler.stop(); });
@@ -573,7 +572,7 @@ TEST(Sampler, SnapshotsWatchedInstrumentsEveryPeriod) {
   std::getline(lines, r1);
   std::getline(lines, r2);
   std::getline(lines, r3);
-  EXPECT_EQ(header, "time_ms,sent,unregistered.path");
+  EXPECT_EQ(header, "time_ms,net.sent,unregistered.path");
   EXPECT_EQ(r1, "10,1,0");
   EXPECT_EQ(r2, "20,3,0");
   EXPECT_EQ(r3, "30,7,0");

@@ -1,21 +1,18 @@
 // Unit tests for the discrete-event engine, RNG, statistics, and the
-// structured log's NOW_LOG filter + pluggable sink.
+// open-addressing FlatMap.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <set>
-#include <string>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/flat_map.hpp"
-#include "sim/log.hpp"
 #include "sim/random.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
@@ -813,50 +810,6 @@ TEST(Summary, MergeWithEmptySides) {
   EXPECT_EQ(s.count(), 2u);
   EXPECT_DOUBLE_EQ(s.mean(), 4.0);
   EXPECT_DOUBLE_EQ(s.variance(), 2.0);
-}
-
-TEST(Log, EnvFilterSetsGlobalAndPerComponentLevels) {
-  setenv("NOW_LOG", "warn, net=trace, xfs=debug", 1);
-  init_log_from_env();
-  EXPECT_EQ(log_threshold("am"), LogLevel::kWarn);     // global fallback
-  EXPECT_EQ(log_threshold("net"), LogLevel::kTrace);   // override
-  EXPECT_EQ(log_threshold("xfs"), LogLevel::kDebug);
-  EXPECT_TRUE(log_enabled(LogLevel::kTrace, "net"));
-  EXPECT_TRUE(log_enabled(LogLevel::kDebug, "xfs"));
-  EXPECT_FALSE(log_enabled(LogLevel::kTrace, "xfs"));
-  EXPECT_FALSE(log_enabled(LogLevel::kInfo, "am"));
-
-  setenv("NOW_LOG", "off", 1);
-  init_log_from_env();
-  clear_module_log_levels();
-  EXPECT_FALSE(log_enabled(LogLevel::kError, "anything"));
-
-  unsetenv("NOW_LOG");
-  set_log_level(LogLevel::kWarn);  // restore the default for other tests
-}
-
-TEST(Log, SinkReceivesOnlyLinesPassingTheFilter) {
-  std::vector<std::string> got;
-  set_log_sink([&got](LogLevel, SimTime at, const std::string& component,
-                      const std::string& message) {
-    got.push_back(component + "@" + std::to_string(at) + ": " + message);
-  });
-  set_log_level(LogLevel::kInfo);
-  LogStream(LogLevel::kInfo, 1'500'000, "xfs") << "takeover -> node " << 8;
-  LogStream(LogLevel::kDebug, 2'000'000, "xfs") << "below threshold";
-  set_log_sink(nullptr);  // restore the stderr printer
-  set_log_level(LogLevel::kWarn);
-
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0], "xfs@1500000: takeover -> node 8");
-}
-
-TEST(Log, FormatLineCarriesSimTimeLevelAndComponent) {
-  const std::string line =
-      format_log_line(LogLevel::kInfo, 12'345'000, "glunix", "node 3 down");
-  EXPECT_NE(line.find("12.345"), std::string::npos);  // ms from ns
-  EXPECT_NE(line.find("INFO"), std::string::npos);
-  EXPECT_NE(line.find("glunix: node 3 down"), std::string::npos);
 }
 
 using Map = FlatMap<std::uint32_t>;

@@ -72,8 +72,14 @@ int main(int argc, char** argv) {
   }
   const std::string path = argv[1];
   std::string twin_path;
-  for (int i = 2; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--twin") == 0) twin_path = argv[i + 1];
+  for (int i = 2; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--twin") != 0) continue;
+    if (i + 1 == argc) {
+      std::fprintf(stderr, "error: --twin expects a value\n");
+      return 2;
+    }
+    twin_path = argv[i + 1];
+    break;
   }
 
   try {
