@@ -51,7 +51,7 @@ double run(std::uint64_t problem_mb, bool readahead, bool dram_baseline,
     netram::install_donor_service(rpc, *nodes[i]);
   }
   netram::NetworkRamPager pager(*nodes[0], page, registry, rpc, readahead);
-  os::AddressSpace space(engine, frames, page, pager);
+  os::AddressSpace space(engine, frames, page, pager, nodes[0]->id());
   netram::MultigridParams mp;
   mp.problem_bytes = problem_mb << 20;
   mp.sweeps = 3;

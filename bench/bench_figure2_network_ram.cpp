@@ -60,7 +60,7 @@ double run_multigrid(Config config, std::uint64_t problem_mb) {
     pager = std::make_unique<netram::DiskPager>(*nodes[0], page);
   }
 
-  os::AddressSpace space(engine, frames, page, *pager);
+  os::AddressSpace space(engine, frames, page, *pager, nodes[0]->id());
   sim::Duration elapsed = 0;
   netram::MultigridRun run(*nodes[0], space, mp,
                            [&](sim::Duration d) { elapsed = d; });

@@ -127,6 +127,84 @@ void BM_EngineFarTimers(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineFarTimers);
 
+// The delay mix measured on the 17-node xFS serving workload: a few dozen
+// request chains, each hop 0 ns (16 %), ~1 us (16 %), ~8 us (24 %), ~32 us
+// (25 %) or 130-260 us (13 %) after the last, and every hop arming a 100 ms
+// or 500 ms call timer that the next hop cancels.  Few events fall due in
+// any microsecond, so a bare radix queue refills a bucket on nearly every
+// dispatch.
+class ServeShapedMix {
+ public:
+  static constexpr int kChains = 40;
+
+  ServeShapedMix() {
+    for (int c = 0; c < kChains; ++c) {
+      eng.schedule_at(rng.next_below(100'000), [this] { hop(0); });
+    }
+  }
+
+  sim::Engine eng;
+
+ private:
+  sim::Duration delay() {
+    const std::uint32_t r = rng.next_below(100);
+    if (r < 16) return 0;
+    if (r < 32) return 800 + rng.next_below(500);
+    if (r < 56) return 6'000 + rng.next_below(4'000);
+    if (r < 81) return 24'000 + rng.next_below(16'000);
+    if (r < 94) return 130'000 + rng.next_below(130'000);
+    return 1 + rng.next_below(2'000);
+  }
+
+  void hop(sim::EventId timeout) {
+    eng.cancel(timeout);
+    const sim::EventId t = eng.schedule_in(
+        (rng.next_below(2) == 0 ? 100 : 500) * sim::kMillisecond, [] {});
+    eng.schedule_in(delay(), [this, t] { hop(t); });
+  }
+
+  sim::Pcg32 rng{5};
+};
+
+void BM_EngineServeShaped(benchmark::State& state) {
+  ServeShapedMix mix;
+  mix.eng.run_until(sim::kSecond);  // past the first 500 ms timers
+  const std::uint64_t before = mix.eng.dispatched();
+  for (auto _ : state) {
+    mix.eng.run_until(mix.eng.now() + sim::kMillisecond);
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(mix.eng.dispatched() - before));
+}
+BENCHMARK(BM_EngineServeShaped);
+
+// Dense traffic: 400 self-rescheduling chains whose hops are 0-4 us apart,
+// so hundreds of events are pending within a few microseconds — the
+// building-scale fabric and parallel-program pattern.  A queue that keeps
+// a wide window here sifts through all of them on every operation.
+void BM_EngineDense(benchmark::State& state) {
+  constexpr int kChains = 400;
+  sim::Engine eng;
+  sim::Pcg32 rng(13);
+  struct Chain {
+    sim::Engine* eng;
+    sim::Pcg32* rng;
+    void operator()() const {
+      eng->schedule_in(rng->next_below(4'096), Chain{*this});
+    }
+  };
+  for (int c = 0; c < kChains; ++c) {
+    eng.schedule_at(rng.next_below(4'096), Chain{&eng, &rng});
+  }
+  eng.run_until(sim::kMillisecond);
+  const std::uint64_t before = eng.dispatched();
+  for (auto _ : state) {
+    eng.run_until(eng.now() + 10 * sim::kMicrosecond);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(eng.dispatched() - before));
+}
+BENCHMARK(BM_EngineDense);
+
 // Four self-rescheduling chains whose hops are one to three hours apart:
 // almost every dispatch crosses an idle gap of hours.  A queue that steps
 // through fixed-width time buckets crawls here.

@@ -19,7 +19,8 @@
 //
 // A value flag given as the last argument (see flag_value), or a numeric
 // flag whose value does not parse (see numeric_flag), exits with status 2
-// and names the flag, instead of running a default.
+// and names the flag on stderr, instead of running a default; a redirected
+// stdout stays empty (see refuse_flag).
 #pragma once
 
 #include <charconv>
@@ -95,6 +96,12 @@ inline void append_json_number(std::string& out, double v) {
 }
 }  // namespace detail
 
+/// Ends the bench on a refused flag with status 2, after the caller has
+/// named the flag on stderr.  std::_Exit does not flush stdio, so the
+/// heading a bench prints before it parses its flags, still in a redirected
+/// stdout's buffer, is dropped: the refused run writes no report at all.
+[[noreturn]] inline void refuse_flag() { std::_Exit(2); }
+
 /// The argument after flag `flag` (`--flag V`; the first occurrence wins),
 /// or nullptr when the flag is absent.  A flag given as the last argument
 /// has no value: that prints the flag to stderr and exits with status 2,
@@ -104,7 +111,7 @@ inline const char* flag_value(int argc, char** argv, const char* flag) {
     if (std::strcmp(argv[i], flag) != 0) continue;
     if (i + 1 == argc) {
       std::fprintf(stderr, "error: %s expects a value\n", flag);
-      std::exit(2);
+      refuse_flag();
     }
     return argv[i + 1];
   }
@@ -240,7 +247,7 @@ T numeric_flag(int argc, char** argv, const char* flag, T fallback) {
   const auto [stop, ec] = std::from_chars(v, end, out);
   if (v == end || ec != std::errc{} || stop != end) {
     std::fprintf(stderr, "error: %s expects a number, got '%s'\n", flag, v);
-    std::exit(2);
+    refuse_flag();
   }
   return out;
 }

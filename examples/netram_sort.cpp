@@ -89,7 +89,7 @@ double run_sort(bool use_netram) {
   } else {
     pager = std::make_unique<netram::DiskPager>(c.node(0), page);
   }
-  os::AddressSpace space(c.engine(), frames, page, *pager);
+  os::AddressSpace space(c.engine(), frames, page, *pager, c.node(0).id());
 
   sim::Duration elapsed = 0;
   SortRun sort(c.node(0), space, data_bytes / page,

@@ -98,7 +98,7 @@ void Disk::start_next() {
   engine_.schedule_in(svc, [this] {
     Request r = std::move(in_service_);
     response_us_.add(sim::to_us(engine_.now() - r.enqueued));
-    obs::tracer().complete(obs::kClusterNode, obs_track_,
+    obs::tracer().complete(node_, obs_track_,
                            r.is_write ? "disk.write" : "disk.read", r.enqueued,
                            engine_.now());
     if (r.done) r.done();

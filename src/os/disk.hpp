@@ -46,8 +46,11 @@ class Disk {
   /// and a size, say) is stored without allocating.
   using Done = sim::InlinedFn<void()>;
 
-  Disk(sim::Engine& engine, DiskParams params)
-      : engine_(engine), params_(params),
+  /// `node` is the owning workstation, the trace row of the disk's spans;
+  /// a disk outside any node records on the cluster row.
+  Disk(sim::Engine& engine, DiskParams params,
+       std::uint32_t node = obs::kClusterNode)
+      : engine_(engine), params_(params), node_(node),
         obs_track_(obs::tracer().track("os")),
         stats_obs_("os.disk", [this](obs::Sink& s) {
           s.counter("reads", reads_);
@@ -95,6 +98,7 @@ class Disk {
 
   sim::Engine& engine_;
   DiskParams params_;
+  std::uint32_t node_;
   std::deque<Request> queue_;
   Request in_service_{};
   bool busy_ = false;

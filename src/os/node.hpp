@@ -28,7 +28,7 @@ class Node {
  public:
   Node(sim::Engine& engine, net::NodeId id, NodeParams params)
       : engine_(engine), id_(id), params_(params),
-        cpu_(engine, params.cpu), disk_(engine, params.disk),
+        cpu_(engine, params.cpu), disk_(engine, params.disk, id),
         last_activity_(-(1ll << 62)) {}
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;

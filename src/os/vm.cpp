@@ -5,9 +5,10 @@
 namespace now::os {
 
 AddressSpace::AddressSpace(sim::Engine& engine, std::uint32_t frames,
-                           std::uint32_t page_bytes, Pager& pager)
+                           std::uint32_t page_bytes, Pager& pager,
+                           std::uint32_t node)
     : engine_(engine), frames_(frames), page_bytes_(page_bytes),
-      pager_(pager),
+      pager_(pager), node_(node),
       obs_track_(obs::tracer().track("os")),
       stats_obs_("os.vm", [this](obs::Sink& s) {
         s.counter("references", stats_.references);
@@ -92,7 +93,7 @@ void AddressSpace::fault(std::uint64_t page, bool write,
     // Fault service span: fault instant to the page landing in memory.
     const sim::SimTime t0 = engine_.now();
     it->second.back() = [this, t0, cb = std::move(it->second.back())] {
-      obs::tracer().complete(obs::kClusterNode, obs_track_, "page_fault", t0,
+      obs::tracer().complete(node_, obs_track_, "page_fault", t0,
                              engine_.now());
       cb();
     };

@@ -43,8 +43,10 @@ struct VmStats {
 class AddressSpace {
  public:
   /// `frames` physical page frames of `page_bytes` each, backed by `pager`.
+  /// `node` is the owning workstation, the trace row of its fault spans.
   AddressSpace(sim::Engine& engine, std::uint32_t frames,
-               std::uint32_t page_bytes, Pager& pager);
+               std::uint32_t page_bytes, Pager& pager,
+               std::uint32_t node = obs::kClusterNode);
   AddressSpace(const AddressSpace&) = delete;
   AddressSpace& operator=(const AddressSpace&) = delete;
 
@@ -95,6 +97,7 @@ class AddressSpace {
   std::uint32_t frames_;
   std::uint32_t page_bytes_;
   Pager& pager_;
+  std::uint32_t node_;
   std::list<std::uint64_t> lru_;  // front = most recently used
   std::unordered_map<std::uint64_t, Entry> table_;
   // Faults in flight: page -> waiting continuations (first entry drives the

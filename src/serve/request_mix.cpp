@@ -25,12 +25,23 @@ RequestMix::RequestMix(std::vector<RequestClass> classes, std::uint64_t seed)
   assert(!classes_.empty());
   double total = 0.0;
   cum_weight_.reserve(classes_.size());
-  zipf_.reserve(classes_.size());
-  for (const RequestClass& rc : classes_) {
+  zipf_of_.reserve(classes_.size());
+  for (std::size_t i = 0; i < classes_.size(); ++i) {
+    const RequestClass& rc = classes_[i];
     assert(rc.weight >= 0.0);
     total += rc.weight;
     cum_weight_.push_back(total);
-    zipf_.emplace_back(rc.working_set > 0 ? rc.working_set : 1, rc.zipf_s);
+    std::size_t same = 0;
+    while (same < i && (classes_[same].working_set != rc.working_set ||
+                        classes_[same].zipf_s != rc.zipf_s)) {
+      ++same;
+    }
+    if (same < i) {
+      zipf_of_.push_back(zipf_of_[same]);
+    } else {
+      zipf_of_.push_back(zipf_.size());
+      zipf_.emplace_back(rc.working_set > 0 ? rc.working_set : 1, rc.zipf_s);
+    }
   }
   assert(total > 0.0 && "RequestMix needs at least one positive weight");
 }
@@ -60,7 +71,7 @@ std::size_t RequestMix::pick_class(std::uint32_t client) {
 }
 
 std::uint64_t RequestMix::pick_block(std::size_t cls, std::uint32_t client) {
-  return zipf_.at(cls).sample(rng(client));
+  return zipf_[zipf_of_.at(cls)].sample(rng(client));
 }
 
 }  // namespace now::serve

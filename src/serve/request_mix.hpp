@@ -74,7 +74,10 @@ class RequestMix {
 
   std::vector<RequestClass> classes_;
   std::vector<double> cum_weight_;  // inclusive prefix sums
+  // One sampler per distinct (working set, exponent); zipf_of_[cls] is the
+  // class's sampler, so classes with the same popularity share its tables.
   std::vector<sim::ZipfSampler> zipf_;
+  std::vector<std::size_t> zipf_of_;
   std::vector<sim::Pcg32> rng_;  // per client, indexed by client id
   std::uint64_t seed_;
 };

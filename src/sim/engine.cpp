@@ -1,5 +1,6 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 
@@ -101,26 +102,40 @@ bool Engine::peek_next(SimTime* at) {
 }
 
 // Empties the lowest non-empty bucket.  last_ moves up to the bucket's
-// minimum: entries due then go to the heap, and every other live entry
-// differs from the new last_ only below the bucket's bit, so it lands in a
-// lower bucket.  Higher buckets keep their meaning, because the new last_
-// shares all bits above that one with the old.  Stale entries are dropped
-// here without ever entering the heap.  The minimum may belong to a stale
-// entry, leaving the heap empty; settle() then simply refills again.
+// minimum and bound_ to the end of the new window: entries in the window go
+// to the heap, and every other live entry differs from the new last_ only
+// below the bucket's bit, so it lands in a lower bucket.  Higher buckets keep
+// their meaning, because the new last_ shares all bits above that one with
+// the old, and the window stops short of the next one's minimum.  Stale
+// entries are dropped here without ever entering the heap.  The minimum may
+// belong to a stale entry, leaving the heap empty; settle() then simply
+// refills again.
 void Engine::refill() {
   // A refill can pour a whole bucket of same-instant events into the heap.
   // Growing the heap to the arena's capacity first means that never
   // allocates once the arena has reached the engine's high-water mark.
   heap_reserve(std::size_t{num_blocks_} * kBlockEntries);
+  const std::uint64_t fed = dispatched_ - refill_mark_;
+  refill_mark_ = dispatched_;
+  if (fed <= kGrowFed) {
+    if (window_bits_ < kMaxWindowBits) ++window_bits_;
+  } else if (fed > kShrinkFed) {
+    if (window_bits_ > kMinWindowBits) --window_bits_;
+  }
   const int b = std::countr_zero(bucket_mask_);
   last_ = buckets_[b].min;
+  bound_ = last_ | ((SimTime{1} << window_bits_) - 1);
+  const std::uint64_t higher = bucket_mask_ & (bucket_mask_ - 1);
+  if (higher != 0) {
+    bound_ = std::min(bound_, buckets_[std::countr_zero(higher)].min - 1);
+  }
   requeue_bucket(b);
 }
 
 // Detaches bucket b and enqueues its live entries afresh against the
-// current last_.  Blocks are indexed anew for every entry and freed only
-// once read: the pushes may grow (and so move) the arena, and may land back
-// in bucket b itself when last_ has not moved (compaction).
+// current last_ and bound_.  Blocks are indexed anew for every entry and
+// freed only once read: the pushes may grow (and so move) the arena, and may
+// land back in bucket b itself when last_ has not moved (compaction).
 void Engine::requeue_bucket(int b) {
   std::uint32_t blk = buckets_[b].head;
   std::uint32_t n = buckets_[b].fill;
@@ -161,8 +176,8 @@ void Engine::grow_blocks() {
 
 void Engine::compact() {
   // Shed stale entries from every bucket (each live one lands back in its
-  // own bucket, last_ being unchanged) and from the heap, which is then
-  // rebuilt with Floyd's heapify.
+  // own bucket, last_ and bound_ being unchanged) and from the heap, which
+  // is then rebuilt with Floyd's heapify.
   for (std::uint64_t m = bucket_mask_; m != 0; m &= m - 1) {
     requeue_bucket(std::countr_zero(m));
   }

@@ -15,23 +15,43 @@
 //     slot's sequence tag — O(1), no hash map — and the stale queue entry is
 //     discarded lazily by the refill that reaches it or at the heap top (or
 //     in a bulk compaction once stale entries outnumber live ones).
-//   * The pending queue is a monotone radix heap on event time.  `last_` is
-//     the time of the last refill; a pending entry at or before it sits in a
-//     small 4-ary implicit heap (same-instant cascades, and events scheduled
-//     after peek_next() refilled ahead of the clock), and an entry after it
-//     sits in one of 64 buckets: bucket b holds the times whose highest bit
-//     differing from `last_` is b.  Scheduling is an append to a bucket.
-//     When the heap drains, a refill takes the lowest non-empty bucket (one
-//     ctz on an occupancy mask), moves `last_` up to that bucket's minimum,
-//     drops its cancelled and rescheduled entries, and redistributes the
-//     rest — into the heap if they are due at `last_`, otherwise into lower
-//     buckets.  Far-future timers therefore wait in their bucket untouched
-//     until time gets near them (or are shed there, never sifted, if they
-//     are cancelled first), an idle gap of hours costs one refill, and the
-//     heap stays a few entries deep.  Dispatch pops the heap, so the exact
-//     (time, priority, seq) order is kept by construction.  Every pending
-//     event waits in this one queue, the retransmit and call timers that are
-//     almost always cancelled included.
+//   * The pending queue is a monotone radix heap on event time with a
+//     self-sizing window of the near future in front of it.  `last_` is the
+//     time of the last refill and `bound_ >= last_` the end of the window:
+//     every pending entry at or before `bound_` sits in a small 4-ary
+//     implicit heap, and every entry after it sits in one of 64 buckets —
+//     bucket b holds the times whose highest bit differing from `last_` is
+//     b.  Scheduling is a heap push inside the window and an append to a
+//     bucket beyond it.  When the heap drains, a refill takes the lowest
+//     non-empty bucket (one ctz on an occupancy mask), moves `last_` up to
+//     that bucket's minimum, sets `bound_ = last_ | (2^w - 1)` capped at one
+//     below the next non-empty bucket's minimum, drops the bucket's
+//     cancelled and rescheduled entries, and redistributes the rest — into
+//     the heap if they are at or before `bound_`, otherwise into lower
+//     buckets.  Dispatch pops the heap, so the exact (time, priority, seq)
+//     order is kept by construction:
+//       - heap entries are at most `bound_`, bucket entries greater;
+//       - every entry of a higher bucket is at least that bucket's min (a
+//         lower bound), so capping `bound_` below the next bucket's min
+//         keeps the split when the window would reach into it (while w
+//         moves one bit per refill it never does — the refilled bucket's
+//         bit is at least the old w — but the cap keeps the order
+//         independent of the sizing rule);
+//       - the buckets stay valid radix buckets because `bound_ >= last_`:
+//         any entry routed to them differs from `last_`, and `last_` moves
+//         only up to the minimum of the lowest bucket.
+//     The window width w sizes itself from how many events the previous
+//     refill fed (the dispatches between two refills).  A bare radix queue
+//     (w = 0) refills on nearly every dispatch when events are spread
+//     microseconds apart, as on sparse serving traffic; a wide window keeps
+//     hundreds of dense events in the heap and pays log n per operation on
+//     them.  w grows after a refill that fed too few dispatches and shrinks
+//     after one that fed too many, between private limits chosen by
+//     measurement (DESIGN.md §6).  Far-future timers wait in their bucket
+//     untouched until time gets near them (or are shed there, never sifted,
+//     if they are cancelled first), and an idle gap of hours costs one
+//     refill.  Every pending event waits in this one queue, the retransmit
+//     and call timers that are almost always cancelled included.
 //
 // Threading model: an Engine — and everything hanging off it (components,
 // their RNGs, the run's metrics registry and tracer) — is *engine-confined*:
@@ -188,6 +208,9 @@ class Engine {
   std::uint64_t dispatched() const { return dispatched_; }
 
  private:
+  // Reads the queue's window (last_, bound_, w) for the engine's tests.
+  friend struct EngineTestPeer;
+
   // A pool slot: closure + the sequence tag of the event occupying it
   // (kDeadSeq when free or invalidated).  Exactly one 64-byte cache line, so
   // dispatch touches a single line per event.
@@ -273,10 +296,10 @@ class Engine {
     return a.key < b.key;
   }
 
-  /// Routes a new entry to its tier: at or before the last refill time it
-  /// must be ordered against the heap now; later, it waits in its bucket.
+  /// Routes a new entry to its tier: inside the window it is ordered
+  /// against the heap now; beyond it, it waits in its bucket.
   void enqueue_entry(HeapEntry e) {
-    if (e.time <= last_) {
+    if (e.time <= bound_) {
       heap_push(e);
     } else {
       bucket_push(e);
@@ -484,6 +507,16 @@ class Engine {
   // costs each engine its arena's growth (4096: +8 % RSS on rpc_lanes).
   static constexpr std::size_t kCompactFloor = 1024;
 
+  // Limits and feedback thresholds of the window width w, in bits of
+  // nanoseconds.  A refill that fed at most kGrowFed dispatches widens the
+  // window by one bit, one that fed more than kShrinkFed narrows it by one.
+  // Chosen on replayed engine calls of the serving and dense benches: no
+  // other thresholds or floor tried was faster on all of them (DESIGN.md §6).
+  static constexpr int kMinWindowBits = 0;
+  static constexpr int kMaxWindowBits = 24;  // ~16.8 ms
+  static constexpr std::uint64_t kGrowFed = 2;
+  static constexpr std::uint64_t kShrinkFed = 16;
+
   void note_stale_entry() {
     // When stale entries outnumber live ones, one O(n) compaction is cheaper
     // than carrying each tombstone to its refill.
@@ -510,10 +543,15 @@ class Engine {
   HeapEntry* heap_ = nullptr;
   std::size_t heap_size_ = 0;
   std::size_t heap_cap_ = 0;
-  // Radix tier: every heap entry is at or before last_, every bucketed
-  // entry after it.  A bucket's min is the least time appended since it was
-  // last emptied, so a lower bound on its entries.
+  // Radix tier: every heap entry is at or before bound_, every bucketed
+  // entry after it, keyed against last_ <= bound_.  A bucket's min is the
+  // least time appended since it was last emptied, so a lower bound on its
+  // entries.  window_bits_ is w; refill_mark_ is dispatched_ at the last
+  // refill.
   SimTime last_ = 0;
+  SimTime bound_ = 0;
+  int window_bits_ = kMinWindowBits;
+  std::uint64_t refill_mark_ = 0;
   std::uint64_t bucket_mask_ = 0;
   std::size_t bucketed_ = 0;
   std::array<Bucket, kBuckets> buckets_;

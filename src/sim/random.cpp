@@ -1,5 +1,6 @@
 #include "sim/random.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <numbers>
@@ -102,21 +103,26 @@ ZipfSampler::ZipfSampler(std::uint32_t n, double s) {
     cdf_[i] = sum;
   }
   for (auto& c : cdf_) c /= sum;
+  // guide_[k] counts the ranks whose weight is below k / n: count each
+  // rank at the first slot past it, then sum.  No branch depends on the
+  // weights, so the table costs no mispredicted walk to build.
+  guide_.assign(n + 1, 0);
+  for (const double c : cdf_) {
+    ++guide_[std::min(static_cast<std::uint32_t>(c * n) + 1, n)];
+  }
+  guide_.pop_back();
+  std::uint32_t below = 0;
+  for (std::uint32_t& g : guide_) g = below += g;
 }
 
-std::uint32_t ZipfSampler::sample(Pcg32& rng) const {
-  const double u = rng.next_double();
-  // Binary search for the first cdf entry >= u.
-  std::uint32_t lo = 0, hi = static_cast<std::uint32_t>(cdf_.size()) - 1;
-  while (lo < hi) {
-    const std::uint32_t mid = lo + (hi - lo) / 2;
-    if (cdf_[mid] < u) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
+std::uint32_t ZipfSampler::rank_of(double u) const {
+  const std::uint32_t last = static_cast<std::uint32_t>(cdf_.size()) - 1;
+  std::uint32_t k = static_cast<std::uint32_t>(u * cdf_.size());
+  if (k > last) k = last;
+  std::uint32_t rank = guide_[k];
+  while (rank > 0 && cdf_[rank - 1] >= u) --rank;
+  while (rank < last && cdf_[rank] < u) ++rank;
+  return rank;
 }
 
 }  // namespace now::sim

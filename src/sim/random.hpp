@@ -66,18 +66,32 @@ class Pcg32 {
 /// Models file-popularity skew in the synthetic traces: a handful of shared
 /// executables and font files absorb most read traffic, as in the Berkeley
 /// trace behind Table 3.
+///
+/// A guide table (one rank per 1/n of probability) starts each lookup next
+/// to its answer, so a draw costs a few compares instead of a binary search
+/// over the whole CDF; the rank is the same either way.
 class ZipfSampler {
  public:
   /// `n` ranks, exponent `s` (s = 0 is uniform; larger s is more skewed).
   ZipfSampler(std::uint32_t n, double s);
 
   /// Draws a rank in [0, n).
-  std::uint32_t sample(Pcg32& rng) const;
+  std::uint32_t sample(Pcg32& rng) const { return rank_of(rng.next_double()); }
+
+  /// The first rank whose cumulative weight is at least `u` (the last rank
+  /// if none is), for u in [0, 1).
+  std::uint32_t rank_of(double u) const;
+
+  /// Cumulative weight of ranks 0..`rank`.
+  double cdf(std::uint32_t rank) const { return cdf_[rank]; }
 
   std::uint32_t size() const { return static_cast<std::uint32_t>(cdf_.size()); }
 
  private:
   std::vector<double> cdf_;
+  // guide_[k] is rank_of(k / n) up to rounding; u * n can also round up
+  // across k + 1, so a lookup walks down as well as up from it.
+  std::vector<std::uint32_t> guide_;
 };
 
 }  // namespace now::sim

@@ -3,6 +3,11 @@
 // the flag named, never fall back to a default sweep.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -70,6 +75,35 @@ TEST(BenchFlagsDeathTest, GarbledValuesExitNamingFlagAndValue) {
   Args last_trace({"--trace-scale", "2", "--trace"});
   EXPECT_EXIT(parse_trace(last_trace.argc(), last_trace.argv()),
               testing::ExitedWithCode(2), "error: --trace expects a value");
+
+  // Every bench prints its heading before it parses its flags; a refused
+  // flag must still leave a redirected stdout empty.
+  const std::string out = testing::TempDir() + "bench_refused_flag_stdout.txt";
+  const auto refused_stdout = [&out] {
+    std::ifstream f(out);
+    return std::string(std::istreambuf_iterator<char>(f), {});
+  };
+  for (Args* refused : {&nodes, &last_nodes}) {
+    std::remove(out.c_str());
+    EXPECT_EXIT(
+        {
+          if (std::freopen(out.c_str(), "w", stdout) == nullptr) std::_Exit(3);
+          heading("bench", "paper");
+          parse_nodes(refused->argc(), refused->argv());
+        },
+        testing::ExitedWithCode(2), "--nodes");
+    EXPECT_EQ(refused_stdout(), "");
+  }
+  std::remove(out.c_str());
+  EXPECT_EXIT(
+      {
+        if (std::freopen(out.c_str(), "w", stdout) == nullptr) std::_Exit(3);
+        heading("bench", "paper");
+        JsonReport(last_json.argc(), last_json.argv(), "b", "u");
+      },
+      testing::ExitedWithCode(2), "--json");
+  EXPECT_EQ(refused_stdout(), "");
+  std::remove(out.c_str());
 }
 
 }  // namespace

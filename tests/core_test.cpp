@@ -81,7 +81,8 @@ TEST(Cluster, NetworkRamAcrossTheFacade) {
   c.memory_registry().add_donor(c.node(3));
   netram::NetworkRamPager pager(c.node(0), 8192, c.memory_registry(),
                                 c.rpc());
-  os::AddressSpace space(c.engine(), /*frames=*/16, 8192, pager);
+  os::AddressSpace space(c.engine(), /*frames=*/16, 8192, pager,
+                         c.node(0).id());
   int faults_served = 0;
   for (std::uint64_t p = 0; p < 48; ++p) {
     space.access(p, /*write=*/true, [&] { ++faults_served; });

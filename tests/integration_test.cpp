@@ -65,7 +65,8 @@ TEST(Integration, ADayWithEverythingOn) {
   }
   netram::NetworkRamPager pager(c.node(1), 8192, c.memory_registry(),
                                 c.rpc());
-  os::AddressSpace space(c.engine(), /*frames=*/64, 8192, pager);
+  os::AddressSpace space(c.engine(), /*frames=*/64, 8192, pager,
+                         c.node(1).id());
   auto pages_touched = std::make_shared<int>(0);
   auto touch = std::make_shared<std::function<void(std::uint64_t)>>();
   *touch = [&, pages_touched, touch](std::uint64_t p) {

@@ -18,6 +18,7 @@
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 #include "os/disk.hpp"
+#include "os/node.hpp"
 #include "sim/engine.hpp"
 #include "sim/random.hpp"
 #include "sim/time.hpp"
@@ -508,6 +509,32 @@ TEST(Tracer, ExportedJsonHasCompleteEventsAndMetadata) {
   EXPECT_EQ(json.find(",]"), std::string::npos);
   EXPECT_EQ(json.find(",}"), std::string::npos);
   t.disable();
+}
+
+// A node's disk records its spans on that node's row (pid = node id), not
+// on the cluster row.
+TEST(Tracer, DiskSpansRecordOnTheOwningNode) {
+  Tracer& t = tracer();
+  t.clear();
+  t.enable(1024);
+  sim::Engine engine;
+  t.set_clock(&engine);
+  os::Node node(engine, /*id=*/5, os::NodeParams{});
+  node.disk().read(0, 8192, [] {});
+  engine.run();
+
+  std::ostringstream os;
+  t.export_chrome_json(os);
+  const std::string json = os.str();
+  const auto read_at = json.find("\"disk.read\"");
+  ASSERT_NE(read_at, std::string::npos);
+  const auto pid_at = json.find("\"pid\": ", read_at);
+  ASSERT_NE(pid_at, std::string::npos);
+  const std::string want = "\"pid\": 5,";
+  EXPECT_EQ(json.compare(pid_at, want.size(), want), 0)
+      << json.substr(read_at, 120);
+  t.disable();
+  t.set_clock(nullptr);
 }
 
 TEST(Tracer, RingOverwritesOldestAndCountsDrops) {

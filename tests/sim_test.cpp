@@ -9,6 +9,7 @@
 #include <set>
 #include <tuple>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -307,24 +308,64 @@ TEST(Engine, ZeroIdIsANoOpSentinel) {
   EXPECT_EQ(eng.pending(), 0u);
 }
 
+}  // namespace
+
+// The queue's window, read by the tests below.
+struct EngineTestPeer {
+  static SimTime last(const Engine& e) { return e.last_; }
+  static SimTime bound(const Engine& e) { return e.bound_; }
+  static int window_bits(const Engine& e) { return e.window_bits_; }
+  static std::size_t queued(const Engine& e) { return e.queued_entries(); }
+};
+
+namespace {
+
 // Differential test: a seeded random mix of schedules, cancels (single and
 // in bursts that force compaction), reschedules (earlier and later),
-// run_until() slices, step()s and peeks, with delays log-uniform from 0 ns
-// to 10 simulated hours, is replayed against a std::set ordered by (time,
-// priority, seq).  Every dispatch must be the reference minimum, and now()
-// and pending() must agree after every call.
+// run_until() slices, step()s and peeks is replayed against a std::set
+// ordered by (time, priority, seq).  Every dispatch must be the reference
+// minimum, and now() and pending() must agree after every call.  Three
+// delay mixes:
+//   * kWide: log-uniform from 0 ns to 10 simulated hours;
+//   * kServe: the delays measured on a serving run (16 % at 0 ns, 16 % at
+//     ~1 us, 24 % at ~8 us, 25 % at ~32 us, 13 % at 130-260 us) with a few
+//     dozen events pending, and 100 ms and 500 ms timers armed by handlers
+//     that the next handler almost always cancels — sparse traffic, which
+//     widens the engine's window;
+//   * kDense: hundreds of pending events within a few microseconds, which
+//     narrows it again.
+// The serve and dense mixes also aim operations at the window's edge:
+// events at bound_ and bound_ + 1, run_until() deadlines inside the window,
+// reschedules across the bound, and compactions while bound_ > last_.
 class EngineOracle {
  public:
-  explicit EngineOracle(std::uint64_t seed) : rng_(seed) {}
+  enum class Mix { kWide, kServe, kDense };
+
+  explicit EngineOracle(std::uint64_t seed, Mix mix = Mix::kWide)
+      : mix_(mix), rng_(seed) {}
 
   // Performs about `ops` engine calls, counting the ones handlers make.
   void run(std::uint64_t ops) {
+    const std::size_t target = mix_ == Mix::kServe   ? 40
+                               : mix_ == Mix::kDense ? 400
+                                                     : 0;
     while (calls_ < ops && !failed_) {
+      observe_window();
+      // The serve and dense mixes keep their pending population topped up.
+      if (live_.size() < target) {
+        schedule();
+        check_counts();
+        continue;
+      }
       // Phases of 50k calls alternate between using run_until() slices and
       // step() alone, so long runs of bucket refills get exercised too.
       const bool slicing = (calls_ / 50'000) % 2 == 0;
-      const std::uint32_t r = rng_.next_below(slicing ? 100 : 90);
-      if (r < 40) {
+      const std::uint32_t span = slicing ? 100 : 90;
+      const std::uint32_t r =
+          rng_.next_below(mix_ == Mix::kWide ? span : span + 12);
+      if (r >= span) {
+        window_edge(r - span);
+      } else if (r < 40) {
         schedule();
       } else if (r < 50) {
         cancel();
@@ -350,6 +391,18 @@ class EngineOracle {
 
   std::uint64_t dispatches() const { return dispatches_; }
   bool failed() const { return failed_; }
+  // Times the window width rose and fell between two calls.
+  std::uint64_t window_grew() const { return window_grew_; }
+  std::uint64_t window_shrank() const { return window_shrank_; }
+  // Widest window seen, in bits.
+  int widest_window() const { return widest_window_; }
+  // Events scheduled or rescheduled to exactly bound_ or bound_ + 1 while
+  // the window was open (bound_ > last_).
+  std::uint64_t edge_events() const { return edge_events_; }
+  // run_until() deadlines inside an open window.
+  std::uint64_t deadlines_in_window() const { return deadlines_in_window_; }
+  // Compactions that ran while bound_ > last_.
+  std::uint64_t compactions_in_window() const { return compactions_in_window_; }
 
  private:
   // (time, priority, seq, token): seq is unique, so the token never decides.
@@ -368,12 +421,90 @@ class EngineOracle {
   // the draws stop at ~1 ms, so near events pile up behind one another in
   // the buckets instead of all landing in front of a far one.
   Duration random_delay() {
+    if (mix_ == Mix::kServe) return serve_delay();
+    if (mix_ == Mix::kDense) {
+      return static_cast<Duration>(rng_.next_below(4'096));
+    }
     constexpr Duration kMax = 10 * kHour;
     const std::uint32_t bits =  // 2^46 ns ~ 19.5 h, 2^20 ns ~ 1 ms
         rng_.next_below(rng_.next_below(2) == 0 ? 47 : 21);
     if (bits == 0) return 0;
     const Duration d = static_cast<Duration>(next_u64() >> (64 - bits));
     return d < kMax ? d : kMax;
+  }
+
+  Duration serve_delay() {
+    const std::uint32_t r = rng_.next_below(100);
+    const auto around = [this](Duration lo, Duration hi) {
+      return lo + static_cast<Duration>(
+                      rng_.next_below(static_cast<std::uint32_t>(hi - lo)));
+    };
+    if (r < 16) return 0;
+    if (r < 32) return around(800, 1'300);
+    if (r < 56) return around(6'000, 10'000);
+    if (r < 81) return around(24'000, 40'000);
+    if (r < 94) return around(130'000, 260'000);
+    return around(1, 2'000);
+  }
+
+  // Arms a 100 ms or 500 ms timer and cancels the previous one, as an RPC
+  // hop arms its call timer and the reply cancels it; one in 64 is left to
+  // fire.
+  void timer_hop() {
+    while (!timers_.empty() && events_.count(timers_.back()) == 0) {
+      timers_.pop_back();
+    }
+    if (!timers_.empty() && rng_.next_below(64) != 0) {
+      ++calls_;
+      cancel_token(timers_.back());
+      timers_.pop_back();
+    }
+    const std::uint64_t token = next_token_;
+    schedule_at(now_ + (rng_.next_below(2) == 0 ? 100 : 500) * kMillisecond,
+                random_priority());
+    timers_.push_back(token);
+  }
+
+  // Records how the window moved since the last call.
+  void observe_window() {
+    const int w = EngineTestPeer::window_bits(eng_);
+    if (w > window_bits_) ++window_grew_;
+    if (w < window_bits_) ++window_shrank_;
+    window_bits_ = w;
+    widest_window_ = std::max(widest_window_, w);
+  }
+
+  // An operation aimed at the edge of the window, when it is open (bound_
+  // > last_) and not behind the clock.
+  void window_edge(std::uint32_t op) {
+    const SimTime bound = EngineTestPeer::bound(eng_);
+    if (bound <= EngineTestPeer::last(eng_) || bound < now_) return step();
+    switch (op / 2) {
+      case 0:  // at the bound and one past it, the two sides of the split
+        schedule_at(bound, random_priority());
+        schedule_at(bound + 1, random_priority());
+        edge_events_ += 2;
+        break;
+      case 1: {  // a deadline inside the window
+        ++deadlines_in_window_;
+        run_until_at(now_ + static_cast<Duration>(
+                                next_u64() %
+                                static_cast<std::uint64_t>(bound - now_ + 1)));
+        break;
+      }
+      case 2:  // across the bound: out of the heap, or into it
+        if (live_.empty()) return schedule();
+        reschedule_to(live_[rng_.next_below(live_.size())],
+                      op % 2 == 0 ? bound + 1 : bound);
+        ++edge_events_;
+        break;
+      case 3:  // a cancel burst, which compacts a large queue
+        cancel_burst();
+        break;
+      default:
+        step();
+        break;
+    }
   }
 
   int random_priority() {
@@ -425,8 +556,16 @@ class EngineOracle {
       if (eng_.cancel(id)) fail("cancel() accepted a dead id");
       return;
     }
-    const std::uint64_t token = live_[rng_.next_below(live_.size())];
+    cancel_token(live_[rng_.next_below(live_.size())]);
+  }
+
+  void cancel_token(std::uint64_t token) {
+    const bool open =
+        EngineTestPeer::bound(eng_) > EngineTestPeer::last(eng_);
+    const std::size_t queued = EngineTestPeer::queued(eng_);
     if (!eng_.cancel(events_[token].id)) fail("cancel() refused a live id");
+    // A cancel adds a tombstone; only a compaction shrinks the queue.
+    if (open && EngineTestPeer::queued(eng_) < queued) ++compactions_in_window_;
     untrack(token);
   }
 
@@ -444,6 +583,10 @@ class EngineOracle {
     } else {
       at = current + random_delay();
     }
+    reschedule_to(token, at);
+  }
+
+  void reschedule_to(std::uint64_t token, SimTime at) {
     const int prio = random_priority();
     const EventId id = eng_.reschedule(events_[token].id, at, prio);
     if (id == 0) return fail("reschedule() refused a live id");
@@ -470,8 +613,11 @@ class EngineOracle {
   // Slices are mostly short, so most events reach the heap through bucket
   // refills rather than by being scheduled behind a far deadline.
   void run_until() {
+    run_until_at(now_ + (random_delay() >> rng_.next_below(24)));
+  }
+
+  void run_until_at(SimTime deadline) {
     ++calls_;
-    const SimTime deadline = now_ + (random_delay() >> rng_.next_below(24));
     const std::uint64_t before = dispatches_;
     const std::uint64_t n = eng_.run_until(deadline);
     if (n != dispatches_ - before) fail("run_until() miscounted");
@@ -524,6 +670,8 @@ class EngineOracle {
       cancel();
     } else if (r < 13) {
       reschedule();
+    } else if (mix_ == Mix::kServe) {
+      timer_hop();
     }
   }
 
@@ -538,6 +686,7 @@ class EngineOracle {
     eng_.stop();
   }
 
+  Mix mix_;
   Engine eng_;
   Pcg32 rng_;
   SimTime now_ = 0;
@@ -551,6 +700,14 @@ class EngineOracle {
   std::unordered_map<std::uint64_t, std::size_t> live_pos_;
   std::vector<std::uint64_t> live_;
   std::vector<EventId> dead_;
+  std::vector<std::uint64_t> timers_;  // serve mix: armed call timers
+  int window_bits_ = 0;
+  int widest_window_ = 0;
+  std::uint64_t window_grew_ = 0;
+  std::uint64_t window_shrank_ = 0;
+  std::uint64_t edge_events_ = 0;
+  std::uint64_t deadlines_in_window_ = 0;
+  std::uint64_t compactions_in_window_ = 0;
 };
 
 TEST(Engine, MatchesOrderedSetReferenceOnRandomOperations) {
@@ -558,6 +715,24 @@ TEST(Engine, MatchesOrderedSetReferenceOnRandomOperations) {
   oracle.run(1'000'000);
   EXPECT_FALSE(oracle.failed());
   EXPECT_GT(oracle.dispatches(), 300'000u);
+
+  // Sparse serving traffic opens the window wide; dense traffic closes it.
+  EngineOracle serve(/*seed=*/20261020, EngineOracle::Mix::kServe);
+  serve.run(600'000);
+  EXPECT_FALSE(serve.failed());
+  EXPECT_GT(serve.dispatches(), 120'000u);
+  EXPECT_GE(serve.widest_window(), 12);
+  EngineOracle dense(/*seed=*/20261021, EngineOracle::Mix::kDense);
+  dense.run(600'000);
+  EXPECT_FALSE(dense.failed());
+  EXPECT_GT(dense.dispatches(), 80'000u);
+  for (const EngineOracle* o : {&serve, &dense}) {
+    EXPECT_GT(o->window_grew(), 100u);
+    EXPECT_GT(o->window_shrank(), 100u);
+    EXPECT_GT(o->edge_events(), 1'000u);
+    EXPECT_GT(o->deadlines_in_window(), 500u);
+  }
+  EXPECT_GT(serve.compactions_in_window() + dense.compactions_in_window(), 10u);
 }
 
 TEST(Time, ConversionRoundTrip) {
@@ -663,6 +838,36 @@ TEST(Zipf, ZeroExponentIsUniform) {
   for (int c : counts) {
     EXPECT_GT(c, 1500);
     EXPECT_LT(c, 2500);
+  }
+}
+
+// The guide table only picks where a lookup starts, so rank_of() must equal
+// a binary search over the CDF at every CDF value, at the double just below
+// each one, and at 0 — the points where a draw crosses from one rank to the
+// next.
+TEST(Zipf, GuideTableMatchesBinarySearch) {
+  const std::pair<std::uint32_t, double> cases[] = {
+      {1, 1.0},    {2, 0.5},     {10, 0.0},      {100, 1.0},
+      {1000, 0.8}, {4096, 1.2},  {100'000, 1.0}, {5'000, 3.0}};
+  for (const auto& [n, s] : cases) {
+    const ZipfSampler z(n, s);
+    std::vector<double> cdf(n);
+    for (std::uint32_t i = 0; i < n; ++i) cdf[i] = z.cdf(i);
+    const auto search = [&](double u) {
+      const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+      return it == cdf.end() ? n - 1
+                             : static_cast<std::uint32_t>(it - cdf.begin());
+    };
+    std::uint32_t mismatches = 0;
+    const auto check = [&](double u) {
+      mismatches += z.rank_of(u) != search(u);
+    };
+    check(0.0);
+    for (const double c : cdf) {
+      check(c);
+      check(std::nextafter(c, 0.0));
+    }
+    EXPECT_EQ(mismatches, 0u) << "n=" << n << " s=" << s;
   }
 }
 
