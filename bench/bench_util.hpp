@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "exp/runner.hpp"
+#include "obs/json.hpp"
 
 namespace now::bench {
 
@@ -62,25 +63,6 @@ inline void note(const std::string& text) {
 }
 
 namespace detail {
-inline void append_json_escaped(std::string& out, const std::string& s) {
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-}
-
 inline void append_json_number(std::string& out, double v) {
   if (std::isfinite(v) && v == std::floor(v) &&
       std::fabs(v) < 9.0e15) {  // integral and exactly representable
@@ -172,7 +154,7 @@ class JsonReport {
       out += "  \"";
       out += key;
       out += "\": \"";
-      detail::append_json_escaped(out, v);
+      obs::append_json_escaped(out, v);
       out += comma ? "\",\n" : "\"\n";
     };
     field("benchmark", benchmark_, true);
@@ -182,12 +164,12 @@ class JsonReport {
     out += "  \"results\": {";
     for (std::size_t i = 0; i < results_.size(); ++i) {
       out += i ? ",\n    \"" : "\n    \"";
-      detail::append_json_escaped(out, results_[i].name);
+      obs::append_json_escaped(out, results_[i].name);
       out += "\": {";
       const auto& fields = results_[i].fields;
       for (std::size_t j = 0; j < fields.size(); ++j) {
         out += j ? ", \"" : "\"";
-        detail::append_json_escaped(out, fields[j].first);
+        obs::append_json_escaped(out, fields[j].first);
         out += "\": ";
         detail::append_json_number(out, fields[j].second);
       }
@@ -197,7 +179,7 @@ class JsonReport {
     out += "  \"notes\": [";
     for (std::size_t i = 0; i < notes_.size(); ++i) {
       out += i ? ",\n    \"" : "\n    \"";
-      detail::append_json_escaped(out, notes_[i]);
+      obs::append_json_escaped(out, notes_[i]);
       out += "\"";
     }
     out += notes_.empty() ? "]\n" : "\n  ]\n";

@@ -89,8 +89,9 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
   }
 
   for (std::uint32_t i = 0; i < config_.workstations; ++i) {
-    os::NodeParams p = config_.node;
-    if (p.cpu.seed == 0) p.cpu.seed = config_.seed * 1000 + i + 1;
+    // Per-node CPU seeds, so local schedulers do not run in lockstep.
+    os::NodeParams p;
+    p.cpu.seed = config_.seed * 1000 + i + 1;
     sim::Engine& node_engine = pe_ ? pe_->engine_for(i) : engine_;
     nodes_.push_back(std::make_unique<os::Node>(node_engine, i, p));
     mux_->attach_node(*nodes_.back());
@@ -107,14 +108,14 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
 
   if (config_.with_xfs) {
     for (auto& n : nodes_) raid::install_storage_service(*rpc_, *n);
-    raid::RaidParams rp = config_.raid;
-    rp.stripe_unit = config_.xfs.block_bytes;
+    raid::RaidParams rp;
+    rp.stripe_unit = xfs::kBlockBytes;
     const std::size_t g = config_.stripe_group_size;
     if (g >= 2 && nodes_.size() >= 2 * g) {
       // xFS-style stripe groups: one group per log segment band.
       const std::uint64_t band =
           static_cast<std::uint64_t>(config_.xfs.segment_blocks) *
-          config_.xfs.block_bytes;
+          xfs::kBlockBytes;
       groups_ = std::make_unique<raid::StripeGroupArray>(
           *rpc_, node_ptrs(), rp, g, band);
       storage_ = groups_.get();
@@ -123,8 +124,7 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
       storage_ = raid_.get();
     }
     log_ = std::make_unique<xfs::LogStore>(*storage_,
-                                           config_.xfs.segment_blocks,
-                                           config_.xfs.block_bytes);
+                                           config_.xfs.segment_blocks);
     xfs_ = std::make_unique<xfs::Xfs>(*rpc_, *log_, node_ptrs(),
                                       config_.xfs);
     xfs_->start();

@@ -74,9 +74,6 @@ struct ClusterConfig {
   /// the flat fabrics).  Default: racks of 32 on Myrinet-class links, 4:1
   /// oversubscribed — override with net::building_now(...).
   net::HierarchicalParams building = net::building_now(32, 32, 4.0);
-  /// Template for every node; per-node CPU seeds are derived from it so
-  /// local schedulers do not run in lockstep.
-  os::NodeParams node;
   proto::AmParams am;
 
   bool with_glunix = true;
@@ -85,7 +82,6 @@ struct ClusterConfig {
   /// xFS + the software RAID + log-structured storage over all members.
   bool with_xfs = false;
   xfs::XfsParams xfs;
-  raid::RaidParams raid;
   /// Storage servers per stripe group (xFS-style).  Log segments stripe
   /// within one group, so segment-sized appends are full-stripe writes
   /// even in a 100-node building.  0 = one RAID spanning every member.

@@ -195,9 +195,11 @@ void FaultInjector::crash_node(net::NodeId n) {
 
 void FaultInjector::auto_takeover_after(net::NodeId failed) {
   if (!policy_.auto_takeover || t_.xfs == nullptr) return;
+  // The delay a failure detector (heartbeat timeout) imposes.
+  constexpr sim::Duration kTakeoverDetectionDelay = 500 * sim::kMillisecond;
   const sim::SimTime crashed_at = t_.engine->now();
   t_.engine->schedule_in(
-      policy_.takeover_detection_delay, [this, failed, crashed_at] {
+      kTakeoverDetectionDelay, [this, failed, crashed_at] {
         if (!node_down(failed)) return;           // rebooted first
         if (!t_.xfs->is_manager(failed)) return;  // duty already moved
         const net::NodeId succ = next_alive(failed);
@@ -226,8 +228,8 @@ void FaultInjector::restart_node(net::NodeId n) {
   }
   ++stats_.node_restarts;
 
-  if (policy_.auto_rebuild && t_.storage != nullptr &&
-      t_.storage->member_down(n) && t_.storage->redundant()) {
+  if (t_.storage != nullptr && t_.storage->member_down(n) &&
+      t_.storage->redundant()) {
     start_rebuild(n);
   }
   if (t_.central != nullptr && t_.central->server_id() == n) {

@@ -202,10 +202,9 @@ struct FaultPolicy {
   /// (heartbeat timeout) would impose.  In-flight xFS ops ride the gap out
   /// through their own timeout+retry ladder.
   bool auto_takeover = true;
-  sim::Duration takeover_detection_delay = 500 * sim::kMillisecond;
-  /// After a restart or disk replace, rebuild the storage member in the
-  /// background (real reconstruction reads off the survivors).
-  bool auto_rebuild = true;
+  /// After a restart or disk replace, the storage member is rebuilt in
+  /// the background (real reconstruction reads off the survivors), this
+  /// many bytes of it.
   std::uint64_t rebuild_bytes_per_member = 1ull << 20;
 };
 

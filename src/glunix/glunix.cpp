@@ -18,7 +18,7 @@ using proto::SpawnReq;
 Glunix::Glunix(proto::RpcLayer& rpc, std::vector<os::Node*> nodes,
                GlunixParams params, std::size_t master_index)
     : rpc_(rpc), nodes_(std::move(nodes)), params_(params),
-      master_(master_index), cost_(params.migration),
+      master_(master_index),
       obs_track_(obs::tracer().track("glunix")),
       stats_obs_("glunix", [this](obs::Sink& s) {
         s.counter("launched", stats_.launched);
@@ -95,8 +95,10 @@ void Glunix::start() {
 }
 
 void Glunix::reset_eviction_budgets() {
+  // The eviction budget's window: "times per day".
+  constexpr sim::Duration kEvictionWindow = 24 * sim::kHour;
   for (NodeInfo& ni : info_) ni.evictions_in_window = 0;
-  engine().schedule_in(params_.eviction_window,
+  engine().schedule_in(kEvictionWindow,
                        [this] { reset_eviction_budgets(); });
 }
 
@@ -172,7 +174,7 @@ void Glunix::heartbeat_tick() {
         /*timeout=*/params_.heartbeat_interval,
         [this, i] {
           if (!info_[i].up) return;
-          if (++info_[i].missed_beats >= params_.heartbeat_misses) {
+          if (++info_[i].missed_beats >= kHeartbeatMisses) {
             declare_down(i);
           }
         });

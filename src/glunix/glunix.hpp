@@ -37,22 +37,23 @@ inline constexpr proto::MethodId kGluProbeIdle = 123;
 inline constexpr proto::MethodId kGluSuspend = 125;
 inline constexpr proto::MethodId kGluResume = 126;
 
+/// Heartbeats a node may leave unanswered in a row before the master
+/// declares it down.
+inline constexpr std::uint32_t kHeartbeatMisses = 3;
+
 struct GlunixParams {
   /// A machine is recruitable after this much console silence.
   sim::Duration idle_window = 60 * sim::kSecond;
   /// Daemon console-sampling period (the original study logged every 2 s).
   sim::Duration poll_interval = 2 * sim::kSecond;
   sim::Duration heartbeat_interval = 1 * sim::kSecond;
-  std::uint32_t heartbeat_misses = 3;
   /// Guests checkpoint this often; a node crash rolls back to the last one.
   sim::Duration checkpoint_interval = 60 * sim::kSecond;
   /// The social contract's fine print: "we explicitly limit the number of
   /// times per day external processes can delay any interactive user."  A
   /// machine whose owner has been disturbed this many times in the window
-  /// is off-limits to new guests until the window rolls over.
+  /// is off-limits to new guests until the window rolls over (one day).
   std::uint32_t max_evictions_per_window = 4;
-  sim::Duration eviction_window = 24 * sim::kHour;
-  MigrationParams migration;
 };
 
 using JobId = std::uint64_t;

@@ -19,8 +19,6 @@ struct MigrationParams {
   double network_mbytes_per_sec = 19.4;
   /// Aggregate parallel-file-system bandwidth available to one writer.
   double pfs_mbytes_per_sec = 32.0;
-  /// Fixed cost: freeze the process, walk page tables, reprotect.
-  sim::Duration freeze_overhead = 150 * sim::kMillisecond;
 };
 
 class MigrationCostModel {
@@ -34,12 +32,12 @@ class MigrationCostModel {
 
   /// Time to checkpoint `bytes` of process state off the machine.
   sim::Duration save_time(std::uint64_t bytes) const {
-    return p_.freeze_overhead + stream_time(bytes);
+    return kFreezeOverhead + stream_time(bytes);
   }
 
   /// Time to restore `bytes` onto a (possibly different) machine.
   sim::Duration restore_time(std::uint64_t bytes) const {
-    return p_.freeze_overhead + stream_time(bytes);
+    return kFreezeOverhead + stream_time(bytes);
   }
 
   /// Full migration: save at the source + restore at the destination.
@@ -50,6 +48,9 @@ class MigrationCostModel {
   const MigrationParams& params() const { return p_; }
 
  private:
+  /// Fixed cost: freeze the process, walk page tables, reprotect.
+  static constexpr sim::Duration kFreezeOverhead = 150 * sim::kMillisecond;
+
   sim::Duration stream_time(std::uint64_t bytes) const {
     const double mb = static_cast<double>(bytes) / (1024.0 * 1024.0);
     return sim::from_sec(mb / effective_mbytes_per_sec());

@@ -5,6 +5,8 @@
 #include <deque>
 #include <queue>
 
+#include "glunix/migration.hpp"
+
 namespace now::glunix {
 
 namespace {
@@ -101,8 +103,7 @@ class Overlay {
   Overlay(const trace::UsageTrace& usage,
           const std::vector<trace::ParallelJob>& jobs,
           const std::vector<sim::SimTime>& ready, const OverlayParams& p)
-      : usage_(usage), jobs_(jobs), ready_(ready), p_(p),
-        cost_(p.migration) {
+      : usage_(usage), jobs_(jobs), ready_(ready), p_(p) {
     machines_.resize(p.workstations);
     for (std::uint32_t m = 0; m < p.workstations; ++m) {
       machines_[m].trace_node = m % usage.workstations();
@@ -112,8 +113,8 @@ class Overlay {
 
   OverlayResult run() {
     for (std::size_t j = 0; j < jobs_.size(); ++j) {
-      states_[j].remaining_sec =
-          sim::to_sec(jobs_[j].work) / p_.speed_factor;
+      // A NOW node runs as fast as an MPP node, as the paper assumes.
+      states_[j].remaining_sec = sim::to_sec(jobs_[j].work);
       engine_.schedule_at(ready_[j], [this, j] { on_arrival(j); });
     }
     // User-return and machine-eligible edges from the trace.
@@ -307,7 +308,7 @@ OverlayResult simulate_overlay(const trace::UsageTrace& usage,
 
   double sum_ideal = 0;
   for (const auto& j : jobs) {
-    sum_ideal += sim::to_sec(j.work) / params.speed_factor;
+    sum_ideal += sim::to_sec(j.work);
   }
   r.mean_response_mpp_sec =
       jobs.empty() ? 0 : sum_ideal / static_cast<double>(jobs.size());

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "glunix/migration.hpp"
 #include "sim/engine.hpp"
 #include "trace/parallel_trace.hpp"
 #include "trace/usage_trace.hpp"
@@ -33,9 +32,6 @@ struct OverlayParams {
   sim::Duration idle_window = 60 * sim::kSecond;
   /// Guest (rank) memory image moved at each migration.
   std::uint64_t guest_memory_bytes = 32ull << 20;
-  MigrationParams migration;
-  /// NOW node speed relative to an MPP node (paper assumes equal).
-  double speed_factor = 1.0;
 };
 
 struct OverlayResult {

@@ -251,9 +251,11 @@ void SpmdApp::spin_wait(std::size_t r, std::function<bool()> pred,
     then();
     return;
   }
+  // Spin-poll granularity while waiting (busy-wait check interval).
+  constexpr sim::Duration kSpinSlice = 200 * sim::kMicrosecond;
   Rank& rank = ranks_[r];
   rank.node->cpu().compute(
-      rank.pid, params_.spin_slice,
+      rank.pid, kSpinSlice,
       [this, r, pred = std::move(pred), then = std::move(then)]() mutable {
         spin_wait(r, std::move(pred), std::move(then));
       });

@@ -53,8 +53,6 @@ struct SpmdParams {
   std::uint32_t burst = 32;
   /// Synchronous round trips per iteration for kConnect.
   int rpcs_per_iteration = 8;
-  /// Spin-poll granularity while waiting (busy-wait check interval).
-  sim::Duration spin_slice = 200 * sim::kMicrosecond;
   std::uint64_t seed = 1;
 };
 

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <type_traits>
+
+#include "obs/json.hpp"
 
 namespace now::obs {
 
@@ -121,46 +122,38 @@ bool MetricsRegistry::read(std::string_view path, double* out) const {
 
 namespace {
 
-/// Shortest round-trippable rendering, identical across platforms for
-/// identical doubles — what keeps two-run dump diffs empty.
-void append_number(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
 void append_summary_json(std::string& out, const sim::Summary& s) {
   out += "{\"count\": ";
   out += std::to_string(s.count());
   out += ", \"mean\": ";
-  append_number(out, s.mean());
+  append_exact_number(out, s.mean());
   out += ", \"min\": ";
-  append_number(out, s.min());
+  append_exact_number(out, s.min());
   out += ", \"max\": ";
-  append_number(out, s.max());
+  append_exact_number(out, s.max());
   out += ", \"stddev\": ";
-  append_number(out, s.stddev());
+  append_exact_number(out, s.stddev());
   out += "}";
 }
 
 struct JsonValue {
   std::string& out;
   void operator()(std::uint64_t c) const { out += std::to_string(c); }
-  void operator()(double g) const { append_number(out, g); }
+  void operator()(double g) const { append_exact_number(out, g); }
   void operator()(const sim::Summary& s) const { append_summary_json(out, s); }
   void operator()(const sim::Histogram& h) const {
     out += "{\"count\": ";
     out += std::to_string(h.count());
     out += ", \"mean\": ";
-    append_number(out, h.mean());
+    append_exact_number(out, h.mean());
     out += ", \"p50\": ";
-    append_number(out, h.percentile(0.50));
+    append_exact_number(out, h.percentile(0.50));
     out += ", \"p95\": ";
-    append_number(out, h.percentile(0.95));
+    append_exact_number(out, h.percentile(0.95));
     out += ", \"p99\": ";
-    append_number(out, h.percentile(0.99));
+    append_exact_number(out, h.percentile(0.99));
     out += ", \"max\": ";
-    append_number(out, h.max());
+    append_exact_number(out, h.max());
     out += "}";
   }
 };

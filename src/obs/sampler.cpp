@@ -1,8 +1,9 @@
 #include "obs/sampler.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <ostream>
+
+#include "obs/json.hpp"
 
 namespace now::obs {
 
@@ -32,14 +33,6 @@ void Sampler::tick() {
   pending_ = engine_.schedule_in(period_, [this] { tick(); }, 1);
 }
 
-namespace {
-void append_number(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-}  // namespace
-
 void Sampler::dump_csv(std::ostream& os) const {
   std::string out = "time_ms";
   for (const std::string& c : columns_) {
@@ -49,10 +42,10 @@ void Sampler::dump_csv(std::ostream& os) const {
   out += '\n';
   const std::size_t width = columns_.size();
   for (std::size_t r = 0; r < times_.size(); ++r) {
-    append_number(out, sim::to_ms(times_[r]));
+    append_exact_number(out, sim::to_ms(times_[r]));
     for (std::size_t c = 0; c < width; ++c) {
       out += ',';
-      append_number(out, values_[r * width + c]);
+      append_exact_number(out, values_[r * width + c]);
     }
     out += '\n';
   }
@@ -64,28 +57,6 @@ bool Sampler::dump_csv_to(const std::string& path) const {
   if (!f) return false;
   dump_csv(f);
   return static_cast<bool>(f);
-}
-
-void Sampler::dump_json(std::ostream& os) const {
-  std::string out = "{\"columns\": [\"time_ms\"";
-  for (const std::string& c : columns_) {
-    out += ", \"";
-    out += c;
-    out += '"';
-  }
-  out += "], \"rows\": [";
-  const std::size_t width = columns_.size();
-  for (std::size_t r = 0; r < times_.size(); ++r) {
-    out += r == 0 ? "\n[" : ",\n[";
-    append_number(out, sim::to_ms(times_[r]));
-    for (std::size_t c = 0; c < width; ++c) {
-      out += ", ";
-      append_number(out, values_[r * width + c]);
-    }
-    out += ']';
-  }
-  out += "\n]}\n";
-  os << out;
 }
 
 }  // namespace now::obs

@@ -4,7 +4,7 @@
 // snapshots a chosen set of registry paths (via MetricsRegistry::read, so
 // counters read their running total and gauges their current level) and
 // appends one row to an in-memory table.  After the run the table dumps as
-// CSV ("time_ms,net.packets_sent,...") or JSON — the raw material for the
+// CSV ("time_ms,net.packets_sent,...") — the raw material for the
 // utilization-over-time plots in the paper's Figure 3 discussion.
 //
 // Like every obs component the sampler only consumes simulated time; its
@@ -46,8 +46,6 @@ class Sampler {
   /// "time_ms,<path>,..." header then one row per sample.
   void dump_csv(std::ostream& os) const;
   bool dump_csv_to(const std::string& path) const;
-  /// {"columns": [...], "rows": [[t_ms, v, ...], ...]}
-  void dump_json(std::ostream& os) const;
 
  private:
   void tick();

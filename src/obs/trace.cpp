@@ -7,6 +7,7 @@
 #include <set>
 #include <utility>
 
+#include "obs/json.hpp"
 #include "sim/engine.hpp"
 
 namespace now::obs {
@@ -75,25 +76,6 @@ void Tracer::record_instant(std::uint32_t node, TrackId track,
 
 namespace {
 
-void append_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 /// Chrome trace timestamps are microseconds.  Emitted as "<us>.<frac>" from
 /// the integral nanosecond clock, so no floating-point formatting is
 /// involved and dumps are bit-stable.
@@ -142,7 +124,7 @@ void Tracer::export_chrome_json(std::ostream& os) const {
     out += ", \"tid\": ";
     out += std::to_string(t);
     out += ", \"args\": {\"name\": \"";
-    append_escaped(out, t < tracks_.size() ? tracks_[t] : "track");
+    append_json_escaped(out, t < tracks_.size() ? tracks_[t] : "track");
     out += "\"}}";
   }
 
@@ -153,9 +135,10 @@ void Tracer::export_chrome_json(std::ostream& os) const {
         events_[n_events == capacity_ ? (head_ + i) % n_events : i];
     sep();
     out += "{\"name\": \"";
-    append_escaped(out, e.name);
+    append_json_escaped(out, e.name);
     out += "\", \"cat\": \"";
-    append_escaped(out, e.track < tracks_.size() ? tracks_[e.track] : "track");
+    append_json_escaped(out,
+                        e.track < tracks_.size() ? tracks_[e.track] : "track");
     if (e.phase == Event::Phase::kComplete) {
       out += "\", \"ph\": \"X\", \"ts\": ";
       append_us(out, e.ts);

@@ -5,21 +5,28 @@
 
 namespace now::os {
 
+namespace {
+/// Media transfer rate in bytes per second (8 KB in 2 ms => 4 MB/s).
+constexpr double kTransferBps = 4.0 * 1024 * 1024;
+/// Capacity, the far end of the distance seek curve.
+constexpr std::uint64_t kCapacityBytes = 1ull << 30;  // 1 GB
+}  // namespace
+
 sim::Duration Disk::positioning_time(std::uint64_t distance) const {
-  if (!params_.distance_seek) return params_.positioning;
+  if (!params_.distance_seek) return kDiskPositioning;
   const double frac = std::min(
       1.0, static_cast<double>(distance) /
-               static_cast<double>(params_.capacity_bytes));
+               static_cast<double>(kCapacityBytes));
   const auto span =
-      static_cast<double>(params_.positioning - params_.min_positioning);
-  return params_.min_positioning +
+      static_cast<double>(kDiskPositioning - kDiskMinPositioning);
+  return kDiskMinPositioning +
          static_cast<sim::Duration>(span * std::sqrt(frac));
 }
 
 sim::Duration Disk::service_time(std::uint32_t bytes, bool sequential) const {
-  const double xfer_s = static_cast<double>(bytes) / params_.transfer_bps;
+  const double xfer_s = static_cast<double>(bytes) / kTransferBps;
   sim::Duration t = sim::from_sec(xfer_s);
-  if (!sequential) t += params_.positioning;
+  if (!sequential) t += kDiskPositioning;
   return t;
 }
 

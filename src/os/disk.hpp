@@ -24,19 +24,18 @@ namespace now::os {
 /// which cuts positioning time under deep queues at the cost of fairness.
 enum class DiskSched : std::uint8_t { kFifo, kElevator };
 
+/// Average seek + rotational delay for a random access.
+inline constexpr sim::Duration kDiskPositioning = sim::from_us(12'800);
+/// Track-to-track positioning, the near end of the distance seek curve.
+inline constexpr sim::Duration kDiskMinPositioning = sim::from_us(2'500);
+
 struct DiskParams {
-  /// Average seek + rotational delay for a random access.
-  sim::Duration positioning = sim::from_us(12'800);
-  /// Media transfer rate in bytes per second (8 KB in 2 ms => 4 MB/s).
-  double transfer_bps = 4.0 * 1024 * 1024;
-  /// Aggregate capacity, for the RAID layer's placement bookkeeping.
-  std::uint64_t capacity_bytes = 1ull << 30;  // 1 GB
   DiskSched scheduler = DiskSched::kFifo;
   /// If true, positioning scales with seek distance:
-  /// min_positioning + (positioning - min_positioning) * sqrt(d/capacity),
-  /// the standard seek curve.  False keeps the flat Table 2 cost.
+  /// kDiskMinPositioning + (kDiskPositioning - kDiskMinPositioning) *
+  /// sqrt(d/capacity), the standard seek curve.  False keeps the flat
+  /// Table 2 cost.
   bool distance_seek = false;
-  sim::Duration min_positioning = sim::from_us(2'500);
 };
 
 /// One spindle with a FIFO request queue.

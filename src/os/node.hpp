@@ -15,12 +15,8 @@ namespace now::os {
 
 struct NodeParams {
   CpuParams cpu;
-  DiskParams disk;
   /// Installed DRAM.  The paper's scenarios use 16-128 MB per workstation.
   std::uint64_t dram_bytes = 64ull << 20;
-  /// Software page-copy cost for one 8 KB page (Table 2: 250 us "memory
-  /// copy"), expressed per byte so other transfer sizes scale.
-  sim::Duration copy_cost_per_kb = sim::from_us(250.0 / 8.0);
 };
 
 /// One workstation.
@@ -28,7 +24,7 @@ class Node {
  public:
   Node(sim::Engine& engine, net::NodeId id, NodeParams params)
       : engine_(engine), id_(id), params_(params),
-        cpu_(engine, params.cpu), disk_(engine, params.disk, id),
+        cpu_(engine, params.cpu), disk_(engine, DiskParams{}, id),
         last_activity_(-(1ll << 62)) {}
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
@@ -43,8 +39,11 @@ class Node {
 
   /// Software copy cost for `bytes` (kernel buffer copies, page moves).
   sim::Duration copy_cost(std::uint64_t bytes) const {
+    // Software page-copy cost for one 8 KB page (Table 2: 250 us "memory
+    // copy"), expressed per KB so other transfer sizes scale.
+    constexpr sim::Duration kCopyCostPerKb = sim::from_us(250.0 / 8.0);
     return static_cast<sim::Duration>(
-        static_cast<double>(params_.copy_cost_per_kb) *
+        static_cast<double>(kCopyCostPerKb) *
         (static_cast<double>(bytes) / 1024.0));
   }
 

@@ -27,7 +27,7 @@ AmLayer::AmLayer(NicMux& mux, AmParams params, std::uint64_t seed)
   });
   ack_tag_ = mux_.register_layer([this](net::Packet&& pkt) {
     os::Node& n = *mux_.node(pkt.dst);
-    n.cpu().steal(params_.costs.recv_fixed / params_.ack_cost_divisor);
+    n.cpu().steal(params_.costs.recv_fixed / kAckCostDivisor);
     on_ack(static_cast<const AmAck&>(*pkt.frame));
   });
 }
@@ -148,8 +148,13 @@ void AmLayer::send_from_process(os::ProcessId pid, EndpointId src,
 void AmLayer::spin_until_injected(os::ProcessId pid, EndpointId src,
                                   std::shared_ptr<bool> injected,
                                   std::function<void()> then) {
+  // Spin-poll granularity for senders waiting on window credits.  A
+  // credit-starved sender busy-polls its endpoint (it must: draining
+  // incoming messages is what lets its peers' credits — and eventually
+  // its own — flow again).
+  constexpr sim::Duration kSendSpinSlice = 200 * sim::kMicrosecond;
   os::Cpu& cpu = ep(src).node->cpu();
-  cpu.compute(pid, params_.send_spin_slice,
+  cpu.compute(pid, kSendSpinSlice,
               [this, pid, src, injected = std::move(injected),
                then = std::move(then)]() mutable {
                 if (*injected) {
@@ -386,7 +391,7 @@ void AmLayer::send_ack(EndpointId from_ep, EndpointId to_ep,
     ++stats_.acks;
   }
   const sim::Duration cost =
-      params_.costs.send_fixed / params_.ack_cost_divisor;
+      params_.costs.send_fixed / kAckCostDivisor;
   n.cpu().steal(cost);
   const sim::SimTime at = mux_.reserve_stack(n.id(), cost);
   auto ack = std::make_unique<AmAck>();

@@ -72,13 +72,6 @@ struct AmParams {
   std::uint32_t max_retries = 25;
   /// Injected packet-loss probability, for exercising retry in tests.
   double loss_probability = 0.0;
-  /// Spin-poll granularity for senders waiting on window credits.  A
-  /// credit-starved sender busy-polls its endpoint (it must: draining
-  /// incoming messages is what lets its peers' credits — and eventually
-  /// its own — flow again).
-  sim::Duration send_spin_slice = 200 * sim::kMicrosecond;
-  /// Fixed cost divisor for acks/credit packets relative to data messages.
-  std::uint32_t ack_cost_divisor = 4;
 };
 
 /// The RPC header: plain fields of the AM data frame, zero on raw AM

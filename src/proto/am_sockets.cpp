@@ -4,8 +4,13 @@
 
 namespace now::proto {
 
-AmSockets::AmSockets(AmLayer& am, AmSocketParams params)
-    : am_(am), params_(params) {}
+namespace {
+/// Socket-layer shim cost per side per message (buffer bookkeeping,
+/// descriptor demux) — the delta between raw AM and "sockets on AM".
+constexpr sim::Duration kShimCost = 4 * sim::kMicrosecond;
+}  // namespace
+
+AmSockets::AmSockets(AmLayer& am) : am_(am) {}
 
 void AmSockets::bind_node(os::Node& node) {
   const net::NodeId id = node.id();
@@ -15,11 +20,11 @@ void AmSockets::bind_node(os::Node& node) {
   os::Node* n = &node;
   am_.register_handler(ep, kData, [this, n, id](AmMessage& m) {
     // Receive-side shim: demux to the socket and hand the data up.
-    n->cpu().steal(params_.shim_cost);
+    n->cpu().steal(kShimCost);
     auto w = std::get<SocketData>(std::move(m.payload));
     const net::NodeId src = am_.node_of(m.src_ep).id();
     am_.engine().schedule_in(
-        params_.shim_cost,
+        kShimCost,
         [this, id, src, bytes = m.bytes, w = std::move(w)]() mutable {
           const auto it = listeners_.find(key(id, w.dst_port));
           assert(it != listeners_.end() && "no listener on destination port");
@@ -45,7 +50,7 @@ void AmSockets::send(net::NodeId src, std::uint16_t src_port,
   assert(sit != endpoints_.end() && dit != endpoints_.end());
   ++messages_;
   // Send-side shim before the AM injection.
-  am_.node_of(sit->second).cpu().steal(params_.shim_cost);
+  am_.node_of(sit->second).cpu().steal(kShimCost);
   am_.send(sit->second, dit->second, kData, bytes,
            SocketData{src_port, dst_port, std::move(payload)});
 }

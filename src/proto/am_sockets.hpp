@@ -19,12 +19,6 @@
 
 namespace now::proto {
 
-struct AmSocketParams {
-  /// Socket-layer shim cost per side per message (buffer bookkeeping,
-  /// descriptor demux) — the delta between raw AM and "sockets on AM".
-  sim::Duration shim_cost = 4 * sim::kMicrosecond;
-};
-
 struct AmSocketMessage {
   net::NodeId src = net::kInvalidNode;
   std::uint16_t src_port = 0;
@@ -36,7 +30,7 @@ class AmSockets {
  public:
   using Receiver = std::function<void(AmSocketMessage&&)>;
 
-  AmSockets(AmLayer& am, AmSocketParams params = {});
+  explicit AmSockets(AmLayer& am);
   AmSockets(const AmSockets&) = delete;
   AmSockets& operator=(const AmSockets&) = delete;
 
@@ -55,7 +49,6 @@ class AmSockets {
 
  private:
   AmLayer& am_;
-  AmSocketParams params_;
   std::unordered_map<net::NodeId, EndpointId> endpoints_;
   std::unordered_map<std::uint64_t, Receiver> listeners_;
   std::uint64_t messages_ = 0;

@@ -40,6 +40,10 @@ struct ProtocolCosts {
 /// single-copy TCP once; Active Messages move data directly.
 inline constexpr double kCopyNsPerByte = 250'000.0 / 8192.0;
 
+/// Fixed cost divisor for acks/credit packets relative to data messages,
+/// in AM and in TCP alike.
+inline constexpr std::uint32_t kAckCostDivisor = 4;
+
 /// Active Messages on the CM-5: ~1.7 us (50 cycles / 25 instructions) per
 /// send or handle.
 ProtocolCosts am_cm5();

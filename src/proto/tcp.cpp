@@ -96,7 +96,7 @@ void TcpLayer::on_ack(const net::Packet& pkt) {
   const auto& ack = static_cast<const WireTcpAck&>(*pkt.frame);
   os::Node* sn = mux_.node(pkt.dst);
   assert(sn != nullptr);
-  sn->cpu().steal(params_.costs.recv_fixed / params_.ack_cost_divisor);
+  sn->cpu().steal(params_.costs.recv_fixed / kAckCostDivisor);
   Connection& conn = connections_[conn_key(pkt.dst, ack.src_port, pkt.src,
                                            ack.dst_port)];
   conn.in_flight -= std::min(conn.in_flight, ack.bytes);
@@ -112,7 +112,7 @@ void TcpLayer::on_data(const net::Packet& pkt, WireSegment& seg) {
   // Return the ack (kernel-level, cheap).
   ++stats_.acks;
   const sim::Duration ack_cost =
-      params_.costs.send_fixed / params_.ack_cost_divisor;
+      params_.costs.send_fixed / kAckCostDivisor;
   dn->cpu().steal(ack_cost);
   const sim::SimTime ack_at = mux_.reserve_stack(pkt.dst, ack_cost);
   net::Packet ack;

@@ -26,8 +26,6 @@ struct TcpParams {
   /// Sliding window: unacknowledged bytes in flight per connection before
   /// the sender stalls (classic 16-bit TCP window: 64 KB).
   std::uint32_t window_bytes = 64 * 1024;
-  /// Cost divisor for ack processing relative to a data segment.
-  std::uint32_t ack_cost_divisor = 4;
 };
 
 struct TcpStats {

@@ -1,5 +1,6 @@
 #include "replay/cursor.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstring>
 #include <fstream>
@@ -132,7 +133,7 @@ std::optional<std::string_view> LineCursor::next() {
 // --- FsTraceCursor -------------------------------------------------------
 
 FsTraceCursor::FsTraceCursor(std::istream& in, CursorOptions opt)
-    : lines_(in, opt.window_bytes), opt_(opt) {}
+    : lines_(in, opt.window_bytes) {}
 
 std::optional<trace::FsAccess> FsTraceCursor::next() {
   const auto line = lines_.next();
@@ -146,7 +147,7 @@ std::optional<trace::FsAccess> FsTraceCursor::next() {
     bad_line("fs access", lines_.line_number());
   }
   a.is_write = op[0] == 'w';
-  if (opt_.enforce_monotonic && records_ > 0 && a.at < last_) {
+  if (records_ > 0 && a.at < last_) {
     bad_line("out-of-order timestamp", lines_.line_number());
   }
   last_ = a.at;
@@ -204,7 +205,7 @@ bool nfs_op_is_data(NfsOp op) {
 }
 
 NfsTraceCursor::NfsTraceCursor(std::istream& in, CursorOptions opt)
-    : lines_(in, opt.window_bytes), opt_(opt) {}
+    : lines_(in, opt.window_bytes) {}
 
 std::optional<NfsRecord> NfsTraceCursor::next() {
   const auto line = lines_.next();
@@ -240,7 +241,7 @@ std::optional<NfsRecord> NfsTraceCursor::next() {
                           static_cast<std::uint32_t>(clients_.size()))
                  .first->second;
   r.fh = fhs_.emplace(std::string(fh), fhs_.size()).first->second;
-  if (opt_.enforce_monotonic && records_ > 0 && r.at < last_) {
+  if (records_ > 0 && r.at < last_) {
     bad_line("out-of-order timestamp", lines_.line_number());
   }
   last_ = r.at;
@@ -248,8 +249,19 @@ std::optional<NfsRecord> NfsTraceCursor::next() {
   return r;
 }
 
-NfsFsCursor::NfsFsCursor(std::istream& in, CursorOptions opt, NfsMapParams map)
-    : nfs_(in, opt), map_(map) {}
+std::uint64_t nfs_block(const NfsRecord& r) {
+  // Table 3's 8 KB blocks, 256 of them (a 2 MB span) per file handle.
+  constexpr std::uint64_t kBlockBytes = 8192;
+  constexpr std::uint64_t kBlocksPerFile = 256;
+  std::uint64_t block_in_file = 0;  // metadata ops hit the "inode" block
+  if (nfs_op_is_data(r.op)) {
+    block_in_file = std::min(r.offset / kBlockBytes, kBlocksPerFile - 1);
+  }
+  return r.fh * kBlocksPerFile + block_in_file;
+}
+
+NfsFsCursor::NfsFsCursor(std::istream& in, CursorOptions opt)
+    : nfs_(in, opt) {}
 
 std::optional<trace::FsAccess> NfsFsCursor::next() {
   const auto r = nfs_.next();
@@ -258,21 +270,14 @@ std::optional<trace::FsAccess> NfsFsCursor::next() {
   a.at = r->at;
   a.client = r->client;
   a.is_write = nfs_op_is_write(r->op);
-  std::uint64_t block_in_file = 0;  // metadata ops hit the "inode" block
-  if (nfs_op_is_data(r->op)) {
-    block_in_file = r->offset / map_.block_bytes;
-    if (block_in_file >= map_.blocks_per_file) {
-      block_in_file = map_.blocks_per_file - 1;
-    }
-  }
-  a.block = r->fh * map_.blocks_per_file + block_in_file;
+  a.block = nfs_block(*r);
   return a;
 }
 
 // --- ParallelJobCursor / UsageIntervalCursor -----------------------------
 
 ParallelJobCursor::ParallelJobCursor(std::istream& in, CursorOptions opt)
-    : lines_(in, opt.window_bytes), opt_(opt) {}
+    : lines_(in, opt.window_bytes) {}
 
 std::optional<trace::ParallelJob> ParallelJobCursor::next() {
   const auto line = lines_.next();
@@ -287,7 +292,7 @@ std::optional<trace::ParallelJob> ParallelJobCursor::next() {
     bad_line("parallel job", lines_.line_number());
   }
   j.development = kind[0] == 'd';
-  if (opt_.enforce_monotonic && j.arrival < last_) {
+  if (j.arrival < last_) {
     bad_line("out-of-order timestamp", lines_.line_number());
   }
   last_ = j.arrival;
@@ -345,8 +350,7 @@ namespace {
 /// TraceCursor that owns its ifstream alongside the format parser.
 class FileCursor : public TraceCursor {
  public:
-  FileCursor(const std::string& path, TraceFormat format, CursorOptions opt,
-             NfsMapParams map)
+  FileCursor(const std::string& path, TraceFormat format, CursorOptions opt)
       : in_(path) {
     if (!in_) {
       throw std::runtime_error("cannot open trace file: " + path);
@@ -354,7 +358,7 @@ class FileCursor : public TraceCursor {
     if (format == TraceFormat::kFs) {
       fs_ = std::make_unique<FsTraceCursor>(in_, opt);
     } else {
-      nfs_ = std::make_unique<NfsFsCursor>(in_, opt, map);
+      nfs_ = std::make_unique<NfsFsCursor>(in_, opt);
     }
   }
 
@@ -370,8 +374,8 @@ class FileCursor : public TraceCursor {
 }  // namespace
 
 std::unique_ptr<TraceCursor> open_trace(const std::string& path,
-                                        CursorOptions opt, NfsMapParams map) {
-  return std::make_unique<FileCursor>(path, detect_format(path), opt, map);
+                                        CursorOptions opt) {
+  return std::make_unique<FileCursor>(path, detect_format(path), opt);
 }
 
 ClientStrideCursor::ClientStrideCursor(std::unique_ptr<TraceCursor> inner,
@@ -390,11 +394,10 @@ std::optional<trace::FsAccess> ClientStrideCursor::next() {
   return std::nullopt;
 }
 
-TraceSummary summarize(const std::string& path, CursorOptions opt,
-                       NfsMapParams map) {
+TraceSummary summarize(const std::string& path, CursorOptions opt) {
   TraceSummary s;
   s.format = detect_format(path);
-  auto cur = open_trace(path, opt, map);
+  auto cur = open_trace(path, opt);
   while (const auto a = cur->next()) {
     if (s.records == 0) s.first_at = a->at;
     s.last_at = a->at;

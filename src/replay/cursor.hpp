@@ -36,8 +36,8 @@
 //       setattr create remove rename mkdir      write       fh*bpf (inode)
 //         rmdir link symlink
 //
-//     (bpf = blocks_per_file, bs = block_bytes; offsets past the per-file
-//     span clamp to the last block.)
+//     (bpf = 256 blocks per file handle, bs = Table 3's 8 KB blocks;
+//     offsets past the per-file 2 MB span clamp to the last block.)
 //
 //   * ParallelJobCursor / UsageIntervalCursor — the other native line
 //     formats (trace_io writes all three), read through the same
@@ -109,8 +109,6 @@ class LineCursor {
 /// Options shared by the record cursors.
 struct CursorOptions {
   std::size_t window_bytes = LineCursor::kDefaultWindow;
-  /// Reject records whose timestamp precedes the previous record's.
-  bool enforce_monotonic = true;
 };
 
 /// Pull interface for a stream of file-system accesses — what every replay
@@ -135,7 +133,6 @@ class FsTraceCursor : public TraceCursor {
 
  private:
   LineCursor lines_;
-  CursorOptions opt_;
   sim::SimTime last_ = 0;
   std::uint64_t records_ = 0;
 };
@@ -197,25 +194,21 @@ class NfsTraceCursor {
 
  private:
   LineCursor lines_;
-  CursorOptions opt_;
   sim::SimTime last_ = 0;
   std::uint64_t records_ = 0;
   std::unordered_map<std::string, std::uint32_t> clients_;
   std::unordered_map<std::string, std::uint64_t> fhs_;
 };
 
-/// How NFS (fh, offset) pairs map onto the simulator's flat block space.
-struct NfsMapParams {
-  std::uint32_t block_bytes = 8192;     // Table 3's 8 KB blocks
-  std::uint32_t blocks_per_file = 256;  // 2 MB span per file handle
-};
+/// The block of the simulator's flat block space that `r` touches, by the
+/// op table in the header comment.
+std::uint64_t nfs_block(const NfsRecord& r);
 
 /// NfsTraceCursor adapted to the TraceCursor interface via the op table in
 /// the header comment.
 class NfsFsCursor : public TraceCursor {
  public:
-  explicit NfsFsCursor(std::istream& in, CursorOptions opt = {},
-                       NfsMapParams map = {});
+  explicit NfsFsCursor(std::istream& in, CursorOptions opt = {});
 
   std::optional<trace::FsAccess> next() override;
 
@@ -223,7 +216,6 @@ class NfsFsCursor : public TraceCursor {
 
  private:
   NfsTraceCursor nfs_;
-  NfsMapParams map_;
 };
 
 // --- Other native formats (written by trace_io) ---------------------------
@@ -236,7 +228,6 @@ class ParallelJobCursor {
 
  private:
   LineCursor lines_;
-  CursorOptions opt_;
   sim::SimTime last_ = 0;
 };
 
@@ -267,10 +258,9 @@ TraceFormat detect_format(const std::string& path);
 
 /// Opens `path`, detects its format, and returns a cursor that owns the
 /// file handle — O(window) memory however large the file.  NFS traces are
-/// adapted through NfsFsCursor with `map`.
+/// adapted through NfsFsCursor.
 std::unique_ptr<TraceCursor> open_trace(const std::string& path,
-                                        CursorOptions opt = {},
-                                        NfsMapParams map = {});
+                                        CursorOptions opt = {});
 
 /// Filters an owned cursor to records with client % modulo == residue and
 /// rewrites their client to `residue` — one replay client's private view
@@ -300,7 +290,6 @@ struct TraceSummary {
   sim::SimTime last_at = 0;
 };
 
-TraceSummary summarize(const std::string& path, CursorOptions opt = {},
-                       NfsMapParams map = {});
+TraceSummary summarize(const std::string& path, CursorOptions opt = {});
 
 }  // namespace now::replay

@@ -97,8 +97,7 @@ PopularityFit fit_popularity(
 
 }  // namespace
 
-TraceProfile profile_trace(const std::string& path, CursorOptions opt,
-                           NfsMapParams map) {
+TraceProfile profile_trace(const std::string& path, CursorOptions opt) {
   TraceProfile p;
   p.format = detect_format(path);
   std::ifstream in(path);
@@ -141,17 +140,12 @@ TraceProfile profile_trace(const std::string& path, CursorOptions opt,
       a.at = r->at;
       a.client = r->client;
       a.is_write = nfs_op_is_write(r->op);
-      const std::uint64_t base =
-          r->fh * static_cast<std::uint64_t>(map.blocks_per_file);
+      a.block = nfs_block(*r);
       if (nfs_op_is_data(r->op)) {
         ++p.data_ops;
         data_bytes += static_cast<long double>(r->bytes);
-        a.block = base + std::min<std::uint64_t>(
-                             r->offset / map.block_bytes,
-                             map.blocks_per_file - 1);
       } else {
         ++p.meta_ops;
-        a.block = base;
       }
       account(a);
     }

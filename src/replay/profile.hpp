@@ -54,9 +54,8 @@ struct TraceProfile {
 
 /// Profiles the trace at `path` (format auto-detected) in one streaming
 /// pass.  NFS traces are profiled on raw records — op mix and sizes — with
-/// block popularity computed through `map`, the same mapping replay uses.
-TraceProfile profile_trace(const std::string& path, CursorOptions opt = {},
-                           NfsMapParams map = {});
+/// block popularity computed through nfs_block, the mapping replay uses.
+TraceProfile profile_trace(const std::string& path, CursorOptions opt = {});
 
 /// Renders the profile as aligned `key value` lines (one per field) for
 /// tools and EXPERIMENTS.md tables.

@@ -29,7 +29,7 @@ double DiurnalCurve::multiplier(sim::SimTime t) const {
   if (amplitude == 0.0) return 1.0;
   const double cycle =
       static_cast<double>(t) / static_cast<double>(period);
-  const double m = 1.0 + amplitude * std::sin(kTwoPi * cycle + phase);
+  const double m = 1.0 + amplitude * std::sin(kTwoPi * cycle);
   return m > 0.0 ? m : 0.0;
 }
 
@@ -186,16 +186,20 @@ sim::Duration ClientPopulation::think_time(std::uint32_t client) {
     case ThinkDist::kExponential:
       ms = rng.exponential(mean);
       break;
-    case ThinkDist::kPareto:
-      // Bounded Pareto over [mean/3, 200*mean]: most thinks are short,
-      // but the tail parks a client for hundreds of means at a time.
-      ms = rng.pareto(params_.pareto_alpha, mean / 3.0, mean * 200.0);
+    case ThinkDist::kPareto: {
+      // Bounded Pareto over [mean/3, 200*mean], shape 1.5 (smaller =
+      // heavier tail): most thinks are short, but the tail parks a client
+      // for hundreds of means at a time.
+      constexpr double kAlpha = 1.5;
+      ms = rng.pareto(kAlpha, mean / 3.0, mean * 200.0);
       break;
+    }
     case ThinkDist::kLognormal: {
-      // mu chosen so E[exp(N(mu, sigma^2))] = mean.
-      const double sigma = params_.lognormal_sigma;
-      const double mu = std::log(mean) - sigma * sigma / 2.0;
-      ms = std::exp(rng.normal(mu, sigma));
+      // Log-space standard deviation 1; mu chosen so
+      // E[exp(N(mu, sigma^2))] = mean.
+      constexpr double kSigma = 1.0;
+      const double mu = std::log(mean) - kSigma * kSigma / 2.0;
+      ms = std::exp(rng.normal(mu, kSigma));
       break;
     }
   }

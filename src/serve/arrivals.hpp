@@ -51,14 +51,12 @@ enum class ThinkDist : std::uint8_t {
 const char* to_string(ThinkDist d);
 
 /// Day/night load shape: multiplier(t) = max(0, 1 + amplitude *
-/// sin(2*pi*t/period + phase)).  amplitude 0 is a flat curve; 0.6 gives a
-/// 1.6x daytime peak over a 0.4x night trough.  Pure function of t, so it
-/// never perturbs determinism.
+/// sin(2*pi*t/period)), so the first peak falls a quarter period in.
+/// amplitude 0 is a flat curve; 0.6 gives a 1.6x daytime peak over a 0.4x
+/// night trough.  Pure function of t, so it never perturbs determinism.
 struct DiurnalCurve {
   double amplitude = 0.0;
   sim::Duration period = 24 * sim::kHour;
-  /// Radians added to the phase; 0 puts the first peak a quarter period in.
-  double phase = 0.0;
 
   double multiplier(sim::SimTime t) const;
   /// Upper bound of multiplier() over all t (the thinning envelope).
@@ -92,10 +90,6 @@ struct PopulationParams {
   /// Closed-loop think-time distribution and its mean.
   ThinkDist think = ThinkDist::kExponential;
   double think_mean_ms = 50.0;
-  /// kPareto shape (smaller = heavier tail; support [mean/3, 200*mean]).
-  double pareto_alpha = 1.5;
-  /// kLognormal log-space standard deviation (mean is preserved).
-  double lognormal_sigma = 1.0;
   DiurnalCurve diurnal;
   /// Login/logout churn layer (applies to open and closed clients).
   SessionParams sessions;

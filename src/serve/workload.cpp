@@ -71,12 +71,10 @@ void ServeWorkload::start() {
   // trace file (stride-filtered to its residue) and runs the same lazy
   // one-pending-event chain as the open clients.
   if (cfg_.replay.enabled()) {
-    replay::CursorOptions opt;
-    opt.window_bytes = cfg_.replay.window_bytes;
     replay_cursors_.reserve(cfg_.replay.clients);
     for (std::uint32_t r = 0; r < cfg_.replay.clients; ++r) {
       replay_cursors_.push_back(std::make_unique<replay::ClientStrideCursor>(
-          replay::open_trace(cfg_.replay.path, opt), cfg_.replay.clients, r));
+          replay::open_trace(cfg_.replay.path), cfg_.replay.clients, r));
     }
     for (std::uint32_t r = 0; r < cfg_.replay.clients; ++r) arm_replay(r);
   }

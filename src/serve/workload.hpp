@@ -76,7 +76,6 @@ struct ReplayArrivals {
   std::uint32_t clients = 0;
   /// Recorded timestamps are divided by this (2 = replay twice as fast).
   double time_scale = 1.0;
-  std::size_t window_bytes = replay::LineCursor::kDefaultWindow;
   bool enabled() const { return !path.empty() && clients > 0; }
 };
 

@@ -70,16 +70,16 @@ void CentralServerFs::install_server() {
       [this](net::NodeId, proto::Body req, proto::RpcLayer::ReplyFn reply) {
         const auto r = std::get<CfsReq>(req);
         if (server_cache_.touch(r.block)) {
-          reply(params_.block_bytes + 32, CfsResp{true});
+          reply(kBlockBytes + 32, CfsResp{true});
           return;
         }
         // Disk read, then install in the server cache.
-        server_.disk().read(r.block * params_.block_bytes,
-                            params_.block_bytes,
+        server_.disk().read(r.block * kBlockBytes,
+                            kBlockBytes,
                             [this, b = r.block,
                              reply = std::move(reply)]() mutable {
                               server_cache_.insert(b);
-                              reply(params_.block_bytes + 32,
+                              reply(kBlockBytes + 32,
                                     CfsResp{false});
                             });
       });
@@ -90,8 +90,8 @@ void CentralServerFs::install_server() {
         server_cache_.insert(r.block);
         on_disk_.insert(r.block);
         // Write-through to the server disk.
-        server_.disk().write(r.block * params_.block_bytes,
-                             params_.block_bytes,
+        server_.disk().write(r.block * kBlockBytes,
+                             kBlockBytes,
                              [reply = std::move(reply)]() mutable {
                                reply(32, {});
                              });
@@ -127,7 +127,7 @@ void CentralServerFs::write(net::NodeId client, BlockId b, OpDone done) {
   const std::uint32_t op = ops_.open(
       FileOp{client, b, /*is_write=*/true, 0, 0, std::move(done)});
   rpc_.call(
-      client, server_.id(), kCfsWrite, params_.block_bytes + 48,
+      client, server_.id(), kCfsWrite, kBlockBytes + 48,
       CfsReq{b, true}, [this, op](proto::Body&&) { close_op(op, true); },
       kOpTimeout, [this, op] { fail_op(op); });
 }

@@ -31,7 +31,6 @@ inline constexpr proto::MethodId kCfsRead = 140;
 inline constexpr proto::MethodId kCfsWrite = 141;
 
 struct CentralFsParams {
-  std::uint32_t block_bytes = 8192;
   std::uint32_t client_cache_blocks = 2048;
   /// Server memory cache (the one machine whose DRAM helps everybody).
   std::uint32_t server_cache_blocks = 16384;

@@ -14,6 +14,10 @@
 
 namespace now::xfs {
 
+/// File block size of both file services, their log and their RAID stripe
+/// unit: Table 3's 8 KB blocks.
+inline constexpr std::uint32_t kBlockBytes = 8192;
+
 class FileService {
  public:
   /// Called exactly once per op.  `ok` is false when the op failed: for

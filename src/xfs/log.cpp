@@ -3,12 +3,12 @@
 #include <cassert>
 #include <memory>
 
+#include "xfs/file_service.hpp"
+
 namespace now::xfs {
 
-LogStore::LogStore(raid::Storage& storage,
-                   std::uint32_t segment_blocks, std::uint32_t block_bytes)
+LogStore::LogStore(raid::Storage& storage, std::uint32_t segment_blocks)
     : storage_(storage), segment_blocks_(segment_blocks),
-      block_bytes_(block_bytes),
       stats_obs_("xfs.log", [this](obs::Sink& s) {
         s.counter("segments_written", stats_.segments_written);
         s.counter("blocks_appended", stats_.blocks_appended);
@@ -19,7 +19,11 @@ LogStore::LogStore(raid::Storage& storage,
         s.counter("tape_reads", stats_.tape_reads);
         s.gauge("utilization", utilization());
       }) {
-  assert(segment_blocks_ > 0 && block_bytes_ > 0);
+  assert(segment_blocks_ > 0);
+}
+
+std::uint64_t LogStore::segment_offset(SegmentId s) const {
+  return static_cast<std::uint64_t>(s) * segment_blocks_ * kBlockBytes;
 }
 
 double LogStore::utilization() const {
@@ -81,7 +85,7 @@ void LogStore::append_segment(net::NodeId writer,
   ++stats_.segments_written;
   stats_.blocks_appended += blocks.size();
   storage_.write(writer, segment_offset(s),
-                 static_cast<std::uint32_t>(blocks.size()) * block_bytes_,
+                 static_cast<std::uint32_t>(blocks.size()) * kBlockBytes,
                  std::move(done));
 }
 
@@ -93,14 +97,14 @@ void LogStore::read_block(net::NodeId reader, BlockId b, Done done) {
   if (seg.on_tape) {
     assert(tape_ != nullptr);
     ++stats_.tape_reads;
-    tape_->read(block_bytes_, std::move(done));
+    tape_->read(kBlockBytes, std::move(done));
     return;
   }
   storage_.read(reader,
                 segment_offset(it->second.segment) +
                     static_cast<std::uint64_t>(it->second.slot) *
-                        block_bytes_,
-                block_bytes_, std::move(done));
+                        kBlockBytes,
+                kBlockBytes, std::move(done));
 }
 
 bool LogStore::on_tape(BlockId b) const {
@@ -116,7 +120,7 @@ void LogStore::archive_segment(net::NodeId driver, SegmentId s, Done done) {
   assert(!seg.free && !seg.on_tape);
   ++stats_.segments_archived;
   const std::uint64_t bytes =
-      static_cast<std::uint64_t>(seg.live_count) * block_bytes_;
+      static_cast<std::uint64_t>(seg.live_count) * kBlockBytes;
   // Stream off the RAID, then onto tape; the RAID space is then free for
   // fresh segments (the segment keeps its id, now tape-resident).
   storage_.read(driver, segment_offset(s), static_cast<std::uint32_t>(bytes),
@@ -185,7 +189,7 @@ void LogStore::clean(net::NodeId driver, double threshold,
     }
   };
   for (const SegmentId s : victims) {
-    const std::uint32_t bytes = segments_[s].live_count * block_bytes_;
+    const std::uint32_t bytes = segments_[s].live_count * kBlockBytes;
     // Free the victim's bookkeeping now; the data is in flight to its new
     // home (crash-consistency of cleaning is out of scope here).
     Segment& seg = segments_[s];

@@ -37,9 +37,8 @@ class LogStore {
  public:
   using Done = std::function<void()>;
 
-  /// Segments hold `segment_blocks` blocks of `block_bytes` each.
-  LogStore(raid::Storage& storage, std::uint32_t segment_blocks,
-           std::uint32_t block_bytes);
+  /// Segments hold `segment_blocks` blocks of kBlockBytes each.
+  LogStore(raid::Storage& storage, std::uint32_t segment_blocks);
   LogStore(const LogStore&) = delete;
   LogStore& operator=(const LogStore&) = delete;
 
@@ -100,13 +99,10 @@ class LogStore {
 
   SegmentId allocate_segment();
   void kill_old_copy(BlockId b);
-  std::uint64_t segment_offset(SegmentId s) const {
-    return static_cast<std::uint64_t>(s) * segment_blocks_ * block_bytes_;
-  }
+  std::uint64_t segment_offset(SegmentId s) const;
 
   raid::Storage& storage_;
   std::uint32_t segment_blocks_;
-  std::uint32_t block_bytes_;
   std::vector<Segment> segments_;
   std::unordered_map<BlockId, Location> imap_;
   TapeArchive* tape_ = nullptr;

@@ -15,15 +15,6 @@
 
 namespace now::xfs {
 
-struct TapeParams {
-  /// Robot arm + load + seek-to-file: tens of seconds in the early '90s.
-  sim::Duration mount_time = 25 * sim::kSecond;
-  /// Streaming rate once mounted.
-  double stream_bps = 1.0 * 1024 * 1024;
-  /// The drive stays mounted this long after the last access.
-  sim::Duration keep_mounted = 60 * sim::kSecond;
-};
-
 struct TapeStats {
   std::uint64_t mounts = 0;
   std::uint64_t bytes_written = 0;
@@ -34,8 +25,7 @@ class TapeArchive {
  public:
   using Done = std::function<void()>;
 
-  TapeArchive(sim::Engine& engine, TapeParams params = {})
-      : engine_(engine), params_(params) {}
+  explicit TapeArchive(sim::Engine& engine) : engine_(engine) {}
   TapeArchive(const TapeArchive&) = delete;
   TapeArchive& operator=(const TapeArchive&) = delete;
 
@@ -54,21 +44,27 @@ class TapeArchive {
   const TapeStats& stats() const { return stats_; }
 
  private:
+  /// Robot arm + load + seek-to-file: tens of seconds in the early '90s.
+  static constexpr sim::Duration kMountTime = 25 * sim::kSecond;
+  /// Streaming rate once mounted.
+  static constexpr double kStreamBps = 1.0 * 1024 * 1024;
+  /// The drive stays mounted this long after the last access.
+  static constexpr sim::Duration kKeepMounted = 60 * sim::kSecond;
+
   void access(std::uint64_t bytes, Done done) {
     sim::SimTime start = std::max(engine_.now(), drive_busy_until_);
     if (start > mounted_until_) {
       ++stats_.mounts;
-      start += params_.mount_time;
+      start += kMountTime;
     }
     const auto stream = sim::from_sec(static_cast<double>(bytes) /
-                                      params_.stream_bps);
+                                      kStreamBps);
     drive_busy_until_ = start + stream;
-    mounted_until_ = drive_busy_until_ + params_.keep_mounted;
+    mounted_until_ = drive_busy_until_ + kKeepMounted;
     engine_.schedule_at(drive_busy_until_, std::move(done));
   }
 
   sim::Engine& engine_;
-  TapeParams params_;
   sim::SimTime drive_busy_until_ = 0;
   /// The drive counts as mounted until this instant.
   sim::SimTime mounted_until_ = -1;

@@ -278,7 +278,7 @@ void Xfs::install_services(os::Node& node) {
           std::erase(cs.staged, b);
         }
         // The reply carries the (possibly dirty) data to the manager.
-        reply(params_.block_bytes + 16, {});
+        reply(kBlockBytes + 16, {});
       });
 
   rpc_.register_method(
@@ -289,7 +289,7 @@ void Xfs::install_services(os::Node& node) {
         ClientState& cs = cstate(self);
         const bool found = client_has_block(self, b);
         if (cs.cache.contains(b)) cs.cache.touch(b);
-        reply(found ? params_.block_bytes + 16 : 16, FetchReply{found});
+        reply(found ? kBlockBytes + 16 : 16, FetchReply{found});
       });
 
   rpc_.register_method(
@@ -363,7 +363,7 @@ void Xfs::write_party_done(std::uint32_t txn) {
 
 void Xfs::grant_write(std::uint32_t txn) {
   const WriteTxn t = txns_.release(txn);
-  t.reply(t.had_data ? params_.block_bytes + 32 : 32,
+  t.reply(t.had_data ? kBlockBytes + 32 : 32,
           WriteGrant{t.had_data, false, t.version});
   BlockMeta& m = mstate(t.manager)[t.block];
   if (m.pending_writes.empty()) {
@@ -425,7 +425,7 @@ void Xfs::do_read(std::uint32_t op) {
   if (cs.cache.contains(b) || cs.staged_set.find(b) != nullptr) {
     ++stats_.local_hits;
     cs.cache.touch(b);
-    engine().schedule_in(node(c)->copy_cost(params_.block_bytes),
+    engine().schedule_in(node(c)->copy_cost(kBlockBytes),
                          [this, op] { close_op(op, true); });
     return;
   }
@@ -454,7 +454,7 @@ void Xfs::on_read_directive(std::uint32_t op, ReadDirective d) {
       return;
     case ReadSource::kZero:
       ++stats_.zero_fills;
-      engine().schedule_in(node(c)->copy_cost(params_.block_bytes) / 4,
+      engine().schedule_in(node(c)->copy_cost(kBlockBytes) / 4,
                            [this, op] { finish_read(op); });
       return;
     case ReadSource::kLog:
@@ -491,7 +491,7 @@ void Xfs::do_write(std::uint32_t op) {
   if (cs.cache.contains(b) && cs.dirty.contains(b)) {
     ++stats_.local_hits;
     cs.cache.touch(b);
-    engine().schedule_in(node(c)->copy_cost(params_.block_bytes),
+    engine().schedule_in(node(c)->copy_cost(kBlockBytes),
                          [this, op] { close_op(op, true); });
     return;
   }
@@ -633,8 +633,11 @@ void Xfs::sync(net::NodeId client, Done done) {
 
 void Xfs::clean(net::NodeId driver,
                 std::function<void(std::uint32_t)> done) {
+  // Cleaner threshold: segments at or below this live fraction are
+  // compacted.
+  constexpr double kCleanThreshold = 0.5;
   const sim::SimTime t0 = engine().now();
-  log_.clean(driver, params_.clean_threshold,
+  log_.clean(driver, kCleanThreshold,
              [this, driver, t0, done = std::move(done)](std::uint32_t n) {
                if (n > 0) {
                  obs::tracer().complete(driver, obs_track_, "xfs.clean", t0,

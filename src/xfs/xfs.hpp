@@ -44,14 +44,10 @@
 namespace now::xfs {
 
 struct XfsParams {
-  std::uint32_t block_bytes = 8192;
   /// Per-client cache capacity in blocks.
   std::uint32_t client_cache_blocks = 2048;
   /// Blocks per log segment (write-behind batch).
   std::uint32_t segment_blocks = 64;
-  /// Cleaner threshold: segments at or below this live fraction are
-  /// compacted.
-  double clean_threshold = 0.5;
   /// Per-attempt timeout for manager operations, and the retry budget —
   /// this is what rides out a manager takeover.
   sim::Duration op_timeout = 500 * sim::kMillisecond;

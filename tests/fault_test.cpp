@@ -183,11 +183,10 @@ TEST(Fault, TraceShowsGlunixNodeDownAfterMissedHeartbeats) {
   const auto downs = instants(ctx.tracer, "glunix", "node_down");
   ASSERT_EQ(downs.size(), 1u);
   EXPECT_EQ(downs[0].first, 2u);
-  // Not before `heartbeat_misses` heartbeat intervals have gone unanswered.
-  const glunix::GlunixParams& hb = cfg.glunix;
+  // Not before `kHeartbeatMisses` heartbeat intervals have gone unanswered.
   EXPECT_GE(downs[0].second,
-            sim::to_us(20 * sim::kSecond +
-                       hb.heartbeat_misses * hb.heartbeat_interval));
+            sim::to_us(20 * sim::kSecond + glunix::kHeartbeatMisses *
+                                               cfg.glunix.heartbeat_interval));
 }
 
 TEST(Fault, GlunixGangSurvivesCrashRestartPair) {

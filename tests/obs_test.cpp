@@ -605,24 +605,5 @@ TEST(Sampler, SnapshotsWatchedInstrumentsEveryPeriod) {
   EXPECT_EQ(r3, "30,7,0");
 }
 
-TEST(Sampler, JsonDumpListsColumnsAndRows) {
-  sim::Engine engine;
-  MetricsRegistry reg;
-  reg.gauge("level").set(2.0);
-  Sampler sampler(engine, reg, sim::kMillisecond);
-  sampler.watch("level");
-  sampler.start();
-  engine.schedule_at(3 * sim::kMillisecond + 1, [&] { sampler.stop(); });
-  engine.run();
-
-  std::ostringstream os;
-  sampler.dump_json(os);
-  const std::string json = os.str();
-  EXPECT_NE(json.find("\"columns\""), std::string::npos);
-  EXPECT_NE(json.find("\"level\""), std::string::npos);
-  EXPECT_NE(json.find("\"rows\""), std::string::npos);
-  EXPECT_EQ(sampler.rows(), 3u);
-}
-
 }  // namespace
 }  // namespace now::obs

@@ -28,7 +28,7 @@ TEST(Disk, SequentialAccessSkipsPositioning) {
   Disk d(eng, DiskParams{});
   const auto rnd = d.service_time(8192, false);
   const auto seq = d.service_time(8192, true);
-  EXPECT_EQ(rnd - seq, DiskParams{}.positioning);
+  EXPECT_EQ(rnd - seq, kDiskPositioning);
 }
 
 TEST(Disk, CompletionCallbackAtServiceTime) {
@@ -121,8 +121,8 @@ TEST(Disk, DistanceSeekScalesWithDistance) {
   const auto near = d.positioning_time(1 << 20);
   const auto far = d.positioning_time(800ull << 20);
   EXPECT_LT(near, far);
-  EXPECT_GE(near, p.min_positioning);
-  EXPECT_LE(far, p.positioning);
+  EXPECT_GE(near, kDiskMinPositioning);
+  EXPECT_LE(far, kDiskPositioning);
 }
 
 TEST(Disk, FlatSeekIgnoresDistance) {

@@ -277,9 +277,9 @@ TEST_P(XfsCoherence, SingleWriterInvariantSurvivesChaos) {
   xp.segment_blocks = 5;
   raid::RaidParams rp;
   rp.level = raid::Level::kRaid5;
-  rp.stripe_unit = xp.block_bytes;
+  rp.stripe_unit = xfs::kBlockBytes;
   raid::SoftwareRaid storage(rpc, members, rp);
-  xfs::LogStore log(storage, xp.segment_blocks, xp.block_bytes);
+  xfs::LogStore log(storage, xp.segment_blocks);
   xfs::Xfs fs(rpc, log, members, xp);
   fs.start();
 

@@ -127,8 +127,7 @@ TEST(NfsTraceCursor, ParsesAndAssignsDenseIds) {
 
 TEST(NfsFsCursor, AppliesTheOpTable) {
   std::istringstream in(kNfsSample);
-  NfsMapParams map;  // block_bytes 8192, blocks_per_file 256
-  NfsFsCursor cur(in, {}, map);
+  NfsFsCursor cur(in);  // 8 KB blocks, 256 blocks per file handle
   std::vector<trace::FsAccess> recs;
   while (auto a = cur.next()) recs.push_back(*a);
   ASSERT_EQ(recs.size(), 6u);

@@ -314,10 +314,9 @@ struct FsRig {
     }
     raid::RaidParams rp;
     rp.level = raid::Level::kRaid5;
-    rp.stripe_unit = xp.block_bytes;
+    rp.stripe_unit = xfs::kBlockBytes;
     storage = std::make_unique<raid::SoftwareRaid>(*rpc, members, rp);
-    log = std::make_unique<xfs::LogStore>(*storage, xp.segment_blocks,
-                                          xp.block_bytes);
+    log = std::make_unique<xfs::LogStore>(*storage, xp.segment_blocks);
     fs = std::make_unique<xfs::Xfs>(*rpc, *log, members, xp);
     fs->start();
   }

@@ -321,8 +321,9 @@ TEST(TraceIo, OutOfOrderParallelArrivalsRejected) {
     read_all<replay::ParallelJobCursor>(buf);
     FAIL() << "expected a parse error";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("out-of-order"), std::string::npos)
-        << e.what();
+    const std::string what = e.what();
+    EXPECT_NE(what.find("out-of-order"), std::string::npos) << what;
+    EXPECT_NE(what.find("line 2"), std::string::npos) << what;
   }
 }
 

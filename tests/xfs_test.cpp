@@ -39,12 +39,11 @@ struct Rig {
     }
     raid::RaidParams rp;
     rp.level = raid::Level::kRaid5;
-    rp.stripe_unit = xp.block_bytes;
+    rp.stripe_unit = kBlockBytes;
     std::vector<os::Node*> members;
     for (auto& nd : nodes) members.push_back(nd.get());
     storage = std::make_unique<raid::SoftwareRaid>(*rpc, members, rp);
-    log = std::make_unique<LogStore>(*storage, xp.segment_blocks,
-                                     xp.block_bytes);
+    log = std::make_unique<LogStore>(*storage, xp.segment_blocks);
     fs = std::make_unique<Xfs>(*rpc, *log, members, xp);
     fs->start();
   }
